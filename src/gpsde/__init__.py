@@ -3,11 +3,28 @@ Gaussian process fields.
 
 The model simulates path distributions from interpolated drift and
 diffusion fields, scores them with a Monte Carlo likelihood, and fits the
-inducing values by MAP gradient ascent using exact forward sensitivities
-of the simulated paths.
+inducing values by MAP gradient ascent, with gradients from an exact
+adjoint sweep of the simulated paths.
+
+Set GPSDE_NUM_THREADS to pin the BLAS thread count; it takes effect when
+this package is imported before numpy.
 """
 
-from .errors import (
+import os
+
+
+def _apply_thread_env():
+    n = os.environ.get("GPSDE_NUM_THREADS")
+    if n:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, n)
+
+
+_apply_thread_env()
+
+# the imports below load numpy, so they follow the thread settings
+
+from .errors import (  # noqa: E402
     DataError,
     FitError,
     GpsdeError,
@@ -17,45 +34,33 @@ from .errors import (
     SensitivityError,
     SimulationError,
 )
-from .kernels import KernelParams, gram, gram_blocked, rbf, rbf_grad_x
-from .field import (
+from .kernels import KernelParams, gram, gram_blocked, rbf  # noqa: E402
+from .field import (  # noqa: E402
     FieldCache,
     InducingModel,
     build_cache,
-    diff_grad_u,
-    diff_grad_x,
     diffusion_at,
     drift_at,
-    drift_jac_u,
-    drift_jac_x,
     log_prior,
     log_prior_grad,
     update_values,
 )
-from .sim import (
+from .sim import (  # noqa: E402
     PathBundle,
     SimConfig,
     TimeGrid,
     build_grid,
-    euler_maruyama,
     sample_increments,
     sample_paths,
     state_density,
 )
-from .sensitivity import (
-    PathSensitivities,
-    SensitivityState,
-    propagate_step,
-    simulate_with_sensitivities,
-)
-from .objective import (
+from .objective import (  # noqa: E402
     ObjectiveValue,
     Trajectory,
     log_posterior,
-    mc_loglik,
     mc_loglik_grad,
 )
-from .fit import (
+from .fit import (  # noqa: E402
     FitConfig,
     FitReport,
     build_inducing_grid,
@@ -63,7 +68,7 @@ from .fit import (
     fit_map,
     gradient_match_init,
 )
-from .systems import (
+from .systems import (  # noqa: E402
     GenSpec,
     ParametricSystem,
     distribution_discrepancy,
@@ -92,16 +97,11 @@ __all__ = [
     "gram",
     "gram_blocked",
     "rbf",
-    "rbf_grad_x",
     "FieldCache",
     "InducingModel",
     "build_cache",
-    "diff_grad_u",
-    "diff_grad_x",
     "diffusion_at",
     "drift_at",
-    "drift_jac_u",
-    "drift_jac_x",
     "log_prior",
     "log_prior_grad",
     "update_values",
@@ -109,18 +109,12 @@ __all__ = [
     "SimConfig",
     "TimeGrid",
     "build_grid",
-    "euler_maruyama",
     "sample_increments",
     "sample_paths",
     "state_density",
-    "PathSensitivities",
-    "SensitivityState",
-    "propagate_step",
-    "simulate_with_sensitivities",
     "ObjectiveValue",
     "Trajectory",
     "log_posterior",
-    "mc_loglik",
     "mc_loglik_grad",
     "FitConfig",
     "FitReport",

@@ -6,31 +6,20 @@ flags (highest precedence), then writes the fully-resolved values to a
 manifest next to its outputs so the run can be reproduced exactly.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-Set GPSDE_NUM_THREADS to pin the BLAS thread count before numpy loads.
+Set GPSDE_NUM_THREADS to pin the BLAS thread count (see ``gpsde``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from configparser import ConfigParser, Error as ConfigError
 from pathlib import Path
 
+import numpy as np
 
-def _apply_thread_env():
-    n = os.environ.get("GPSDE_NUM_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_apply_thread_env()
-
-import numpy as np  # noqa: E402
-
-from . import dataio  # noqa: E402
-from .errors import (  # noqa: E402
+from . import dataio
+from .errors import (
     DataError,
     FitError,
     InputError,
@@ -38,10 +27,10 @@ from .errors import (  # noqa: E402
     SensitivityError,
     SimulationError,
 )
-from .field import build_cache  # noqa: E402
-from .fit import FitConfig, default_lengthscale_grid, fit_map  # noqa: E402
-from .sim import SimConfig, build_grid, sample_paths, state_density  # noqa: E402
-from .systems import (  # noqa: E402
+from .field import build_cache
+from .fit import FitConfig, default_lengthscale_grid, fit_map
+from .sim import SimConfig, build_grid, sample_paths, state_density
+from .systems import (
     SYSTEMS,
     GenSpec,
     distribution_discrepancy,

@@ -42,7 +42,7 @@ class SimulationError(GpsdeError, RuntimeError):
 
 
 class SensitivityError(SimulationError):
-    """Sensitivity propagation produced non-finite entries."""
+    """The adjoint sweep of simulated paths produced non-finite entries."""
 
 
 class InternalError(GpsdeError, RuntimeError):

@@ -31,7 +31,6 @@ from .kernels import (
     KernelParams,
     as_points,
     gram_blocked,
-    rbf_grad_matrix,
     rbf_matrix,
     same_params,
     validate_dependency,
@@ -119,8 +118,8 @@ class FieldCache:
     """Factorizations and solve products for one model configuration.
 
     alpha_f = K_f(Z,Z)^{-1} u_f and alpha_s = K_s(Z,Z)^{-1} u_sigma are the
-    interpolation weights; B_f and C_f fold the dependency matrix A into
-    per-location blocks so batched evaluation is a single matmul/einsum.
+    interpolation weights; B_f folds the dependency matrix A into
+    per-location blocks so batched drift evaluation is a single matmul.
     """
 
     Z: np.ndarray
@@ -134,12 +133,9 @@ class FieldCache:
     chol_s: tuple
     logdet_f: float
     logdet_s: float
-    Kinv_f: np.ndarray
-    Kinv_s: np.ndarray
     alpha_f: np.ndarray
     alpha_s: np.ndarray
     B_f: np.ndarray
-    C_f: np.ndarray
     same_kernels: bool = False
 
     def matches(self, m: InducingModel) -> bool:
@@ -182,11 +178,7 @@ def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCa
 
     alpha_f = scipy.linalg.cho_solve(chol_f, m.u_f)
     alpha_s = scipy.linalg.cho_solve(chol_s, m.u_sigma)
-    Kinv_f = scipy.linalg.cho_solve(chol_f, np.eye(M * D))
-    Kinv_s = scipy.linalg.cho_solve(chol_s, np.eye(M))
-
     B_f = alpha_f.reshape(M, D) @ m.A.T
-    C_f = np.einsum("de,meq->mdq", m.A, Kinv_f.reshape(M, D, M * D))
 
     return FieldCache(
         Z=m.Z,
@@ -200,12 +192,9 @@ def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCa
         chol_s=chol_s,
         logdet_f=float(2.0 * np.sum(np.log(np.diag(chol_f[0])))),
         logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
-        Kinv_f=Kinv_f,
-        Kinv_s=Kinv_s,
         alpha_f=alpha_f,
         alpha_s=alpha_s,
         B_f=B_f,
-        C_f=C_f,
         same_kernels=same_params(m.drift_params, m.diff_params),
     )
 
@@ -261,58 +250,23 @@ def diffusion_at(x, m: InducingModel, c: FieldCache) -> float:
     return float(diffusion_batch(x[None, :], c)[0])
 
 
-def drift_jac_x(x, m: InducingModel, c: FieldCache) -> np.ndarray:
-    """Jacobian d f(x) / d x, shape (D, D)."""
-    _checked(m, c)
-    x = _as_state(x, m.D)
-    G = rbf_grad_matrix(x[None, :], c.Z, c.drift_params)[0]  # (M, D)
-    return c.B_f.T @ G
-
-
-def drift_jac_u(x, m: InducingModel, c: FieldCache) -> np.ndarray:
-    """Jacobian d f(x) / d u_f, shape (D, M*D); constant in u_f."""
-    _checked(m, c)
-    x = _as_state(x, m.D)
-    k = rbf_matrix(x[None, :], c.Z, c.drift_params)[0]
-    return np.einsum("m,mdq->dq", k, c.C_f)
-
-
-def diff_grad_x(x, m: InducingModel, c: FieldCache) -> np.ndarray:
-    """Gradient d sigma(x) / d x, shape (D,)."""
-    _checked(m, c)
-    x = _as_state(x, m.D)
-    G = rbf_grad_matrix(x[None, :], c.Z, c.diff_params)[0]
-    return G.T @ c.alpha_s
-
-
-def diff_grad_u(x, m: InducingModel, c: FieldCache) -> np.ndarray:
-    """Gradient d sigma(x) / d u_sigma, shape (M,); constant in u_sigma."""
-    _checked(m, c)
-    x = _as_state(x, m.D)
-    k = rbf_matrix(x[None, :], c.Z, c.diff_params)[0]
-    return k @ c.Kinv_s
-
-
 @dataclass(frozen=True, eq=False)
 class StepTerms:
-    """All per-state quantities one simulation step needs, batched over N."""
+    """Per-state quantities one adjoint step needs, batched over N."""
 
-    F: np.ndarray        # (N, D) drift
-    sig: np.ndarray      # (N,) diffusion
+    kf: np.ndarray       # (N, M) drift kernel rows k_f(x, Z)
+    ks: np.ndarray       # (N, M) diffusion kernel rows k_s(x, Z)
     jac_x: np.ndarray    # (N, D, D) drift state Jacobian
-    jac_u: np.ndarray    # (N, D, M*D) drift inducing-value Jacobian
     diff_gx: np.ndarray  # (N, D) diffusion state gradient
-    diff_gu: np.ndarray  # (N, M) diffusion inducing-value gradient
 
 
 def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
-    """Evaluate both fields and their four partial derivatives at once.
+    """Evaluate both kernel rows and the fields' state derivatives at once.
 
     Shares the pairwise differences between the two kernels and keeps all
-    contractions as BLAS matmuls; this runs once per simulation step.
+    contractions as BLAS matmuls; this runs once per step of the adjoint
+    sweep.
     """
-    n = X.shape[0]
-    M, D = c.Z.shape
     diff = X[:, None, :] - c.Z                          # (N, M, D)
     df = diff / c.drift_params.lengthscales
     kf = c.drift_params.variance * np.exp(-0.5 * np.sum(df * df, axis=-1))
@@ -324,12 +278,10 @@ def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
         ks = c.diff_params.variance * np.exp(-0.5 * np.sum(ds * ds, axis=-1))
         Gs = -ks[:, :, None] * (diff / np.square(c.diff_params.lengthscales))
     return StepTerms(
-        F=kf @ c.B_f,
-        sig=ks @ c.alpha_s,
+        kf=kf,
+        ks=ks,
         jac_x=c.B_f.T @ Gf,                             # (N, D, D)
-        jac_u=(kf @ c.C_f.reshape(M, -1)).reshape(n, D, M * D),
         diff_gx=Gs.transpose(0, 2, 1) @ c.alpha_s,      # (N, D)
-        diff_gu=ks @ c.Kinv_s,
     )
 
 

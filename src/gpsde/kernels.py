@@ -92,13 +92,6 @@ def rbf(x, x2, p: KernelParams) -> float:
     return float(rbf_matrix(x[None, :], x2[None, :], p)[0, 0])
 
 
-def rbf_grad_x(x, x2, p: KernelParams) -> np.ndarray:
-    """Gradient of ``rbf`` in its first argument, shape (D,)."""
-    x = _as_state(x, p.dim, "x")
-    x2 = _as_state(x2, p.dim, "x2")
-    return rbf_grad_matrix(x[None, :], x2[None, :], p)[0, 0]
-
-
 def gram(X, Z, p: KernelParams) -> np.ndarray:
     """Gram matrix with entry (i, j) = rbf(X_i, Z_j, p)."""
     X = as_points(X, p.dim, "X")
@@ -137,9 +130,3 @@ def validate_dependency(A, dim: int, tol: float = 1e-10) -> np.ndarray:
     if eig.min() < -tol * max(1.0, eig.max()):
         raise InputError("dependency matrix must be positive semi-definite")
     return A
-
-
-def add_jitter(K: np.ndarray, variance: float, scale: float = JITTER_SCALE) -> np.ndarray:
-    """Return K + scale * variance * I, the stabilised Gram matrix."""
-    K = np.asarray(K, dtype=float)
-    return K + (scale * variance) * np.eye(K.shape[0])

@@ -5,10 +5,11 @@ The likelihood of an observation y_i is a mixture over simulated samples,
 log-sum-exp.  Samples are simulated from the first observation of each
 trajectory segment of ``SEGMENT_INTERVALS`` observation intervals, not
 from the trajectory's first observation alone.  Its gradient w.r.t. the
-inducing values is the likelihood-weighted (softmax) average of the
-per-sample chain rules through the path sensitivities.  The noise variances are optimised on a
-log scale; their gradient is the standard Gaussian derivative.  Adding
-the Gaussian log-prior of the inducing values gives the MAP objective.
+simulated states is the likelihood-weighted (softmax) residual, which one
+adjoint sweep of the simulated paths pulls back to the inducing values.
+The noise variances are optimised on a log scale; their gradient is the
+standard Gaussian derivative.  Adding the Gaussian log-prior of the
+inducing values gives the MAP objective.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .field import (
     log_prior,
     log_prior_grad,
 )
-from .sensitivity import PathSensitivities, simulate_bundle_with_sensitivities
+from .sensitivity import simulate_bundle_with_sensitivities
 from .sim import PathBundle, SimConfig, TimeGrid, build_grid, child_seed, sample_increments
 
 
@@ -112,53 +113,39 @@ def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
     return per_obs, logp, e / total
 
 
-def mc_loglik(trajs, m: InducingModel, bundles) -> float:
-    """Monte Carlo log-likelihood summed over observations and trajectories."""
-    trajs = _as_list(trajs)
-    bundles = _as_list(bundles)
-    _check_alignment(trajs, m, bundles)
-    total = 0.0
-    for tr, b in zip(trajs, bundles):
-        states = b.paths[:, b.grid.obs_indices, :]
-        per_obs, _, _ = _obs_logliks(tr.obs, states, m.noise_vars)
-        total += float(per_obs.sum())
-    return total
-
-
-def mc_loglik_grad(trajs, m: InducingModel, bundles, sens,
+def mc_loglik_grad(trajs, m: InducingModel, bundles, pullback,
                    cache: FieldCache | None = None) -> ObjectiveValue:
     """Log-posterior (likelihood + prior) and its analytic gradients.
 
-    ``sens`` holds one :class:`PathSensitivities` per trajectory, with
-    sample-major arrays as produced by the bundle simulator.
+    The likelihood's gradient w.r.t. the simulated states at a trajectory's
+    observation nodes is the softmax-weighted residual w (y - x) / Omega, one
+    (S, n_obs, D) array per trajectory.  ``pullback`` maps the list of these
+    seeds to the likelihood's gradients w.r.t. u_f and u_sigma, for example
+    through the pullback of :func:`simulate_bundle_with_sensitivities`.
     """
     trajs = _as_list(trajs)
     bundles = _as_list(bundles)
-    sens = _as_list(sens)
     _check_alignment(trajs, m, bundles)
-    if len(sens) != len(trajs):
-        raise InputError("need one sensitivity record per trajectory")
     if cache is None:
         cache = build_cache(m)
     _checked(m, cache)
 
     nv = m.noise_vars
-    gf = np.zeros(m.M * m.D)
-    gs = np.zeros(m.M)
     gth = np.zeros(m.D)
+    seeds = []
     per_obs_all = []
     total = 0.0
-    for tr, b, sn in zip(trajs, bundles, sens):
+    for tr, b in zip(trajs, bundles):
         states = b.paths[:, b.grid.obs_indices, :]
         per_obs, _, w = _obs_logliks(tr.obs, states, nv)
         total += float(per_obs.sum())
         per_obs_all.append(per_obs)
         res = tr.obs[None, :, :] - states          # (S, N, D)
         wres = w[:, :, None] * (res / nv)
-        gf += np.tensordot(wres, sn.dxdu_f, axes=3)
-        gs += np.tensordot(wres, sn.dxdu_s, axes=3)
+        seeds.append(wres)
         gth += 0.5 * (np.einsum("snd,snd->d", wres, res) - tr.n_obs)
 
+    gf, gs = pullback(seeds)
     pg_f, pg_s = log_prior_grad(m, cache)
     return ObjectiveValue(
         log_posterior=total + log_prior(m, cache),
@@ -214,18 +201,20 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
 
     Each trajectory is cut into segments of ``SEGMENT_INTERVALS``
     observation intervals.  A segment's samples start from the raw
-    observation at its first node, with zero sensitivities, and use that
-    trajectory's increments between its first and last node.  Every
-    observation is scored once: a segment's first observation belongs to
-    the segment before it, except for the trajectory's first observation,
-    which is scored against the start state.  ``per_obs_loglik`` keeps
-    trajectory and observation order.
+    observation at its first node and use that trajectory's increments
+    between its first and last node.  Segments of one shape simulate in one
+    batch, and one adjoint sweep per batch, seeded at each segment's nodes,
+    gives the gradient.  Every observation is scored once: a segment's first
+    observation belongs to the segment before it, except for the
+    trajectory's first observation, which is scored against the start
+    state.  ``per_obs_loglik`` keeps trajectory and observation order.
 
     This deterministic map of the model parameters is what the optimizer
     sees within one epoch, and what finite-difference checks differentiate.
     """
     trajs = _as_list(trajs)
     scored = {}
+    batches = []
     for (dt, offsets), members in _segment_groups(grids).items():
         g = TimeGrid(t0=0.0, dt=dt, n_steps=offsets[-1],
                      obs_index={i * dt: i for i in offsets})
@@ -234,7 +223,9 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
         nodes = [grids[j].obs_indices[a] for j, a, _ in members]
         inc = np.concatenate([increments[j][:, n:n + g.n_steps]
                               for (j, _, _), n in zip(members, nodes)], axis=0)
-        paths, sn = simulate_bundle_with_sensitivities(m, cache, x0, g, inc)
+        paths, pullback = simulate_bundle_with_sensitivities(m, cache, x0, g, inc)
+        seeds = np.zeros((inc.shape[0], len(offsets), m.D))
+        batches.append((pullback, seeds))
         for pos, ((j, a, b), n) in enumerate(zip(members, nodes)):
             rows = slice(pos * S, (pos + 1) * S)
             first = 0 if a == 0 else 1     # a later segment's start is scored before it
@@ -244,12 +235,17 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
                                 obs_index=dict(zip(seg_tr.times.tolist(), offsets[first:])))
             bundle = PathBundle(paths=paths[rows], increments=inc[rows],
                                 seed=None, grid=seg_grid)
-            seg_sens = PathSensitivities(obs_indices=seg_grid.obs_indices,
-                                         dxdu_f=sn.dxdu_f[rows, first:],
-                                         dxdu_s=sn.dxdu_s[rows, first:])
-            scored[(j, a)] = (seg_tr, bundle, seg_sens)
-    seg_trajs, bundles, sens = zip(*(scored[k] for k in sorted(scored)))
-    return mc_loglik_grad(list(seg_trajs), m, list(bundles), list(sens), cache=cache)
+            # the segment's seeds from mc_loglik_grad fill this view
+            scored[(j, a)] = (seg_tr, bundle, seeds[rows, first:])
+    seg_trajs, bundles, seed_views = zip(*(scored[k] for k in sorted(scored)))
+
+    def pullback_all(seg_seeds):
+        for view, seed in zip(seed_views, seg_seeds):
+            view[...] = seed
+        grads = [pb(buf) for pb, buf in batches]
+        return sum(g for g, _ in grads), sum(g for _, g in grads)
+
+    return mc_loglik_grad(list(seg_trajs), m, list(bundles), pullback_all, cache=cache)
 
 
 def log_posterior(trajs, m: InducingModel, sim: SimConfig) -> ObjectiveValue:

@@ -1,150 +1,84 @@
-"""Forward sensitivity propagation along simulated paths.
+"""Reverse (adjoint) gradients of simulated paths.
 
-Differentiating the stepping rule x_{i+1} = x_i + f(x_i) dt + sigma(x_i) dW_i
-with respect to the inducing values u = (u_f, u_sigma) gives the recursion
+With the Brownian increments frozen, the stepping rule
 
-    dx_{i+1}/du = dx_i/du
-                + (df/dx . dx_i/du + df/du) dt
-                + dW_i (dsigma/dx . dx_i/du + dsigma/du),
+    x_{i+1} = x_i + f(x_i) dt + sigma(x_i) dW_i
 
-started from dx_0/du = 0 (the initial state is fixed data).  Both blocks of
-dx/du are coupled through the same state feedback: the drift Jacobian acts on
-the u_sigma block and the diffusion gradient on the u_f block, which is what
-an exact derivative of the discrete map requires.  Because the recursion
-differentiates the simulator itself, the result matches finite differences
-of the frozen-noise path map to solver precision.
+is a deterministic map from the inducing values u = (u_f, u_sigma) to the
+path.  For seeds g_i = dL/dx_i at the observation nodes (zero elsewhere),
+its discrete adjoint runs backwards from the last node,
 
-Sensitivities are kept only at observation-snapped grid nodes to bound
-memory; those are the only places the likelihood needs them.
+    lambda_i = g_i + lambda_{i+1} + dt J_f(x_i)^T lambda_{i+1}
+                   + grad sigma(x_i) (dW_i . lambda_{i+1}),
+
+and collects the vector-Jacobian product g^T dx/du from the kernel rows at
+each stored state, with k(x) = k(x, Z) a row:
+dL/du_f = K_f^{-1} vec(sum_i dt k_f(x_i)^T lambda_{i+1}^T A) and
+dL/du_sigma = K_s^{-1} sum_i k_s(x_i)^T (dW_i . lambda_{i+1}).  The
+initial state is fixed data, so the seed at the first node does not enter.
+Because the sweep differentiates the simulator itself, the result matches
+finite differences of the frozen-noise path map to solver precision, and
+one sweep costs about one forward simulation whatever the number of
+inducing values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, SensitivityError
-from .field import FieldCache, InducingModel, _checked, step_terms_batch
-from .sim import TimeGrid, _blowup_check, _initial_states
+from .field import FieldCache, InducingModel, step_terms_batch
+from .sim import TimeGrid, simulate_batch
 
 
-@dataclass(frozen=True, eq=False)
-class SensitivityState:
-    """Derivatives of the current state w.r.t. the inducing values.
+def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
+                   increments: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients w.r.t. u_f and u_sigma of sum(seeds * x) at the
+    observation nodes of frozen-noise paths.
 
-    dxdu_f -- (D, M*D) block for the drift inducing vectors
-    dxdu_s -- (D, M) block for the diffusion inducing values
+    paths (S, n_steps+1, D) and increments (S, n_steps, D) come from one
+    simulation with the model of ``c``; seeds has shape (S, n_obs, D), in
+    the grid's observation order.
     """
-
-    dxdu_f: np.ndarray
-    dxdu_s: np.ndarray
-
-
-def zero_sensitivity(m: InducingModel) -> SensitivityState:
-    return SensitivityState(
-        dxdu_f=np.zeros((m.D, m.M * m.D)),
-        dxdu_s=np.zeros((m.D, m.M)),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PathSensitivities:
-    """Sensitivities recorded at the observation nodes of a grid.
-
-    For a single path the arrays are (n_obs, D, *); bundle-level results
-    prepend a sample axis.
-    """
-
-    obs_indices: np.ndarray
-    dxdu_f: np.ndarray
-    dxdu_s: np.ndarray
-
-
-def _sens_step(Sf, Ss, terms, dt, dW):
-    """One recursion update, batched over samples."""
-    # state feedback couples both blocks; injections enter their own block
-    gx = terms.diff_gx[:, None, :]
-    gdx_f = (gx @ Sf)[:, 0]
-    Sf = Sf + (terms.jac_x @ Sf + terms.jac_u) * dt + dW[:, :, None] * gdx_f[:, None, :]
-    gdx_s = (gx @ Ss)[:, 0] + terms.diff_gu
-    Ss = Ss + (terms.jac_x @ Ss) * dt + dW[:, :, None] * gdx_s[:, None, :]
-    return Sf, Ss
-
-
-def propagate_step(s: SensitivityState, x, m: InducingModel, c: FieldCache,
-                   dt: float, dW) -> SensitivityState:
-    """Advance the sensitivity state through one stepping update at x."""
-    _checked(m, c)
-    x = np.asarray(x, dtype=float).ravel()
-    dW = np.asarray(dW, dtype=float).ravel()
-    if x.size != m.D or dW.size != m.D:
-        raise InputError("state and increment must both have dimension D")
-    if s.dxdu_f.shape != (m.D, m.M * m.D) or s.dxdu_s.shape != (m.D, m.M):
-        raise InputError("sensitivity state shapes do not match the model")
-    terms = step_terms_batch(x[None, :], c)
-    Sf, Ss = _sens_step(s.dxdu_f[None], s.dxdu_s[None], terms, dt, dW[None])
-    if not (np.isfinite(Sf).all() and np.isfinite(Ss).all()):
-        raise SensitivityError("non-finite sensitivity entries", step=None)
-    return SensitivityState(dxdu_f=Sf[0], dxdu_s=Ss[0])
-
-
-def simulate_bundle_with_sensitivities(
-    m: InducingModel, c: FieldCache, x0, grid: TimeGrid, increments: np.ndarray
-) -> tuple[np.ndarray, PathSensitivities]:
-    """Single pass producing paths and observation-node sensitivities.
-
-    increments has shape (S, n_steps, D) and x0 is one shared state or one
-    state per sample.  Returns the (S, n_steps+1, D) paths together with
-    sensitivities of shape (S, n_obs, D, *).
-    """
-    _checked(m, c)
-    increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 3 or increments.shape[1:] != (grid.n_steps, m.D):
-        raise InputError(
-            f"increments must be (S, {grid.n_steps}, {m.D}), got {increments.shape}"
-        )
-    n = increments.shape[0]
-    D, M = m.D, m.M
-    obs_idx = grid.obs_indices
-    slot = {int(g): p for p, g in enumerate(obs_idx)}
-
-    paths = np.empty((n, grid.n_steps + 1, D))
-    out_f = np.zeros((n, len(obs_idx), D, M * D))
-    out_s = np.zeros((n, len(obs_idx), D, M))
-    X = _initial_states(x0, n, D)
-    paths[:, 0] = X
-    Sf = np.zeros((n, D, M * D))
-    Ss = np.zeros((n, D, M))
-    # index 0 slots stay zero: the initial state does not depend on u
-
+    S, _, D = paths.shape
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.shape != (S, grid.n_obs, D):
+        raise InputError(f"seeds must be {(S, grid.n_obs, D)}, got {seeds.shape}")
+    slot = {int(g): p for p, g in enumerate(grid.obs_indices)}
+    lam = np.zeros((S, D))
+    gf = np.zeros((c.Z.shape[0], D))
+    gs = np.zeros(c.Z.shape[0])
     dt = grid.dt
-    for i in range(grid.n_steps):
-        terms = step_terms_batch(X, c)
-        dW = increments[:, i]
-        X = X + terms.F * dt + terms.sig[:, None] * dW
-        _blowup_check(X, i + 1)
-        Sf, Ss = _sens_step(Sf, Ss, terms, dt, dW)
-        if not (np.isfinite(Sf).all() and np.isfinite(Ss).all()):
-            raise SensitivityError(f"non-finite sensitivity entries at step {i + 1}",
-                                   step=i + 1)
-        paths[:, i + 1] = X
+    for i in range(grid.n_steps - 1, -1, -1):
         p = slot.get(i + 1)
         if p is not None:
-            out_f[:, p] = Sf
-            out_s[:, p] = Ss
-    sens = PathSensitivities(obs_indices=obs_idx, dxdu_f=out_f, dxdu_s=out_s)
-    return paths, sens
+            lam = lam + seeds[:, p]
+        if not np.isfinite(lam).all():
+            raise SensitivityError(f"non-finite adjoint state at step {i + 1}", step=i + 1)
+        terms = step_terms_batch(paths[:, i], c)
+        dWl = np.einsum("sd,sd->s", increments[:, i], lam)
+        gf += dt * (terms.kf.T @ lam)
+        gs += terms.ks.T @ dWl
+        lam = lam + dt * (lam[:, None, :] @ terms.jac_x)[:, 0] + terms.diff_gx * dWl[:, None]
+    grad_f = scipy.linalg.cho_solve(c.chol_f, (gf @ c.A).ravel())
+    grad_s = scipy.linalg.cho_solve(c.chol_s, gs)
+    return grad_f, grad_s
 
 
-def simulate_with_sensitivities(
-    m: InducingModel, c: FieldCache, x0, grid: TimeGrid, increments: np.ndarray
-) -> tuple[np.ndarray, PathSensitivities]:
-    """Single-sample convenience wrapper; increments shaped (n_steps, D)."""
+def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
+                                       grid: TimeGrid, increments: np.ndarray):
+    """Simulate a bundle and return it with its pullback.
+
+    increments has shape (S, n_steps, D) and x0 is one shared state or one
+    state per sample.  Returns the (S, n_steps+1, D) paths and a function
+    that maps seeds of shape (S, n_obs, D) to the gradients (u_f, u_sigma)
+    of sum(seeds * x) at the observation nodes; see :func:`_adjoint_sweep`.
+    """
+    paths = simulate_batch(m, c, x0, grid, increments)
     increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 2:
-        raise InputError("increments must be a (n_steps, D) array for one sample")
-    paths, sens = simulate_bundle_with_sensitivities(m, c, x0, grid, increments[None])
-    return paths[0], PathSensitivities(
-        obs_indices=sens.obs_indices, dxdu_f=sens.dxdu_f[0], dxdu_s=sens.dxdu_s[0]
-    )
+
+    def pullback(seeds):
+        return _adjoint_sweep(c, paths, grid, increments, seeds)
+
+    return paths, pullback

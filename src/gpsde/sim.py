@@ -178,15 +178,6 @@ def simulate_batch(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
     return paths
 
 
-def euler_maruyama(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
-                   increments: np.ndarray) -> np.ndarray:
-    """Single path x_{i+1} = x_i + f(x_i) dt + sigma(x_i) dW_i."""
-    increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 2:
-        raise InputError("increments must be a (n_steps, D) array for one sample")
-    return simulate_batch(m, c, x0, grid, increments[None])[0]
-
-
 @dataclass(frozen=True, eq=False)
 class PathBundle:
     """A set of simulated sample paths with the noise that generated them."""

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,19 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_thread_env_applied_on_package_import():
+    # importing the package, not only the CLI, pins BLAS before numpy loads
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["GPSDE_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, gpsde; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_config_file_overridden_by_flags(tmp_path):

@@ -6,17 +6,16 @@ from gpsde.errors import InputError, InternalError
 from gpsde.field import (
     InducingModel,
     build_cache,
-    diff_grad_u,
-    diff_grad_x,
     diffusion_at,
     drift_at,
-    drift_jac_u,
-    drift_jac_x,
     log_prior,
     log_prior_grad,
+    step_terms_batch,
     update_values,
 )
 from gpsde.kernels import KernelParams, gram_blocked, rbf, rbf_matrix
+from gpsde.sensitivity import simulate_bundle_with_sensitivities
+from gpsde.sim import TimeGrid
 
 
 def make_model(seed=0, D=2, M=5, spacing=1.0, u_scale=1.0):
@@ -35,6 +34,23 @@ def make_model(seed=0, D=2, M=5, spacing=1.0, u_scale=1.0):
         A=np.eye(D),
         noise_vars=np.full(D, 0.05),
     )
+
+
+def state_derivs(x, c):
+    """Drift Jacobian (D, D) and diffusion gradient (D,) in the state at x."""
+    t = step_terms_batch(np.asarray(x, dtype=float)[None, :], c)
+    return t.jac_x[0], t.diff_gx[0]
+
+
+def u_derivs(x, m, c):
+    """d f(x) / d u_f, shape (D, M*D), and d sigma(x) / d u_sigma, shape (M,),
+    as pullbacks of one Euler step x + f(x) + sigma(x) e_1 (dt = 1): the
+    seed e_d gives row d of the drift Jacobian, and e_1 the diffusion one."""
+    grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1, obs_index={0.0: 0, 1.0: 1})
+    dW = np.eye(m.D)[:1][None]
+    _, pullback = simulate_bundle_with_sensitivities(m, c, x, grid, dW)
+    rows = [pullback(np.stack([np.zeros(m.D), e])[None]) for e in np.eye(m.D)]
+    return np.stack([gf for gf, _ in rows]), rows[0][1]
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +86,9 @@ def test_zero_values_give_zero_fields(model_and_cache):
                            u_sigma=np.zeros_like(m.u_sigma))
     x = np.array([0.5, -0.3])
     assert np.all(drift_at(x, m0, c0) == 0.0)
-    assert np.all(drift_jac_x(x, m0, c0) == 0.0)
-    assert np.all(diff_grad_x(x, m0, c0) == 0.0)
+    J, g = state_derivs(x, c0)
+    assert np.all(J == 0.0)
+    assert np.all(g == 0.0)
 
 
 def test_single_point_closed_form():
@@ -114,7 +131,7 @@ def test_drift_jacobian_x_matches_fd(model_and_cache):
     h = 1e-5
     for _ in range(5):
         x = rng.uniform(0, 4, size=2)
-        J = drift_jac_x(x, m, c)
+        J, _ = state_derivs(x, c)
         for e in range(2):
             xp, xm = x.copy(), x.copy()
             xp[e] += h
@@ -129,33 +146,34 @@ def test_drift_jacobian_x_zero_at_single_center():
                       u_sigma=np.array([0.5]), drift_params=p, diff_params=p,
                       A=np.eye(1), noise_vars=[0.1])
     c = build_cache(m)
-    assert np.allclose(drift_jac_x([0.7], m, c), 0.0)
-    assert np.allclose(diff_grad_x([0.7], m, c), 0.0)
+    J, g = state_derivs([0.7], c)
+    assert np.allclose(J, 0.0)
+    assert np.allclose(g, 0.0)
 
 
-def test_drift_jac_u_linearity_identity(model_and_cache):
+def test_drift_u_jacobian_linearity_identity(model_and_cache):
     m, c = model_and_cache
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.normal(size=2)
-        R = drift_jac_u(x, m, c)
+        R, _ = u_derivs(x, m, c)
         np.testing.assert_allclose(R @ m.u_f, drift_at(x, m, c), rtol=1e-10, atol=1e-12)
 
 
-def test_drift_jac_u_block_selector_at_inducing_point():
+def test_drift_u_jacobian_block_selector_at_inducing_point():
     m = make_model(seed=5, D=1, M=4, spacing=1.5)
     c = build_cache(m)
-    R = drift_jac_u(m.Z[2], m, c)  # (1, 4)
+    R, _ = u_derivs(m.Z[2], m, c)  # (1, 4)
     expected = np.zeros(4)
     expected[2] = 1.0
     np.testing.assert_allclose(R[0], expected, atol=2e-5)
 
 
-def test_drift_jac_u_matches_fd(model_and_cache):
+def test_drift_u_jacobian_matches_fd(model_and_cache):
     m, c = model_and_cache
     rng = np.random.default_rng(6)
     x = rng.normal(size=2)
-    R = drift_jac_u(x, m, c)
+    R, _ = u_derivs(x, m, c)
     h = 1e-6
     for q in range(m.M * m.D):
         up, um = m.u_f.copy(), m.u_f.copy()
@@ -171,7 +189,7 @@ def test_diff_grads(model_and_cache):
     m, c = model_and_cache
     rng = np.random.default_rng(8)
     x = rng.normal(size=2)
-    g = diff_grad_x(x, m, c)
+    _, g = state_derivs(x, c)
     h = 1e-5
     for e in range(2):
         xp, xm = x.copy(), x.copy()
@@ -179,10 +197,10 @@ def test_diff_grads(model_and_cache):
         xm[e] -= h
         fd = (diffusion_at(xp, m, c) - diffusion_at(xm, m, c)) / (2 * h)
         assert g[e] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-    r = diff_grad_u(x, m, c)
+    _, r = u_derivs(x, m, c)
     assert r @ m.u_sigma == pytest.approx(diffusion_at(x, m, c), rel=1e-10)
     # unit selector at an inducing location
-    r2 = diff_grad_u(m.Z[1], m, c)
+    _, r2 = u_derivs(m.Z[1], m, c)
     expected = np.zeros(m.M)
     expected[1] = 1.0
     np.testing.assert_allclose(r2, expected, atol=2e-5)
@@ -267,5 +285,7 @@ def test_general_dependency_matrix_path():
     Kzz = gram_blocked(Z, Z, p, A) + 1e-6 * np.eye(8)
     oracle = Kxz @ np.linalg.solve(Kzz, m.u_f)
     np.testing.assert_allclose(drift_at(x, m, c), oracle, rtol=1e-9)
+    R, _ = u_derivs(x, m, c)
+    np.testing.assert_allclose(R, Kxz @ np.linalg.inv(Kzz), rtol=1e-8, atol=1e-10)
     for i in range(4):
         np.testing.assert_allclose(drift_at(Z[i], m, c), m.U_f[i], atol=2e-4)

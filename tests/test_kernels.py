@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from gpsde.errors import InputError
+from gpsde.field import InducingModel, build_cache
 from gpsde.kernels import (
+    JITTER_SCALE,
     KernelParams,
-    add_jitter,
     gram,
     gram_blocked,
     rbf,
-    rbf_grad_x,
+    rbf_grad_matrix,
     validate_dependency,
 )
 
@@ -67,14 +68,14 @@ def test_rbf_dimension_mismatch():
 
 def test_grad_zero_at_coincident_points():
     p = KernelParams(1.0, [0.5, 2.0])
-    g = rbf_grad_x([1.0, -1.0], [1.0, -1.0], p)
+    g = rbf_grad_matrix(np.array([[1.0, -1.0]]), np.array([[1.0, -1.0]]), p)[0, 0]
     assert np.all(g == 0.0)
 
 
 def test_grad_hand_derived_1d():
     # d/dx exp(-x^2/2) at x=1 is -exp(-1/2)
     p = KernelParams(1.0, [1.0])
-    g = rbf_grad_x([1.0], [0.0], p)
+    g = rbf_grad_matrix(np.array([[1.0]]), np.array([[0.0]]), p)[0, 0]
     assert g[0] == pytest.approx(-np.exp(-0.5), rel=1e-12)
 
 
@@ -83,7 +84,7 @@ def test_grad_matches_finite_differences():
     p = KernelParams(1.3, [0.6, 1.1])
     for _ in range(10):
         x, x2 = rng.normal(size=2), rng.normal(size=2)
-        g = rbf_grad_x(x, x2, p)
+        g = rbf_grad_matrix(x[None], x2[None], p)[0, 0]
         h = 1e-5
         for d in range(2):
             xp, xm = x.copy(), x.copy()
@@ -113,7 +114,13 @@ def test_gram_jittered_psd():
     rng = np.random.default_rng(3)
     p = KernelParams(1.0, [0.9])
     X = rng.normal(size=(10, 1))
-    K = add_jitter(gram(X, X, p), p.variance)
+    # the factor build_cache keeps is that of the jittered Gram matrix
+    m = InducingModel(Z=X, U_f=np.zeros((10, 1)), u_sigma=np.zeros(10), drift_params=p,
+                      diff_params=p, A=np.eye(1), noise_vars=[0.1])
+    L = np.tril(build_cache(m).chol_s[0])
+    K = L @ L.T
+    np.testing.assert_allclose(K, gram(X, X, p) + JITTER_SCALE * p.variance * np.eye(10),
+                               atol=1e-12)
     eigs = np.linalg.eigvalsh(K)
     assert eigs.min() >= -1e-8
     np.linalg.cholesky(K)  # must not raise

@@ -12,7 +12,6 @@ from gpsde.objective import (
     evaluate_with_increments,
     log_posterior,
     make_grids,
-    mc_loglik,
     mc_loglik_grad,
     _obs_logliks,
 )
@@ -52,8 +51,16 @@ def make_problem(seed=0, D=1, n_obs=5, n_samples=3, factor=6):
 
 
 def bundle_for(m, c, tr, grid, inc):
-    paths, sens = simulate_bundle_with_sensitivities(m, c, tr.obs[0], grid, inc)
-    return PathBundle(paths=paths, increments=inc, seed=None, grid=grid), sens
+    """The bundle and the pullback ``mc_loglik_grad`` takes for it."""
+    paths, pullback = simulate_bundle_with_sensitivities(m, c, tr.obs[0], grid, inc)
+    return (PathBundle(paths=paths, increments=inc, seed=None, grid=grid),
+            lambda seeds: pullback(seeds[0]))
+
+
+def mc_loglik(tr, m, b):
+    """Monte Carlo log-likelihood of one trajectory's bundle."""
+    per_obs, _, _ = _obs_logliks(tr.obs, b.paths[:, b.grid.obs_indices, :], m.noise_vars)
+    return float(per_obs.sum())
 
 
 class TestMcLoglik:
@@ -67,7 +74,7 @@ class TestMcLoglik:
         paths = np.zeros((1, grid.n_steps + 1, 1))
         paths[0, grid.obs_indices, 0] = y[:, 0]
         b = PathBundle(paths=paths, increments=np.zeros((1, 2, 1)), seed=None, grid=grid)
-        got = mc_loglik([tr], m, [b])
+        got = mc_loglik(tr, m, b)
         N, D = 3, 1
         expected = -(N * D / 2) * np.log(2 * np.pi) - (N / 2) * np.sum(np.log(m.noise_vars))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -78,7 +85,7 @@ class TestMcLoglik:
         doubled = PathBundle(paths=np.concatenate([b.paths, b.paths]),
                              increments=np.concatenate([b.increments, b.increments]),
                              seed=None, grid=b.grid)
-        assert mc_loglik([tr], m, [doubled]) == pytest.approx(mc_loglik([tr], m, [b]), rel=1e-12)
+        assert mc_loglik(tr, m, doubled) == pytest.approx(mc_loglik(tr, m, b), rel=1e-12)
 
     def test_matches_naive_mixture_oracle(self):
         m, c, tr, grids, incs = make_problem(seed=3)
@@ -92,12 +99,12 @@ class TestMcLoglik:
                 dens += np.prod(np.exp(-0.5 * r**2 / m.noise_vars)
                                 / np.sqrt(2 * np.pi * m.noise_vars))
             total += np.log(dens / states.shape[0])
-        assert mc_loglik([tr], m, [b]) == pytest.approx(total, abs=1e-10)
+        assert mc_loglik(tr, m, b) == pytest.approx(total, abs=1e-10)
 
     def test_additivity_over_observations(self):
         m, c, tr, grids, incs = make_problem(seed=4)
-        b, sens = bundle_for(m, c, tr, grids[0], incs[0])
-        val = mc_loglik_grad([tr], m, [b], [sens])
+        b, pullback = bundle_for(m, c, tr, grids[0], incs[0])
+        val = mc_loglik_grad([tr], m, [b], pullback)
         assert val.per_obs_loglik.shape == (tr.n_obs,)
         lp_sum = val.per_obs_loglik.sum() + log_prior(m, build_cache(m))
         assert val.log_posterior == pytest.approx(lp_sum, rel=1e-12)
@@ -131,9 +138,9 @@ class TestMcLoglik:
 
     def test_shape_mismatch_rejected(self):
         m, c, tr, grids, incs = make_problem()
-        b, _ = bundle_for(m, c, tr, grids[0], incs[0])
+        b, pullback = bundle_for(m, c, tr, grids[0], incs[0])
         with pytest.raises(InputError):
-            mc_loglik([tr], m, [b, b])
+            mc_loglik_grad([tr], m, [b, b], pullback)
 
 
 class TestSoftmaxWeights:
@@ -152,17 +159,14 @@ class TestSoftmaxWeights:
         tr = Trajectory(times=times, obs=0.3 * np.ones((4, 1)))
         grid = make_grids([tr], 5)[0]
         inc = np.zeros((3, grid.n_steps, 1))
-        b, sens = bundle_for(m0, c0, tr, grid, inc)
+        b, pullback = bundle_for(m0, c0, tr, grid, inc)
         states = b.paths[:, grid.obs_indices, :]
         _, _, w = _obs_logliks(tr.obs, states, m0.noise_vars)
         np.testing.assert_allclose(w, 1.0 / 3.0, rtol=1e-12)
         # the mixture gradient reduces to the plain single-path chain rule
-        val = mc_loglik_grad([tr], m0, [b], [sens])
-        single = PathBundle(paths=b.paths[:1], increments=inc[:1], seed=None, grid=grid)
-        from gpsde.sensitivity import PathSensitivities
-        sens1 = PathSensitivities(obs_indices=sens.obs_indices,
-                                  dxdu_f=sens.dxdu_f[:1], dxdu_s=sens.dxdu_s[:1])
-        val1 = mc_loglik_grad([tr], m0, [single], [sens1])
+        val = mc_loglik_grad([tr], m0, [b], pullback)
+        single, pullback1 = bundle_for(m0, c0, tr, grid, inc[:1])
+        val1 = mc_loglik_grad([tr], m0, [single], pullback1)
         np.testing.assert_allclose(val.grad_u_f, val1.grad_u_f, rtol=1e-10)
 
 
@@ -208,14 +212,14 @@ class TestGradients:
         nv = m.noise_vars.copy()
         for _ in range(200):
             m2, c2 = update_values(c, m, noise_vars=nv)
-            b, sens = bundle_for(m2, c2, tr, grids[0], incs[0])
+            b, _ = bundle_for(m2, c2, tr, grids[0], incs[0])
             states = b.paths[:, b.grid.obs_indices, :]
             _, _, w = _obs_logliks(tr.obs, states, nv)
             res2 = (tr.obs[None] - states) ** 2
             nv = np.einsum("sn,snd->d", w, res2) / tr.n_obs
         m2, c2 = update_values(c, m, noise_vars=nv)
-        b, sens = bundle_for(m2, c2, tr, grids[0], incs[0])
-        val = mc_loglik_grad([tr], m2, [b], [sens], cache=c2)
+        b, pullback = bundle_for(m2, c2, tr, grids[0], incs[0])
+        val = mc_loglik_grad([tr], m2, [b], pullback, cache=c2)
         assert np.max(np.abs(val.grad_log_noise)) < 1e-6
 
 
@@ -263,16 +267,12 @@ class TestLogPosterior:
         assert val_p.log_posterior == pytest.approx(val.log_posterior, abs=1e-12)
         np.testing.assert_allclose(val_p.grad_u_f, val.grad_u_f, atol=1e-12)
         # reordering samples within a bundle
-        b, sens = bundle_for(m, c, trs[0], grids[0], incs[0])
-        from gpsde.sensitivity import PathSensitivities
-        order = [2, 1, 0]
-        b2 = PathBundle(paths=b.paths[order], increments=b.increments[order],
-                        seed=None, grid=b.grid)
-        sens2 = PathSensitivities(obs_indices=sens.obs_indices,
-                                  dxdu_f=sens.dxdu_f[order], dxdu_s=sens.dxdu_s[order])
-        v1 = mc_loglik_grad([trs[0]], m, [b], [sens])
-        v2 = mc_loglik_grad([trs[0]], m, [b2], [sens2])
+        b, pullback = bundle_for(m, c, trs[0], grids[0], incs[0])
+        b2, pullback2 = bundle_for(m, c, trs[0], grids[0], incs[0][[2, 1, 0]])
+        v1 = mc_loglik_grad([trs[0]], m, [b], pullback)
+        v2 = mc_loglik_grad([trs[0]], m, [b2], pullback2)
         assert v2.log_posterior == pytest.approx(v1.log_posterior, abs=1e-12)
+        np.testing.assert_allclose(v2.grad_u_f, v1.grad_u_f, rtol=1e-10)
 
     def test_mixture_mean_unbiased_across_seeds(self):
         # the per-observation mixture likelihood is an unbiased average:

@@ -7,7 +7,6 @@ from gpsde.kernels import KernelParams
 from gpsde.sim import (
     SimConfig,
     build_grid,
-    euler_maruyama,
     sample_increments,
     sample_paths,
     simulate_batch,
@@ -95,16 +94,16 @@ class TestEulerMaruyama:
         m0, c0 = update_values(c, m, U_f=np.zeros_like(m.U_f),
                                u_sigma=np.zeros_like(m.u_sigma))
         g = build_grid([0.0, 1.0], 50)
-        inc = sample_increments(g, 1, 1, 0)[0]
-        path = euler_maruyama(m0, c0, [0.7], g, inc)
+        inc = sample_increments(g, 1, 1, 0)
+        path = simulate_batch(m0, c0, [0.7], g, inc)[0]
         assert np.all(path == 0.7)
 
     def test_drift_only_matches_forward_euler_oracle(self):
         m, c = ou_model()
         m0, c0 = update_values(c, m, u_sigma=np.zeros_like(m.u_sigma))
         g = build_grid([0.0, 2.0], 80)
-        inc = sample_increments(g, 1, 1, 1)[0]
-        path = euler_maruyama(m0, c0, [1.0], g, inc)
+        inc = sample_increments(g, 1, 1, 1)
+        path = simulate_batch(m0, c0, [1.0], g, inc)[0]
         # independent forward-Euler stepping of the same drift field
         x = np.array([1.0])
         for i in range(g.n_steps):
@@ -132,9 +131,9 @@ class TestEulerMaruyama:
                           A=np.eye(1), noise_vars=[0.1])
         c = build_cache(m)
         g = build_grid([0.0, 10.0], 100)
-        inc = np.zeros((100, 1))
+        inc = np.zeros((1, 100, 1))
         with pytest.raises(SimulationError) as err:
-            euler_maruyama(m, c, [1.0], g, inc)
+            simulate_batch(m, c, [1.0], g, inc)
         assert err.value.step is not None
 
 
@@ -144,7 +143,7 @@ class TestSamplePaths:
         g = build_grid([0.0, 1.0], 20)
         bundle = sample_paths(m, c, [0.5], g, 1, 42)
         inc = sample_increments(g, 1, 1, 42)
-        path = euler_maruyama(m, c, [0.5], g, inc[0])
+        path = simulate_batch(m, c, [0.5], g, inc)[0]
         assert np.array_equal(bundle.paths[0], path)
 
     def test_deterministic_and_seed_sensitive(self):
@@ -167,7 +166,7 @@ class TestSamplePaths:
         g = build_grid([0.0, 1.0], 20)
         bundle = sample_paths(m, c, [0.5], g, 3, 9)
         for s in range(3):
-            single = euler_maruyama(m, c, [0.5], g, bundle.increments[s])
+            single = simulate_batch(m, c, [0.5], g, bundle.increments[s:s + 1])[0]
             np.testing.assert_allclose(bundle.paths[s], single, rtol=1e-12, atol=1e-14)
 
     def test_per_sample_initial_states(self):
