@@ -22,7 +22,10 @@ from .field import InducingModel
 from .kernels import KernelParams
 from .objective import Trajectory
 
-MODEL_SCHEMA = "gpsde/model-v1"
+MODEL_SCHEMA = "gpsde/model-v2"
+# v1 files also carry a dependency matrix A; they load only when A is the
+# identity, which every v1 file written by gpsde has
+MODEL_SCHEMA_V1 = "gpsde/model-v1"
 
 
 def _fmt(x: float) -> str:
@@ -129,14 +132,14 @@ def model_to_dict(m: InducingModel) -> dict:
             "variance": m.diff_params.variance,
             "lengthscales": m.diff_params.lengthscales.tolist(),
         },
-        "A": m.A.tolist(),
         "noise_vars": m.noise_vars.tolist(),
     }
 
 
 def model_from_dict(d: dict) -> InducingModel:
-    if d.get("schema") != MODEL_SCHEMA:
-        raise DataError(f"unknown model schema {d.get('schema')!r}")
+    schema = d.get("schema")
+    if schema not in (MODEL_SCHEMA, MODEL_SCHEMA_V1):
+        raise DataError(f"unknown model schema {schema!r}")
     return InducingModel(
         Z=np.array(d["Z"], dtype=float),
         U_f=np.array(d["U_f"], dtype=float),
@@ -145,13 +148,13 @@ def model_from_dict(d: dict) -> InducingModel:
                                   np.array(d["drift_kernel"]["lengthscales"])),
         diff_params=KernelParams(d["diff_kernel"]["variance"],
                                  np.array(d["diff_kernel"]["lengthscales"])),
-        A=np.array(d["A"], dtype=float),
         noise_vars=np.array(d["noise_vars"], dtype=float),
+        A=np.array(d["A"], dtype=float) if schema == MODEL_SCHEMA_V1 else None,
     )
 
 
 def save_model(path, m: InducingModel):
-    if not all(np.isfinite(a).all() for a in (m.Z, m.U_f, m.u_sigma, m.A, m.noise_vars)):
+    if not all(np.isfinite(a).all() for a in (m.Z, m.U_f, m.u_sigma, m.noise_vars)):
         raise InputError("refusing to serialise a model with non-finite entries")
     atomic_write_text(path, json.dumps(model_to_dict(m), indent=2) + "\n")
 

@@ -1,16 +1,16 @@
 """Inducing-point drift and diffusion fields.
 
 The drift vector field interpolates M inducing vectors U_f attached to
-locations Z through the decomposable kernel k(x, x') * A,
+locations Z, each of its D outputs an independent GP with the same kernel,
 
-    f(x) = K_f(x, Z) K_f(Z, Z)^{-1} u_f,      u_f = vec(U_f),
+    f(x) = k_f(x, Z) K_f(Z, Z)^{-1} U_f,
 
 and the scalar diffusion does the same with its own kernel and values
 u_sigma.  Both revert to zero away from the inducing locations (zero-mean
-prior).  A :class:`FieldCache` holds the Cholesky factorizations and the
-derived solve products shared by every evaluation; build one with
-:func:`build_cache` and rebuild whenever Z, the kernel parameters, or A
-change.  Updating only the inducing values reuses the factorization via
+prior).  A :class:`FieldCache` holds the two M x M Cholesky factorizations
+and the derived solve products shared by every evaluation; build one with
+:func:`build_cache` and rebuild whenever Z or the kernel parameters
+change.  Updating only the inducing values reuses the factorizations via
 :func:`update_values`.
 
 Evaluation functions are pure and safe to call concurrently; models and
@@ -20,7 +20,7 @@ caches are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -30,12 +30,12 @@ from .kernels import (
     JITTER_SCALE,
     KernelParams,
     as_points,
-    gram_blocked,
     rbf_matrix,
     same_params,
-    validate_dependency,
     _as_state,
 )
+# not used here: bench/tracer.py wraps gpsde.field.gram_blocked by name
+from .kernels import gram_blocked  # noqa: F401
 
 
 def _frozen_array(a, dtype=float):
@@ -52,8 +52,9 @@ class InducingModel:
     U_f        -- (M, D) drift inducing vectors (row m belongs to Z_m)
     u_sigma    -- (M,) diffusion inducing values
     drift_params, diff_params -- kernel hyperparameters
-    A          -- (D, D) symmetric PSD dependency matrix between output dims
     noise_vars -- (D,) diagonal observation noise variances
+    A          -- optional, construction only: the drift outputs are
+                  independent, so a dependency matrix must be the identity
     """
 
     Z: np.ndarray
@@ -61,10 +62,10 @@ class InducingModel:
     u_sigma: np.ndarray
     drift_params: KernelParams
     diff_params: KernelParams
-    A: np.ndarray
     noise_vars: np.ndarray
+    A: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, A):
         Z = as_points(self.Z, name="Z")
         M, D = Z.shape
         if M < 1:
@@ -77,7 +78,9 @@ class InducingModel:
             raise InputError(f"u_sigma must have length {M}")
         if self.drift_params.dim != D or self.diff_params.dim != D:
             raise InputError("kernel lengthscales must match state dimension")
-        A = validate_dependency(self.A, D)
+        if A is not None and not np.array_equal(np.asarray(A, dtype=float), np.eye(D)):
+            raise InputError(f"dependency matrix A must be the {D}x{D} identity: "
+                             "the drift outputs are independent")
         noise_vars = np.asarray(self.noise_vars, dtype=float).ravel()
         if noise_vars.shape != (D,) or np.any(noise_vars <= 0) or not np.all(np.isfinite(noise_vars)):
             raise InputError("noise_vars must be D positive finite reals")
@@ -87,7 +90,7 @@ class InducingModel:
             if d2.min() == 0.0:
                 raise InputError("inducing locations must be pairwise distinct")
         for name, val in (("Z", Z), ("U_f", U_f), ("u_sigma", u_sigma),
-                          ("A", A), ("noise_vars", noise_vars)):
+                          ("noise_vars", noise_vars)):
             object.__setattr__(self, name, _frozen_array(val))
 
     @property
@@ -117,15 +120,14 @@ class InducingModel:
 class FieldCache:
     """Factorizations and solve products for one model configuration.
 
-    alpha_f = K_f(Z,Z)^{-1} u_f and alpha_s = K_s(Z,Z)^{-1} u_sigma are the
-    interpolation weights; B_f folds the dependency matrix A into
-    per-location blocks so batched drift evaluation is a single matmul.
+    alpha_f = K_f(Z,Z)^{-1} U_f, shape (M, D), and alpha_s = K_s(Z,Z)^{-1}
+    u_sigma are the interpolation weights, so batched evaluation is a
+    single matmul.
     """
 
     Z: np.ndarray
     drift_params: KernelParams
     diff_params: KernelParams
-    A: np.ndarray
     U_f: np.ndarray
     u_sigma: np.ndarray
     jitter_scale: float
@@ -135,7 +137,6 @@ class FieldCache:
     logdet_s: float
     alpha_f: np.ndarray
     alpha_s: np.ndarray
-    B_f: np.ndarray
     same_kernels: bool = False
 
     def matches(self, m: InducingModel) -> bool:
@@ -143,7 +144,6 @@ class FieldCache:
             np.array_equal(self.Z, m.Z)
             and same_params(self.drift_params, m.drift_params)
             and same_params(self.diff_params, m.diff_params)
-            and np.array_equal(self.A, m.A)
             and np.array_equal(self.U_f, m.U_f)
             and np.array_equal(self.u_sigma, m.u_sigma)
         )
@@ -168,33 +168,28 @@ def _factor(K: np.ndarray, what: str) -> tuple:
 def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCache:
     """Factorize the (jittered) Gram matrices of a model and precompute the
     products used by field evaluation and its derivatives."""
-    M, D = m.M, m.D
-    Kf = gram_blocked(m.Z, m.Z, m.drift_params, m.A)
-    Kf[np.diag_indices(M * D)] += jitter_scale * m.drift_params.variance
+    M = m.M
+    Kf = rbf_matrix(m.Z, m.Z, m.drift_params)
+    Kf[np.diag_indices(M)] += jitter_scale * m.drift_params.variance
     chol_f = _factor(Kf, "drift")
     Ks = rbf_matrix(m.Z, m.Z, m.diff_params)
     Ks[np.diag_indices(M)] += jitter_scale * m.diff_params.variance
     chol_s = _factor(Ks, "diffusion")
 
-    alpha_f = scipy.linalg.cho_solve(chol_f, m.u_f)
-    alpha_s = scipy.linalg.cho_solve(chol_s, m.u_sigma)
-    B_f = alpha_f.reshape(M, D) @ m.A.T
-
     return FieldCache(
         Z=m.Z,
         drift_params=m.drift_params,
         diff_params=m.diff_params,
-        A=m.A,
         U_f=m.U_f,
         u_sigma=m.u_sigma,
         jitter_scale=float(jitter_scale),
         chol_f=chol_f,
         chol_s=chol_s,
-        logdet_f=float(2.0 * np.sum(np.log(np.diag(chol_f[0])))),
+        # the D drift columns share K_f, so their joint covariance has D x its logdet
+        logdet_f=float(2.0 * m.D * np.sum(np.log(np.diag(chol_f[0])))),
         logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
-        alpha_f=alpha_f,
-        alpha_s=alpha_s,
-        B_f=B_f,
+        alpha_f=scipy.linalg.cho_solve(chol_f, m.U_f),
+        alpha_s=scipy.linalg.cho_solve(chol_s, m.u_sigma),
         same_kernels=same_params(m.drift_params, m.diff_params),
     )
 
@@ -202,14 +197,12 @@ def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCa
 def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                   noise_vars=None) -> tuple[InducingModel, FieldCache]:
     """New (model, cache) pair with replaced inducing values, reusing the
-    existing factorizations. Z, kernel parameters and A stay fixed."""
+    existing factorizations. Z and the kernel parameters stay fixed."""
     _checked(m, c)
     m2 = m.with_values(U_f=U_f, u_sigma=u_sigma, noise_vars=noise_vars)
-    alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.u_f) if U_f is not None else c.alpha_f
+    alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.U_f) if U_f is not None else c.alpha_f
     alpha_s = scipy.linalg.cho_solve(c.chol_s, m2.u_sigma) if u_sigma is not None else c.alpha_s
-    B_f = alpha_f.reshape(m2.M, m2.D) @ m2.A.T if U_f is not None else c.B_f
-    c2 = replace(c, U_f=m2.U_f, u_sigma=m2.u_sigma,
-                 alpha_f=alpha_f, alpha_s=alpha_s, B_f=B_f)
+    c2 = replace(c, U_f=m2.U_f, u_sigma=m2.u_sigma, alpha_f=alpha_f, alpha_s=alpha_s)
     return m2, c2
 
 
@@ -217,7 +210,7 @@ def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
 
 def drift_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     """Drift vectors at stacked states, shape (N, D)."""
-    return rbf_matrix(X, c.Z, c.drift_params) @ c.B_f
+    return rbf_matrix(X, c.Z, c.drift_params) @ c.alpha_f
 
 
 def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
@@ -235,7 +228,7 @@ def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.
     else:
         ds = diff / c.diff_params.lengthscales
         ks = c.diff_params.variance * np.exp(-0.5 * np.sum(ds * ds, axis=-1))
-    return kf @ c.B_f, ks @ c.alpha_s
+    return kf @ c.alpha_f, ks @ c.alpha_s
 
 
 def drift_at(x, m: InducingModel, c: FieldCache) -> np.ndarray:
@@ -280,7 +273,7 @@ def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
     return StepTerms(
         kf=kf,
         ks=ks,
-        jac_x=c.B_f.T @ Gf,                             # (N, D, D)
+        jac_x=c.alpha_f.T @ Gf,                         # (N, D, D)
         diff_gx=Gs.transpose(0, 2, 1) @ c.alpha_s,      # (N, D)
     )
 
@@ -289,9 +282,9 @@ def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
 
 def log_prior(m: InducingModel, c: FieldCache) -> float:
     """Log density of u_f and u_sigma under their zero-mean Gaussian priors
-    with (jittered) Gram covariances."""
+    with (jittered) Gram covariances; the D drift columns are i.i.d."""
     _checked(m, c)
-    quad_f = float(m.u_f @ c.alpha_f)
+    quad_f = float(m.u_f @ c.alpha_f.ravel())
     quad_s = float(m.u_sigma @ c.alpha_s)
     n_f = m.M * m.D
     n_s = m.M
@@ -304,4 +297,4 @@ def log_prior(m: InducingModel, c: FieldCache) -> float:
 def log_prior_grad(m: InducingModel, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of :func:`log_prior` w.r.t. u_f and u_sigma."""
     _checked(m, c)
-    return -c.alpha_f, -c.alpha_s
+    return -c.alpha_f.ravel(), -c.alpha_s

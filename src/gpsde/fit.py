@@ -210,34 +210,36 @@ def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig, rejected: list)
         noise0 = np.full(D, float(noise0[0]))
     model = InducingModel(
         Z=Z, U_f=U0, u_sigma=us0, drift_params=drift_params,
-        diff_params=diff_params, A=np.eye(D), noise_vars=noise0,
+        diff_params=diff_params, noise_vars=noise0,
     )
     cache = build_cache(model)
     M, MD = model.M, model.M * model.D
 
     # optimize whitened coordinates v = L^{-1} u (L the prior Cholesky
-    # factors): the prior Hessian becomes the identity, which conditions
-    # the quasi-Newton iteration far better than raw inducing values
+    # factors, applied to each drift column): the prior Hessian becomes the
+    # identity, which conditions the quasi-Newton iteration far better than
+    # raw inducing values.  x[:MD] holds V = L_f^{-1} U_f in its (m, d) order.
     Lf = np.tril(cache.chol_f[0])
     Ls = np.tril(cache.chol_s[0])
 
     def unpack(x):
         return update_values(
             cache, model,
-            U_f=(Lf @ x[:MD]).reshape(M, D),
+            U_f=Lf @ x[:MD].reshape(M, D),
             u_sigma=Ls @ x[MD:MD + M],
             noise_vars=np.exp(x[MD + M:]),
         )
 
     def whiten_grad(val):
-        return np.concatenate([Lf.T @ val.grad_u_f, Ls.T @ val.grad_u_s,
+        return np.concatenate([(Lf.T @ val.grad_u_f.reshape(M, D)).ravel(),
+                               Ls.T @ val.grad_u_s,
                                val.grad_log_noise])
 
     incs0 = draw_increments(data, grids, model, cfg.sim.n_samples,
                             child_seed(cfg.sim.seed, 0))
     init_val = evaluate_with_increments(data, model, cache, grids, incs0)
     x = np.concatenate([
-        scipy.linalg.solve_triangular(Lf, model.u_f, lower=True),
+        scipy.linalg.solve_triangular(Lf, model.U_f, lower=True).ravel(),
         scipy.linalg.solve_triangular(Ls, model.u_sigma, lower=True),
         np.log(model.noise_vars),
     ])

@@ -1,9 +1,10 @@
 """Gaussian (RBF) kernel with per-dimension lengthscales.
 
-Scalar kernel values, the gradient in the first argument, Gram matrices,
-and the decomposable matrix-valued extension ``k(x, x') * A`` used for
-vector-valued fields.  All functions are pure; batched variants operate
-on ``(N, D)`` arrays of stacked states.
+Scalar kernel values, the gradient in the first argument and Gram
+matrices.  The blocked Gram matrix of a matrix-valued kernel
+(:func:`gram_blocked`) is the dense reference that the field's per-column
+solves are tested against.  All functions are pure; batched variants
+operate on ``(N, D)`` arrays of stacked states.
 """
 
 from __future__ import annotations
@@ -117,16 +118,3 @@ def gram_blocked(X, Z, p: KernelParams, A) -> np.ndarray:
     K = gram(X, Z, p)
     n, m = K.shape
     return np.einsum("nm,de->ndme", K, A).reshape(n * D, m * D)
-
-
-def validate_dependency(A, dim: int, tol: float = 1e-10) -> np.ndarray:
-    """Check that A is a symmetric PSD dependency matrix of the given size."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (dim, dim):
-        raise InputError(f"dependency matrix must be {dim}x{dim}, got {A.shape}")
-    if not np.allclose(A, A.T, atol=tol, rtol=0.0):
-        raise InputError("dependency matrix must be symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (A + A.T))
-    if eig.min() < -tol * max(1.0, eig.max()):
-        raise InputError("dependency matrix must be positive semi-definite")
-    return A

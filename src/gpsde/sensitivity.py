@@ -13,7 +13,7 @@ its discrete adjoint runs backwards from the last node,
 
 and collects the vector-Jacobian product g^T dx/du from the kernel rows at
 each stored state, with k(x) = k(x, Z) a row:
-dL/du_f = K_f^{-1} vec(sum_i dt k_f(x_i)^T lambda_{i+1}^T A) and
+dL/dU_f = K_f^{-1} sum_i dt k_f(x_i)^T lambda_{i+1}^T (an M x D matrix) and
 dL/du_sigma = K_s^{-1} sum_i k_s(x_i)^T (dW_i . lambda_{i+1}).  The
 initial state is fixed data, so the seed at the first node does not enter.
 Because the sweep differentiates the simulator itself, the result matches
@@ -61,7 +61,7 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
         gf += dt * (terms.kf.T @ lam)
         gs += terms.ks.T @ dWl
         lam = lam + dt * (lam[:, None, :] @ terms.jac_x)[:, 0] + terms.diff_gx * dWl[:, None]
-    grad_f = scipy.linalg.cho_solve(c.chol_f, (gf @ c.A).ravel())
+    grad_f = scipy.linalg.cho_solve(c.chol_f, gf).ravel()
     grad_s = scipy.linalg.cho_solve(c.chol_s, gs)
     return grad_f, grad_s
 

@@ -165,14 +165,26 @@ def simulate_batch(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
         raise InputError(
             f"increments must be (S, {grid.n_steps}, {m.D}), got {increments.shape}"
         )
-    n = increments.shape[0]
-    paths = np.empty((n, grid.n_steps + 1, m.D))
-    X = _initial_states(x0, n, m.D)
+    return simulate_callable_batch(lambda X: drift_diffusion_batch(X, c),
+                                   x0, grid.dt, grid.n_steps, increments)
+
+
+def simulate_callable_batch(fields, x0, dt: float, n_steps: int,
+                            increments: np.ndarray) -> np.ndarray:
+    """The Euler-Maruyama stepping loop; paths shape (S, n_steps+1, D).
+
+    fields maps stacked states (N, D) to the drift (N, D) and the signed
+    diffusion (N,); increments has shape (S, n_steps, D).
+    """
+    increments = np.asarray(increments, dtype=float)
+    n, _, D = increments.shape
+    paths = np.empty((n, n_steps + 1, D))
+    X = _initial_states(x0, n, D)
     paths[:, 0] = X
-    dt = grid.dt
-    for i in range(grid.n_steps):
-        F, sig = drift_diffusion_batch(X, c)
-        X = X + F * dt + sig[:, None] * increments[:, i]
+    for i in range(n_steps):
+        F, sig = fields(X)
+        sig = np.asarray(sig, dtype=float)
+        X = X + np.asarray(F, dtype=float) * dt + sig[:, None] * increments[:, i]
         _blowup_check(X, i + 1)
         paths[:, i + 1] = X
     return paths
@@ -201,26 +213,6 @@ def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
     incs = sample_increments(grid, n_samples, m.D, seed)
     paths = simulate_batch(m, c, x0, grid, incs)
     return PathBundle(paths=paths, increments=incs, seed=seed, grid=grid)
-
-
-def simulate_callable_batch(drift_fn, diff_fn, x0, dt: float, n_steps: int,
-                            increments: np.ndarray) -> np.ndarray:
-    """Same stepping loop for closed-form fields.
-
-    drift_fn maps (N, D) -> (N, D); diff_fn maps (N, D) -> (N,).
-    """
-    increments = np.asarray(increments, dtype=float)
-    n, _, D = increments.shape
-    paths = np.empty((n, n_steps + 1, D))
-    X = _initial_states(x0, n, D)
-    paths[:, 0] = X
-    for i in range(n_steps):
-        F = np.asarray(drift_fn(X), dtype=float)
-        sig = np.asarray(diff_fn(X), dtype=float)
-        X = X + F * dt + sig[:, None] * increments[:, i]
-        _blowup_check(X, i + 1)
-        paths[:, i + 1] = X
-    return paths
 
 
 def state_density(bundle: PathBundle, grid_index: int, eval_points,

@@ -137,6 +137,11 @@ SYSTEMS = {
 }
 
 
+def _fields(drift_fn, diffusion_fn):
+    """Pair drift and diffusion callables into one stepping-loop field."""
+    return lambda X: (drift_fn(X), diffusion_fn(X))
+
+
 def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
     """Simulate noisy observation batches from a closed-form system."""
     if spec.x0_box.shape[0] != sys.dim:
@@ -153,7 +158,7 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
             incs = rng.normal(0.0, math.sqrt(spec.gen_dt), size=(1, n_steps, sys.dim))
             try:
                 path = simulate_callable_batch(
-                    sys.drift_fn, sys.diffusion_fn, x0, spec.gen_dt, n_steps, incs
+                    _fields(sys.drift_fn, sys.diffusion_fn), x0, spec.gen_dt, n_steps, incs
                 )[0]
             except SimulationError:
                 continue
@@ -299,10 +304,11 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
     incs_true = draw(seed)
     incs_fit = incs_true if fitted_seed is None else draw(fitted_seed)
     paths_true = simulate_callable_batch(
-        true_sys.drift_fn, true_sys.diffusion_fn, x0, dt, n_steps, incs_true
+        _fields(true_sys.drift_fn, true_sys.diffusion_fn), x0, dt, n_steps, incs_true
     )
-    drift_fit, diff_fit = _as_field_fns(fitted)
-    paths_fit = simulate_callable_batch(drift_fit, diff_fit, x0, dt, n_steps, incs_fit)
+    paths_fit = simulate_callable_batch(
+        _fields(*_as_field_fns(fitted)), x0, dt, n_steps, incs_fit
+    )
 
     dist = energy_distance if metric == "energy" else kde_l2_distance
     checks = np.unique(np.linspace(1, n_steps, min(n_checkpoints, n_steps)).round().astype(int))

@@ -68,7 +68,6 @@ def random_instance(seed):
         u_sigma=0.4 * rng.normal(size=M),
         drift_params=KernelParams(1.0, rng.uniform(0.8, 1.5, D)),
         diff_params=KernelParams(1.0, rng.uniform(0.8, 1.5, D)),
-        A=np.eye(D),
         noise_vars=rng.uniform(0.02, 0.1, D),
     )
     # non-uniform but collision-free on the snapped grid: gaps within 0.7-1.3x
@@ -117,7 +116,7 @@ def ou_embedding(theta=1.0, sigma=0.5):
     Z = np.linspace(-4.0, 4.0, 33)[:, None]
     p = KernelParams(1.0, [0.75])
     m = InducingModel(Z=Z, U_f=-theta * Z, u_sigma=np.full(33, sigma),
-                      drift_params=p, diff_params=p, A=np.eye(1),
+                      drift_params=p, diff_params=p,
                       noise_vars=[0.01])
     return m, build_cache(m)
 
@@ -171,7 +170,7 @@ def test_criterion_3_interpolation():
             u_sigma=rng.normal(scale=2.0, size=Z.shape[0]),
             drift_params=KernelParams(1.0, [0.8] * D),
             diff_params=KernelParams(1.0, [0.9] * D),
-            A=np.eye(D), noise_vars=np.full(D, 0.05),
+            noise_vars=np.full(D, 0.05),
         )
         c = build_cache(m, jitter_scale=1e-6)
         for i in range(m.M):
@@ -279,7 +278,7 @@ def test_criterion_6_density_convergence():
     Z = np.linspace(-2.5, 2.5, 26)[:, None]
     p = KernelParams(1.0, [0.4])
     m = InducingModel(Z=Z, U_f=4 * (Z - Z**3), u_sigma=np.full(26, 1.5),
-                      drift_params=p, diff_params=p, A=np.eye(1),
+                      drift_params=p, diff_params=p,
                       noise_vars=[0.01])
     c = build_cache(m)
     grid = build_grid([0.0, 1.0], 100)

@@ -177,7 +177,7 @@ class TestSimulate:
                           u_sigma=np.zeros(4),
                           drift_params=KernelParams(1.0, [0.8]),
                           diff_params=KernelParams(1.0, [0.8]),
-                          A=np.eye(1), noise_vars=[0.01])
+                          noise_vars=[0.01])
         mp = tmp_path / "m.json"
         dataio.save_model(mp, m)
         out = tmp_path / "sim0"
@@ -191,6 +191,16 @@ class TestSimulate:
             s, i, t, x = r.split(",")
             by_step.setdefault(i, set()).add(x)
         assert all(len(v) == 1 for v in by_step.values())
+
+    def test_v1_model_with_general_A_is_data_error(self, tiny_model, tmp_path):
+        d = json.loads(tiny_model.read_text())
+        d["schema"] = "gpsde/model-v1"
+        d["A"] = [[1.5]]
+        mp = tmp_path / "v1.json"
+        mp.write_text(json.dumps(d))
+        rc = run_cli(["simulate", "--model", mp, "--x0", "0.5", "--horizon", "0.5",
+                      "--dt", "0.05", "--n-paths", 3, "--out-dir", tmp_path / "out"])
+        assert rc == 3
 
 
 class TestEvaluate:
@@ -215,7 +225,7 @@ class TestEvaluate:
         m = InducingModel(Z=Z, U_f=sys_.drift_fn(Z), u_sigma=np.full(41, 1.5),
                           drift_params=KernelParams(1.0, [0.35]),
                           diff_params=KernelParams(1.0, [0.35]),
-                          A=np.eye(1), noise_vars=[0.01])
+                          noise_vars=[0.01])
         mp = tmp_path / "oracle.json"
         dataio.save_model(mp, m)
         out = tmp_path / "eval"

@@ -63,7 +63,6 @@ def make_model():
         u_sigma=rng.normal(size=4) * 1e-7,
         drift_params=KernelParams(1.0, [0.31459, 1.77]),
         diff_params=KernelParams(2.5, [0.9, 0.9]),
-        A=np.eye(2),
         noise_vars=[0.01, 1e-8],
     )
 
@@ -82,6 +81,38 @@ def test_model_roundtrip_bitfaithful(tmp_path):
     p2 = tmp_path / "model2.json"
     dataio.save_model(p2, back)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def write_v1_model(path, m, A):
+    d = dataio.model_to_dict(m)
+    d["schema"] = "gpsde/model-v1"
+    d["A"] = np.asarray(A, dtype=float).tolist()
+    path.write_text(json.dumps(d, indent=2) + "\n")
+
+
+def test_v1_model_with_identity_A_loads_and_resaves_as_v2(tmp_path):
+    m = make_model()
+    v1 = tmp_path / "v1.json"
+    write_v1_model(v1, m, np.eye(2))
+    back = dataio.load_model(v1)
+    assert np.array_equal(back.U_f, m.U_f)
+    v2 = tmp_path / "v2.json"
+    dataio.save_model(v2, back)
+    d = json.loads(v2.read_text())
+    assert d["schema"] == "gpsde/model-v2" and "A" not in d
+    direct = tmp_path / "direct.json"
+    dataio.save_model(direct, m)
+    assert v2.read_bytes() == direct.read_bytes()
+    again = tmp_path / "again.json"
+    dataio.save_model(again, dataio.load_model(v2))
+    assert again.read_bytes() == v2.read_bytes()
+
+
+def test_v1_model_with_general_A_rejected(tmp_path):
+    p = tmp_path / "v1.json"
+    write_v1_model(p, make_model(), [[1.5, 0.4], [0.4, 0.8]])
+    with pytest.raises(DataError, match="identity"):
+        dataio.load_model(p)
 
 
 def test_model_schema_guard(tmp_path):

@@ -31,7 +31,6 @@ def make_model(seed=0, D=2, M=5, spacing=1.0, u_scale=1.0):
         u_sigma=u_scale * rng.normal(size=M),
         drift_params=KernelParams(1.0, [0.8] * D),
         diff_params=KernelParams(1.0, [1.1] * D),
-        A=np.eye(D),
         noise_vars=np.full(D, 0.05),
     )
 
@@ -64,11 +63,28 @@ def test_model_validation():
     with pytest.raises(InputError):
         InducingModel(Z=np.array([[0.0], [0.0]]), U_f=np.zeros((2, 1)),
                       u_sigma=np.zeros(2), drift_params=p, diff_params=p,
-                      A=np.eye(1), noise_vars=[0.1])
+                      noise_vars=[0.1])
     with pytest.raises(InputError):
         InducingModel(Z=np.array([[0.0]]), U_f=np.zeros((1, 1)),
                       u_sigma=np.zeros(1), drift_params=p, diff_params=p,
-                      A=np.eye(1), noise_vars=[-0.1])
+                      noise_vars=[-0.1])
+
+
+def test_dependency_matrix_must_be_identity():
+    p = KernelParams(1.0, [1.0, 1.0])
+    kw = dict(Z=[[0.0, 0.0], [1.0, 0.5]], U_f=np.zeros((2, 2)), u_sigma=np.zeros(2),
+              drift_params=p, diff_params=p, noise_vars=[0.1, 0.1])
+    InducingModel(**kw, A=np.eye(2))
+    with pytest.raises(InputError):
+        InducingModel(**kw, A=[[1.5, 0.4], [0.4, 0.8]])
+    with pytest.raises(InputError):
+        InducingModel(**kw, A=np.eye(3))
+
+
+def test_drift_cache_factors_only_the_m_by_m_gram(model_and_cache):
+    m, c = model_and_cache
+    assert c.chol_f[0].shape == (m.M, m.M)
+    assert c.alpha_f.shape == (m.M, m.D)
 
 
 def test_interpolation_property(model_and_cache):
@@ -97,7 +113,7 @@ def test_single_point_closed_form():
     p = KernelParams(1.0, [0.9])
     m = InducingModel(Z=np.array([[0.4]]), U_f=np.array([[1.7]]),
                       u_sigma=np.array([-0.6]), drift_params=p, diff_params=p,
-                      A=np.eye(1), noise_vars=[0.1])
+                      noise_vars=[0.1])
     c = build_cache(m)
     for x in rng.normal(size=4):
         kxz = rbf([x], [0.4], p)
@@ -110,7 +126,7 @@ def test_constant_diffusion_reverts_far_from_inducing():
     p = KernelParams(1.0, [1.0])
     m = InducingModel(Z=np.linspace(-2, 2, 5)[:, None], U_f=np.ones((5, 1)),
                       u_sigma=np.full(5, 3.0), drift_params=p, diff_params=p,
-                      A=np.eye(1), noise_vars=[0.1])
+                      noise_vars=[0.1])
     c = build_cache(m)
     assert abs(diffusion_at([40.0], m, c)) < 1e-10
     assert np.max(np.abs(drift_at([40.0], m, c))) < 1e-10
@@ -144,7 +160,7 @@ def test_drift_jacobian_x_zero_at_single_center():
     p = KernelParams(1.0, [1.0])
     m = InducingModel(Z=np.array([[0.7]]), U_f=np.array([[2.0]]),
                       u_sigma=np.array([0.5]), drift_params=p, diff_params=p,
-                      A=np.eye(1), noise_vars=[0.1])
+                      noise_vars=[0.1])
     c = build_cache(m)
     J, g = state_derivs([0.7], c)
     assert np.allclose(J, 0.0)
@@ -222,7 +238,7 @@ def test_log_prior_single_point_standard_normal():
     p = KernelParams(1.0, [1.0])
     m = InducingModel(Z=np.array([[0.0]]), U_f=np.array([[0.3]]),
                       u_sigma=np.array([-1.1]), drift_params=p, diff_params=p,
-                      A=np.eye(1), noise_vars=[0.1])
+                      noise_vars=[0.1])
     c = build_cache(m)
     expected = (multivariate_normal.logpdf(0.3, 0.0, 1.0)
                 + multivariate_normal.logpdf(-1.1, 0.0, 1.0))
@@ -234,7 +250,7 @@ def test_log_prior_single_point_standard_normal():
 
 def test_log_prior_matches_dense_oracle(model_and_cache):
     m, c = model_and_cache
-    Kf = gram_blocked(m.Z, m.Z, m.drift_params, m.A) + 1e-6 * np.eye(m.M * m.D)
+    Kf = gram_blocked(m.Z, m.Z, m.drift_params, np.eye(m.D)) + 1e-6 * np.eye(m.M * m.D)
     Ks = rbf_matrix(m.Z, m.Z, m.diff_params) + 1e-6 * np.eye(m.M)
     oracle = (multivariate_normal.logpdf(m.u_f, np.zeros(m.M * m.D), Kf)
               + multivariate_normal.logpdf(m.u_sigma, np.zeros(m.M), Ks))
@@ -258,9 +274,9 @@ def test_log_prior_grad_matches_fd(model_and_cache):
 def test_cache_solves_reproduce_inducing_values(model_and_cache):
     m, c = model_and_cache
     from gpsde.kernels import gram_blocked as gb, rbf_matrix as rm
-    Kf = gb(m.Z, m.Z, m.drift_params, m.A) + 1e-6 * np.eye(m.M * m.D)
+    Kf = gb(m.Z, m.Z, m.drift_params, np.eye(m.D)) + 1e-6 * np.eye(m.M * m.D)
     Ks = rm(m.Z, m.Z, m.diff_params) + 1e-6 * np.eye(m.M)
-    np.testing.assert_allclose(Kf @ c.alpha_f, m.u_f, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(Kf @ c.alpha_f.ravel(), m.u_f, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(Ks @ c.alpha_s, m.u_sigma, rtol=1e-8, atol=1e-10)
 
 
@@ -269,23 +285,3 @@ def test_cache_mismatch_raises(model_and_cache):
     other = m.with_values(U_f=m.U_f + 1.0)
     with pytest.raises(InternalError):
         drift_at([0.0, 0.0], other, c)
-
-
-def test_general_dependency_matrix_path():
-    rng = np.random.default_rng(9)
-    A = np.array([[1.5, 0.4], [0.4, 0.8]])
-    Z = rng.uniform(-2, 2, (4, 2))
-    p = KernelParams(1.0, [1.0, 1.0])
-    m = InducingModel(Z=Z, U_f=rng.normal(size=(4, 2)), u_sigma=rng.normal(size=4),
-                      drift_params=p, diff_params=p, A=A, noise_vars=[0.1, 0.1])
-    c = build_cache(m)
-    # interpolation still holds and the dense oracle agrees pointwise
-    x = rng.normal(size=2)
-    Kxz = gram_blocked(x[None], Z, p, A)
-    Kzz = gram_blocked(Z, Z, p, A) + 1e-6 * np.eye(8)
-    oracle = Kxz @ np.linalg.solve(Kzz, m.u_f)
-    np.testing.assert_allclose(drift_at(x, m, c), oracle, rtol=1e-9)
-    R, _ = u_derivs(x, m, c)
-    np.testing.assert_allclose(R, Kxz @ np.linalg.inv(Kzz), rtol=1e-8, atol=1e-10)
-    for i in range(4):
-        np.testing.assert_allclose(drift_at(Z[i], m, c), m.U_f[i], atol=2e-4)

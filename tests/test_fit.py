@@ -106,7 +106,7 @@ class TestGradientMatchInit:
         from gpsde.field import InducingModel
 
         m = InducingModel(Z=Z, U_f=U, u_sigma=us, drift_params=KernelParams(1.0, [0.8]),
-                          diff_params=KernelParams(1.0, [0.8]), A=np.eye(1),
+                          diff_params=KernelParams(1.0, [0.8]),
                           noise_vars=[0.01])
         fhat = drift_batch(xs, build_cache(m)).ravel()
         ftrue = 4 * (xs.ravel() - xs.ravel() ** 3)

@@ -10,7 +10,6 @@ from gpsde.kernels import (
     gram_blocked,
     rbf,
     rbf_grad_matrix,
-    validate_dependency,
 )
 
 
@@ -116,7 +115,7 @@ def test_gram_jittered_psd():
     X = rng.normal(size=(10, 1))
     # the factor build_cache keeps is that of the jittered Gram matrix
     m = InducingModel(Z=X, U_f=np.zeros((10, 1)), u_sigma=np.zeros(10), drift_params=p,
-                      diff_params=p, A=np.eye(1), noise_vars=[0.1])
+                      diff_params=p, noise_vars=[0.1])
     L = np.tril(build_cache(m).chol_s[0])
     K = L @ L.T
     np.testing.assert_allclose(K, gram(X, X, p) + JITTER_SCALE * p.variance * np.eye(10),
@@ -163,13 +162,3 @@ def test_gram_blocked_matches_kronecker_oracle():
     for i in range(5):
         for j in range(4):
             np.testing.assert_allclose(B[2 * i:2 * i + 2, 2 * j:2 * j + 2], K[i, j] * A)
-
-
-def test_validate_dependency():
-    validate_dependency(np.eye(3), 3)
-    with pytest.raises(InputError):
-        validate_dependency(np.array([[1.0, 0.5], [0.4, 1.0]]), 2)  # asymmetric
-    with pytest.raises(InputError):
-        validate_dependency(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)  # indefinite
-    with pytest.raises(InputError):
-        validate_dependency(np.eye(2), 3)

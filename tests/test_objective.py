@@ -34,7 +34,6 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
         u_sigma=u_scale * rng.normal(size=M),
         drift_params=KernelParams(1.0, [1.0] * D),
         diff_params=KernelParams(1.0, [1.2] * D),
-        A=np.eye(D),
         noise_vars=np.full(D, 0.04),
     )
     return m, build_cache(m)

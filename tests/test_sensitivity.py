@@ -19,7 +19,6 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
         u_sigma=u_scale * rng.normal(size=M),
         drift_params=KernelParams(1.0, [1.0] * D),
         diff_params=KernelParams(1.0, [1.2] * D),
-        A=np.eye(D),
         noise_vars=np.full(D, 0.05),
     )
     return m, build_cache(m)
@@ -51,9 +50,9 @@ def test_single_step_from_zero_state():
     _, pullback = simulate_bundle_with_sensitivities(m, c, x0, one_step_grid(dt),
                                                      dW[None, None, :])
     gf, gs = pullback(np.stack([np.zeros(1), seed])[None])
-    Kf = gram_blocked(m.Z, m.Z, m.drift_params, m.A) + 1e-6 * np.eye(m.M * m.D)
+    Kf = gram_blocked(m.Z, m.Z, m.drift_params, np.eye(m.D)) + 1e-6 * np.eye(m.M * m.D)
     Ks = rbf_matrix(m.Z, m.Z, m.diff_params) + 1e-6 * np.eye(m.M)
-    drift_u = gram_blocked(x0[None], m.Z, m.drift_params, m.A) @ np.linalg.inv(Kf)
+    drift_u = gram_blocked(x0[None], m.Z, m.drift_params, np.eye(m.D)) @ np.linalg.inv(Kf)
     grad_u = rbf_matrix(x0[None], m.Z, m.diff_params)[0] @ np.linalg.inv(Ks)
     np.testing.assert_allclose(gf, dt * seed @ drift_u, rtol=1e-12)
     np.testing.assert_allclose(gs, (seed @ dW) * grad_u, rtol=1e-12)

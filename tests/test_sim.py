@@ -20,7 +20,7 @@ def ou_model(theta=1.0, sigma=0.5, lo=-4.0, hi=4.0, n=33, ell=0.75):
     Z = np.linspace(lo, hi, n)[:, None]
     p = KernelParams(1.0, [ell])
     m = InducingModel(Z=Z, U_f=-theta * Z, u_sigma=np.full(n, sigma),
-                      drift_params=p, diff_params=p, A=np.eye(1),
+                      drift_params=p, diff_params=p,
                       noise_vars=[0.01])
     return m, build_cache(m)
 
@@ -128,7 +128,7 @@ class TestEulerMaruyama:
         # one step of this drift already exceeds the guard threshold
         m = InducingModel(Z=np.array([[0.0], [1.0]]), U_f=np.array([[0.0], [1e8]]),
                           u_sigma=np.zeros(2), drift_params=p, diff_params=p,
-                          A=np.eye(1), noise_vars=[0.1])
+                          noise_vars=[0.1])
         c = build_cache(m)
         g = build_grid([0.0, 10.0], 100)
         inc = np.zeros((1, 100, 1))

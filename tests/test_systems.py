@@ -4,6 +4,7 @@ import pytest
 from gpsde.errors import InputError
 from gpsde.field import InducingModel, build_cache
 from gpsde.kernels import KernelParams
+from gpsde.objective import Trajectory
 from gpsde.systems import (
     GenSpec,
     distribution_discrepancy,
@@ -149,7 +150,7 @@ def dense_fit_of(sys_, lo, hi, n=25, ell=0.4, sigma_const=None):
     p = KernelParams(1.0, [ell])
     sig = sys_.diffusion_fn(Z) if sigma_const is None else np.full(n, sigma_const)
     return InducingModel(Z=Z, U_f=sys_.drift_fn(Z), u_sigma=sig,
-                         drift_params=p, diff_params=p, A=np.eye(1),
+                         drift_params=p, diff_params=p,
                          noise_vars=[0.01])
 
 
@@ -167,7 +168,7 @@ class TestFieldErrors:
         p = KernelParams(1.0, [1.0])
         zero = InducingModel(Z=np.array([[0.0], [1.0]]), U_f=np.zeros((2, 1)),
                              u_sigma=np.zeros(2), drift_params=p, diff_params=p,
-                             A=np.eye(1), noise_vars=[0.1])
+                             noise_vars=[0.1])
         grid_pts = np.linspace(-2, 2, 41)
         expected = np.sqrt(np.mean((4 * (grid_pts - grid_pts**3)) ** 2))
         got = drift_error(sys_, zero, [[-2.0, 2.0]], 41)
@@ -178,7 +179,7 @@ class TestFieldErrors:
         p = KernelParams(1.0, [1.0])
         zero = InducingModel(Z=np.array([[0.0], [1.0]]), U_f=np.zeros((2, 1)),
                              u_sigma=np.zeros(2), drift_params=p, diff_params=p,
-                             A=np.eye(1), noise_vars=[0.1])
+                             noise_vars=[0.1])
         assert drift_error(sys_, zero, [[0.0, 0.0]], 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_visited_region_mask_drops_far_grid(self):
@@ -186,8 +187,7 @@ class TestFieldErrors:
         fitted = dense_fit_of(sys_, -2.4, 2.4, n=41, ell=0.35)
         rng = np.random.default_rng(3)
         data = [
-            __import__("gpsde").Trajectory(times=np.arange(50) * 0.1,
-                                           obs=rng.uniform(-1.2, 1.2, (50, 1)))
+            Trajectory(times=np.arange(50) * 0.1, obs=rng.uniform(-1.2, 1.2, (50, 1)))
         ]
         wide_masked = drift_error(sys_, fitted, [[-5.0, 5.0]], 101, data=data)
         wide_unmasked = drift_error(sys_, fitted, [[-5.0, 5.0]], 101)
