@@ -82,11 +82,11 @@ def _parse_floats(text: str) -> list[float]:
         raise InputError(f"expected comma-separated reals, got {text!r}") from None
 
 
-def _resolve(args, command: str, defaults: dict) -> dict:
+def _resolve(args, command: str, defaults: dict) -> tuple[dict, set]:
     """defaults < config-file section < CLI flags.
 
-    The returned mapping carries a ``defaulted`` attribute naming the keys
-    that no file entry or flag touched.
+    Returns the resolved settings and the set of keys that no file entry or
+    flag touched.
     """
     resolved = dict(defaults)
     touched = set()
@@ -111,15 +111,7 @@ def _resolve(args, command: str, defaults: dict) -> dict:
         if val is not None:
             resolved[key] = val
             touched.add(key)
-    resolved = dict(resolved)
-    resolved_defaulted = set(resolved) - touched
-
-    class _Resolved(dict):
-        pass
-
-    out = _Resolved(resolved)
-    out.defaulted = resolved_defaulted
-    return out
+    return resolved, set(resolved) - touched
 
 
 def _out_dir(path) -> Path:
@@ -139,13 +131,13 @@ class UsageError(Exception):
 
 
 def cmd_generate(args) -> int:
-    cfg = _resolve(args, "generate", {
+    cfg, defaulted = _resolve(args, "generate", {
         "system": "double-well", "n_traj": 6, "n_obs": 250, "seed": 0,
         **_GEN_DEFAULTS["double-well"], "mu": 1.0,
     })
     # untouched generation knobs follow the selected system's defaults
     for key, val in _GEN_DEFAULTS[cfg["system"]].items():
-        if key in cfg.defaulted:
+        if key in defaulted:
             cfg[key] = val
     out = _out_dir(args.out_dir)
     factory = SYSTEMS[cfg["system"]]
@@ -164,7 +156,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _resolve(args, "fit", {
+    cfg, _ = _resolve(args, "fit", {
         "data_dir": None, "seed": 0, "max_iters": 200, "grad_tol": 1e-4,
         "n_samples": 50, "resolution_factor": 2, "resample_period": 0,
         "inducing": "auto:15", "lengthscales": "", "kernel_variance": 1.0,
@@ -207,7 +199,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve(args, "simulate", {
+    cfg, _ = _resolve(args, "simulate", {
         "model": None, "x0": None, "horizon": 10.0, "dt": 0.01, "n_paths": 50,
         "seed": 0, "density_grid": "", "density_time": -1.0, "bandwidth": 0.2,
     })
@@ -240,7 +232,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, "evaluate", {
+    cfg, _ = _resolve(args, "evaluate", {
         "model": None, "system": "double-well", "box": "-2:2", "n_grid": 41,
         "data_dir": "", "x0": "", "horizon": 5.0, "n_paths": 500, "seed": 0,
         "mu": 1.0,

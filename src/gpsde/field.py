@@ -218,16 +218,21 @@ def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     return rbf_matrix(X, c.Z, c.diff_params) @ c.alpha_s
 
 
-def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
-    """Both fields at once, sharing work between the two kernels."""
+def _kernel_rows(X: np.ndarray, c: FieldCache):
+    """Pairwise differences X - Z (N, M, D) and both kernel rows (N, M),
+    with the exp shared when the two kernels are the same."""
     diff = X[:, None, :] - c.Z
     df = diff / c.drift_params.lengthscales
     kf = c.drift_params.variance * np.exp(-0.5 * np.sum(df * df, axis=-1))
     if c.same_kernels:
-        ks = kf
-    else:
-        ds = diff / c.diff_params.lengthscales
-        ks = c.diff_params.variance * np.exp(-0.5 * np.sum(ds * ds, axis=-1))
+        return diff, kf, kf
+    ds = diff / c.diff_params.lengthscales
+    return diff, kf, c.diff_params.variance * np.exp(-0.5 * np.sum(ds * ds, axis=-1))
+
+
+def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
+    """Both fields at once, sharing work between the two kernels."""
+    _, kf, ks = _kernel_rows(X, c)
     return kf @ c.alpha_f, ks @ c.alpha_s
 
 
@@ -260,16 +265,9 @@ def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
     contractions as BLAS matmuls; this runs once per step of the adjoint
     sweep.
     """
-    diff = X[:, None, :] - c.Z                          # (N, M, D)
-    df = diff / c.drift_params.lengthscales
-    kf = c.drift_params.variance * np.exp(-0.5 * np.sum(df * df, axis=-1))
+    diff, kf, ks = _kernel_rows(X, c)
     Gf = -kf[:, :, None] * (diff / np.square(c.drift_params.lengthscales))
-    if c.same_kernels:
-        ks, Gs = kf, Gf
-    else:
-        ds = diff / c.diff_params.lengthscales
-        ks = c.diff_params.variance * np.exp(-0.5 * np.sum(ds * ds, axis=-1))
-        Gs = -ks[:, :, None] * (diff / np.square(c.diff_params.lengthscales))
+    Gs = Gf if c.same_kernels else -ks[:, :, None] * (diff / np.square(c.diff_params.lengthscales))
     return StepTerms(
         kf=kf,
         ks=ks,

@@ -4,10 +4,12 @@ The likelihood of an observation y_i is a mixture over simulated samples,
 (1/S) sum_s N(y_i | x_i^(s), Omega), evaluated in log space with
 log-sum-exp.  Samples are simulated from the first observation of each
 trajectory segment of ``SEGMENT_INTERVALS`` observation intervals, not
-from the trajectory's first observation alone.  Its gradient w.r.t. the
-simulated states is the likelihood-weighted (softmax) residual, which one
-adjoint sweep of the simulated paths pulls back to the inducing values.
-The noise variances are optimised on a log scale; their gradient is the
+from the trajectory's first observation alone.  Segments of one shape are
+scored as stacked arrays: observations (K, N, D) against samples
+(K, S, N, D), one (segment, observation) pair per term.  The gradient
+w.r.t. the simulated states is the likelihood-weighted (softmax) residual,
+which one adjoint sweep of the simulated paths pulls back to the inducing
+values.  The noise variances are optimised on a log scale; their gradient is the
 standard Gaussian derivative.  Adding the Gaussian log-prior of the
 inducing values gives the MAP objective.
 """
@@ -19,16 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .field import (
-    FieldCache,
-    InducingModel,
-    _checked,
-    build_cache,
-    log_prior,
-    log_prior_grad,
-)
+from .field import FieldCache, InducingModel, build_cache, log_prior, log_prior_grad
 from .sensitivity import simulate_bundle_with_sensitivities
-from .sim import PathBundle, SimConfig, TimeGrid, build_grid, child_seed, sample_increments
+from .sim import SimConfig, TimeGrid, build_grid, child_seed, sample_increments
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,76 +79,39 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _check_alignment(trajs, m, bundles):
-    if len(trajs) != len(bundles):
-        raise InputError("need one path bundle per trajectory")
-    for tr, b in zip(trajs, bundles):
-        if tr.dim != m.D:
-            raise InputError("trajectory dimension does not match the model")
-        if b.grid.n_obs != tr.n_obs:
-            raise InputError("bundle grid does not cover the trajectory's observations")
-        if b.paths.shape[2] != m.D:
-            raise InputError("bundle dimension does not match the model")
-
-
 def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
-    """Per-sample and mixture log-likelihoods of one trajectory.
+    """Mixture log-likelihoods and softmax weights of observations.
 
-    y (N, D); states (S, N, D).  Returns (per_obs (N,), logp (S, N),
-    weights (S, N)) with weights the softmax over samples.
+    y (..., N, D); states (..., S, N, D), with any leading (segment) axes
+    shared.  Returns (per_obs (..., N), weights (..., S, N)) with weights
+    the softmax over samples.
     """
-    res = y[None, :, :] - states
+    res = y[..., None, :, :] - states
     logp = -0.5 * np.sum(
         np.log(2.0 * np.pi * noise_vars) + res**2 / noise_vars, axis=-1
     )
-    top = logp.max(axis=0)
-    e = np.exp(logp - top)
-    total = e.sum(axis=0)
-    per_obs = top + np.log(total) - np.log(states.shape[0])
-    return per_obs, logp, e / total
+    top = logp.max(axis=-2)
+    e = np.exp(logp - top[..., None, :])
+    total = e.sum(axis=-2)
+    per_obs = top + np.log(total) - np.log(states.shape[-3])
+    return per_obs, e / total[..., None, :]
 
 
-def mc_loglik_grad(trajs, m: InducingModel, bundles, pullback,
-                   cache: FieldCache | None = None) -> ObjectiveValue:
-    """Log-posterior (likelihood + prior) and its analytic gradients.
+def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
+    """Monte Carlo likelihood of a batch of K segments, per observation.
 
-    The likelihood's gradient w.r.t. the simulated states at a trajectory's
-    observation nodes is the softmax-weighted residual w (y - x) / Omega, one
-    (S, n_obs, D) array per trajectory.  ``pullback`` maps the list of these
-    seeds to the likelihood's gradients w.r.t. u_f and u_sigma, for example
-    through the pullback of :func:`simulate_bundle_with_sensitivities`.
+    y (K, N, D) are the segments' observations and states (K, S, N, D) the
+    simulated samples at their nodes.  Returns the mixture log-likelihoods
+    (K, N); the state seeds w (y - x) / Omega (K, S, N, D), the likelihood's
+    gradient w.r.t. the simulated states, which an adjoint sweep pulls back
+    to the inducing values; and the log-noise gradients
+    0.5 (sum_s w (y - x)^2 / Omega - 1) (K, N, D).
     """
-    trajs = _as_list(trajs)
-    bundles = _as_list(bundles)
-    _check_alignment(trajs, m, bundles)
-    if cache is None:
-        cache = build_cache(m)
-    _checked(m, cache)
-
-    nv = m.noise_vars
-    gth = np.zeros(m.D)
-    seeds = []
-    per_obs_all = []
-    total = 0.0
-    for tr, b in zip(trajs, bundles):
-        states = b.paths[:, b.grid.obs_indices, :]
-        per_obs, _, w = _obs_logliks(tr.obs, states, nv)
-        total += float(per_obs.sum())
-        per_obs_all.append(per_obs)
-        res = tr.obs[None, :, :] - states          # (S, N, D)
-        wres = w[:, :, None] * (res / nv)
-        seeds.append(wres)
-        gth += 0.5 * (np.einsum("snd,snd->d", wres, res) - tr.n_obs)
-
-    gf, gs = pullback(seeds)
-    pg_f, pg_s = log_prior_grad(m, cache)
-    return ObjectiveValue(
-        log_posterior=total + log_prior(m, cache),
-        grad_u_f=gf + pg_f,
-        grad_u_s=gs + pg_s,
-        grad_log_noise=gth,
-        per_obs_loglik=np.concatenate(per_obs_all),
-    )
+    per_obs, w = _obs_logliks(y, states, noise_vars)
+    res = y[:, None] - states
+    seeds = w[..., None] * (res / noise_vars)
+    grad_log_noise = 0.5 * (np.einsum("ksnd,ksnd->knd", seeds, res) - 1.0)
+    return per_obs, seeds, grad_log_noise
 
 
 def make_grids(trajs, resolution_factor: int) -> list[TimeGrid]:
@@ -203,49 +161,60 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     observation intervals.  A segment's samples start from the raw
     observation at its first node and use that trajectory's increments
     between its first and last node.  Segments of one shape simulate in one
-    batch, and one adjoint sweep per batch, seeded at each segment's nodes,
-    gives the gradient.  Every observation is scored once: a segment's first
-    observation belongs to the segment before it, except for the
-    trajectory's first observation, which is scored against the start
-    state.  ``per_obs_loglik`` keeps trajectory and observation order.
+    batch, are scored by one :func:`mc_loglik_grad` call, and one adjoint
+    sweep per batch, seeded at each segment's nodes, gives the gradient.
+    Every observation is scored once: a segment's first observation belongs
+    to the segment before it, except for the trajectory's first
+    observation, which is scored against the start state.
+    ``per_obs_loglik`` keeps trajectory and observation order.
 
     This deterministic map of the model parameters is what the optimizer
     sees within one epoch, and what finite-difference checks differentiate.
     """
     trajs = _as_list(trajs)
-    scored = {}
-    batches = []
+    if not len(trajs) == len(grids) == len(increments):
+        raise InputError(
+            f"need one grid and one increment array per trajectory, got {len(trajs)} "
+            f"trajectories, {len(grids)} grids and {len(increments)} increment arrays")
+    for tr, g in zip(trajs, grids):
+        if tr.dim != m.D:
+            raise InputError("trajectory dimension does not match the model")
+        if g.n_obs != tr.n_obs:
+            raise InputError("grid does not cover the trajectory's observations")
+    starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
+    per_obs = np.empty(starts[-1])
+    grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(m.D)
     for (dt, offsets), members in _segment_groups(grids).items():
-        g = TimeGrid(t0=0.0, dt=dt, n_steps=offsets[-1],
-                     obs_index={i * dt: i for i in offsets})
-        S = increments[members[0][0]].shape[0]
-        x0 = np.repeat(np.stack([trajs[j].obs[a] for j, a, _ in members]), S, axis=0)
-        nodes = [grids[j].obs_indices[a] for j, a, _ in members]
+        K, N = len(members), len(offsets)
+        g = TimeGrid(t0=0.0, dt=dt, n_steps=offsets[-1], obs_indices=offsets)
+        js, firsts, _ = (np.array(v) for v in zip(*members))
+        nodes = [grids[j].obs_indices[a] for j, a in zip(js, firsts)]
+        y = np.stack([trajs[j].obs[a:b + 1] for j, a, b in members])     # (K, N, D)
+        S = increments[js[0]].shape[0]
         inc = np.concatenate([increments[j][:, n:n + g.n_steps]
-                              for (j, _, _), n in zip(members, nodes)], axis=0)
-        paths, pullback = simulate_bundle_with_sensitivities(m, cache, x0, g, inc)
-        seeds = np.zeros((inc.shape[0], len(offsets), m.D))
-        batches.append((pullback, seeds))
-        for pos, ((j, a, b), n) in enumerate(zip(members, nodes)):
-            rows = slice(pos * S, (pos + 1) * S)
-            first = 0 if a == 0 else 1     # a later segment's start is scored before it
-            seg_tr = Trajectory(times=trajs[j].times[a + first:b + 1],
-                                obs=trajs[j].obs[a + first:b + 1])
-            seg_grid = TimeGrid(t0=grids[j].t0 + n * dt, dt=dt, n_steps=g.n_steps,
-                                obs_index=dict(zip(seg_tr.times.tolist(), offsets[first:])))
-            bundle = PathBundle(paths=paths[rows], increments=inc[rows],
-                                seed=None, grid=seg_grid)
-            # the segment's seeds from mc_loglik_grad fill this view
-            scored[(j, a)] = (seg_tr, bundle, seeds[rows, first:])
-    seg_trajs, bundles, seed_views = zip(*(scored[k] for k in sorted(scored)))
+                              for j, n in zip(js, nodes)], axis=0)
+        paths, pullback = simulate_bundle_with_sensitivities(
+            m, cache, np.repeat(y[:, 0], S, axis=0), g, inc)
+        states = paths[:, g.obs_indices].reshape(K, S, N, m.D)
+        loglik, seeds, g_noise = mc_loglik_grad(y, states, m.noise_vars)
+        # a later segment's start is scored by the segment before it
+        scored = np.ones((K, N), dtype=bool)
+        scored[firsts > 0, 0] = False
+        seeds[~scored[:, 0], :, 0] = 0.0
+        gf, gs = pullback(seeds.reshape(K * S, N, m.D))
+        grad_f, grad_s = grad_f + gf, grad_s + gs
+        grad_noise += g_noise[scored].sum(axis=0)
+        rows = (starts[js] + firsts)[:, None] + np.arange(N)
+        per_obs[rows[scored]] = loglik[scored]
 
-    def pullback_all(seg_seeds):
-        for view, seed in zip(seed_views, seg_seeds):
-            view[...] = seed
-        grads = [pb(buf) for pb, buf in batches]
-        return sum(g for g, _ in grads), sum(g for _, g in grads)
-
-    return mc_loglik_grad(list(seg_trajs), m, list(bundles), pullback_all, cache=cache)
+    pg_f, pg_s = log_prior_grad(m, cache)
+    return ObjectiveValue(
+        log_posterior=float(per_obs.sum()) + log_prior(m, cache),
+        grad_u_f=grad_f + pg_f,
+        grad_u_s=grad_s + pg_s,
+        grad_log_noise=grad_noise,
+        per_obs_loglik=per_obs,
+    )
 
 
 def log_posterior(trajs, m: InducingModel, sim: SimConfig) -> ObjectiveValue:

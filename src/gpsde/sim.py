@@ -10,7 +10,7 @@ runs are bundled into a :class:`PathBundle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,25 +52,26 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Uniform time grid with observation-to-node snapping."""
+    """Uniform time grid; obs_indices are the grid nodes the observations
+    snap to, in observation-time order."""
 
     t0: float
     dt: float
     n_steps: int
-    obs_index: dict = field(default_factory=dict)
+    obs_indices: np.ndarray
+
+    def __post_init__(self):
+        idx = np.array(self.obs_indices, dtype=int).ravel()
+        idx.setflags(write=False)
+        object.__setattr__(self, "obs_indices", idx)
 
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
     @property
-    def obs_indices(self) -> np.ndarray:
-        """Grid indices of the observations, in observation-time order."""
-        return np.fromiter(self.obs_index.values(), dtype=int, count=len(self.obs_index))
-
-    @property
     def n_obs(self) -> int:
-        return len(self.obs_index)
+        return self.obs_indices.size
 
 
 def child_seed(seed, *key) -> np.random.SeedSequence:
@@ -109,8 +110,7 @@ def build_grid(obs_times, resolution_factor: int) -> TimeGrid:
     snapped = t[0] + idx * dt
     if np.any(np.abs(snapped - t) > 0.5 * dt * (1.0 + 1e-9)):
         raise InputError("observation snapping exceeded half a grid step")
-    obs_index = {float(ti): int(i) for ti, i in zip(t, idx)}
-    return TimeGrid(t0=float(t[0]), dt=float(dt), n_steps=int(n_steps), obs_index=obs_index)
+    return TimeGrid(t0=float(t[0]), dt=float(dt), n_steps=int(n_steps), obs_indices=idx)
 
 
 def sample_increments(grid: TimeGrid, n_samples: int, D: int, seed) -> np.ndarray:

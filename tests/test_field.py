@@ -45,7 +45,7 @@ def u_derivs(x, m, c):
     """d f(x) / d u_f, shape (D, M*D), and d sigma(x) / d u_sigma, shape (M,),
     as pullbacks of one Euler step x + f(x) + sigma(x) e_1 (dt = 1): the
     seed e_d gives row d of the drift Jacobian, and e_1 the diffusion one."""
-    grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1, obs_index={0.0: 0, 1.0: 1})
+    grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1, obs_indices=[0, 1])
     dW = np.eye(m.D)[:1][None]
     _, pullback = simulate_bundle_with_sensitivities(m, c, x, grid, dW)
     rows = [pullback(np.stack([np.zeros(m.D), e])[None]) for e in np.eye(m.D)]

@@ -12,11 +12,9 @@ from gpsde.objective import (
     evaluate_with_increments,
     log_posterior,
     make_grids,
-    mc_loglik_grad,
     _obs_logliks,
 )
-from gpsde.sensitivity import simulate_bundle_with_sensitivities
-from gpsde.sim import PathBundle, SimConfig, build_grid, sample_increments, sample_paths
+from gpsde.sim import SimConfig, sample_paths, simulate_batch
 
 
 # more than two segments, the last one shorter than the others
@@ -49,16 +47,14 @@ def make_problem(seed=0, D=1, n_obs=5, n_samples=3, factor=6):
     return m, c, tr, grids, incs
 
 
-def bundle_for(m, c, tr, grid, inc):
-    """The bundle and the pullback ``mc_loglik_grad`` takes for it."""
-    paths, pullback = simulate_bundle_with_sensitivities(m, c, tr.obs[0], grid, inc)
-    return (PathBundle(paths=paths, increments=inc, seed=None, grid=grid),
-            lambda seeds: pullback(seeds[0]))
+def node_states(m, c, tr, grid, inc):
+    """Simulated (S, n_obs, D) states at a trajectory's observation nodes."""
+    return simulate_batch(m, c, tr.obs[0], grid, inc)[:, grid.obs_indices]
 
 
-def mc_loglik(tr, m, b):
-    """Monte Carlo log-likelihood of one trajectory's bundle."""
-    per_obs, _, _ = _obs_logliks(tr.obs, b.paths[:, b.grid.obs_indices, :], m.noise_vars)
+def mc_loglik(tr, m, states):
+    """Monte Carlo log-likelihood of one trajectory's (S, n_obs, D) states."""
+    per_obs, _ = _obs_logliks(tr.obs, states, m.noise_vars)
     return float(per_obs.sum())
 
 
@@ -66,30 +62,22 @@ class TestMcLoglik:
     def test_zero_residual_closed_form(self):
         # one sample whose path nodes coincide with the observations
         m, c = small_model()
-        times = np.array([0.0, 0.5, 1.0])
-        grid = build_grid(times, 2)
         y = np.array([[0.1], [0.2], [0.3]])
-        tr = Trajectory(times=times, obs=y)
-        paths = np.zeros((1, grid.n_steps + 1, 1))
-        paths[0, grid.obs_indices, 0] = y[:, 0]
-        b = PathBundle(paths=paths, increments=np.zeros((1, 2, 1)), seed=None, grid=grid)
-        got = mc_loglik(tr, m, b)
+        tr = Trajectory(times=np.array([0.0, 0.5, 1.0]), obs=y)
+        got = mc_loglik(tr, m, y[None])
         N, D = 3, 1
         expected = -(N * D / 2) * np.log(2 * np.pi) - (N / 2) * np.sum(np.log(m.noise_vars))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_duplicating_samples_leaves_value_unchanged(self):
         m, c, tr, grids, incs = make_problem()
-        b, _ = bundle_for(m, c, tr, grids[0], incs[0])
-        doubled = PathBundle(paths=np.concatenate([b.paths, b.paths]),
-                             increments=np.concatenate([b.increments, b.increments]),
-                             seed=None, grid=b.grid)
-        assert mc_loglik(tr, m, doubled) == pytest.approx(mc_loglik(tr, m, b), rel=1e-12)
+        states = node_states(m, c, tr, grids[0], incs[0])
+        doubled = np.concatenate([states, states])
+        assert mc_loglik(tr, m, doubled) == pytest.approx(mc_loglik(tr, m, states), rel=1e-12)
 
     def test_matches_naive_mixture_oracle(self):
         m, c, tr, grids, incs = make_problem(seed=3)
-        b, _ = bundle_for(m, c, tr, grids[0], incs[0])
-        states = b.paths[:, b.grid.obs_indices, :]
+        states = node_states(m, c, tr, grids[0], incs[0])
         total = 0.0
         for i in range(tr.n_obs):
             dens = 0.0
@@ -98,14 +86,13 @@ class TestMcLoglik:
                 dens += np.prod(np.exp(-0.5 * r**2 / m.noise_vars)
                                 / np.sqrt(2 * np.pi * m.noise_vars))
             total += np.log(dens / states.shape[0])
-        assert mc_loglik(tr, m, b) == pytest.approx(total, abs=1e-10)
+        assert mc_loglik(tr, m, states) == pytest.approx(total, abs=1e-10)
 
     def test_additivity_over_observations(self):
         m, c, tr, grids, incs = make_problem(seed=4)
-        b, pullback = bundle_for(m, c, tr, grids[0], incs[0])
-        val = mc_loglik_grad([tr], m, [b], pullback)
+        val = evaluate_with_increments([tr], m, c, grids, incs)
         assert val.per_obs_loglik.shape == (tr.n_obs,)
-        lp_sum = val.per_obs_loglik.sum() + log_prior(m, build_cache(m))
+        lp_sum = val.per_obs_loglik.sum() + log_prior(m, c)
         assert val.log_posterior == pytest.approx(lp_sum, rel=1e-12)
         # appending a negative-loglik term can only lower the total
         assert val.per_obs_loglik[-1] < 0
@@ -137,17 +124,18 @@ class TestMcLoglik:
 
     def test_shape_mismatch_rejected(self):
         m, c, tr, grids, incs = make_problem()
-        b, pullback = bundle_for(m, c, tr, grids[0], incs[0])
         with pytest.raises(InputError):
-            mc_loglik_grad([tr], m, [b, b], pullback)
+            evaluate_with_increments([tr, tr], m, c, grids, incs)
+        tr2 = Trajectory(times=tr.times, obs=np.zeros((tr.n_obs, 2)))
+        with pytest.raises(InputError):
+            evaluate_with_increments([tr2], m, c, grids, incs)
 
 
 class TestSoftmaxWeights:
     def test_weights_sum_to_one(self):
         m, c, tr, grids, incs = make_problem(seed=5, n_samples=4)
-        b, _ = bundle_for(m, c, tr, grids[0], incs[0])
-        states = b.paths[:, b.grid.obs_indices, :]
-        _, _, w = _obs_logliks(tr.obs, states, m.noise_vars)
+        states = node_states(m, c, tr, grids[0], incs[0])
+        _, w = _obs_logliks(tr.obs, states, m.noise_vars)
         np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
 
     def test_degenerate_weights_for_identical_samples(self):
@@ -158,14 +146,12 @@ class TestSoftmaxWeights:
         tr = Trajectory(times=times, obs=0.3 * np.ones((4, 1)))
         grid = make_grids([tr], 5)[0]
         inc = np.zeros((3, grid.n_steps, 1))
-        b, pullback = bundle_for(m0, c0, tr, grid, inc)
-        states = b.paths[:, grid.obs_indices, :]
-        _, _, w = _obs_logliks(tr.obs, states, m0.noise_vars)
+        states = node_states(m0, c0, tr, grid, inc)
+        _, w = _obs_logliks(tr.obs, states, m0.noise_vars)
         np.testing.assert_allclose(w, 1.0 / 3.0, rtol=1e-12)
         # the mixture gradient reduces to the plain single-path chain rule
-        val = mc_loglik_grad([tr], m0, [b], pullback)
-        single, pullback1 = bundle_for(m0, c0, tr, grid, inc[:1])
-        val1 = mc_loglik_grad([tr], m0, [single], pullback1)
+        val = evaluate_with_increments([tr], m0, c0, [grid], [inc])
+        val1 = evaluate_with_increments([tr], m0, c0, [grid], [inc[:1]])
         np.testing.assert_allclose(val.grad_u_f, val1.grad_u_f, rtol=1e-10)
 
 
@@ -211,14 +197,12 @@ class TestGradients:
         nv = m.noise_vars.copy()
         for _ in range(200):
             m2, c2 = update_values(c, m, noise_vars=nv)
-            b, _ = bundle_for(m2, c2, tr, grids[0], incs[0])
-            states = b.paths[:, b.grid.obs_indices, :]
-            _, _, w = _obs_logliks(tr.obs, states, nv)
+            states = node_states(m2, c2, tr, grids[0], incs[0])
+            _, w = _obs_logliks(tr.obs, states, nv)
             res2 = (tr.obs[None] - states) ** 2
             nv = np.einsum("sn,snd->d", w, res2) / tr.n_obs
         m2, c2 = update_values(c, m, noise_vars=nv)
-        b, pullback = bundle_for(m2, c2, tr, grids[0], incs[0])
-        val = mc_loglik_grad([tr], m2, [b], pullback, cache=c2)
+        val = evaluate_with_increments([tr], m2, c2, grids, incs)
         assert np.max(np.abs(val.grad_log_noise)) < 1e-6
 
 
@@ -265,11 +249,9 @@ class TestLogPosterior:
                                          [incs[j] for j in perm])
         assert val_p.log_posterior == pytest.approx(val.log_posterior, abs=1e-12)
         np.testing.assert_allclose(val_p.grad_u_f, val.grad_u_f, atol=1e-12)
-        # reordering samples within a bundle
-        b, pullback = bundle_for(m, c, trs[0], grids[0], incs[0])
-        b2, pullback2 = bundle_for(m, c, trs[0], grids[0], incs[0][[2, 1, 0]])
-        v1 = mc_loglik_grad([trs[0]], m, [b], pullback)
-        v2 = mc_loglik_grad([trs[0]], m, [b2], pullback2)
+        # reordering samples within a trajectory's increments
+        v1 = evaluate_with_increments(trs[:1], m, c, grids[:1], incs[:1])
+        v2 = evaluate_with_increments(trs[:1], m, c, grids[:1], [incs[0][[2, 1, 0]]])
         assert v2.log_posterior == pytest.approx(v1.log_posterior, abs=1e-12)
         np.testing.assert_allclose(v2.grad_u_f, v1.grad_u_f, rtol=1e-10)
 
@@ -284,7 +266,7 @@ class TestLogPosterior:
         def mixture_means(n_samples, seed):
             b = sample_paths(m, c, tr.obs[0], grid, n_samples, seed)
             states = b.paths[:, grid.obs_indices, :]
-            per_obs, _, _ = _obs_logliks(tr.obs, states, m.noise_vars)
+            per_obs, _ = _obs_logliks(tr.obs, states, m.noise_vars)
             return np.exp(per_obs)
 
         small = np.array([mixture_means(8, 1000 + s) for s in range(200)])

@@ -50,7 +50,7 @@ class TestBuildGrid:
         times = np.sort(rng.uniform(0, 10, size=12))
         g = build_grid(times, 25)
         tg = g.times
-        for t, i in g.obs_index.items():
+        for t, i in zip(times, g.obs_indices):
             assert abs(tg[i] - t) <= g.dt / 2 + 1e-12
 
     def test_bad_times_rejected(self):
