@@ -221,8 +221,7 @@ def cmd_simulate(args) -> int:
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
         t_at = float(cfg["density_time"])
-        idx = grid.n_steps if t_at < 0 else int(round((t_at - grid.t0) / grid.dt))
-        idx = min(max(idx, 0), grid.n_steps)
+        idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
         dens = state_density(bundle, idx, points, float(cfg["bandwidth"]))
         dataio.write_density_csv(out / "density.csv", points, dens)
         outputs.append("density.csv")

@@ -32,7 +32,6 @@ from .kernels import (
     as_points,
     rbf_matrix,
     same_params,
-    _as_state,
 )
 # not used here: bench/tracer.py wraps gpsde.field.gram_blocked by name
 from .kernels import gram_blocked  # noqa: F401
@@ -234,18 +233,6 @@ def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.
     """Both fields at once, sharing work between the two kernels."""
     _, kf, ks = _kernel_rows(X, c)
     return kf @ c.alpha_f, ks @ c.alpha_s
-
-
-def drift_at(x, m: InducingModel, c: FieldCache) -> np.ndarray:
-    _checked(m, c)
-    x = _as_state(x, m.D)
-    return drift_batch(x[None, :], c)[0]
-
-
-def diffusion_at(x, m: InducingModel, c: FieldCache) -> float:
-    _checked(m, c)
-    x = _as_state(x, m.D)
-    return float(diffusion_batch(x[None, :], c)[0])
 
 
 @dataclass(frozen=True, eq=False)

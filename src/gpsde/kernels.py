@@ -1,10 +1,9 @@
 """Gaussian (RBF) kernel with per-dimension lengthscales.
 
-Scalar kernel values, the gradient in the first argument and Gram
-matrices.  The blocked Gram matrix of a matrix-valued kernel
-(:func:`gram_blocked`) is the dense reference that the field's per-column
-solves are tested against.  All functions are pure; batched variants
-operate on ``(N, D)`` arrays of stacked states.
+Kernel values between stacked ``(N, D)`` states and Gram matrices.  The
+blocked Gram matrix of a matrix-valued kernel (:func:`gram_blocked`) is the
+dense reference that the field's per-column solves are tested against.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -51,15 +50,6 @@ def same_params(a: KernelParams, b: KernelParams) -> bool:
     return a.variance == b.variance and np.array_equal(a.lengthscales, b.lengthscales)
 
 
-def _as_state(x, dim=None, name="x") -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise InputError(f"{name} must be a flat state vector, got shape {x.shape}")
-    if dim is not None and x.size != dim:
-        raise InputError(f"{name} has dimension {x.size}, expected {dim}")
-    return x
-
-
 def as_points(X, dim=None, name="X") -> np.ndarray:
     """Coerce to an (N, D) array of stacked state vectors."""
     X = np.asarray(X, dtype=float)
@@ -73,28 +63,14 @@ def as_points(X, dim=None, name="X") -> np.ndarray:
 
 
 def rbf_matrix(X: np.ndarray, Z: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Pairwise kernel values for stacked states, shape (len(X), len(Z))."""
+    """Pairwise kernel values variance * exp(-0.5 sum_d (x_d - z_d)^2 / l_d^2)
+    for stacked states, shape (len(X), len(Z))."""
     d = (X[:, None, :] - Z[None, :, :]) / p.lengthscales
     return p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1))
 
 
-def rbf_grad_matrix(X: np.ndarray, Z: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Pairwise gradients d k(x_i, z_j) / d x_i, shape (N, M, D)."""
-    diff = X[:, None, :] - Z[None, :, :]
-    d = diff / p.lengthscales
-    k = p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1))
-    return -k[:, :, None] * (diff / np.square(p.lengthscales))
-
-
-def rbf(x, x2, p: KernelParams) -> float:
-    """Kernel value variance * exp(-0.5 sum_d (x_d - x2_d)^2 / l_d^2)."""
-    x = _as_state(x, p.dim, "x")
-    x2 = _as_state(x2, p.dim, "x2")
-    return float(rbf_matrix(x[None, :], x2[None, :], p)[0, 0])
-
-
 def gram(X, Z, p: KernelParams) -> np.ndarray:
-    """Gram matrix with entry (i, j) = rbf(X_i, Z_j, p)."""
+    """Checked Gram matrix with entry (i, j) = k(X_i, Z_j); see :func:`rbf_matrix`."""
     X = as_points(X, p.dim, "X")
     Z = as_points(Z, p.dim, "Z")
     if X.shape[0] == 0 or Z.shape[0] == 0:
@@ -105,7 +81,7 @@ def gram(X, Z, p: KernelParams) -> np.ndarray:
 def gram_blocked(X, Z, p: KernelParams, A) -> np.ndarray:
     """Blocked Gram matrix of the decomposable kernel k(x, x') * A.
 
-    Block (i, j) is the contiguous D x D tile rbf(X_i, Z_j, p) * A, so the
+    Block (i, j) is the contiguous D x D tile k(X_i, Z_j) * A, so the
     result has shape (N*D, M*D) with dimension-minor ordering inside each
     state block.  With A = I this equals kron(gram(X, Z, p), I_D).
     """

@@ -141,15 +141,15 @@ def _segments(grid: TimeGrid):
 
 
 def _segment_groups(grids):
-    """Segments of one shape (step, and observation offsets from the
-    segment's start), keyed so that their samples propagate through the
-    field in one batch wherever they start."""
+    """Segments keyed by their observation offsets from the segment's
+    start node, so that segments of one shape propagate through the field
+    in one batch wherever they start and whatever their step sizes."""
     groups = {}
     for j, g in enumerate(grids):
         idx = g.obs_indices
         for a, b in _segments(g):
             offsets = tuple((idx[a:b + 1] - idx[a]).tolist())
-            groups.setdefault((g.dt, offsets), []).append((j, a, b))
+            groups.setdefault(offsets, []).append((j, a, b))
     return groups
 
 
@@ -159,8 +159,9 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
 
     Each trajectory is cut into segments of ``SEGMENT_INTERVALS``
     observation intervals.  A segment's samples start from the raw
-    observation at its first node and use that trajectory's increments
-    between its first and last node.  Segments of one shape simulate in one
+    observation at its first node and use that trajectory's steps and
+    increments between its first and last node.  Segments of one shape
+    (observation offsets), whatever their step sizes, simulate in one
     batch, are scored by one :func:`mc_loglik_grad` call, and one adjoint
     sweep per batch, seeded at each segment's nodes, gives the gradient.
     Every observation is scored once: a segment's first observation belongs
@@ -184,14 +185,15 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
     per_obs = np.empty(starts[-1])
     grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(m.D)
-    for (dt, offsets), members in _segment_groups(grids).items():
-        K, N = len(members), len(offsets)
-        g = TimeGrid(t0=0.0, dt=dt, n_steps=offsets[-1], obs_indices=offsets)
+    for offsets, members in _segment_groups(grids).items():
+        K, N, n_steps = len(members), len(offsets), offsets[-1]
         js, firsts, _ = (np.array(v) for v in zip(*members))
         nodes = [grids[j].obs_indices[a] for j, a in zip(js, firsts)]
         y = np.stack([trajs[j].obs[a:b + 1] for j, a, b in members])     # (K, N, D)
         S = increments[js[0]].shape[0]
-        inc = np.concatenate([increments[j][:, n:n + g.n_steps]
+        dt = np.stack([grids[j].dt[n:n + n_steps] for j, n in zip(js, nodes)])
+        g = TimeGrid(t0=0.0, dt=np.repeat(dt, S, axis=0), obs_indices=offsets)
+        inc = np.concatenate([increments[j][:, n:n + n_steps]
                               for j, n in zip(js, nodes)], axis=0)
         paths, pullback = simulate_bundle_with_sensitivities(
             m, cache, np.repeat(y[:, 0], S, axis=0), g, inc)

@@ -2,18 +2,18 @@
 
 With the Brownian increments frozen, the stepping rule
 
-    x_{i+1} = x_i + f(x_i) dt + sigma(x_i) dW_i
+    x_{i+1} = x_i + f(x_i) dt_i + sigma(x_i) dW_i
 
 is a deterministic map from the inducing values u = (u_f, u_sigma) to the
 path.  For seeds g_i = dL/dx_i at the observation nodes (zero elsewhere),
 its discrete adjoint runs backwards from the last node,
 
-    lambda_i = g_i + lambda_{i+1} + dt J_f(x_i)^T lambda_{i+1}
+    lambda_i = g_i + lambda_{i+1} + dt_i J_f(x_i)^T lambda_{i+1}
                    + grad sigma(x_i) (dW_i . lambda_{i+1}),
 
 and collects the vector-Jacobian product g^T dx/du from the kernel rows at
 each stored state, with k(x) = k(x, Z) a row:
-dL/dU_f = K_f^{-1} sum_i dt k_f(x_i)^T lambda_{i+1}^T (an M x D matrix) and
+dL/dU_f = K_f^{-1} sum_i dt_i k_f(x_i)^T lambda_{i+1}^T (an M x D matrix) and
 dL/du_sigma = K_s^{-1} sum_i k_s(x_i)^T (dW_i . lambda_{i+1}).  The
 initial state is fixed data, so the seed at the first node does not enter.
 Because the sweep differentiates the simulator itself, the result matches
@@ -38,8 +38,9 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
     observation nodes of frozen-noise paths.
 
     paths (S, n_steps+1, D) and increments (S, n_steps, D) come from one
-    simulation with the model of ``c``; seeds has shape (S, n_obs, D), in
-    the grid's observation order.
+    simulation with the model of ``c`` on ``grid``, whose dt is one row of
+    steps or one row per sample; seeds has shape (S, n_obs, D), in the
+    grid's observation order.
     """
     S, _, D = paths.shape
     seeds = np.asarray(seeds, dtype=float)
@@ -49,7 +50,7 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
     lam = np.zeros((S, D))
     gf = np.zeros((c.Z.shape[0], D))
     gs = np.zeros(c.Z.shape[0])
-    dt = grid.dt
+    dt = np.broadcast_to(grid.dt, (S, grid.n_steps))
     for i in range(grid.n_steps - 1, -1, -1):
         p = slot.get(i + 1)
         if p is not None:
@@ -58,9 +59,10 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
             raise SensitivityError(f"non-finite adjoint state at step {i + 1}", step=i + 1)
         terms = step_terms_batch(paths[:, i], c)
         dWl = np.einsum("sd,sd->s", increments[:, i], lam)
-        gf += dt * (terms.kf.T @ lam)
+        dt_i = dt[:, i, None]
+        gf += terms.kf.T @ (dt_i * lam)
         gs += terms.ks.T @ dWl
-        lam = lam + dt * (lam[:, None, :] @ terms.jac_x)[:, 0] + terms.diff_gx * dWl[:, None]
+        lam = lam + dt_i * (lam[:, None, :] @ terms.jac_x)[:, 0] + terms.diff_gx * dWl[:, None]
     grad_f = scipy.linalg.cho_solve(c.chol_f, gf).ravel()
     grad_s = scipy.linalg.cho_solve(c.chol_s, gs)
     return grad_f, grad_s

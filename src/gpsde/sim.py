@@ -1,10 +1,11 @@
 """Euler-Maruyama forward simulation of the inducing GP-SDE.
 
-A :class:`TimeGrid` discretises the observation window into uniform steps
-and remembers which grid node each observation time snaps to.  Brownian
-increments come from per-sample counter-keyed substreams so that sample s
-is reproducible regardless of how many samples are drawn.  Multi-sample
-runs are bundled into a :class:`PathBundle`.
+A :class:`TimeGrid` splits every observation interval into
+``resolution_factor`` equal steps, so each observation time is a grid node
+however irregular the sampling.  Brownian increments come from per-sample
+counter-keyed substreams so that sample s is reproducible regardless of
+how many samples are drawn.  Multi-sample runs are bundled into a
+:class:`PathBundle`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ BLOWUP_LIMIT = 1e6
 class SimConfig:
     """Simulation settings used by likelihood evaluation and fitting.
 
-    resolution_factor -- grid steps per observation interval
+    resolution_factor -- equal grid steps per observation interval, so the
+                         step follows the local sampling gap
     n_samples         -- Monte Carlo path count
     seed              -- master RNG seed
     resample_period   -- accepted optimizer iterations between redraws of the
@@ -52,22 +54,33 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Uniform time grid; obs_indices are the grid nodes the observations
-    snap to, in observation-time order."""
+    """Euler-Maruyama steps from t0 and the nodes that carry observations.
+
+    dt holds the step sizes, shape (n_steps,) for one trajectory or
+    (rows, n_steps) for a batch whose rows step differently; obs_indices
+    are the observation nodes in time order.
+    """
 
     t0: float
-    dt: float
-    n_steps: int
+    dt: np.ndarray
     obs_indices: np.ndarray
 
     def __post_init__(self):
+        dt = np.array(self.dt, dtype=float)
+        dt.setflags(write=False)
+        object.__setattr__(self, "dt", dt)
         idx = np.array(self.obs_indices, dtype=int).ravel()
         idx.setflags(write=False)
         object.__setattr__(self, "obs_indices", idx)
 
     @property
+    def n_steps(self) -> int:
+        return self.dt.shape[-1]
+
+    @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        """Node times of a one-trajectory (1-d dt) grid."""
+        return self.t0 + np.append(0.0, np.cumsum(self.dt))
 
     @property
     def n_obs(self) -> int:
@@ -82,11 +95,11 @@ def child_seed(seed, *key) -> np.random.SeedSequence:
 
 
 def build_grid(obs_times, resolution_factor: int) -> TimeGrid:
-    """Uniform grid spanning the observation window.
+    """Grid whose nodes include every observation time.
 
-    The step is (t_N - t_1) / (resolution_factor * (N - 1)) and every
-    observation time snaps to its nearest node; snapping two observations
-    onto one node is an error (raise the resolution factor).
+    Each observation interval is split into resolution_factor equal steps,
+    so observation i sits at node resolution_factor * i however unevenly
+    the observations are spaced.
     """
     t = np.asarray(obs_times, dtype=float).ravel()
     if t.size < 2:
@@ -99,33 +112,23 @@ def build_grid(obs_times, resolution_factor: int) -> TimeGrid:
     factor = int(resolution_factor)
     if factor != resolution_factor or factor < 1:
         raise InputError("resolution_factor must be a positive integer")
-
-    n_steps = factor * (t.size - 1)
-    dt = (t[-1] - t[0]) / n_steps
-    idx = np.clip(np.rint((t - t[0]) / dt).astype(int), 0, n_steps)
-    if len(set(idx.tolist())) != t.size:
-        raise InputError(
-            "observations collide on the simulation grid; increase resolution_factor"
-        )
-    snapped = t[0] + idx * dt
-    if np.any(np.abs(snapped - t) > 0.5 * dt * (1.0 + 1e-9)):
-        raise InputError("observation snapping exceeded half a grid step")
-    return TimeGrid(t0=float(t[0]), dt=float(dt), n_steps=int(n_steps), obs_indices=idx)
+    return TimeGrid(t0=float(t[0]), dt=np.repeat(gaps / factor, factor),
+                    obs_indices=factor * np.arange(t.size))
 
 
 def sample_increments(grid: TimeGrid, n_samples: int, D: int, seed) -> np.ndarray:
-    """Brownian increments, shape (n_samples, n_steps, D), i.i.d. N(0, dt).
+    """Brownian increments, shape (n_samples, n_steps, D), step i N(0, dt_i).
 
     Deterministic given the seed; sample s draws from its own substream
     keyed by s, so results do not depend on n_samples.
     """
     if n_samples < 1 or D < 1:
         raise InputError("n_samples and D must be positive")
-    sd = math.sqrt(grid.dt)
     out = np.empty((n_samples, grid.n_steps, D))
     for s in range(n_samples):
         rng = np.random.Generator(np.random.PCG64(child_seed(seed, s)))
-        out[s] = rng.normal(0.0, sd, size=(grid.n_steps, D))
+        out[s] = rng.standard_normal((grid.n_steps, D))
+    out *= np.sqrt(grid.dt)[:, None]
     return out
 
 
@@ -166,25 +169,26 @@ def simulate_batch(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
             f"increments must be (S, {grid.n_steps}, {m.D}), got {increments.shape}"
         )
     return simulate_callable_batch(lambda X: drift_diffusion_batch(X, c),
-                                   x0, grid.dt, grid.n_steps, increments)
+                                   x0, grid.dt, increments)
 
 
-def simulate_callable_batch(fields, x0, dt: float, n_steps: int,
-                            increments: np.ndarray) -> np.ndarray:
+def simulate_callable_batch(fields, x0, dt, increments: np.ndarray) -> np.ndarray:
     """The Euler-Maruyama stepping loop; paths shape (S, n_steps+1, D).
 
     fields maps stacked states (N, D) to the drift (N, D) and the signed
-    diffusion (N,); increments has shape (S, n_steps, D).
+    diffusion (N,); increments has shape (S, n_steps, D).  dt broadcasts to
+    (S, n_steps): one step size, one per step, or one per sample and step.
     """
     increments = np.asarray(increments, dtype=float)
-    n, _, D = increments.shape
+    n, n_steps, D = increments.shape
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n, n_steps))
     paths = np.empty((n, n_steps + 1, D))
     X = _initial_states(x0, n, D)
     paths[:, 0] = X
     for i in range(n_steps):
         F, sig = fields(X)
         sig = np.asarray(sig, dtype=float)
-        X = X + np.asarray(F, dtype=float) * dt + sig[:, None] * increments[:, i]
+        X = X + np.asarray(F, dtype=float) * dt[:, i, None] + sig[:, None] * increments[:, i]
         _blowup_check(X, i + 1)
         paths[:, i + 1] = X
     return paths
@@ -192,19 +196,10 @@ def simulate_callable_batch(fields, x0, dt: float, n_steps: int,
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    """A set of simulated sample paths with the noise that generated them."""
+    """A set of simulated sample paths on their time grid."""
 
     paths: np.ndarray       # (S, n_steps+1, D)
-    increments: np.ndarray  # (S, n_steps, D)
-    seed: object
     grid: TimeGrid
-
-    @property
-    def n_samples(self) -> int:
-        return self.paths.shape[0]
-
-    def states_at(self, grid_index: int) -> np.ndarray:
-        return self.paths[:, grid_index, :]
 
 
 def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
@@ -212,17 +207,17 @@ def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
     """Draw increments and simulate a bundle of paths; deterministic per seed."""
     incs = sample_increments(grid, n_samples, m.D, seed)
     paths = simulate_batch(m, c, x0, grid, incs)
-    return PathBundle(paths=paths, increments=incs, seed=seed, grid=grid)
+    return PathBundle(paths=paths, grid=grid)
 
 
 def state_density(bundle: PathBundle, grid_index: int, eval_points,
                   bandwidth: float) -> np.ndarray:
     """Isotropic Gaussian KDE of the sample states at one grid node."""
-    if bundle.n_samples == 0:
+    if bundle.paths.shape[0] == 0:
         raise InputError("empty path bundle")
     if not bandwidth > 0:
         raise InputError("bandwidth must be positive")
-    states = bundle.states_at(grid_index)            # (S, D)
+    states = bundle.paths[:, grid_index, :]          # (S, D)
     P = as_points(eval_points, states.shape[1], "eval_points")
     d2 = np.sum((P[:, None, :] - states[None, :, :]) ** 2, axis=-1)
     D = states.shape[1]

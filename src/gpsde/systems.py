@@ -158,7 +158,7 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
             incs = rng.normal(0.0, math.sqrt(spec.gen_dt), size=(1, n_steps, sys.dim))
             try:
                 path = simulate_callable_batch(
-                    _fields(sys.drift_fn, sys.diffusion_fn), x0, spec.gen_dt, n_steps, incs
+                    _fields(sys.drift_fn, sys.diffusion_fn), x0, spec.gen_dt, incs
                 )[0]
             except SimulationError:
                 continue
@@ -304,10 +304,10 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
     incs_true = draw(seed)
     incs_fit = incs_true if fitted_seed is None else draw(fitted_seed)
     paths_true = simulate_callable_batch(
-        _fields(true_sys.drift_fn, true_sys.diffusion_fn), x0, dt, n_steps, incs_true
+        _fields(true_sys.drift_fn, true_sys.diffusion_fn), x0, dt, incs_true
     )
     paths_fit = simulate_callable_batch(
-        _fields(*_as_field_fns(fitted)), x0, dt, n_steps, incs_fit
+        _fields(*_as_field_fns(fitted)), x0, dt, incs_fit
     )
 
     dist = energy_distance if metric == "energy" else kde_l2_distance

@@ -130,7 +130,7 @@ def test_model_schema_guard(tmp_path):
 def test_paths_csv_shape(tmp_path):
     grid = build_grid([0.0, 1.0], 4)
     paths = np.arange(2 * 5 * 1, dtype=float).reshape(2, 5, 1)
-    bundle = PathBundle(paths=paths, increments=np.zeros((2, 4, 1)), seed=0, grid=grid)
+    bundle = PathBundle(paths=paths, grid=grid)
     p = tmp_path / "paths.csv"
     dataio.write_paths_csv(p, bundle)
     lines = p.read_text().strip().splitlines()

@@ -6,14 +6,14 @@ from gpsde.errors import InputError, InternalError
 from gpsde.field import (
     InducingModel,
     build_cache,
-    diffusion_at,
-    drift_at,
+    diffusion_batch,
+    drift_batch,
     log_prior,
     log_prior_grad,
     step_terms_batch,
     update_values,
 )
-from gpsde.kernels import KernelParams, gram_blocked, rbf, rbf_matrix
+from gpsde.kernels import KernelParams, gram, gram_blocked, rbf_matrix
 from gpsde.sensitivity import simulate_bundle_with_sensitivities
 from gpsde.sim import TimeGrid
 
@@ -45,7 +45,7 @@ def u_derivs(x, m, c):
     """d f(x) / d u_f, shape (D, M*D), and d sigma(x) / d u_sigma, shape (M,),
     as pullbacks of one Euler step x + f(x) + sigma(x) e_1 (dt = 1): the
     seed e_d gives row d of the drift Jacobian, and e_1 the diffusion one."""
-    grid = TimeGrid(t0=0.0, dt=1.0, n_steps=1, obs_indices=[0, 1])
+    grid = TimeGrid(t0=0.0, dt=[1.0], obs_indices=[0, 1])
     dW = np.eye(m.D)[:1][None]
     _, pullback = simulate_bundle_with_sensitivities(m, c, x, grid, dW)
     rows = [pullback(np.stack([np.zeros(m.D), e])[None]) for e in np.eye(m.D)]
@@ -89,11 +89,10 @@ def test_drift_cache_factors_only_the_m_by_m_gram(model_and_cache):
 
 def test_interpolation_property(model_and_cache):
     m, c = model_and_cache
-    for i in range(m.M):
-        f = drift_at(m.Z[i], m, c)
-        assert np.all(np.abs(f - m.U_f[i]) <= 1e-4 * (1.0 + np.abs(m.U_f[i])))
-        s = diffusion_at(m.Z[i], m, c)
-        assert abs(s - m.u_sigma[i]) <= 1e-4 * (1.0 + abs(m.u_sigma[i]))
+    f = drift_batch(m.Z, c)
+    assert np.all(np.abs(f - m.U_f) <= 1e-4 * (1.0 + np.abs(m.U_f)))
+    s = diffusion_batch(m.Z, c)
+    assert np.all(np.abs(s - m.u_sigma) <= 1e-4 * (1.0 + np.abs(m.u_sigma)))
 
 
 def test_zero_values_give_zero_fields(model_and_cache):
@@ -101,7 +100,7 @@ def test_zero_values_give_zero_fields(model_and_cache):
     m0, c0 = update_values(c, m, U_f=np.zeros_like(m.U_f),
                            u_sigma=np.zeros_like(m.u_sigma))
     x = np.array([0.5, -0.3])
-    assert np.all(drift_at(x, m0, c0) == 0.0)
+    assert np.all(drift_batch(x[None], c0) == 0.0)
     J, g = state_derivs(x, c0)
     assert np.all(J == 0.0)
     assert np.all(g == 0.0)
@@ -115,11 +114,11 @@ def test_single_point_closed_form():
                       u_sigma=np.array([-0.6]), drift_params=p, diff_params=p,
                       noise_vars=[0.1])
     c = build_cache(m)
-    for x in rng.normal(size=4):
-        kxz = rbf([x], [0.4], p)
-        kzz = p.variance + 1e-6 * p.variance
-        assert drift_at([x], m, c)[0] == pytest.approx(kxz / kzz * 1.7, rel=1e-9)
-        assert diffusion_at([x], m, c) == pytest.approx(kxz / kzz * -0.6, rel=1e-9)
+    X = rng.normal(size=(4, 1))
+    kxz = gram(X, [[0.4]], p)[:, 0]
+    kzz = p.variance + 1e-6 * p.variance
+    assert drift_batch(X, c)[:, 0] == pytest.approx(kxz / kzz * 1.7, rel=1e-9)
+    assert diffusion_batch(X, c) == pytest.approx(kxz / kzz * -0.6, rel=1e-9)
 
 
 def test_constant_diffusion_reverts_far_from_inducing():
@@ -128,17 +127,17 @@ def test_constant_diffusion_reverts_far_from_inducing():
                       u_sigma=np.full(5, 3.0), drift_params=p, diff_params=p,
                       noise_vars=[0.1])
     c = build_cache(m)
-    assert abs(diffusion_at([40.0], m, c)) < 1e-10
-    assert np.max(np.abs(drift_at([40.0], m, c))) < 1e-10
+    assert abs(diffusion_batch(np.array([[40.0]]), c)[0]) < 1e-10
+    assert np.max(np.abs(drift_batch(np.array([[40.0]]), c))) < 1e-10
 
 
 def test_linearity_in_inducing_values(model_and_cache):
     m, c = model_and_cache
     rng = np.random.default_rng(2)
-    x = rng.normal(size=2)
+    X = rng.normal(size=(1, 2))
     m2, c2 = update_values(c, m, U_f=2.5 * m.U_f, u_sigma=2.5 * m.u_sigma)
-    np.testing.assert_allclose(drift_at(x, m2, c2), 2.5 * drift_at(x, m, c), rtol=1e-12)
-    assert diffusion_at(x, m2, c2) == pytest.approx(2.5 * diffusion_at(x, m, c), rel=1e-12)
+    np.testing.assert_allclose(drift_batch(X, c2), 2.5 * drift_batch(X, c), rtol=1e-12)
+    assert diffusion_batch(X, c2) == pytest.approx(2.5 * diffusion_batch(X, c), rel=1e-12)
 
 
 def test_drift_jacobian_x_matches_fd(model_and_cache):
@@ -152,7 +151,8 @@ def test_drift_jacobian_x_matches_fd(model_and_cache):
             xp, xm = x.copy(), x.copy()
             xp[e] += h
             xm[e] -= h
-            fd = (drift_at(xp, m, c) - drift_at(xm, m, c)) / (2 * h)
+            fp, fm = drift_batch(np.stack([xp, xm]), c)
+            fd = (fp - fm) / (2 * h)
             np.testing.assert_allclose(J[:, e], fd, rtol=1e-5, atol=1e-9)
 
 
@@ -173,7 +173,8 @@ def test_drift_u_jacobian_linearity_identity(model_and_cache):
     for _ in range(3):
         x = rng.normal(size=2)
         R, _ = u_derivs(x, m, c)
-        np.testing.assert_allclose(R @ m.u_f, drift_at(x, m, c), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(R @ m.u_f, drift_batch(x[None], c)[0],
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_drift_u_jacobian_block_selector_at_inducing_point():
@@ -197,7 +198,7 @@ def test_drift_u_jacobian_matches_fd(model_and_cache):
         um[q] -= h
         mp, cp = update_values(c, m, U_f=up.reshape(m.M, m.D))
         mm, cm = update_values(c, m, U_f=um.reshape(m.M, m.D))
-        fd = (drift_at(x, mp, cp) - drift_at(x, mm, cm)) / (2 * h)
+        fd = (drift_batch(x[None], cp) - drift_batch(x[None], cm))[0] / (2 * h)
         np.testing.assert_allclose(R[:, q], fd, rtol=1e-6, atol=1e-8)
 
 
@@ -211,10 +212,11 @@ def test_diff_grads(model_and_cache):
         xp, xm = x.copy(), x.copy()
         xp[e] += h
         xm[e] -= h
-        fd = (diffusion_at(xp, m, c) - diffusion_at(xm, m, c)) / (2 * h)
+        sp, sm = diffusion_batch(np.stack([xp, xm]), c)
+        fd = (sp - sm) / (2 * h)
         assert g[e] == pytest.approx(fd, rel=1e-5, abs=1e-9)
     _, r = u_derivs(x, m, c)
-    assert r @ m.u_sigma == pytest.approx(diffusion_at(x, m, c), rel=1e-10)
+    assert r @ m.u_sigma == pytest.approx(diffusion_batch(x[None], c)[0], rel=1e-10)
     # unit selector at an inducing location
     _, r2 = u_derivs(m.Z[1], m, c)
     expected = np.zeros(m.M)
@@ -284,4 +286,4 @@ def test_cache_mismatch_raises(model_and_cache):
     m, c = model_and_cache
     other = m.with_values(U_f=m.U_f + 1.0)
     with pytest.raises(InternalError):
-        drift_at([0.0, 0.0], other, c)
+        log_prior(other, c)

@@ -8,8 +8,6 @@ from gpsde.kernels import (
     KernelParams,
     gram,
     gram_blocked,
-    rbf,
-    rbf_grad_matrix,
 )
 
 
@@ -26,17 +24,17 @@ def test_params_validation():
 
 def test_rbf_zero_distance_is_variance():
     p = KernelParams(1.0, [0.7, 2.0])
-    x = np.array([0.3, -1.2])
-    assert rbf(x, x, p) == pytest.approx(1.0)
+    x = np.array([[0.3, -1.2]])
+    assert gram(x, x, p)[0, 0] == pytest.approx(1.0)
     p2 = KernelParams(2.5, [1.0])
-    assert rbf([0.1], [0.1], p2) == pytest.approx(2.5)
+    assert gram([[0.1]], [[0.1]], p2)[0, 0] == pytest.approx(2.5)
 
 
 def test_rbf_unit_scaled_distance():
     # one lengthscale of separation gives exp(-1/2)
     for ell in (0.5, 1.0, 3.0):
         p = KernelParams(1.0, [ell])
-        assert rbf([0.0], [ell], p) == pytest.approx(np.exp(-0.5))
+        assert gram([[0.0]], [[ell]], p)[0, 0] == pytest.approx(np.exp(-0.5))
 
 
 def test_rbf_hand_evaluated_2d():
@@ -44,15 +42,15 @@ def test_rbf_hand_evaluated_2d():
     # 2 * exp(-0.5 * (1^2/1 + 1^2/4)) = 2 * exp(-0.625)
     p = KernelParams(2.0, [1.0, 2.0])
     expected = 2.0 * np.exp(-0.625)
-    assert rbf([1.0, 0.0], [0.0, 1.0], p) == pytest.approx(expected, rel=1e-12)
+    assert gram([[1.0, 0.0]], [[0.0, 1.0]], p)[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rbf_symmetry_and_bounds():
     rng = np.random.default_rng(42)
     p = KernelParams(1.7, [0.8, 1.3, 2.0])
     for _ in range(20):
-        x, x2 = rng.normal(size=3), rng.normal(size=3)
-        k1, k2 = rbf(x, x2, p), rbf(x2, x, p)
+        x, x2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+        k1, k2 = gram(x, x2, p)[0, 0], gram(x2, x, p)[0, 0]
         assert k1 == pytest.approx(k2, rel=1e-14)
         assert 0.0 < k1 <= p.variance
 
@@ -60,37 +58,9 @@ def test_rbf_symmetry_and_bounds():
 def test_rbf_dimension_mismatch():
     p = KernelParams(1.0, [1.0, 1.0])
     with pytest.raises(InputError):
-        rbf([0.0], [0.0, 1.0], p)
+        gram([[0.0]], [[0.0, 1.0]], p)
     with pytest.raises(InputError):
-        rbf([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], p)
-
-
-def test_grad_zero_at_coincident_points():
-    p = KernelParams(1.0, [0.5, 2.0])
-    g = rbf_grad_matrix(np.array([[1.0, -1.0]]), np.array([[1.0, -1.0]]), p)[0, 0]
-    assert np.all(g == 0.0)
-
-
-def test_grad_hand_derived_1d():
-    # d/dx exp(-x^2/2) at x=1 is -exp(-1/2)
-    p = KernelParams(1.0, [1.0])
-    g = rbf_grad_matrix(np.array([[1.0]]), np.array([[0.0]]), p)[0, 0]
-    assert g[0] == pytest.approx(-np.exp(-0.5), rel=1e-12)
-
-
-def test_grad_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    p = KernelParams(1.3, [0.6, 1.1])
-    for _ in range(10):
-        x, x2 = rng.normal(size=2), rng.normal(size=2)
-        g = rbf_grad_matrix(x[None], x2[None], p)[0, 0]
-        h = 1e-5
-        for d in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[d] += h
-            xm[d] -= h
-            fd = (rbf(xp, x2, p) - rbf(xm, x2, p)) / (2 * h)
-            assert g[d] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+        gram([[0.0, 1.0, 2.0]], [[0.0, 1.0, 2.0]], p)
 
 
 def test_gram_single_point():

@@ -13,6 +13,7 @@ from gpsde.objective import (
     log_posterior,
     make_grids,
     _obs_logliks,
+    _segment_groups,
 )
 from gpsde.sim import SimConfig, sample_paths, simulate_batch
 
@@ -38,13 +39,23 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
 
 
 def make_problem(seed=0, D=1, n_obs=5, n_samples=3, factor=6):
+    m, c, trs, grids, incs = make_batch_problem(
+        seed, D, [np.linspace(0.0, 1.0, n_obs)], n_samples, factor)
+    return m, c, trs[0], grids, incs
+
+
+def make_batch_problem(seed, D, times, n_samples=3, factor=6):
+    """A model and one trajectory per entry of ``times``."""
     m, c = small_model(seed=seed, D=D)
     rng = np.random.default_rng(seed + 100)
-    times = np.linspace(0.0, 1.0, n_obs)
-    tr = Trajectory(times=times, obs=0.4 * rng.normal(size=(n_obs, D)))
-    grids = make_grids([tr], factor)
-    incs = draw_increments([tr], grids, m, n_samples, seed + 7)
-    return m, c, tr, grids, incs
+    trs = [Trajectory(times=t, obs=0.4 * rng.normal(size=(len(t), D))) for t in times]
+    grids = make_grids(trs, factor)
+    incs = draw_increments(trs, grids, m, n_samples, seed + 7)
+    return m, c, trs, grids, incs
+
+
+# two trajectories of three intervals, with gaps 100x and more apart
+IRREGULAR_TIMES = [[0.0, 0.002, 0.5, 0.503], [0.0, 0.4, 0.401, 1.0]]
 
 
 def node_states(m, c, tr, grid, inc):
@@ -122,6 +133,12 @@ class TestMcLoglik:
         assert val.per_obs_loglik[0] == pytest.approx(
             -0.5 * np.sum(np.log(2 * np.pi * m.noise_vars)), rel=1e-12)
 
+    def test_segments_with_equal_interval_counts_share_one_batch(self):
+        # different gaps, same number of intervals: one group, one batch
+        trs = [Trajectory(times=t, obs=np.zeros((4, 1))) for t in IRREGULAR_TIMES]
+        groups = _segment_groups(make_grids(trs, 3))
+        assert list(groups.values()) == [[(0, 0, 3), (1, 0, 3)]]
+
     def test_shape_mismatch_rejected(self):
         m, c, tr, grids, incs = make_problem()
         with pytest.raises(InputError):
@@ -175,17 +192,19 @@ class TestGradients:
             g[q] = (value(xp) - value(xm)) / (2 * h)
         return g
 
-    @pytest.mark.parametrize("seed,D,n_obs", [
-        pytest.param(0, 1, 5, id="0-1"),
-        pytest.param(1, 2, 5, id="1-2"),
-        pytest.param(2, 2, 5, id="2-2"),
+    @pytest.mark.parametrize("seed,D,times", [
+        pytest.param(0, 1, [np.linspace(0.0, 1.0, 5)], id="0-1"),
+        pytest.param(1, 2, [np.linspace(0.0, 1.0, 5)], id="1-2"),
+        pytest.param(2, 2, [np.linspace(0.0, 1.0, 5)], id="2-2"),
         # longer than one segment: samples restart at segment boundaries
-        pytest.param(3, 1, LONG_N_OBS, id="3-1-long"),
+        pytest.param(3, 1, [np.linspace(0.0, 1.0, LONG_N_OBS)], id="3-1-long"),
+        # irregular sampling: both trajectories simulate in one batch
+        pytest.param(4, 2, IRREGULAR_TIMES, id="4-2-irregular"),
     ])
-    def test_full_gradient_matches_frozen_noise_fd(self, seed, D, n_obs):
-        m, c, tr, grids, incs = make_problem(seed=seed, D=D, n_obs=n_obs, n_samples=3)
-        val = evaluate_with_increments([tr], m, c, grids, incs)
-        fd = self.frozen_fd([tr], m, c, grids, incs)
+    def test_full_gradient_matches_frozen_noise_fd(self, seed, D, times):
+        m, c, trs, grids, incs = make_batch_problem(seed, D, times)
+        val = evaluate_with_increments(trs, m, c, grids, incs)
+        fd = self.frozen_fd(trs, m, c, grids, incs)
         an = val.packed_grad()
         rel = np.abs(an - fd) / np.maximum(1e-8, np.abs(fd))
         assert rel.max() <= 1e-4
@@ -234,6 +253,14 @@ class TestLogPosterior:
         expected_prior = (-0.5 * (c0.logdet_f + c0.logdet_s)
                           - 0.5 * (n_f + n_s) * np.log(2 * np.pi))
         assert prior == pytest.approx(expected_prior, rel=1e-12)
+
+    def test_close_observations_evaluate(self):
+        # a gap 1e5 times shorter than the next, at one step per interval
+        m, _ = small_model(seed=15)
+        tr = Trajectory(times=[0.0, 1e-4, 10.0], obs=[[0.1], [0.1], [-0.2]])
+        val = log_posterior([tr], m, SimConfig(resolution_factor=1, n_samples=4, seed=1))
+        assert np.isfinite(val.log_posterior)
+        assert np.all(np.isfinite(val.packed_grad()))
 
     def test_permutation_invariance(self):
         m, c = small_model(seed=13)

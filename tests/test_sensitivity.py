@@ -25,14 +25,14 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
 
 
 def one_step_grid(dt):
-    return TimeGrid(t0=0.0, dt=dt, n_steps=1, obs_indices=[0, 1])
+    return TimeGrid(t0=0.0, dt=[dt], obs_indices=[0, 1])
 
 
 def test_identity_step_leaves_state_unchanged():
     # with dt = 0 and no noise every step is the identity: the path stays at
     # x0 and no inducing value reaches the observed states
     m, c = small_model()
-    grid = TimeGrid(t0=0.0, dt=0.0, n_steps=3, obs_indices=[3])
+    grid = TimeGrid(t0=0.0, dt=np.zeros(3), obs_indices=[3])
     paths, pullback = simulate_bundle_with_sensitivities(m, c, [0.2], grid,
                                                          np.zeros((1, 3, 1)))
     assert np.all(paths == 0.2)
@@ -72,7 +72,7 @@ def test_injections_grow_even_at_zero_field():
 
 def test_zero_steps_zero_sensitivities():
     m, c = small_model()
-    grid = TimeGrid(t0=0.0, dt=0.1, n_steps=0, obs_indices=[0])
+    grid = TimeGrid(t0=0.0, dt=np.zeros(0), obs_indices=[0])
     paths, pullback = simulate_bundle_with_sensitivities(m, c, [0.4], grid,
                                                          np.zeros((1, 0, 1)))
     assert paths.shape == (1, 1, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpsde.errors import InputError, SimulationError
-from gpsde.field import InducingModel, build_cache, drift_at, update_values
+from gpsde.field import InducingModel, build_cache, drift_batch, update_values
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
     SimConfig,
@@ -45,13 +45,20 @@ class TestBuildGrid:
         assert g.dt == pytest.approx(0.05)
         assert g.n_obs == 25
 
-    def test_snapping_within_half_step(self):
+    def test_observations_on_nodes(self):
+        # each interval is split into f equal steps, so irregular times land
+        # exactly on nodes f * i
         rng = np.random.default_rng(0)
         times = np.sort(rng.uniform(0, 10, size=12))
-        g = build_grid(times, 25)
-        tg = g.times
-        for t, i in zip(times, g.obs_indices):
-            assert abs(tg[i] - t) <= g.dt / 2 + 1e-12
+        n = times.size
+        for f in (1, 3, 25):
+            g = build_grid(times, f)
+            assert g.n_steps == f * (n - 1)
+            assert np.array_equal(g.obs_indices, f * np.arange(n))
+            steps = g.dt.reshape(n - 1, f)
+            assert np.all(steps == steps[:, :1])
+            np.testing.assert_allclose(steps.sum(axis=1), np.diff(times), rtol=1e-12)
+            np.testing.assert_allclose(g.times[g.obs_indices], times, rtol=1e-12)
 
     def test_bad_times_rejected(self):
         with pytest.raises(InputError):
@@ -60,10 +67,15 @@ class TestBuildGrid:
             build_grid([0.0, 2.0, 1.0], 2)
         with pytest.raises(InputError):
             build_grid([0.0], 2)
+        for factor in (0, 1.5):
+            with pytest.raises(InputError, match="resolution_factor"):
+                build_grid([0.0, 1.0], factor)
 
-    def test_collision_requires_finer_grid(self):
-        with pytest.raises(InputError, match="resolution_factor"):
-            build_grid([0.0, 1e-4, 10.0], 1)
+    def test_close_observations_get_their_own_nodes(self):
+        # a gap 1e5 times shorter than the next still has its own step
+        g = build_grid([0.0, 1e-4, 10.0], 1)
+        assert list(g.obs_indices) == [0, 1, 2]
+        np.testing.assert_allclose(g.times, [0.0, 1e-4, 10.0], rtol=1e-12)
 
 
 class TestIncrements:
@@ -107,8 +119,24 @@ class TestEulerMaruyama:
         # independent forward-Euler stepping of the same drift field
         x = np.array([1.0])
         for i in range(g.n_steps):
-            x = x + g.dt * drift_at(x, m0, c0)
+            x = x + g.dt[i] * drift_batch(x[None], c0)[0]
             assert path[i + 1] == pytest.approx(x[0], rel=1e-12)
+
+    def test_drift_only_error_at_irregular_observations_falls_as_one_over_f(self):
+        # the observation nodes sit at the exact times, so forward Euler's
+        # error against x0 exp(-theta t) halves with each doubling of f
+        theta, x0 = 1.0, 1.0
+        m, c = ou_model(theta)
+        m0, c0 = update_values(c, m, u_sigma=np.zeros_like(m.u_sigma))
+        gaps = np.random.default_rng(3).uniform(0.05, 0.5, size=10)
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        errs = []
+        for f in (2, 4, 8):
+            g = build_grid(times, f)
+            path = simulate_batch(m0, c0, [x0], g, np.zeros((1, g.n_steps, 1)))[0]
+            errs.append(np.max(np.abs(path[g.obs_indices, 0] - x0 * np.exp(-theta * times))))
+        ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+        assert all(1.7 <= r <= 2.3 for r in ratios), (errs, ratios)
 
     def test_ou_terminal_moments(self):
         theta, sigma, x0, t = 1.0, 0.5, 1.0, 1.0
@@ -165,8 +193,9 @@ class TestSamplePaths:
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
         bundle = sample_paths(m, c, [0.5], g, 3, 9)
+        inc = sample_increments(g, 3, 1, 9)
         for s in range(3):
-            single = simulate_batch(m, c, [0.5], g, bundle.increments[s:s + 1])[0]
+            single = simulate_batch(m, c, [0.5], g, inc[s:s + 1])[0]
             np.testing.assert_allclose(bundle.paths[s], single, rtol=1e-12, atol=1e-14)
 
     def test_per_sample_initial_states(self):
