@@ -250,18 +250,16 @@ def cmd_evaluate(args) -> int:
         x0 = np.array(_parse_floats(str(cfg["x0"])))
     else:
         x0 = box.mean(axis=1)
+    disc = distribution_discrepancy(
+        system, fitted, x0, float(cfg["horizon"]), int(cfg["n_paths"]),
+        int(cfg["seed"]), fitted_seed=int(cfg["seed"]) + 1,
+    )
     metrics = {
         "system": cfg["system"],
         "drift_rms_error": drift_error(system, fitted, box, int(cfg["n_grid"]), data=data),
         "diffusion_rms_error": diffusion_error(system, fitted, box, int(cfg["n_grid"]), data=data),
-        "distribution_discrepancy": distribution_discrepancy(
-            system, fitted, x0, float(cfg["horizon"]), int(cfg["n_paths"]),
-            int(cfg["seed"]), fitted_seed=int(cfg["seed"]) + 1,
-        ),
-        "distribution_discrepancy_kde_l2": distribution_discrepancy(
-            system, fitted, x0, float(cfg["horizon"]), int(cfg["n_paths"]),
-            int(cfg["seed"]), fitted_seed=int(cfg["seed"]) + 1, metric="kde_l2",
-        ),
+        "distribution_discrepancy": disc["energy"],
+        "distribution_discrepancy_kde_l2": disc["kde_l2"],
     }
     dataio.save_metrics(out / "metrics.json", metrics)
     dataio.write_manifest(out / "manifest.ini", {"evaluate": cfg})

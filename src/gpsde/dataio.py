@@ -32,6 +32,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _reals_format(k: int) -> str:
+    """%-format of k comma-separated reals; '%.17g' % x equals _fmt(x) for
+    every float, so a CSV row costs one % operation."""
+    return ",".join(["%.17g"] * k)
+
+
 def atomic_write_text(path, text: str):
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -49,9 +55,9 @@ def atomic_write_text(path, text: str):
 
 def write_trajectory_csv(path, traj: Trajectory):
     header = ["t"] + [f"x_{d + 1}" for d in range(traj.dim)]
-    lines = [",".join(header)]
-    for t, row in zip(traj.times, traj.obs):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+    fmt = _reals_format(1 + traj.dim)
+    rows = np.column_stack([traj.times, traj.obs]).tolist()
+    lines = [",".join(header)] + [fmt % tuple(r) for r in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -178,22 +184,21 @@ def load_model(path) -> InducingModel:
 # -- simulation outputs -------------------------------------------------------
 
 def write_paths_csv(path, bundle):
-    times = bundle.grid.times
-    lines = [",".join(["sample", "step", "time"] +
-                      [f"x_{d + 1}" for d in range(bundle.paths.shape[2])])]
-    for s in range(bundle.paths.shape[0]):
-        for i in range(bundle.paths.shape[1]):
-            lines.append(",".join(
-                [str(s), str(i), _fmt(times[i])] + [_fmt(v) for v in bundle.paths[s, i]]
-            ))
+    times = [_fmt(t) for t in bundle.grid.times]     # shared by every sample
+    D = bundle.paths.shape[2]
+    fmt = "%d,%d,%s," + _reals_format(D)
+    lines = [",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)])]
+    for s, path_s in enumerate(bundle.paths.tolist()):
+        lines.extend(fmt % (s, i, times[i], *x) for i, x in enumerate(path_s))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_density_csv(path, points: np.ndarray, values: np.ndarray):
     points = np.atleast_2d(points)
+    fmt = _reals_format(points.shape[1] + 1)
+    rows = np.column_stack([points, np.ravel(values)]).tolist()
     lines = [",".join([f"x_{d + 1}" for d in range(points.shape[1])] + ["density"])]
-    for p, v in zip(points, values):
-        lines.append(",".join([_fmt(c) for c in p] + [_fmt(v)]))
+    lines.extend(fmt % tuple(r) for r in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -30,6 +30,7 @@ from .kernels import (
     JITTER_SCALE,
     KernelParams,
     as_points,
+    gram,
     rbf_matrix,
     same_params,
 )
@@ -168,10 +169,10 @@ def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCa
     """Factorize the (jittered) Gram matrices of a model and precompute the
     products used by field evaluation and its derivatives."""
     M = m.M
-    Kf = rbf_matrix(m.Z, m.Z, m.drift_params)
+    Kf = gram(m.Z, m.Z, m.drift_params)
     Kf[np.diag_indices(M)] += jitter_scale * m.drift_params.variance
     chol_f = _factor(Kf, "drift")
-    Ks = rbf_matrix(m.Z, m.Z, m.diff_params)
+    Ks = gram(m.Z, m.Z, m.diff_params)
     Ks[np.diag_indices(M)] += jitter_scale * m.diff_params.variance
     chol_s = _factor(Ks, "diffusion")
 
@@ -218,20 +219,16 @@ def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
 
 
 def _kernel_rows(X: np.ndarray, c: FieldCache):
-    """Pairwise differences X - Z (N, M, D) and both kernel rows (N, M),
-    with the exp shared when the two kernels are the same."""
-    diff = X[:, None, :] - c.Z
-    df = diff / c.drift_params.lengthscales
-    kf = c.drift_params.variance * np.exp(-0.5 * np.sum(df * df, axis=-1))
-    if c.same_kernels:
-        return diff, kf, kf
-    ds = diff / c.diff_params.lengthscales
-    return diff, kf, c.diff_params.variance * np.exp(-0.5 * np.sum(ds * ds, axis=-1))
+    """Drift and diffusion kernel rows k(X, Z), each (N, M); one row serves
+    both when the two kernels are the same."""
+    kf = rbf_matrix(X, c.Z, c.drift_params)
+    ks = kf if c.same_kernels else rbf_matrix(X, c.Z, c.diff_params)
+    return kf, ks
 
 
 def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
-    """Both fields at once, sharing work between the two kernels."""
-    _, kf, ks = _kernel_rows(X, c)
+    """Both fields at once, sharing the kernel row when the kernels are equal."""
+    kf, ks = _kernel_rows(X, c)
     return kf @ c.alpha_f, ks @ c.alpha_s
 
 
@@ -248,19 +245,27 @@ class StepTerms:
 def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
     """Evaluate both kernel rows and the fields' state derivatives at once.
 
-    Shares the pairwise differences between the two kernels and keeps all
-    contractions as BLAS matmuls; this runs once per step of the adjoint
-    sweep.
+    With d k(x, z_m) / dx = k(x, z_m) (z_m - x) / l^2, the derivatives are
+    matrix products of the rows with the (M, D*D) and (M, D) weights
+    alpha_f[m, d] z_m and alpha_s[m] z_m, minus the field value times x:
+
+        J_f(x)[d, e] = (sum_m k_f alpha_f[m, d] z_me - f_d(x) x_e) / l_f,e^2
+        grad sigma(x)[e] = (sum_m k_s alpha_s[m] z_me - sigma(x) x_e) / l_s,e^2
+
+    This runs once per step of the adjoint sweep.
     """
-    diff, kf, ks = _kernel_rows(X, c)
-    Gf = -kf[:, :, None] * (diff / np.square(c.drift_params.lengthscales))
-    Gs = Gf if c.same_kernels else -ks[:, :, None] * (diff / np.square(c.diff_params.lengthscales))
-    return StepTerms(
-        kf=kf,
-        ks=ks,
-        jac_x=c.alpha_f.T @ Gf,                         # (N, D, D)
-        diff_gx=Gs.transpose(0, 2, 1) @ c.alpha_s,      # (N, D)
-    )
+    N, D = X.shape
+    kf, ks = _kernel_rows(X, c)
+    F = kf @ c.alpha_f
+    P = (c.alpha_f[:, :, None] * c.Z[:, None, :]).reshape(-1, D * D)
+    jac_x = (kf @ P).reshape(N, D, D)
+    jac_x -= F[:, :, None] * X[:, None, :]
+    jac_x /= np.square(c.drift_params.lengthscales)
+    sig = ks @ c.alpha_s
+    diff_gx = ks @ (c.alpha_s[:, None] * c.Z)
+    diff_gx -= sig[:, None] * X
+    diff_gx /= np.square(c.diff_params.lengthscales)
+    return StepTerms(kf=kf, ks=ks, jac_x=jac_x, diff_gx=diff_gx)
 
 
 # -- log prior ----------------------------------------------------------------

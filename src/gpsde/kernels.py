@@ -64,18 +64,43 @@ def as_points(X, dim=None, name="X") -> np.ndarray:
 
 def rbf_matrix(X: np.ndarray, Z: np.ndarray, p: KernelParams) -> np.ndarray:
     """Pairwise kernel values variance * exp(-0.5 sum_d (x_d - z_d)^2 / l_d^2)
-    for stacked states, shape (len(X), len(Z))."""
-    d = (X[:, None, :] - Z[None, :, :]) / p.lengthscales
-    return p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1))
+    for stacked states, shape (len(X), len(Z)).
+
+    The scaled squared distances come from one matrix product,
+    |x/l|^2 + |z/l|^2 - 2 (x/l).(z/l), clamped at zero because rounding can
+    make them slightly negative near coincident points; the exp then works in
+    place on that one (N, M) array, so no (N, M, D) difference is formed.
+    """
+    Xs = X / p.lengthscales
+    Zs = Z / p.lengthscales
+    K = Xs @ Zs.T
+    K *= -2.0
+    K += np.einsum("nd,nd->n", Xs, Xs)[:, None]
+    K += np.einsum("md,md->m", Zs, Zs)
+    np.maximum(K, 0.0, out=K)
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= p.variance
+    return K
 
 
 def gram(X, Z, p: KernelParams) -> np.ndarray:
-    """Checked Gram matrix with entry (i, j) = k(X_i, Z_j); see :func:`rbf_matrix`."""
+    """Checked Gram matrix with entry (i, j) = k(X_i, Z_j), for matrices that
+    get factorized.
+
+    Unlike :func:`rbf_matrix` it squares the exact pairwise differences:
+    the matrix-product form errs by about eps |x/l|^2 in each squared
+    distance, and a Cholesky solve amplifies entry errors by up to the
+    condition number, which the jitter bounds only by about
+    M / JITTER_SCALE.  It forms an (N, M, D) array, so it is meant for the
+    M x M inducing Gram matrices.
+    """
     X = as_points(X, p.dim, "X")
     Z = as_points(Z, p.dim, "Z")
     if X.shape[0] == 0 or Z.shape[0] == 0:
         raise InputError("gram requires non-empty point sets")
-    return rbf_matrix(X, Z, p)
+    d = (X[:, None, :] - Z[None, :, :]) / p.lengthscales
+    return p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1))
 
 
 def gram_blocked(X, Z, p: KernelParams, A) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, SimulationError
 from .field import FieldCache, InducingModel, _checked, drift_diffusion_batch
-from .kernels import as_points
+from .kernels import KernelParams, as_points, rbf_matrix
 
 # Any state component beyond this magnitude aborts the sample: the zero-mean
 # field reverts far from data, so a genuine excursion this large means a
@@ -212,14 +212,18 @@ def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
 
 def state_density(bundle: PathBundle, grid_index: int, eval_points,
                   bandwidth: float) -> np.ndarray:
-    """Isotropic Gaussian KDE of the sample states at one grid node."""
+    """Isotropic Gaussian KDE of the sample states at one grid node.
+
+    The (P, S) kernel matrix is the one array it forms: an RBF kernel of
+    unit variance whose lengthscale is the bandwidth.
+    """
     if bundle.paths.shape[0] == 0:
         raise InputError("empty path bundle")
     if not bandwidth > 0:
         raise InputError("bandwidth must be positive")
     states = bundle.paths[:, grid_index, :]          # (S, D)
-    P = as_points(eval_points, states.shape[1], "eval_points")
-    d2 = np.sum((P[:, None, :] - states[None, :, :]) ** 2, axis=-1)
     D = states.shape[1]
+    P = as_points(eval_points, D, "eval_points")
+    K = rbf_matrix(P, states, KernelParams(1.0, np.full(D, float(bandwidth))))
     norm = (2.0 * math.pi * bandwidth**2) ** (-0.5 * D)
-    return norm * np.mean(np.exp(-0.5 * d2 / bandwidth**2), axis=1)
+    return norm * np.mean(K, axis=1)

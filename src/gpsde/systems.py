@@ -17,7 +17,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, SimulationError
-from .field import FieldCache, InducingModel, build_cache, diffusion_batch, drift_batch
+from .field import (
+    FieldCache,
+    InducingModel,
+    build_cache,
+    diffusion_batch,
+    drift_batch,
+    drift_diffusion_batch,
+)
 from .objective import Trajectory, _as_list
 from .sim import child_seed, simulate_callable_batch
 
@@ -174,10 +181,8 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
 
 # -- recovery metrics ---------------------------------------------------------
 
-def _as_field_fns(fitted):
-    """Normalize a fitted object to vectorized (drift, |diffusion|) callables."""
-    if isinstance(fitted, ParametricSystem):
-        return fitted.drift_fn, fitted.diffusion_fn
+def _fitted_cache(fitted) -> FieldCache:
+    """The field cache of a fitted InducingModel or (model, cache) pair."""
     if isinstance(fitted, tuple) and len(fitted) == 2:
         model, cache = fitted
     elif isinstance(fitted, InducingModel):
@@ -186,8 +191,26 @@ def _as_field_fns(fitted):
         raise InputError("fitted must be a ParametricSystem, InducingModel, or (model, cache)")
     if not isinstance(cache, FieldCache):
         raise InputError("second element of (model, cache) must be a FieldCache")
+    return cache
+
+
+def _as_field_fns(fitted):
+    """Normalize a fitted object to vectorized (drift, diffusion) callables."""
+    if isinstance(fitted, ParametricSystem):
+        return fitted.drift_fn, fitted.diffusion_fn
+    cache = _fitted_cache(fitted)
     return (lambda X: drift_batch(np.atleast_2d(X), cache),
             lambda X: diffusion_batch(np.atleast_2d(X), cache))
+
+
+def _stepping_fields(fitted):
+    """Stepping-loop field of a ParametricSystem, InducingModel or (model,
+    cache); a model's two fields share one kernel row per step when their
+    kernels are equal."""
+    if isinstance(fitted, ParametricSystem):
+        return _fields(fitted.drift_fn, fitted.diffusion_fn)
+    cache = _fitted_cache(fitted)
+    return lambda X: drift_diffusion_batch(X, cache)
 
 
 def eval_grid(eval_box, n_grid: int) -> np.ndarray:
@@ -279,20 +302,19 @@ def kde_l2_distance(X: np.ndarray, Y: np.ndarray, n_grid: int = 41,
 def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
                              horizon: float, n_paths: int, seed, *,
                              dt: float = 0.01, n_checkpoints: int = 10,
-                             fitted_seed=None, metric: str = "energy") -> float:
-    """Discrepancy between true and fitted path ensembles, summed over
+                             fitted_seed=None) -> dict[str, float]:
+    """Discrepancies between true and fitted path ensembles, each summed over
     equispaced checkpoints.
 
-    Both systems are simulated from the same x0 with matched settings; by
-    default they share the Brownian increments (fitted_seed=None), so a
-    fitted system identical to the truth scores exactly zero.  ``metric``
-    selects the per-checkpoint distance: "energy" (default) or "kde_l2"
-    (L2 between kernel density estimates on a shared grid).
+    Both systems are simulated once, from the same x0 with matched settings;
+    by default they share the Brownian increments (fitted_seed=None), so a
+    fitted system identical to the truth scores exactly zero.  Both
+    per-checkpoint distances are scored on the same paths: "energy" (energy
+    distance) and "kde_l2" (L2 between kernel density estimates on a shared
+    grid).
     """
     if not horizon > 0 or n_paths < 2:
         raise InputError("need horizon > 0 and n_paths >= 2")
-    if metric not in ("energy", "kde_l2"):
-        raise InputError(f"unknown metric {metric!r}; use 'energy' or 'kde_l2'")
     x0 = np.asarray(x0, dtype=float).ravel()
     n_steps = max(1, int(round(horizon / dt)))
     D = true_sys.dim
@@ -303,15 +325,9 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
 
     incs_true = draw(seed)
     incs_fit = incs_true if fitted_seed is None else draw(fitted_seed)
-    paths_true = simulate_callable_batch(
-        _fields(true_sys.drift_fn, true_sys.diffusion_fn), x0, dt, incs_true
-    )
-    paths_fit = simulate_callable_batch(
-        _fields(*_as_field_fns(fitted)), x0, dt, incs_fit
-    )
+    paths_true = simulate_callable_batch(_stepping_fields(true_sys), x0, dt, incs_true)
+    paths_fit = simulate_callable_batch(_stepping_fields(fitted), x0, dt, incs_fit)
 
-    dist = energy_distance if metric == "energy" else kde_l2_distance
     checks = np.unique(np.linspace(1, n_steps, min(n_checkpoints, n_steps)).round().astype(int))
-    return float(sum(
-        dist(paths_true[:, i], paths_fit[:, i]) for i in checks
-    ))
+    return {name: float(sum(dist(paths_true[:, i], paths_fit[:, i]) for i in checks))
+            for name, dist in (("energy", energy_distance), ("kde_l2", kde_l2_distance))}

@@ -257,7 +257,7 @@ def test_criterion_5_data_efficiency_trend():
                                        [[-1.6, 1.6], [-1.6, 1.6]], 21, data=full))
             discs[k].append(distribution_discrepancy(
                 sys_, (model, cache), [1.0, 0.0], 5.0, 300, 7,
-                dt=0.05, fitted_seed=8))
+                dt=0.05, fitted_seed=8)["energy"])
     med_e = [float(np.median(errs[k])) for k in counts]
     med_d = [float(np.median(discs[k])) for k in counts]
     ok = med_e[0] >= med_e[1] >= med_e[2] and med_d[0] >= med_d[1] >= med_d[2]

@@ -216,6 +216,42 @@ class TestEvaluate:
         assert metrics["diffusion_rms_error"] >= 0
         assert metrics["distribution_discrepancy"] >= 0
 
+    def test_discrepancies_equal_separate_per_metric_runs(self, tiny_model, tmp_path):
+        # both metrics come from one simulation per ensemble; they must equal,
+        # bit for bit, one simulation per metric stepping the fitted drift and
+        # diffusion through separate calls
+        import math
+
+        from gpsde.field import build_cache, diffusion_batch, drift_batch
+        from gpsde.sim import child_seed, simulate_callable_batch
+        from gpsde.systems import double_well, energy_distance, kde_l2_distance
+
+        out = tmp_path / "eval"
+        rc = run_cli(["evaluate", "--model", tiny_model, "--system", "double-well",
+                      "--box=-1.5:1.5", "--n-grid", 11, "--x0", "0.5",
+                      "--horizon", "0.5", "--n-paths", 40, "--seed", 3,
+                      "--out-dir", out])
+        assert rc == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+
+        sys_, c = double_well(), build_cache(dataio.load_model(tiny_model))
+        dt, n_steps = 0.01, 50
+
+        def draw(s):
+            rng = np.random.Generator(np.random.PCG64(child_seed(s, 0)))
+            return rng.normal(0.0, math.sqrt(dt), size=(40, n_steps, 1))
+
+        def separate(dist):
+            true = simulate_callable_batch(
+                lambda X: (sys_.drift_fn(X), sys_.diffusion_fn(X)), [0.5], dt, draw(3))
+            fit = simulate_callable_batch(
+                lambda X: (drift_batch(X, c), diffusion_batch(X, c)), [0.5], dt, draw(4))
+            checks = np.unique(np.linspace(1, n_steps, 10).round().astype(int))
+            return float(sum(dist(true[:, i], fit[:, i]) for i in checks))
+
+        assert metrics["distribution_discrepancy"] == separate(energy_distance)
+        assert metrics["distribution_discrepancy_kde_l2"] == separate(kde_l2_distance)
+
     def test_oracle_model_close_to_zero_drift_error(self, tmp_path):
         from gpsde.field import InducingModel
         from gpsde.kernels import KernelParams

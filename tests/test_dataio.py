@@ -138,6 +138,48 @@ def test_paths_csv_shape(tmp_path):
     assert len(lines) == 1 + 2 * 5
 
 
+def awkward_reals(rng, shape, finite=False):
+    """Reals with exponents from -300 to 300, subnormals, -0.0 and, unless
+    finite, +-inf and nan."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    specials = [-0.0, 5e-324, -2.2e-310, 1.7976931348623157e308, 0.1, 1.0]
+    if not finite:
+        specials += [np.inf, -np.inf, np.nan]
+    flat = x.reshape(-1)
+    flat[:len(specials)] = specials
+    return x
+
+
+def ref_row(*vals):
+    return ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in vals)
+
+
+def test_csv_writers_match_per_value_format(tmp_path):
+    # one %-format per row writes exactly what format(x, ".17g") per value does
+    rng = np.random.default_rng(17)
+    paths = awkward_reals(rng, (40, 11, 2))
+    grid = build_grid([0.0, 1e-3], 10)
+    p = tmp_path / "paths.csv"
+    dataio.write_paths_csv(p, PathBundle(paths=paths, grid=grid))
+    want = ["sample,step,time,x_1,x_2"] + [
+        ref_row(str(s), str(i), grid.times[i], *paths[s, i])
+        for s in range(40) for i in range(11)]
+    assert p.read_text() == "\n".join(want) + "\n"
+
+    points, dens = awkward_reals(rng, (60, 3)), awkward_reals(rng, (60,))
+    p = tmp_path / "density.csv"
+    dataio.write_density_csv(p, points, dens)
+    want = ["x_1,x_2,x_3,density"] + [ref_row(*points[k], dens[k]) for k in range(60)]
+    assert p.read_text() == "\n".join(want) + "\n"
+
+    times = np.sort(10.0 ** rng.uniform(-300, 300, size=30))
+    obs = awkward_reals(rng, (30, 2), finite=True)
+    dataio.write_dataset(tmp_path / "data", [Trajectory(times=times, obs=obs)])
+    want = ["t,x_1,x_2"] + [ref_row(times[k], *obs[k]) for k in range(30)]
+    text = (tmp_path / "data" / dataio.trajectory_filename(0)).read_text()
+    assert text == "\n".join(want) + "\n"
+
+
 def test_trace_csv(tmp_path):
     p = tmp_path / "trace.csv"
     dataio.write_trace_csv(p, [(0, -10.0, 1.5), (1, -9.0, 0.5)])

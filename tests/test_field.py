@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -8,6 +10,7 @@ from gpsde.field import (
     build_cache,
     diffusion_batch,
     drift_batch,
+    drift_diffusion_batch,
     log_prior,
     log_prior_grad,
     step_terms_batch,
@@ -50,6 +53,27 @@ def u_derivs(x, m, c):
     _, pullback = simulate_bundle_with_sensitivities(m, c, x, grid, dW)
     rows = [pullback(np.stack([np.zeros(m.D), e])[None]) for e in np.eye(m.D)]
     return np.stack([gf for gf, _ in rows]), rows[0][1]
+
+
+def field_oracle(X, c):
+    """Dense reference from the explicit (N, M, D) differences X - Z:
+    kernel rows, fields, drift state Jacobian and diffusion state gradient."""
+    diff = X[:, None, :] - c.Z
+    rows = []
+    for p in (c.drift_params, c.diff_params):
+        d = diff / p.lengthscales
+        rows.append(p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1)))
+    kf, ks = rows
+    Gf = -kf[:, :, None] * (diff / np.square(c.drift_params.lengthscales))
+    Gs = -ks[:, :, None] * (diff / np.square(c.diff_params.lengthscales))
+    return dict(kf=kf, ks=ks, F=kf @ c.alpha_f, sig=ks @ c.alpha_s,
+                jac_x=c.alpha_f.T @ Gf, diff_gx=Gs.transpose(0, 2, 1) @ c.alpha_s)
+
+
+def assert_rel_close(actual, oracle, rtol=1e-10):
+    """Agreement within rtol of the oracle's largest magnitude."""
+    np.testing.assert_allclose(actual, oracle, rtol=0,
+                               atol=rtol * max(np.abs(oracle).max(), 1e-300))
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +311,52 @@ def test_cache_mismatch_raises(model_and_cache):
     other = m.with_values(U_f=m.U_f + 1.0)
     with pytest.raises(InternalError):
         log_prior(other, c)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("same", [True, False])
+def test_fields_and_state_derivatives_match_difference_oracle(D, same):
+    rng = np.random.default_rng(40 + D)
+    M = 12
+    pf = KernelParams(1.3, rng.uniform(0.6, 1.6, size=D))   # anisotropic
+    ps = pf if same else KernelParams(0.7, rng.uniform(0.6, 1.6, size=D))
+    m = InducingModel(Z=rng.uniform(-2, 2, size=(M, D)), U_f=rng.normal(size=(M, D)),
+                      u_sigma=rng.normal(size=M), drift_params=pf, diff_params=ps,
+                      noise_vars=np.full(D, 0.1))
+    c = build_cache(m)
+    assert c.same_kernels == same
+    far = m.Z + 50 * np.max(np.maximum(pf.lengthscales, ps.lengthscales))
+    X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
+    ref = field_oracle(X, c)
+    F, sig = drift_diffusion_batch(X, c)
+    t = step_terms_batch(X, c)
+    for name, val in (("F", F), ("sig", sig), ("kf", t.kf), ("ks", t.ks),
+                      ("jac_x", t.jac_x), ("diff_gx", t.diff_gx)):
+        assert_rel_close(val, ref[name])
+    # at the inducing locations the rows peak at the variance; far away they vanish
+    at_z = np.arange(30, 30 + M)
+    for k, p in ((t.kf, pf), (t.ks, ps)):
+        peak = k[at_z, at_z - 30]
+        assert np.all(peak <= p.variance)
+        np.testing.assert_allclose(peak, p.variance, rtol=1e-12)
+        assert np.all(k[30 + M:] == 0.0)
+
+
+def test_step_terms_form_no_n_by_m_by_d_temporary():
+    # distinct kernels: the two (N, M) rows it returns are the floor
+    N, M, D = 200, 225, 2
+    rng = np.random.default_rng(9)
+    m = InducingModel(Z=rng.uniform(-2, 2, size=(M, D)), U_f=rng.normal(size=(M, D)),
+                      u_sigma=rng.normal(size=M), drift_params=KernelParams(1.0, [0.5, 0.7]),
+                      diff_params=KernelParams(1.0, [0.6, 0.6]), noise_vars=[0.1, 0.1])
+    c = build_cache(m)
+    X = rng.uniform(-2, 2, size=(N, D))
+    step_terms_batch(X, c)                   # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        t = step_terms_batch(X, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.kf.shape == (N, M)
+    assert peak < 3 * N * M * 8, f"peak {peak} B"

@@ -8,7 +8,14 @@ from gpsde.kernels import (
     KernelParams,
     gram,
     gram_blocked,
+    rbf_matrix,
 )
+
+
+def rbf_oracle(X, Z, p):
+    """Dense reference: squares the explicit (N, M, D) differences."""
+    d = (X[:, None, :] - Z[None, :, :]) / p.lengthscales
+    return p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1))
 
 
 def test_params_validation():
@@ -132,3 +139,30 @@ def test_gram_blocked_matches_kronecker_oracle():
     for i in range(5):
         for j in range(4):
             np.testing.assert_allclose(B[2 * i:2 * i + 2, 2 * j:2 * j + 2], K[i, j] * A)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_rbf_matrix_matches_difference_oracle(D):
+    rng = np.random.default_rng(20 + D)
+    p = KernelParams(1.7, rng.uniform(0.3, 2.0, size=D))   # anisotropic
+    X = rng.normal(scale=2.0, size=(40, D))
+    Z = rng.normal(scale=2.0, size=(25, D))
+    np.testing.assert_allclose(rbf_matrix(X, Z, p), rbf_oracle(X, Z, p), rtol=1e-10, atol=0)
+    # 50 lengthscales away along one axis the kernel underflows to exactly 0
+    far = Z.copy()
+    far[:, 0] += 50 * p.lengthscales[0]
+    K = rbf_matrix(far, Z, p)
+    np.testing.assert_allclose(K, rbf_oracle(far, Z, p), rtol=1e-10, atol=1e-300)
+    assert np.all(np.diag(K) == 0.0)
+    np.testing.assert_allclose(gram(X, Z, p), rbf_oracle(X, Z, p), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_rbf_matrix_at_coincident_points_never_exceeds_variance(D):
+    # rounding can make |x|^2 + |z|^2 - 2 x.z slightly negative at x == z
+    rng = np.random.default_rng(30 + D)
+    p = KernelParams(2.3, rng.uniform(0.2, 1.5, size=D))
+    Z = rng.normal(scale=3.0, size=(300, D)) * rng.uniform(0.1, 10.0, size=(300, 1))
+    diag = np.diag(rbf_matrix(Z, Z, p))
+    assert np.all(diag <= p.variance)
+    np.testing.assert_allclose(diag, p.variance, rtol=1e-12)

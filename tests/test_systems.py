@@ -213,27 +213,27 @@ class TestDistributionDiscrepancy:
     def test_same_system_same_seed_is_exactly_zero(self):
         sys_ = double_well()
         d = distribution_discrepancy(sys_, sys_, [0.5], 1.0, 50, 3, dt=0.02)
-        assert d == 0.0
+        assert d == {"energy": 0.0, "kde_l2": 0.0}
 
     def test_independent_seeds_stay_below_calibrated_floor(self):
         sys_ = double_well()
         self_d = distribution_discrepancy(sys_, sys_, [0.5], 1.0, 400, 3,
-                                          dt=0.02, fitted_seed=4)
+                                          dt=0.02, fitted_seed=4)["energy"]
         zero_model = dense_fit_of(sys_, -2, 2, n=9, ell=0.8)
         from dataclasses import replace
 
         frozen = replace(zero_model, U_f=np.zeros_like(zero_model.U_f),
                          u_sigma=np.zeros_like(zero_model.u_sigma))
         off_d = distribution_discrepancy(sys_, frozen, [0.5], 1.0, 400, 3,
-                                         dt=0.02, fitted_seed=4)
+                                         dt=0.02, fitted_seed=4)["energy"]
         assert off_d > 5 * self_d  # degenerate model far above the noise floor
 
     def test_fitted_model_variant_accepted(self):
         sys_ = double_well()
         fitted = dense_fit_of(sys_, -2.4, 2.4, n=41, ell=0.35)
-        d = distribution_discrepancy(sys_, fitted, [0.5], 0.5, 200, 5, dt=0.02)
+        d = distribution_discrepancy(sys_, fitted, [0.5], 0.5, 200, 5, dt=0.02)["energy"]
         self_d = distribution_discrepancy(sys_, sys_, [0.5], 0.5, 200, 5,
-                                          dt=0.02, fitted_seed=6)
+                                          dt=0.02, fitted_seed=6)["energy"]
         assert d < max(5 * self_d, 0.5)
 
 
@@ -248,12 +248,11 @@ class TestKdeL2Metric:
         assert kde_l2_distance(X, Y) > 0.01
 
     def test_discrepancy_metric_switch(self):
+        # both metrics come from one simulation of each ensemble
         sys_ = double_well()
-        d0 = distribution_discrepancy(sys_, sys_, [0.5], 0.5, 60, 3, dt=0.02,
-                                      metric="kde_l2")
-        assert d0 == 0.0
+        d0 = distribution_discrepancy(sys_, sys_, [0.5], 0.5, 60, 3, dt=0.02)
+        assert sorted(d0) == ["energy", "kde_l2"]
+        assert d0["kde_l2"] == 0.0
         d1 = distribution_discrepancy(sys_, sys_, [0.5], 0.5, 60, 3, dt=0.02,
-                                      fitted_seed=4, metric="kde_l2")
-        assert d1 > 0.0
-        with pytest.raises(InputError):
-            distribution_discrepancy(sys_, sys_, [0.5], 0.5, 60, 3, metric="nope")
+                                      fitted_seed=4)
+        assert d1["kde_l2"] > 0.0
