@@ -12,6 +12,7 @@ Set GPSDE_NUM_THREADS to pin the BLAS thread count (see ``gpsde``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from configparser import ConfigParser, Error as ConfigError
 from pathlib import Path
@@ -49,30 +50,48 @@ _GEN_DEFAULTS = {
 }
 
 
-def _parse_box(text: str) -> np.ndarray:
+def _parse_box(text: str, flag: str) -> np.ndarray:
     try:
         rows = [[float(v) for v in part.split(":")] for part in text.split(",")]
         box = np.array(rows, dtype=float)
         if box.shape[1] != 2:
             raise ValueError
     except ValueError:
-        raise InputError(f"expected box syntax 'lo:hi[,lo:hi...]', got {text!r}") from None
+        raise InputError(f"{flag} expects 'lo:hi[,lo:hi...]', got {text!r}") from None
     return box
 
 
-def _parse_grid_spec(text: str):
+def _parse_grid_spec(text: str, flag: str, auto: bool = False):
+    """Axes 'lo:hi:count[,...]' of a grid flag; with auto, 'auto:count'
+    leaves an axis's bounds to the data."""
+    syntax = "'lo:hi:count' or 'auto:count'" if auto else "'lo:hi:count'"
     spec = []
     for part in text.split(","):
         bits = part.split(":")
-        if len(bits) == 2 and bits[0] == "auto":
-            spec.append((None, None, int(bits[1])))
-        elif len(bits) == 3:
-            spec.append((float(bits[0]), float(bits[1]), int(bits[2])))
-        else:
-            raise InputError(
-                f"expected inducing syntax 'lo:hi:count' or 'auto:count', got {part!r}"
-            )
+        try:
+            if auto and len(bits) == 2 and bits[0] == "auto":
+                lo = hi = None
+            elif len(bits) == 3:
+                lo, hi = float(bits[0]), float(bits[1])
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError
+            else:
+                raise ValueError
+            count = int(bits[-1])
+        except ValueError:
+            raise InputError(f"{flag} expects {syntax} per axis, got {part!r}") from None
+        if count < 1:
+            raise InputError(f"{flag} needs a count of at least 1 per axis, got {part!r}")
+        spec.append((lo, hi, count))
     return tuple(spec)
+
+
+def _positive(flag: str, value):
+    """value, if it is a positive finite number; otherwise an InputError
+    that names the flag."""
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{flag} must be positive and finite, got {value!r}")
+    return value
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -145,7 +164,7 @@ def cmd_generate(args) -> int:
     spec = GenSpec(
         n_traj=int(cfg["n_traj"]), n_obs_per_traj=int(cfg["n_obs"]),
         gen_dt=float(cfg["gen_dt"]), subsample_every=int(cfg["subsample_every"]),
-        noise_std=float(cfg["noise_std"]), x0_box=_parse_box(str(cfg["x0_box"])),
+        noise_std=float(cfg["noise_std"]), x0_box=_parse_box(str(cfg["x0_box"]), "--x0-box"),
         seed=int(cfg["seed"]),
     )
     trajs = generate(system, spec)
@@ -164,9 +183,9 @@ def cmd_fit(args) -> int:
     })
     if not cfg["data_dir"]:
         raise UsageError("fit requires --data-dir")
+    spec = _parse_grid_spec(str(cfg["inducing"]), "--inducing", auto=True)
     out = _out_dir(args.out_dir)
     data = dataio.read_dataset(cfg["data_dir"])
-    spec = _parse_grid_spec(str(cfg["inducing"]))
     if len(spec) == 1 and data[0].dim > 1:
         spec = spec * data[0].dim
     if str(cfg["lengthscales"]):
@@ -205,24 +224,33 @@ def cmd_simulate(args) -> int:
     })
     if not cfg["model"] or cfg["x0"] is None:
         raise UsageError("simulate requires --model and --x0")
-    out = _out_dir(args.out_dir)
-    model = dataio.load_model(cfg["model"])
-    cache = build_cache(model)
-    x0 = np.array(_parse_floats(str(cfg["x0"])))
-    horizon, dt = float(cfg["horizon"]), float(cfg["dt"])
-    n_steps = max(1, int(round(horizon / dt)))
-    grid = build_grid([0.0, horizon], n_steps)
-    bundle = sample_paths(model, cache, x0, grid, int(cfg["n_paths"]), int(cfg["seed"]))
-    dataio.write_paths_csv(out / "paths.csv", bundle)
-    outputs = ["paths.csv"]
+    # every flag is checked before any output is written
+    horizon = _positive("--horizon", float(cfg["horizon"]))
+    dt = _positive("--dt", float(cfg["dt"]))
+    n_paths = _positive("--n-paths", int(cfg["n_paths"]))
+    bandwidth = _positive("--bandwidth", float(cfg["bandwidth"]))
+    points = None
     if str(cfg["density_grid"]):
-        box_axes = _parse_grid_spec(str(cfg["density_grid"]))
+        box_axes = _parse_grid_spec(str(cfg["density_grid"]), "--density-grid")
         axes = [np.linspace(lo, hi, n) for lo, hi, n in box_axes]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
+    out = _out_dir(args.out_dir)
+    model = dataio.load_model(cfg["model"])
+    if points is not None and points.shape[1] != model.D:
+        raise InputError(f"--density-grid has {points.shape[1]} axes, but the model "
+                         f"has dimension {model.D}")
+    cache = build_cache(model)
+    x0 = np.array(_parse_floats(str(cfg["x0"])))
+    n_steps = max(1, int(round(horizon / dt)))
+    grid = build_grid([0.0, horizon], n_steps)
+    bundle = sample_paths(model, cache, x0, grid, n_paths, int(cfg["seed"]))
+    dataio.write_paths_csv(out / "paths.csv", bundle)
+    outputs = ["paths.csv"]
+    if points is not None:
         t_at = float(cfg["density_time"])
         idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
-        dens = state_density(bundle, idx, points, float(cfg["bandwidth"]))
+        dens = state_density(bundle, idx, points, bandwidth)
         dataio.write_density_csv(out / "density.csv", points, dens)
         outputs.append("density.csv")
     dataio.write_manifest(out / "manifest.ini", {"simulate": cfg})
@@ -238,12 +266,17 @@ def cmd_evaluate(args) -> int:
     })
     if not cfg["model"]:
         raise UsageError("evaluate requires --model")
+    factory = SYSTEMS[cfg["system"]]
+    system = factory(mu=cfg["mu"]) if cfg["system"] == "van-der-pol" else factory()
+    box = _parse_box(str(cfg["box"]), "--box")
+    if box.shape[0] != system.dim:
+        raise InputError(f"--box has {box.shape[0]} axes, but the {cfg['system']} "
+                         f"system has dimension {system.dim}")
+    n_grid = _positive("--n-grid", int(cfg["n_grid"]))
+    horizon = _positive("--horizon", float(cfg["horizon"]))
     out = _out_dir(args.out_dir)
     model = dataio.load_model(cfg["model"])
     cache = build_cache(model)
-    factory = SYSTEMS[cfg["system"]]
-    system = factory(mu=cfg["mu"]) if cfg["system"] == "van-der-pol" else factory()
-    box = _parse_box(str(cfg["box"]))
     data = dataio.read_dataset(cfg["data_dir"]) if str(cfg["data_dir"]) else None
     fitted = (model, cache)
     if str(cfg["x0"]):
@@ -251,13 +284,13 @@ def cmd_evaluate(args) -> int:
     else:
         x0 = box.mean(axis=1)
     disc = distribution_discrepancy(
-        system, fitted, x0, float(cfg["horizon"]), int(cfg["n_paths"]),
+        system, fitted, x0, horizon, int(cfg["n_paths"]),
         int(cfg["seed"]), fitted_seed=int(cfg["seed"]) + 1,
     )
     metrics = {
         "system": cfg["system"],
-        "drift_rms_error": drift_error(system, fitted, box, int(cfg["n_grid"]), data=data),
-        "diffusion_rms_error": diffusion_error(system, fitted, box, int(cfg["n_grid"]), data=data),
+        "drift_rms_error": drift_error(system, fitted, box, n_grid, data=data),
+        "diffusion_rms_error": diffusion_error(system, fitted, box, n_grid, data=data),
         "distribution_discrepancy": disc["energy"],
         "distribution_discrepancy_kde_l2": disc["kde_l2"],
     }

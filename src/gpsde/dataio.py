@@ -21,6 +21,7 @@ from .errors import DataError, InputError
 from .field import InducingModel
 from .kernels import KernelParams
 from .objective import Trajectory
+from .sim import row_blocks
 
 MODEL_SCHEMA = "gpsde/model-v2"
 # v1 files also carry a dependency matrix A; they load only when A is the
@@ -38,12 +39,18 @@ def _reals_format(k: int) -> str:
     return ",".join(["%.17g"] * k)
 
 
-def atomic_write_text(path, text: str):
+def atomic_write_text(path, text):
+    """Write text, a string or an iterable of string chunks, to a temp file
+    beside path and rename it over path, so readers never see a partial
+    file; chunks are written as they are produced."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -183,23 +190,40 @@ def load_model(path) -> InducingModel:
 
 # -- simulation outputs -------------------------------------------------------
 
+def _csv_lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def write_paths_csv(path, bundle):
+    """Stream one sample's rows at a time, so only the paths array and one
+    sample's text are held."""
     times = [_fmt(t) for t in bundle.grid.times]     # shared by every sample
     D = bundle.paths.shape[2]
     fmt = "%d,%d,%s," + _reals_format(D)
-    lines = [",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)])]
-    for s, path_s in enumerate(bundle.paths.tolist()):
-        lines.extend(fmt % (s, i, times[i], *x) for i, x in enumerate(path_s))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield ",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)]) + "\n"
+        for s, path_s in enumerate(bundle.paths):
+            yield _csv_lines(fmt % (s, i, times[i], *x)
+                             for i, x in enumerate(path_s.tolist()))
+
+    atomic_write_text(path, chunks())
 
 
 def write_density_csv(path, points: np.ndarray, values: np.ndarray):
+    """Stream the rows in blocks of about BLOCK_FLOATS values."""
     points = np.atleast_2d(points)
-    fmt = _reals_format(points.shape[1] + 1)
-    rows = np.column_stack([points, np.ravel(values)]).tolist()
-    lines = [",".join([f"x_{d + 1}" for d in range(points.shape[1])] + ["density"])]
-    lines.extend(fmt % tuple(r) for r in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = np.ravel(values)
+    width = points.shape[1] + 1
+    fmt = _reals_format(width)
+
+    def chunks():
+        yield ",".join([f"x_{d + 1}" for d in range(width - 1)] + ["density"]) + "\n"
+        for rows in row_blocks(points.shape[0], width):
+            block = np.column_stack([points[rows], values[rows]]).tolist()
+            yield _csv_lines(fmt % tuple(r) for r in block)
+
+    atomic_write_text(path, chunks())
 
 
 # -- fit outputs --------------------------------------------------------------

@@ -19,6 +19,7 @@ caches are immutable after construction.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import InitVar, dataclass, replace
 
@@ -70,27 +71,32 @@ class InducingModel:
         M, D = Z.shape
         if M < 1:
             raise InputError("need at least one inducing location")
-        U_f = np.asarray(self.U_f, dtype=float)
-        if U_f.shape != (M, D):
-            raise InputError(f"U_f must be {(M, D)}, got {U_f.shape}")
-        u_sigma = np.asarray(self.u_sigma, dtype=float).ravel()
-        if u_sigma.shape != (M,):
-            raise InputError(f"u_sigma must have length {M}")
         if self.drift_params.dim != D or self.diff_params.dim != D:
             raise InputError("kernel lengthscales must match state dimension")
         if A is not None and not np.array_equal(np.asarray(A, dtype=float), np.eye(D)):
             raise InputError(f"dependency matrix A must be the {D}x{D} identity: "
                              "the drift outputs are independent")
-        noise_vars = np.asarray(self.noise_vars, dtype=float).ravel()
-        if noise_vars.shape != (D,) or np.any(noise_vars <= 0) or not np.all(np.isfinite(noise_vars)):
-            raise InputError("noise_vars must be D positive finite reals")
         if M > 1:
             d2 = np.sum((Z[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
             d2[np.diag_indices(M)] = np.inf
             if d2.min() == 0.0:
                 raise InputError("inducing locations must be pairwise distinct")
-        for name, val in (("Z", Z), ("U_f", U_f), ("u_sigma", u_sigma),
-                          ("noise_vars", noise_vars)):
+        object.__setattr__(self, "Z", _frozen_array(Z))
+        self._set_values(self.U_f, self.u_sigma, self.noise_vars)
+
+    def _set_values(self, U_f, u_sigma, noise_vars):
+        """Check and freeze the inducing values and noise against Z."""
+        M, D = self.Z.shape
+        U_f = np.asarray(U_f, dtype=float)
+        if U_f.shape != (M, D):
+            raise InputError(f"U_f must be {(M, D)}, got {U_f.shape}")
+        u_sigma = np.asarray(u_sigma, dtype=float).ravel()
+        if u_sigma.shape != (M,):
+            raise InputError(f"u_sigma must have length {M}")
+        noise_vars = np.asarray(noise_vars, dtype=float).ravel()
+        if noise_vars.shape != (D,) or np.any(noise_vars <= 0) or not np.all(np.isfinite(noise_vars)):
+            raise InputError("noise_vars must be D positive finite reals")
+        for name, val in (("U_f", U_f), ("u_sigma", u_sigma), ("noise_vars", noise_vars)):
             object.__setattr__(self, name, _frozen_array(val))
 
     @property
@@ -107,13 +113,16 @@ class InducingModel:
         return self.U_f.reshape(-1)
 
     def with_values(self, U_f=None, u_sigma=None, noise_vars=None) -> "InducingModel":
-        """Copy of the model with replaced inducing values / noise."""
-        return replace(
-            self,
-            U_f=self.U_f if U_f is None else U_f,
-            u_sigma=self.u_sigma if u_sigma is None else u_sigma,
-            noise_vars=self.noise_vars if noise_vars is None else noise_vars,
-        )
+        """Copy of the model with replaced inducing values / noise.
+
+        The copy shares this model's checked Z, so only the new values are
+        validated.
+        """
+        m = copy.copy(self)
+        m._set_values(self.U_f if U_f is None else U_f,
+                      self.u_sigma if u_sigma is None else u_sigma,
+                      self.noise_vars if noise_vars is None else noise_vars)
+        return m
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,15 +14,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import InputError, SimulationError
 from .field import FieldCache, InducingModel, _checked, drift_diffusion_batch
-from .kernels import KernelParams, as_points, rbf_matrix
+from .kernels import as_points
 
 # Any state component beyond this magnitude aborts the sample: the zero-mean
 # field reverts far from data, so a genuine excursion this large means a
 # misconfigured model rather than meaningful dynamics.
 BLOWUP_LIMIT = 1e6
+
+# Floats in one block of a (points x samples) sum: 2**16 floats (512 KB)
+# stay cache-resident, and the memory of a sum no longer grows with the
+# number of points.
+BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -210,20 +216,39 @@ def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
     return PathBundle(paths=paths, grid=grid)
 
 
-def state_density(bundle: PathBundle, grid_index: int, eval_points,
-                  bandwidth: float) -> np.ndarray:
-    """Isotropic Gaussian KDE of the sample states at one grid node.
+def row_blocks(n_rows: int, row_floats: int):
+    """Consecutive slices of range(n_rows), each about BLOCK_FLOATS floats
+    when a row holds row_floats; at least one row per slice."""
+    step = max(1, BLOCK_FLOATS // max(1, row_floats))
+    return (slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step))
 
-    The (P, S) kernel matrix is the one array it forms: an RBF kernel of
-    unit variance whose lengthscale is the bandwidth.
+
+def gaussian_kde(points, samples, bandwidth: float) -> np.ndarray:
+    """Isotropic Gaussian kernel density of samples (S, D) at points (P, D).
+
+    The points are taken in row blocks, so no more than one block x S array
+    of squared distances exists at a time.
     """
-    if bundle.paths.shape[0] == 0:
-        raise InputError("empty path bundle")
+    samples = as_points(samples, name="samples")
+    S, D = samples.shape
+    if S == 0:
+        raise InputError("no samples to estimate a density from")
     if not bandwidth > 0:
         raise InputError("bandwidth must be positive")
-    states = bundle.paths[:, grid_index, :]          # (S, D)
-    D = states.shape[1]
-    P = as_points(eval_points, D, "eval_points")
-    K = rbf_matrix(P, states, KernelParams(1.0, np.full(D, float(bandwidth))))
+    points = as_points(points, D, "eval_points")
     norm = (2.0 * math.pi * bandwidth**2) ** (-0.5 * D)
-    return norm * np.mean(K, axis=1)
+    dens = np.empty(points.shape[0])
+    for rows in row_blocks(points.shape[0], S):
+        k = cdist(points[rows], samples, "sqeuclidean")
+        k *= -0.5
+        k /= bandwidth**2
+        np.exp(k, out=k)
+        dens[rows] = np.mean(k, axis=1)
+    dens *= norm
+    return dens
+
+
+def state_density(bundle: PathBundle, grid_index: int, eval_points,
+                  bandwidth: float) -> np.ndarray:
+    """Isotropic Gaussian KDE of the sample states at one grid node."""
+    return gaussian_kde(eval_points, bundle.paths[:, grid_index, :], bandwidth)

@@ -9,7 +9,25 @@ it has to happen here, before any test module imports numpy.
 """
 
 import os
+import tracemalloc
+
+import pytest
 
 os.environ.setdefault("GPSDE_NUM_THREADS", "1")
 
 import gpsde  # noqa: E402, F401
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes allocated during a call of fn, after an untraced warm-up
+    call, as tracemalloc sees them."""
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -274,6 +274,28 @@ class TestEvaluate:
         assert metrics["drift_rms_error"] < 0.05
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--x0", "0.5", "--density-grid=-5:5:x"], "--density-grid"),
+    (["simulate", "--x0", "0.5", "--density-grid=-5:5:0"], "--density-grid"),
+    (["simulate", "--x0", "0.5", "--density-grid=-5:5:9,-5:5:3"], "--density-grid"),
+    (["simulate", "--x0", "0.5", "--dt", "0"], "--dt"),
+    (["simulate", "--x0", "0.5", "--horizon", "0"], "--horizon"),
+    (["simulate", "--x0", "0.5", "--horizon", "-1"], "--horizon"),
+    (["evaluate", "--n-grid", "0"], "--n-grid"),
+    (["evaluate", "--system", "van-der-pol", "--box=-3:3"], "--box"),
+    (["fit", "--inducing=-2:2:x"], "--inducing"),
+])
+def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
+                                               tmp_path, capsys):
+    cmd, rest = argv[0], argv[1:]
+    source = ["--data-dir", tiny_dataset] if cmd == "fit" else ["--model", tiny_model]
+    out = tmp_path / "out"
+    rc = run_cli([cmd, *source, *rest, "--out-dir", out])
+    assert rc == 3
+    assert flag in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "gpsde", "--help"],
                           capture_output=True, text=True)

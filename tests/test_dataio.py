@@ -138,6 +138,24 @@ def test_paths_csv_shape(tmp_path):
     assert len(lines) == 1 + 2 * 5
 
 
+def test_paths_csv_streams_one_sample_at_a_time(tmp_path, traced_peak):
+    # 500 paths of 101 states: the whole file's lines would take 13 MB
+    rng = np.random.default_rng(4)
+    bundle = PathBundle(paths=rng.normal(size=(500, 101, 2)),
+                        grid=build_grid([0.0, 1.0], 100))
+    p = tmp_path / "paths.csv"
+    peak = traced_peak(lambda: dataio.write_paths_csv(p, bundle))
+    assert peak < 1e6, f"peak {peak} B"
+    assert len(p.read_text().splitlines()) == 1 + 500 * 101
+
+
+def test_atomic_write_accepts_chunks(tmp_path):
+    p = tmp_path / "out.txt"
+    dataio.atomic_write_text(p, (f"{k}\n" for k in range(3)))
+    assert p.read_text() == "0\n1\n2\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["out.txt"]
+
+
 def awkward_reals(rng, shape, finite=False):
     """Reals with exponents from -300 to 300, subnormals, -0.0 and, unless
     finite, +-inf and nan."""

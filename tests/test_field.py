@@ -94,6 +94,28 @@ def test_model_validation():
                       noise_vars=[-0.1])
 
 
+def test_equal_inducing_rows_rejected():
+    p = KernelParams(1.0, [1.0, 1.0])
+    Z = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(InputError, match="pairwise distinct"):
+        InducingModel(Z=Z, U_f=np.zeros((3, 2)), u_sigma=np.zeros(3),
+                      drift_params=p, diff_params=p, noise_vars=[0.1, 0.1])
+
+
+def test_with_values_shares_z_and_checks_only_the_values(model_and_cache):
+    m, _ = model_and_cache
+    m2 = m.with_values(U_f=np.ones_like(m.U_f), noise_vars=m.noise_vars * 2)
+    assert m2.Z is m.Z
+    np.testing.assert_array_equal(m2.U_f, 1.0)
+    np.testing.assert_array_equal(m2.u_sigma, m.u_sigma)
+    assert not m2.U_f.flags.writeable
+    np.testing.assert_array_equal(m.U_f, make_model().U_f)     # original untouched
+    with pytest.raises(InputError):
+        m.with_values(U_f=np.ones((m.M + 1, m.D)))
+    with pytest.raises(InputError):
+        m.with_values(noise_vars=-m.noise_vars)
+
+
 def test_dependency_matrix_must_be_identity():
     p = KernelParams(1.0, [1.0, 1.0])
     kw = dict(Z=[[0.0, 0.0], [1.0, 0.5]], U_f=np.zeros((2, 2)), u_sigma=np.zeros(2),

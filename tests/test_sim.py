@@ -5,8 +5,11 @@ from gpsde.errors import InputError, SimulationError
 from gpsde.field import InducingModel, build_cache, drift_batch, update_values
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
+    BLOCK_FLOATS,
+    PathBundle,
     SimConfig,
     build_grid,
+    gaussian_kde,
     sample_increments,
     sample_paths,
     simulate_batch,
@@ -255,6 +258,29 @@ class TestStateDensity:
         bundle = sample_paths(m, c, [0.0], g, 2, 0)
         with pytest.raises(InputError):
             state_density(bundle, 0, [[0.0]], -1.0)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_blocked_kde_matches_dense_formula(self, offset):
+        # point counts one below, at and one above a block, and one point
+        S, D, h = 500, 2, 0.3
+        n = 1 if offset is None else BLOCK_FLOATS // S + offset
+        rng = np.random.default_rng(5)
+        samples, points = rng.normal(size=(S, D)), rng.normal(size=(n, D))
+        d2 = np.sum((points[:, None, :] - samples[None, :, :]) ** 2, axis=-1)
+        dense = np.mean(np.exp(-0.5 * d2 / h**2), axis=1) * (2 * np.pi * h**2) ** (-0.5 * D)
+        got = gaussian_kde(points, samples, h)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
+
+    def test_memory_stays_within_a_block(self, traced_peak):
+        # a 81 x 81 grid and 500 paths: the dense (points, samples) kernel
+        # matrix alone would take 26 MB
+        rng = np.random.default_rng(6)
+        bundle = PathBundle(paths=rng.normal(size=(500, 2, 2)),
+                            grid=build_grid([0.0, 1.0], 1))
+        axes = [np.linspace(-5, 5, 81), np.linspace(-6, 6, 81)]
+        points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        peak = traced_peak(lambda: state_density(bundle, 1, points, 0.2))
+        assert peak < 4e6, f"peak {peak} B"
 
 
 def test_sim_config_validation():

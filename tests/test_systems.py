@@ -13,6 +13,7 @@ from gpsde.systems import (
     drift_error,
     energy_distance,
     generate,
+    kde_l2_distance,
     oscillator_hotspot,
     van_der_pol,
 )
@@ -193,6 +194,22 @@ class TestFieldErrors:
         wide_unmasked = drift_error(sys_, fitted, [[-5.0, 5.0]], 101)
         assert wide_masked < wide_unmasked  # extrapolation region excluded
 
+    def test_visited_mask_memory_stays_within_a_block(self, traced_peak):
+        # 41 x 41 grid, 400 observations, M=225: the parent's dense
+        # (grid, observations) kernel and its temporaries took 16 MB; the
+        # (grid, M) kernel rows of the fitted drift (3 MB) stay
+        sys_ = van_der_pol()
+        axis = np.linspace(-3, 3, 15)
+        Z = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        p = KernelParams(1.0, [0.6, 0.6])
+        m = InducingModel(Z=Z, U_f=sys_.drift_fn(Z), u_sigma=sys_.diffusion_fn(Z),
+                          drift_params=p, diff_params=p, noise_vars=[0.01, 0.01])
+        rng = np.random.default_rng(7)
+        data = [Trajectory(times=np.arange(50) * 0.5, obs=rng.normal(size=(50, 2)))
+                for _ in range(8)]
+        peak = traced_peak(lambda: drift_error(sys_, m, [[-3, 3], [-3, 3]], 41, data=data))
+        assert peak < 6e6, f"peak {peak} B"
+
 
 class TestEnergyDistance:
     def test_zero_for_identical_clouds(self):
@@ -207,6 +224,23 @@ class TestEnergyDistance:
         d = energy_distance(X, Y)
         assert d > 0.5
         assert d == pytest.approx(energy_distance(Y, X), rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_blocked_sums_match_dense_formula(self, offset):
+        # X row counts one below, at and one above a block, and one row
+        from gpsde.sim import BLOCK_FLOATS
+
+        S = 512
+        n = 1 if offset is None else BLOCK_FLOATS // S + offset
+        rng = np.random.default_rng(8)
+        X, Y = rng.normal(size=(n, 2)), rng.normal(size=(S, 2)) + 0.5
+
+        def mean_dist(A, B):
+            return np.mean(np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)))
+
+        dense = 2 * mean_dist(X, Y) - mean_dist(X, X) - mean_dist(Y, Y)
+        assert abs(energy_distance(X, Y) - dense) <= 1e-12 * mean_dist(X, Y)
+        assert energy_distance(Y, Y) == 0.0
 
 
 class TestDistributionDiscrepancy:
@@ -239,13 +273,19 @@ class TestDistributionDiscrepancy:
 
 class TestKdeL2Metric:
     def test_zero_for_identical_and_positive_for_distinct(self):
-        from gpsde.systems import kde_l2_distance
-
         rng = np.random.default_rng(2)
         X = rng.normal(size=(80, 2))
         assert kde_l2_distance(X, X) == pytest.approx(0.0, abs=1e-14)
         Y = rng.normal(size=(80, 2)) + 1.5
         assert kde_l2_distance(X, Y) > 0.01
+
+    def test_memory_stays_within_a_block(self, traced_peak):
+        # 300 paths per ensemble on the 41 x 41 grid: the parent's dense
+        # (grid, paths) distances and temporaries took 13 MB
+        rng = np.random.default_rng(9)
+        X, Y = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+        peak = traced_peak(lambda: kde_l2_distance(X, Y))
+        assert peak < 3e6, f"peak {peak} B"
 
     def test_discrepancy_metric_switch(self):
         # both metrics come from one simulation of each ensemble
