@@ -266,9 +266,9 @@ class TestStateDensity:
         n = 1 if offset is None else BLOCK_FLOATS // S + offset
         rng = np.random.default_rng(5)
         samples, points = rng.normal(size=(S, D)), rng.normal(size=(n, D))
+        got = gaussian_kde(points, samples, h)
         d2 = np.sum((points[:, None, :] - samples[None, :, :]) ** 2, axis=-1)
         dense = np.mean(np.exp(-0.5 * d2 / h**2), axis=1) * (2 * np.pi * h**2) ** (-0.5 * D)
-        got = gaussian_kde(points, samples, h)
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
 
     def test_memory_stays_within_a_block(self, traced_peak):
