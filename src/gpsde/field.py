@@ -139,7 +139,6 @@ class FieldCache:
     diff_params: KernelParams
     U_f: np.ndarray
     u_sigma: np.ndarray
-    jitter_scale: float
     chol_f: tuple
     chol_s: tuple
     logdet_f: float
@@ -174,15 +173,15 @@ def _factor(K: np.ndarray, what: str) -> tuple:
         ) from exc
 
 
-def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCache:
+def build_cache(m: InducingModel) -> FieldCache:
     """Factorize the (jittered) Gram matrices of a model and precompute the
     products used by field evaluation and its derivatives."""
     M = m.M
     Kf = gram(m.Z, m.Z, m.drift_params)
-    Kf[np.diag_indices(M)] += jitter_scale * m.drift_params.variance
+    Kf[np.diag_indices(M)] += JITTER_SCALE * m.drift_params.variance
     chol_f = _factor(Kf, "drift")
     Ks = gram(m.Z, m.Z, m.diff_params)
-    Ks[np.diag_indices(M)] += jitter_scale * m.diff_params.variance
+    Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
     chol_s = _factor(Ks, "diffusion")
 
     return FieldCache(
@@ -191,7 +190,6 @@ def build_cache(m: InducingModel, jitter_scale: float = JITTER_SCALE) -> FieldCa
         diff_params=m.diff_params,
         U_f=m.U_f,
         u_sigma=m.u_sigma,
-        jitter_scale=float(jitter_scale),
         chol_f=chol_f,
         chol_s=chol_s,
         # the D drift columns share K_f, so their joint covariance has D x its logdet

@@ -34,7 +34,7 @@ from .objective import (
     evaluate_with_increments,
     make_grids,
 )
-from .sim import SimConfig, child_seed
+from .sim import SimConfig, child_seed, grid_points
 
 # box bounds for the log noise variances keep exp() finite during line search
 _NOISE_LOG_BOUNDS = (-23.0, 14.0)
@@ -126,8 +126,7 @@ def build_inducing_grid(spec, data) -> np.ndarray:
         if not lo < hi:
             raise InputError(f"grid bounds must satisfy min < max in dimension {d}")
         axes.append(np.linspace(float(lo), float(hi), count))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    return grid_points(axes)
 
 
 def _pooled_difference_quotients(data):

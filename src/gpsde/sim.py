@@ -216,6 +216,13 @@ def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
     return PathBundle(paths=paths, grid=grid)
 
 
+def grid_points(axes) -> np.ndarray:
+    """Points (P, D) of the Cartesian grid on D 1-d axes, the last axis
+    varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 def row_blocks(n_rows: int, row_floats: int):
     """Consecutive slices of range(n_rows), each about BLOCK_FLOATS floats
     when a row holds row_floats; at least one row per slice."""

@@ -26,7 +26,7 @@ from .field import (
     drift_diffusion_batch,
 )
 from .objective import Trajectory, _as_list
-from .sim import child_seed, gaussian_kde, row_blocks, simulate_callable_batch
+from .sim import child_seed, gaussian_kde, grid_points, row_blocks, simulate_callable_batch
 
 _GEN_MAX_RETRIES = 5
 
@@ -144,9 +144,28 @@ SYSTEMS = {
 }
 
 
-def _fields(drift_fn, diffusion_fn):
-    """Pair drift and diffusion callables into one stepping-loop field."""
-    return lambda X: (drift_fn(X), diffusion_fn(X))
+def _fields(fitted):
+    """Drift, diffusion and stepping-loop field of a ParametricSystem,
+    InducingModel or (model, cache) pair, each a callable of stacked states.
+
+    The stepping field returns the drift and the signed diffusion together;
+    for a model they share one kernel row per step when their kernels are
+    equal.
+    """
+    if isinstance(fitted, ParametricSystem):
+        drift, diffusion = fitted.drift_fn, fitted.diffusion_fn
+        return drift, diffusion, lambda X: (drift(X), diffusion(X))
+    if isinstance(fitted, tuple) and len(fitted) == 2:
+        _, cache = fitted
+    elif isinstance(fitted, InducingModel):
+        cache = build_cache(fitted)
+    else:
+        raise InputError("fitted must be a ParametricSystem, InducingModel, or (model, cache)")
+    if not isinstance(cache, FieldCache):
+        raise InputError("second element of (model, cache) must be a FieldCache")
+    return (lambda X: drift_batch(np.atleast_2d(X), cache),
+            lambda X: diffusion_batch(np.atleast_2d(X), cache),
+            lambda X: drift_diffusion_batch(X, cache))
 
 
 def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
@@ -164,9 +183,7 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
             x0 = rng.uniform(spec.x0_box[:, 0], spec.x0_box[:, 1])
             incs = rng.normal(0.0, math.sqrt(spec.gen_dt), size=(1, n_steps, sys.dim))
             try:
-                path = simulate_callable_batch(
-                    _fields(sys.drift_fn, sys.diffusion_fn), x0, spec.gen_dt, incs
-                )[0]
+                path = simulate_callable_batch(_fields(sys)[2], x0, spec.gen_dt, incs)[0]
             except SimulationError:
                 continue
             y = path[obs_at] + rng.normal(0.0, spec.noise_std, size=(spec.n_obs_per_traj, sys.dim))
@@ -181,46 +198,12 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
 
 # -- recovery metrics ---------------------------------------------------------
 
-def _fitted_cache(fitted) -> FieldCache:
-    """The field cache of a fitted InducingModel or (model, cache) pair."""
-    if isinstance(fitted, tuple) and len(fitted) == 2:
-        model, cache = fitted
-    elif isinstance(fitted, InducingModel):
-        model, cache = fitted, build_cache(fitted)
-    else:
-        raise InputError("fitted must be a ParametricSystem, InducingModel, or (model, cache)")
-    if not isinstance(cache, FieldCache):
-        raise InputError("second element of (model, cache) must be a FieldCache")
-    return cache
-
-
-def _as_field_fns(fitted):
-    """Normalize a fitted object to vectorized (drift, diffusion) callables."""
-    if isinstance(fitted, ParametricSystem):
-        return fitted.drift_fn, fitted.diffusion_fn
-    cache = _fitted_cache(fitted)
-    return (lambda X: drift_batch(np.atleast_2d(X), cache),
-            lambda X: diffusion_batch(np.atleast_2d(X), cache))
-
-
-def _stepping_fields(fitted):
-    """Stepping-loop field of a ParametricSystem, InducingModel or (model,
-    cache); a model's two fields share one kernel row per step when their
-    kernels are equal."""
-    if isinstance(fitted, ParametricSystem):
-        return _fields(fitted.drift_fn, fitted.diffusion_fn)
-    cache = _fitted_cache(fitted)
-    return lambda X: drift_diffusion_batch(X, cache)
-
-
 def eval_grid(eval_box, n_grid: int) -> np.ndarray:
     """Regular grid over a (D, 2) box, n_grid nodes per dimension."""
     box = np.asarray(eval_box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
-    axes = [np.linspace(lo, hi, int(n_grid)) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    return grid_points([np.linspace(lo, hi, int(n_grid)) for lo, hi in box])
 
 
 def _visited_mask(P, data, density_frac):
@@ -245,7 +228,7 @@ def drift_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
     P = eval_grid(eval_box, n_grid)
     if data is not None:
         P = P[_visited_mask(P, data, density_frac)]
-    drift_fit, _ = _as_field_fns(fitted)
+    drift_fit = _fields(fitted)[0]
     diff = np.atleast_2d(true_sys.drift_fn(P)) - np.atleast_2d(drift_fit(P))
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=-1))))
 
@@ -256,7 +239,7 @@ def diffusion_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
     P = eval_grid(eval_box, n_grid)
     if data is not None:
         P = P[_visited_mask(P, data, density_frac)]
-    _, diff_fit = _as_field_fns(fitted)
+    diff_fit = _fields(fitted)[1]
     delta = np.asarray(true_sys.diffusion_fn(P)) - np.abs(np.asarray(diff_fit(P)))
     return float(np.sqrt(np.mean(delta**2)))
 
@@ -293,8 +276,7 @@ def kde_l2_distance(X: np.ndarray, Y: np.ndarray, n_grid: int = 41,
     bw = max(float(np.mean(both.std(axis=0))) * both.shape[0] ** (-1.0 / (d + 4)), 1e-8)
     axes = [np.linspace(both[:, k].min() - pad, both[:, k].max() + pad, n_grid)
             for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([g.ravel() for g in mesh], axis=-1)
+    P = grid_points(axes)
     cell = float(np.prod([a[1] - a[0] for a in axes]))
     diff = gaussian_kde(P, X, bw) - gaussian_kde(P, Y, bw)
     return float(np.sqrt(np.sum(diff**2) * cell))
@@ -326,8 +308,8 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
 
     incs_true = draw(seed)
     incs_fit = incs_true if fitted_seed is None else draw(fitted_seed)
-    paths_true = simulate_callable_batch(_stepping_fields(true_sys), x0, dt, incs_true)
-    paths_fit = simulate_callable_batch(_stepping_fields(fitted), x0, dt, incs_fit)
+    paths_true = simulate_callable_batch(_fields(true_sys)[2], x0, dt, incs_true)
+    paths_fit = simulate_callable_batch(_fields(fitted)[2], x0, dt, incs_fit)
 
     checks = np.unique(np.linspace(1, n_steps, min(n_checkpoints, n_steps)).round().astype(int))
     return {name: float(sum(dist(paths_true[:, i], paths_fit[:, i]) for i in checks))

@@ -170,7 +170,7 @@ def test_criterion_3_interpolation():
             diff_params=KernelParams(1.0, [0.9] * D),
             noise_vars=np.full(D, 0.05),
         )
-        c = build_cache(m, jitter_scale=1e-6)
+        c = build_cache(m)
         rel_f = np.max(np.abs(drift_batch(m.Z, c) - m.U_f) / (1.0 + np.abs(m.U_f)))
         rel_s = np.max(np.abs(diffusion_batch(m.Z, c) - m.u_sigma) / (1.0 + np.abs(m.u_sigma)))
         worst = max(worst, float(rel_f), float(rel_s))

@@ -284,11 +284,19 @@ class TestEvaluate:
     (["evaluate", "--n-grid", "0"], "--n-grid"),
     (["evaluate", "--system", "van-der-pol", "--box=-3:3"], "--box"),
     (["fit", "--inducing=-2:2:x"], "--inducing"),
+    (["simulate", "--x0", "0.1,0.2"], "--x0"),
+    (["evaluate", "--x0", "0.1,0.2"], "--x0"),
+    (["generate", "--system", "oscillator", "--x0-box=-2:2"], "--x0-box"),
+    (["generate", "--x0-box=2:-2"], "--x0-box"),
+    (["generate", "--n-obs", "1"], "--n-obs"),
+    (["evaluate", "--n-paths", "1"], "--n-paths"),
+    (["evaluate", "--system", "oscillator", "--box=-2:2,-2:2"], "--model"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
                                                tmp_path, capsys):
     cmd, rest = argv[0], argv[1:]
-    source = ["--data-dir", tiny_dataset] if cmd == "fit" else ["--model", tiny_model]
+    source = {"fit": ["--data-dir", tiny_dataset], "generate": []}.get(
+        cmd, ["--model", tiny_model])
     out = tmp_path / "out"
     rc = run_cli([cmd, *source, *rest, "--out-dir", out])
     assert rc == 3
@@ -329,3 +337,49 @@ def test_config_file_overridden_by_flags(tmp_path):
     manifest = dataio.read_manifest(out / "manifest.ini")
     assert manifest["generate"]["n_obs"] == "15"
     assert manifest["generate"]["n_traj"] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--system", "oscillator", "--n-traj", 1, "--n-obs", 12,
+     "--subsample-every", 5, "--x0-box=-1:1,-1:1", "--seed", 2],
+    ["fit", "--inducing=-2.5:2.5:5", "--lengthscales", "1.0", "--max-iters", 2,
+     "--n-samples", 4, "--resample-period", 1, "--seed", 5],
+    ["simulate", "--x0", "0.5", "--horizon", "0.5", "--dt", "0.05", "--n-paths", 5,
+     "--density-grid=-3:3:31", "--density-time", "0.25", "--seed", 3],
+    ["evaluate", "--box=-1.5:1.5", "--n-grid", 11, "--x0", "0.5", "--horizon", "0.3",
+     "--n-paths", 20, "--seed", 1],
+], ids=lambda argv: argv[0])
+def test_manifest_as_config_reproduces_the_run(argv, tiny_dataset, tiny_model, tmp_path):
+    cmd = argv[0]
+    source = {"fit": ["--data-dir", tiny_dataset], "generate": []}.get(
+        cmd, ["--model", tiny_model])
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli([*argv, *source, "--out-dir", first]) == 0
+    assert run_cli([cmd, "--config", first / "manifest.ini", "--out-dir", again]) == 0
+    assert dir_bytes(again) == dir_bytes(first)
+
+
+@pytest.mark.parametrize("cmd, entry, flag", [
+    ("generate", "n_obs = abc", "--n-obs"),
+    ("simulate", "n_paths = 2.5", "--n-paths"),
+    ("fit", "resample_period = 0.5", "--resample-period"),
+    ("generate", "system = nosuch", "--system"),
+])
+def test_bad_config_entry_fails_like_its_flag(cmd, entry, flag, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{cmd}]\n{entry}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli([cmd, "--config", cfg, "--out-dir", out])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_key_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[generate]\nbogus = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(["generate", "--config", cfg, "--out-dir", out]) == 3
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
