@@ -103,11 +103,25 @@ def _positive(flag: str, value):
     _require(math.isfinite(value) and value > 0, flag, "must be positive and finite", value)
 
 
+def _at_least(least: int, *flag_values):
+    """An InputError that names the first (flag, count) pair below least."""
+    for flag, value in flag_values:
+        _require(value >= least, flag, f"must be at least {least}", value)
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise InputError(f"{flag} expects comma-separated reals, got {text!r}") from None
+
+
+def _positive_floats(text: str, flag: str) -> list[float]:
+    """Comma-separated positive finite reals; an empty text gives none."""
+    values = _parse_floats(text, flag) if text else []
+    for v in values:
+        _positive(flag, v)
+    return values
 
 
 def _settings(args) -> dict:
@@ -166,7 +180,11 @@ def cmd_generate(args) -> int:
     _require(box.shape[0] == system.dim and np.all(box[:, 0] <= box[:, 1]), "--x0-box",
              f"needs one 'lo:hi' axis with lo <= hi per dimension of the {args.system} "
              f"system ({system.dim})", args.x0_box)
-    _require(args.n_obs >= 2, "--n-obs", "must be at least 2", args.n_obs)
+    _at_least(1, ("--n-traj", args.n_traj), ("--subsample-every", args.subsample_every))
+    _at_least(2, ("--n-obs", args.n_obs))
+    _positive("--gen-dt", args.gen_dt)
+    _require(math.isfinite(args.noise_std) and args.noise_std >= 0, "--noise-std",
+             "must be non-negative and finite", args.noise_std)
     spec = GenSpec(
         n_traj=args.n_traj, n_obs_per_traj=args.n_obs, gen_dt=args.gen_dt,
         subsample_every=args.subsample_every, noise_std=args.noise_std, x0_box=box,
@@ -183,22 +201,29 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     if not args.data_dir:
         raise UsageError("fit requires --data-dir")
+    # every flag is checked before any output is written
+    _at_least(1, ("--n-samples", args.n_samples),
+              ("--resolution-factor", args.resolution_factor))
+    _at_least(0, ("--resample-period", args.resample_period), ("--max-iters", args.max_iters))
+    _positive("--grad-tol", args.grad_tol)
+    _positive("--kernel-variance", args.kernel_variance)
+    noise_vars = _positive_floats(args.noise_vars, "--noise-vars")
+    lengthscales = _positive_floats(args.lengthscales, "--lengthscales")
     spec = _parse_grid_spec(args.inducing, "--inducing", auto=True)
     data = dataio.read_dataset(args.data_dir)
-    if len(spec) == 1 and data[0].dim > 1:
-        spec = spec * data[0].dim
-    if args.lengthscales:
-        grid = tuple((v, v) for v in _parse_floats(args.lengthscales, "--lengthscales"))
-    else:
-        grid = default_lengthscale_grid(data)
+    D = data[0].dim
+    _require(len(noise_vars) in (0, 1, D), "--noise-vars",
+             f"needs one value, or one per data dimension ({D})", args.noise_vars)
+    if len(spec) == 1 and D > 1:
+        spec = spec * D
+    grid = tuple((v, v) for v in lengthscales) or default_lengthscale_grid(data)
     fit_cfg = FitConfig(
         lengthscale_grid=grid, inducing_grid_spec=spec,
         sim=SimConfig(resolution_factor=args.resolution_factor, n_samples=args.n_samples,
                       seed=args.seed, resample_period=args.resample_period or None),
         max_iters=args.max_iters, grad_tol=args.grad_tol,
         kernel_variance=args.kernel_variance,
-        fix_noise_vars=(tuple(_parse_floats(args.noise_vars, "--noise-vars"))
-                        if args.noise_vars else None),
+        fix_noise_vars=tuple(noise_vars) or None,
     )
     out = _out_dir(args.out_dir)
     report = fit_map(data, fit_cfg)
@@ -220,13 +245,13 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--horizon", args.horizon), ("--dt", args.dt),
                         ("--n-paths", args.n_paths), ("--bandwidth", args.bandwidth)):
         _positive(flag, value)
-    points = None
+    axes = None
     if args.density_grid:
-        box_axes = _parse_grid_spec(args.density_grid, "--density-grid")
-        points = grid_points([np.linspace(lo, hi, n) for lo, hi, n in box_axes])
+        axes = [np.linspace(lo, hi, n)
+                for lo, hi, n in _parse_grid_spec(args.density_grid, "--density-grid")]
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     model = dataio.load_model(args.model)
-    _require(points is None or points.shape[1] == model.D, "--density-grid",
+    _require(axes is None or len(axes) == model.D, "--density-grid",
              f"needs one axis per model dimension ({model.D})", args.density_grid)
     _require(x0.size == model.D, "--x0", f"needs one value per model dimension ({model.D})",
              args.x0)
@@ -237,11 +262,11 @@ def cmd_simulate(args) -> int:
     bundle = sample_paths(model, cache, x0, grid, args.n_paths, args.seed)
     dataio.write_paths_csv(out / "paths.csv", bundle)
     outputs = ["paths.csv"]
-    if points is not None:
+    if axes is not None:
         t_at = args.density_time
         idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
-        dens = state_density(bundle, idx, points, args.bandwidth)
-        dataio.write_density_csv(out / "density.csv", points, dens)
+        dens = state_density(bundle, idx, axes, args.bandwidth)
+        dataio.write_density_csv(out / "density.csv", grid_points(axes), dens)
         outputs.append("density.csv")
     dataio.write_manifest(out / "manifest.ini", {args.command: _settings(args)})
     print(f"wrote {', '.join(outputs)} to {out}")
@@ -257,7 +282,7 @@ def cmd_evaluate(args) -> int:
     _require(box.shape[0] == system.dim, "--box", f"needs one axis per {dims}", args.box)
     _positive("--n-grid", args.n_grid)
     _positive("--horizon", args.horizon)
-    _require(args.n_paths >= 2, "--n-paths", "must be at least 2", args.n_paths)
+    _at_least(2, ("--n-paths", args.n_paths))
     x0 = np.array(_parse_floats(args.x0, "--x0")) if args.x0 else box.mean(axis=1)
     _require(x0.size == system.dim, "--x0", f"needs one value per {dims}", args.x0)
     model = dataio.load_model(args.model)

@@ -35,7 +35,7 @@ def _fmt(x: float) -> str:
 
 def _reals_format(k: int) -> str:
     """%-format of k comma-separated reals; '%.17g' % x equals _fmt(x) for
-    every float, so a CSV row costs one % operation."""
+    every float, so a block of CSV rows costs one % operation."""
     return ",".join(["%.17g"] * k)
 
 
@@ -190,38 +190,36 @@ def load_model(path) -> InducingModel:
 
 # -- simulation outputs -------------------------------------------------------
 
-def _csv_lines(lines) -> str:
-    return "\n".join(lines) + "\n"
-
-
 def write_paths_csv(path, bundle):
     """Stream one sample's rows at a time, so only the paths array and one
-    sample's text are held."""
-    times = [_fmt(t) for t in bundle.grid.times]     # shared by every sample
+    sample's text are held; a sample's rows are one % operation on a
+    template built once from the per-step pieces."""
     D = bundle.paths.shape[2]
-    fmt = "%d,%d,%s," + _reals_format(D)
+    reals = _reals_format(D)
+    pieces = [f",{i},{_fmt(t)},{reals}\n" for i, t in enumerate(bundle.grid.times)]
 
     def chunks():
         yield ",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)]) + "\n"
         for s, path_s in enumerate(bundle.paths):
-            yield _csv_lines(fmt % (s, i, times[i], *x)
-                             for i, x in enumerate(path_s.tolist()))
+            tag = str(s)
+            yield (tag + tag.join(pieces)) % tuple(path_s.ravel().tolist())
 
     atomic_write_text(path, chunks())
 
 
 def write_density_csv(path, points: np.ndarray, values: np.ndarray):
-    """Stream the rows in blocks of about BLOCK_FLOATS values."""
+    """Stream the rows in blocks of about BLOCK_FLOATS values, each block
+    one % operation."""
     points = np.atleast_2d(points)
     values = np.ravel(values)
     width = points.shape[1] + 1
-    fmt = _reals_format(width)
+    row_fmt = _reals_format(width) + "\n"
 
     def chunks():
         yield ",".join([f"x_{d + 1}" for d in range(width - 1)] + ["density"]) + "\n"
         for rows in row_blocks(points.shape[0], width):
-            block = np.column_stack([points[rows], values[rows]]).tolist()
-            yield _csv_lines(fmt % tuple(r) for r in block)
+            block = np.column_stack([points[rows], values[rows]])
+            yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
 
     atomic_write_text(path, chunks())
 

@@ -180,9 +180,11 @@ def build_cache(m: InducingModel) -> FieldCache:
     Kf = gram(m.Z, m.Z, m.drift_params)
     Kf[np.diag_indices(M)] += JITTER_SCALE * m.drift_params.variance
     chol_f = _factor(Kf, "drift")
-    Ks = gram(m.Z, m.Z, m.diff_params)
-    Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
-    chol_s = _factor(Ks, "diffusion")
+    same = same_params(m.drift_params, m.diff_params)
+    if not same:        # equal kernels share one jittered Gram matrix and factor
+        Ks = gram(m.Z, m.Z, m.diff_params)
+        Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
+    chol_s = chol_f if same else _factor(Ks, "diffusion")
 
     return FieldCache(
         Z=m.Z,
@@ -197,7 +199,7 @@ def build_cache(m: InducingModel) -> FieldCache:
         logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
         alpha_f=scipy.linalg.cho_solve(chol_f, m.U_f),
         alpha_s=scipy.linalg.cho_solve(chol_s, m.u_sigma),
-        same_kernels=same_params(m.drift_params, m.diff_params),
+        same_kernels=same,
     )
 
 

@@ -66,19 +66,18 @@ def rbf_matrix(X: np.ndarray, Z: np.ndarray, p: KernelParams) -> np.ndarray:
     """Pairwise kernel values variance * exp(-0.5 sum_d (x_d - z_d)^2 / l_d^2)
     for stacked states, shape (len(X), len(Z)).
 
-    The scaled squared distances come from one matrix product,
-    |x/l|^2 + |z/l|^2 - 2 (x/l).(z/l), clamped at zero because rounding can
-    make them slightly negative near coincident points; the exp then works in
-    place on that one (N, M) array, so no (N, M, D) difference is formed.
+    The exponent -|x/l - z/l|^2 / 2 comes from one matrix product,
+    (x/l).(z/l) - |x/l|^2 / 2 - |z/l|^2 / 2, clamped at zero because rounding
+    can make it slightly positive near coincident points; the exp then works
+    in place on that one (N, M) array, so no (N, M, D) difference is formed.
+    Halving is exact, so this rounds as the squared distance would.
     """
     Xs = X / p.lengthscales
     Zs = Z / p.lengthscales
     K = Xs @ Zs.T
-    K *= -2.0
-    K += np.einsum("nd,nd->n", Xs, Xs)[:, None]
-    K += np.einsum("md,md->m", Zs, Zs)
-    np.maximum(K, 0.0, out=K)
-    K *= -0.5
+    K -= 0.5 * np.einsum("nd,nd->n", Xs, Xs)[:, None]
+    K -= 0.5 * np.einsum("md,md->m", Zs, Zs)
+    np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
     K *= p.variance
     return K

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError, SimulationError
 from .field import FieldCache, InducingModel, _checked, drift_diffusion_batch
@@ -230,32 +229,37 @@ def row_blocks(n_rows: int, row_floats: int):
     return (slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step))
 
 
-def gaussian_kde(points, samples, bandwidth: float) -> np.ndarray:
-    """Isotropic Gaussian kernel density of samples (S, D) at points (P, D).
-
-    The points are taken in row blocks, so no more than one block x S array
-    of squared distances exists at a time.
-    """
+def gaussian_kde(axes, samples, bandwidth: float) -> np.ndarray:
+    """Isotropic Gaussian KDE of samples (S, D) on the Cartesian grid of D 1-d
+    axes, in :func:`grid_points` order.  The kernel factorises over dimensions
+    into E_d = exp(-((a_d - x_d) / h)^2 / 2), shape (n_d, S): products of the
+    leading axes' factors are formed one row block of their grid at a time,
+    and each block meets the last axis's factor in one matrix product."""
     samples = as_points(samples, name="samples")
     S, D = samples.shape
     if S == 0:
         raise InputError("no samples to estimate a density from")
     if not bandwidth > 0:
         raise InputError("bandwidth must be positive")
-    points = as_points(points, D, "eval_points")
-    norm = (2.0 * math.pi * bandwidth**2) ** (-0.5 * D)
-    dens = np.empty(points.shape[0])
-    for rows in row_blocks(points.shape[0], S):
-        k = cdist(points[rows], samples, "sqeuclidean")
-        k *= -0.5
-        k /= bandwidth**2
-        np.exp(k, out=k)
-        dens[rows] = np.mean(k, axis=1)
-    dens *= norm
-    return dens
+    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
+    if len(axes) != D or not all(a.size for a in axes):
+        raise InputError(f"need one non-empty axis per sample dimension ({D})")
+    *lead, last = [np.exp(-0.5 * ((a[:, None] - samples[:, d]) / bandwidth) ** 2)
+                   for d, a in enumerate(axes)]
+    n_lead = math.prod(f.shape[0] for f in lead)
+    dens = np.empty((n_lead, last.shape[0]))
+    for rows in row_blocks(n_lead, S):
+        idx = np.arange(rows.start, rows.stop)
+        block = np.ones((idx.size, S))
+        for f in reversed(lead):     # the last leading axis varies fastest
+            block *= f[idx % f.shape[0]]
+            idx //= f.shape[0]
+        dens[rows] = block @ last.T
+    dens *= (2.0 * math.pi * bandwidth**2) ** (-0.5 * D) / S
+    return dens.ravel()
 
 
-def state_density(bundle: PathBundle, grid_index: int, eval_points,
-                  bandwidth: float) -> np.ndarray:
-    """Isotropic Gaussian KDE of the sample states at one grid node."""
-    return gaussian_kde(eval_points, bundle.paths[:, grid_index, :], bandwidth)
+def state_density(bundle: PathBundle, grid_index: int, axes, bandwidth: float) -> np.ndarray:
+    """Isotropic Gaussian KDE of the sample states at one grid node, on the
+    Cartesian grid of the 1-d axes."""
+    return gaussian_kde(axes, bundle.paths[:, grid_index, :], bandwidth)

@@ -198,23 +198,25 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
 
 # -- recovery metrics ---------------------------------------------------------
 
-def eval_grid(eval_box, n_grid: int) -> np.ndarray:
-    """Regular grid over a (D, 2) box, n_grid nodes per dimension."""
+def _eval_points(eval_box, n_grid: int, data, density_frac: float) -> np.ndarray:
+    """Regular grid over a (D, 2) box, n_grid nodes per dimension; with
+    training data, only the nodes in the visited region (kernel density of
+    the pooled observations above density_frac of its maximum)."""
     box = np.asarray(eval_box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
-    return grid_points([np.linspace(lo, hi, int(n_grid)) for lo, hi in box])
-
-
-def _visited_mask(P, data, density_frac):
+    axes = [np.linspace(lo, hi, int(n_grid)) for lo, hi in box]
+    P = grid_points(axes)
+    if data is None:
+        return P
     pooled = np.concatenate([tr.obs for tr in _as_list(data)], axis=0)
     if pooled.shape[0] > 4000:
         keep = np.linspace(0, pooled.shape[0] - 1, 4000).round().astype(int)
         pooled = pooled[keep]
     n, d = pooled.shape
     bw = float(np.mean(pooled.std(axis=0))) * n ** (-1.0 / (d + 4))
-    dens = gaussian_kde(P, pooled, max(bw, 1e-8))
-    return dens >= density_frac * dens.max()
+    dens = gaussian_kde(axes, pooled, max(bw, 1e-8))
+    return P[dens >= density_frac * dens.max()]
 
 
 def drift_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
@@ -225,9 +227,7 @@ def drift_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
     region (kernel density above density_frac of its maximum) so the
     zero-reverting far field does not dominate.
     """
-    P = eval_grid(eval_box, n_grid)
-    if data is not None:
-        P = P[_visited_mask(P, data, density_frac)]
+    P = _eval_points(eval_box, n_grid, data, density_frac)
     drift_fit = _fields(fitted)[0]
     diff = np.atleast_2d(true_sys.drift_fn(P)) - np.atleast_2d(drift_fit(P))
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=-1))))
@@ -236,9 +236,7 @@ def drift_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
 def diffusion_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
                     data=None, density_frac: float = 0.01) -> float:
     """RMS mismatch between the true diffusion and |fitted diffusion|."""
-    P = eval_grid(eval_box, n_grid)
-    if data is not None:
-        P = P[_visited_mask(P, data, density_frac)]
+    P = _eval_points(eval_box, n_grid, data, density_frac)
     diff_fit = _fields(fitted)[1]
     delta = np.asarray(true_sys.diffusion_fn(P)) - np.abs(np.asarray(diff_fit(P)))
     return float(np.sqrt(np.mean(delta**2)))
@@ -276,9 +274,8 @@ def kde_l2_distance(X: np.ndarray, Y: np.ndarray, n_grid: int = 41,
     bw = max(float(np.mean(both.std(axis=0))) * both.shape[0] ** (-1.0 / (d + 4)), 1e-8)
     axes = [np.linspace(both[:, k].min() - pad, both[:, k].max() + pad, n_grid)
             for k in range(d)]
-    P = grid_points(axes)
     cell = float(np.prod([a[1] - a[0] for a in axes]))
-    diff = gaussian_kde(P, X, bw) - gaussian_kde(P, Y, bw)
+    diff = gaussian_kde(axes, X, bw) - gaussian_kde(axes, Y, bw)
     return float(np.sqrt(np.sum(diff**2) * cell))
 
 

@@ -291,6 +291,20 @@ class TestEvaluate:
     (["generate", "--n-obs", "1"], "--n-obs"),
     (["evaluate", "--n-paths", "1"], "--n-paths"),
     (["evaluate", "--system", "oscillator", "--box=-2:2,-2:2"], "--model"),
+    (["generate", "--n-traj", "0"], "--n-traj"),
+    (["generate", "--gen-dt", "-1"], "--gen-dt"),
+    (["generate", "--gen-dt", "nan"], "--gen-dt"),
+    (["generate", "--noise-std", "-0.1"], "--noise-std"),
+    (["generate", "--subsample-every", "0"], "--subsample-every"),
+    (["fit", "--n-samples", "0"], "--n-samples"),
+    (["fit", "--resolution-factor", "0"], "--resolution-factor"),
+    (["fit", "--resample-period", "-1"], "--resample-period"),
+    (["fit", "--max-iters", "-1"], "--max-iters"),
+    (["fit", "--grad-tol", "0"], "--grad-tol"),
+    (["fit", "--noise-vars", "0.1,0"], "--noise-vars"),
+    (["fit", "--noise-vars", "0.1,0.1,0.1"], "--noise-vars"),
+    (["fit", "--kernel-variance", "-1"], "--kernel-variance"),
+    (["fit", "--lengthscales", "0.5,-1"], "--lengthscales"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
                                                tmp_path, capsys):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from gpsde.errors import InputError, InternalError
@@ -16,7 +17,7 @@ from gpsde.field import (
     step_terms_batch,
     update_values,
 )
-from gpsde.kernels import KernelParams, gram, gram_blocked, rbf_matrix
+from gpsde.kernels import JITTER_SCALE, KernelParams, gram, gram_blocked, rbf_matrix
 from gpsde.sensitivity import simulate_bundle_with_sensitivities
 from gpsde.sim import TimeGrid
 
@@ -280,6 +281,24 @@ def test_log_prior_zero_values(model_and_cache):
     assert log_prior(m0, c0) == pytest.approx(expected, rel=1e-12)
     gf, gs = log_prior_grad(m0, c0)
     assert np.all(gf == 0.0) and np.all(gs == 0.0)
+
+
+def test_equal_kernels_factor_like_two_separate_gram_matrices():
+    # equal (not identical) kernel parameters: the diffusion shares the drift's
+    # factor, bit-identical to factoring its own jittered Gram matrix
+    rng = np.random.default_rng(12)
+    M = 9
+    m = InducingModel(Z=rng.uniform(-2, 2, size=(M, 2)), U_f=rng.normal(size=(M, 2)),
+                      u_sigma=rng.normal(size=M), drift_params=KernelParams(1.3, [0.7, 0.9]),
+                      diff_params=KernelParams(1.3, [0.7, 0.9]), noise_vars=[0.1, 0.1])
+    c = build_cache(m)
+    Ks = gram(m.Z, m.Z, m.diff_params)
+    Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
+    chol_s = scipy.linalg.cho_factor(Ks, lower=True)
+    assert np.array_equal(c.chol_s[0], chol_s[0])
+    assert np.array_equal(c.alpha_s, scipy.linalg.cho_solve(chol_s, m.u_sigma))
+    assert c.logdet_s == 2.0 * np.sum(np.log(np.diag(chol_s[0])))
+    assert c.logdet_f == pytest.approx(m.D * c.logdet_s, rel=1e-14)
 
 
 def test_log_prior_single_point_standard_normal():

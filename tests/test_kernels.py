@@ -157,6 +157,22 @@ def test_rbf_matrix_matches_difference_oracle(D):
     np.testing.assert_allclose(gram(X, Z, p), rbf_oracle(X, Z, p), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("N, M, D", [(500, 225, 2), (200, 225, 2), (2700, 15, 1)])
+def test_rbf_matrix_bit_identical_to_squared_distance_form(N, M, D):
+    # the halved exponent is the squared distance scaled by -1/2, a power of
+    # two, which commutes with rounding
+    rng = np.random.default_rng(N + M)
+    p = KernelParams(1.7, rng.uniform(0.3, 2.0, size=D))
+    Z = rng.normal(scale=2.0, size=(M, D))
+    k = min(M, N // 2)
+    X = np.concatenate([rng.normal(scale=2.0, size=(N - k, D)), Z[:k]])  # coincident rows
+    Xs, Zs = X / p.lengthscales, Z / p.lengthscales
+    d2 = (-2.0 * (Xs @ Zs.T) + np.einsum("nd,nd->n", Xs, Xs)[:, None]
+          + np.einsum("md,md->m", Zs, Zs))
+    ref = p.variance * np.exp(-0.5 * np.maximum(d2, 0.0))
+    assert np.array_equal(rbf_matrix(X, Z, p), ref)
+
+
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_rbf_matrix_at_coincident_points_never_exceeds_variance(D):
     # rounding can make |x|^2 + |z|^2 - 2 x.z slightly negative at x == z

@@ -10,6 +10,7 @@ from gpsde.sim import (
     SimConfig,
     build_grid,
     gaussian_kde,
+    grid_points,
     sample_increments,
     sample_paths,
     simulate_batch,
@@ -239,7 +240,7 @@ class TestStateDensity:
         bundle = sample_paths(m, c, [0.4], g, 1, 3)
         x_end = bundle.paths[0, -1]
         h = 0.3
-        val = state_density(bundle, g.n_steps, [x_end], h)
+        val = state_density(bundle, g.n_steps, [[x_end[0]]], h)
         assert val[0] == pytest.approx((2 * np.pi * h**2) ** -0.5, rel=1e-12)
 
     def test_nonnegative_and_integrates_to_one(self):
@@ -247,7 +248,7 @@ class TestStateDensity:
         g = build_grid([0.0, 1.0], 50)
         bundle = sample_paths(m, c, [0.0], g, 40, 21)
         xs = np.linspace(-6, 6, 601)[:, None]
-        dens = state_density(bundle, g.n_steps, xs, 0.25)
+        dens = state_density(bundle, g.n_steps, [xs[:, 0]], 0.25)
         assert np.all(dens >= 0)
         riemann = dens.sum() * (xs[1, 0] - xs[0, 0])
         assert 0.98 <= riemann <= 1.02
@@ -258,18 +259,27 @@ class TestStateDensity:
         bundle = sample_paths(m, c, [0.0], g, 2, 0)
         with pytest.raises(InputError):
             state_density(bundle, 0, [[0.0]], -1.0)
+        with pytest.raises(InputError):
+            state_density(bundle, 0, [[0.0], [0.0]], 0.2)     # one axis per dimension
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_blocked_kde_matches_dense_formula(self, offset):
-        # point counts one below, at and one above a block, and one point
-        S, D, h = 500, 2, 0.3
+        # prefix-row counts one below, at and one above a block, and one row,
+        # for D=1, 2 and 3 (the D=3 prefix rows span two axes)
+        S, h = 512, 0.3
         n = 1 if offset is None else BLOCK_FLOATS // S + offset
+        lead = {1: [1, 1], 127: [1, 127], 128: [8, 16], 129: [3, 43]}[n]
         rng = np.random.default_rng(5)
-        samples, points = rng.normal(size=(S, D)), rng.normal(size=(n, D))
-        got = gaussian_kde(points, samples, h)
-        d2 = np.sum((points[:, None, :] - samples[None, :, :]) ** 2, axis=-1)
-        dense = np.mean(np.exp(-0.5 * d2 / h**2), axis=1) * (2 * np.pi * h**2) ** (-0.5 * D)
-        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
+        for lengths in ([n], [n, 5], [*lead, 4]):
+            D = len(lengths)
+            samples = rng.normal(size=(S, D))
+            axes = [np.sort(rng.normal(size=k)) for k in lengths]
+            got = gaussian_kde(axes, samples, h)
+            points = grid_points(axes)
+            d2 = np.sum((points[:, None, :] - samples[None, :, :]) ** 2, axis=-1)
+            dense = np.mean(np.exp(-0.5 * d2 / h**2), axis=1) * (2 * np.pi * h**2) ** (-0.5 * D)
+            assert got.shape == dense.shape
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
 
     def test_memory_stays_within_a_block(self, traced_peak):
         # a 81 x 81 grid and 500 paths: the dense (points, samples) kernel
@@ -278,8 +288,7 @@ class TestStateDensity:
         bundle = PathBundle(paths=rng.normal(size=(500, 2, 2)),
                             grid=build_grid([0.0, 1.0], 1))
         axes = [np.linspace(-5, 5, 81), np.linspace(-6, 6, 81)]
-        points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        peak = traced_peak(lambda: state_density(bundle, 1, points, 0.2))
+        peak = traced_peak(lambda: state_density(bundle, 1, axes, 0.2))
         assert peak < 4e6, f"peak {peak} B"
 
 
