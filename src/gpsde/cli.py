@@ -28,7 +28,6 @@ from .errors import (
     FitError,
     InputError,
     NumericalError,
-    SensitivityError,
     SimulationError,
 )
 from .field import build_cache
@@ -68,9 +67,9 @@ def _parse_box(text: str, flag: str) -> np.ndarray:
     return box
 
 
-def _parse_grid_spec(text: str, flag: str, auto: bool = False):
-    """Axes 'lo:hi:count[,...]' of a grid flag; with auto, 'auto:count'
-    leaves an axis's bounds to the data."""
+def _parse_grid_spec(text: str, flag: str, least: int, auto: bool = False):
+    """Axes 'lo:hi:count[,...]' of a grid flag, each with a count of at least
+    least; with auto, 'auto:count' leaves an axis's bounds to the data."""
     syntax = "'lo:hi:count' or 'auto:count'" if auto else "'lo:hi:count'"
     spec = []
     for part in text.split(","):
@@ -87,8 +86,8 @@ def _parse_grid_spec(text: str, flag: str, auto: bool = False):
             count = int(bits[-1])
         except ValueError:
             raise InputError(f"{flag} expects {syntax} per axis, got {part!r}") from None
-        if count < 1:
-            raise InputError(f"{flag} needs a count of at least 1 per axis, got {part!r}")
+        if count < least:
+            raise InputError(f"{flag} needs a count of at least {least} per axis, got {part!r}")
         spec.append((lo, hi, count))
     return tuple(spec)
 
@@ -209,7 +208,7 @@ def cmd_fit(args) -> int:
     _positive("--kernel-variance", args.kernel_variance)
     noise_vars = _positive_floats(args.noise_vars, "--noise-vars")
     lengthscales = _positive_floats(args.lengthscales, "--lengthscales")
-    spec = _parse_grid_spec(args.inducing, "--inducing", auto=True)
+    spec = _parse_grid_spec(args.inducing, "--inducing", 2, auto=True)
     data = dataio.read_dataset(args.data_dir)
     D = data[0].dim
     _require(len(noise_vars) in (0, 1, D), "--noise-vars",
@@ -248,7 +247,7 @@ def cmd_simulate(args) -> int:
     axes = None
     if args.density_grid:
         axes = [np.linspace(lo, hi, n)
-                for lo, hi, n in _parse_grid_spec(args.density_grid, "--density-grid")]
+                for lo, hi, n in _parse_grid_spec(args.density_grid, "--density-grid", 1)]
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     model = dataio.load_model(args.model)
     _require(axes is None or len(axes) == model.D, "--density-grid",
@@ -398,7 +397,7 @@ def main(argv=None) -> int:
     except (DataError, InputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, SimulationError, SensitivityError, FitError) as exc:
+    except (NumericalError, SimulationError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

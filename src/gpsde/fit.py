@@ -10,9 +10,10 @@ and the pair with the best final log-posterior wins.
 Brownian increments are frozen while the quasi-Newton line search runs
 and redrawn every ``resample_period`` accepted iterations, so within one
 epoch the objective is a deterministic function and accepted steps never
-decrease it.  A line-search trial point whose simulated paths blow up is
-rejected (the line search backtracks) and counted; a blow-up at the point
-an epoch starts from still fails the candidate.
+decrease it.  An epoch that stops short of its budget ends the fit.  A
+line-search trial point whose simulated paths blow up is rejected (the
+line search backtracks) and counted; a blow-up at the point an epoch
+starts from fails the candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import FitError, InputError, NumericalError, SimulationError
+from .errors import FitError, InputError, InternalError, NumericalError, SimulationError
 from .field import InducingModel, build_cache, update_values
 from .kernels import KernelParams, rbf_matrix
 from .objective import (
@@ -87,7 +88,7 @@ class FitReport:
     trace: tuple                      # (iteration, log_posterior, grad_inf_norm)
     selected_lengthscales: tuple
     wall_time: float
-    termination: str                  # converged | max_iters | error
+    termination: str                  # converged (gradient < grad_tol) | max_iters | stalled
     rejected_trials: int              # blown-up line-search trial points
     init_log_posterior: float
     final_log_posterior: float
@@ -196,146 +197,130 @@ def init_noise_vars(data) -> np.ndarray:
     return np.maximum(1e-6, 0.1 * deltas.var(axis=0))
 
 
-def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig, rejected: list):
-    """Fit one lengthscale pair; ``rejected[0]`` counts the blown-up trial
-    points, so the count survives a candidate that fails."""
-    D = data[0].dim
-    drift_params = KernelParams(cfg.kernel_variance, np.broadcast_to(np.asarray(ell_f, float), (D,)))
-    diff_params = KernelParams(cfg.kernel_variance, np.broadcast_to(np.asarray(ell_s, float), (D,)))
-    U0, us0 = gradient_match_init(data, Z, drift_params, noise_vars=cfg.fix_noise_vars)
-    noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
-              else init_noise_vars(data))
-    if noise0.size == 1 and D > 1:
-        noise0 = np.full(D, float(noise0[0]))
-    model = InducingModel(
-        Z=Z, U_f=U0, u_sigma=us0, drift_params=drift_params,
-        diff_params=diff_params, noise_vars=noise0,
-    )
-    cache = build_cache(model)
-    M, MD = model.M, model.M * model.D
-
-    # optimize whitened coordinates v = L^{-1} u (L the prior Cholesky
-    # factors, applied to each drift column): the prior Hessian becomes the
-    # identity, which conditions the quasi-Newton iteration far better than
-    # raw inducing values.  x[:MD] holds V = L_f^{-1} U_f in its (m, d) order.
-    Lf = np.tril(cache.chol_f[0])
-    Ls = np.tril(cache.chol_s[0])
-
-    def unpack(x):
-        return update_values(
-            cache, model,
-            U_f=Lf @ x[:MD].reshape(M, D),
-            u_sigma=Ls @ x[MD:MD + M],
-            noise_vars=np.exp(x[MD + M:]),
+def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig) -> dict:
+    """Fit one lengthscale pair; a numerical failure L-BFGS-B cannot back
+    away from returns an "error" summary that keeps the rejected-trial count."""
+    lengthscales = (np.asarray(ell_f, float), np.asarray(ell_s, float))
+    rejected = 0
+    try:
+        D = data[0].dim
+        drift_params = KernelParams(cfg.kernel_variance, np.broadcast_to(lengthscales[0], (D,)))
+        diff_params = KernelParams(cfg.kernel_variance, np.broadcast_to(lengthscales[1], (D,)))
+        U0, us0 = gradient_match_init(data, Z, drift_params, noise_vars=cfg.fix_noise_vars)
+        noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
+                  else init_noise_vars(data))
+        if noise0.size == 1 and D > 1:
+            noise0 = np.full(D, float(noise0[0]))
+        model = InducingModel(
+            Z=Z, U_f=U0, u_sigma=us0, drift_params=drift_params,
+            diff_params=diff_params, noise_vars=noise0,
         )
+        cache = build_cache(model)
+        M, MD = model.M, model.M * model.D
 
-    def whiten_grad(val):
-        return np.concatenate([(Lf.T @ val.grad_u_f.reshape(M, D)).ravel(),
-                               Ls.T @ val.grad_u_s,
-                               val.grad_log_noise])
+        # optimize whitened coordinates v = L^{-1} u (L the prior Cholesky
+        # factors, applied to each drift column): the prior Hessian becomes the
+        # identity, which conditions the quasi-Newton iteration far better than
+        # raw inducing values.  x[:MD] holds V = L_f^{-1} U_f in its (m, d) order.
+        Lf = np.tril(cache.chol_f[0])
+        Ls = np.tril(cache.chol_s[0])
+        x = np.concatenate([
+            scipy.linalg.solve_triangular(Lf, model.U_f, lower=True).ravel(),
+            scipy.linalg.solve_triangular(Ls, model.u_sigma, lower=True),
+            np.log(model.noise_vars),
+        ])
+        free = np.ones(x.size, dtype=bool)
+        if cfg.fix_noise_vars is not None:
+            # pin the noise coordinates through equality bounds
+            free[MD + M:] = False
+            bounds = [(None, None)] * (MD + M) + [(v, v) for v in np.log(model.noise_vars)]
+        else:
+            bounds = [(None, None)] * (MD + M) + [_NOISE_LOG_BOUNDS] * D
 
-    incs0 = draw_increments(data, grids, model, cfg.sim.n_samples,
-                            child_seed(cfg.sim.seed, 0))
-    init_val = evaluate_with_increments(data, model, cache, grids, incs0)
-    x = np.concatenate([
-        scipy.linalg.solve_triangular(Lf, model.U_f, lower=True).ravel(),
-        scipy.linalg.solve_triangular(Ls, model.u_sigma, lower=True),
-        np.log(model.noise_vars),
-    ])
-    free = np.ones(x.size, dtype=bool)
-    if cfg.fix_noise_vars is not None:
-        # pin the noise coordinates through equality bounds
-        free[MD + M:] = False
-        bounds = [(None, None)] * (MD + M) + [(v, v) for v in np.log(model.noise_vars)]
-    else:
-        bounds = [(None, None)] * (MD + M) + [_NOISE_LOG_BOUNDS] * D
+        def unpack(xv):
+            return update_values(
+                cache, model,
+                U_f=Lf @ xv[:MD].reshape(M, D),
+                u_sigma=Ls @ xv[MD:MD + M],
+                noise_vars=np.exp(xv[MD + M:]),
+            )
 
-    def free_grad_inf(val) -> float:
-        g = whiten_grad(val)[free]
-        return float(np.max(np.abs(g))) if g.size else 0.0
-    trace = [(0, init_val.log_posterior, free_grad_inf(init_val))]
-    epoch_starts = [0]
-    termination = "max_iters" if cfg.max_iters > 0 else "converged"
-    total_iters = 0
-    period = cfg.sim.resample_period or max(cfg.max_iters, 1)
-    epoch = 0
-    moved = False
+        def score(m, c, increments):
+            """Log-posterior, free gradient's inf-norm and whitened gradient."""
+            val = evaluate_with_increments(data, m, c, grids, increments)
+            g = np.concatenate([(Lf.T @ val.grad_u_f.reshape(M, D)).ravel(),
+                                Ls.T @ val.grad_u_s,
+                                val.grad_log_noise])
+            return val.log_posterior, float(np.max(np.abs(g[free]))), g
 
-    while total_iters < cfg.max_iters:
-        incs = incs0 if epoch == 0 else draw_increments(
-            data, grids, model, cfg.sim.n_samples, child_seed(cfg.sim.seed, epoch)
-        )
-        memo = {}
-        start = x.tobytes()
-        base = []    # negated objective and gradient at the line search's base point
-
-        def score(xv):
-            m2, c2 = unpack(xv)
-            val = evaluate_with_increments(data, m2, c2, grids, incs)
-            entry = (val.log_posterior, free_grad_inf(val),
-                     -val.log_posterior, -whiten_grad(val))
-            memo[xv.tobytes()] = entry
-            if len(memo) > 8:
-                memo.pop(next(iter(memo)))
-            return entry
+        incs0 = draw_increments(data, grids, model, cfg.sim.n_samples,
+                                child_seed(cfg.sim.seed, 0))
+        init = score(model, cache, incs0)
+        trace = [(0, *init[:2])]
+        last = current = None    # (x, *score) of the last scored point; score of the iterate
 
         def neg(xv):
+            nonlocal last, current, rejected
             try:
-                entry = score(xv)
+                last = (xv, *score(*unpack(xv), incs))
             except SimulationError:
-                if xv.tobytes() == start:
+                if current is None:            # the epoch's start point
                     raise
-                rejected[0] += 1
+                rejected += 1
                 # a rejected trial looks no better than the base point and
                 # its slope is reversed, so the line search's cubic step
                 # lands halfway back; an infinite value collapses the step
                 # to the base point and derails L-BFGS-B's update instead
-                return base[0], -base[1]
-            if not base:                   # L-BFGS-B's first call is at the start
-                base[:] = entry[2:]
-            return entry[2:]
-
-        iters_seen = [total_iters]
+                return -current[0], current[2]
+            if current is None:                # L-BFGS-B's first call is at the start
+                current = last[1:]
+            return -last[1], -last[3]
 
         def on_step(xk):
-            iters_seen[0] += 1
-            entry = memo.get(xk.tobytes()) or score(xk)
-            base[:] = entry[2:]
-            trace.append((iters_seen[0], entry[0], entry[1]))
+            nonlocal current
+            if not np.array_equal(xk, last[0]):
+                raise InternalError("L-BFGS-B accepted a point it did not score last")
+            current = last[1:]
+            trace.append((len(trace), *current[:2]))
 
-        budget = min(period, cfg.max_iters - total_iters)
-        res = scipy.optimize.minimize(
-            neg, x, jac=True, method="L-BFGS-B", callback=on_step, bounds=bounds,
-            options={"maxiter": budget, "maxcor": 10, "gtol": cfg.grad_tol,
-                     "ftol": 1e-14},
-        )
-        x = res.x
-        total_iters += res.nit
-        moved = moved or res.nit > 0
-        last_g = (float(np.max(np.abs(np.asarray(res.jac)[free])))
-                  if res.jac is not None else np.inf)
-        if last_g < cfg.grad_tol or res.nit == 0:
-            termination = "converged"
-            break
-        epoch += 1
-        if total_iters < cfg.max_iters:
-            epoch_starts.append(len(trace))
+        epoch_starts, incs, termination = [0], incs0, "max_iters"
+        while len(trace) <= cfg.max_iters:
+            if len(trace) > 1:     # every epoch before this one used its budget
+                epoch_starts.append(len(trace))
+                incs = draw_increments(data, grids, model, cfg.sim.n_samples,
+                                       child_seed(cfg.sim.seed, len(epoch_starts) - 1))
+            budget = min(cfg.sim.resample_period or cfg.max_iters, cfg.max_iters + 1 - len(trace))
+            current = None
+            res = scipy.optimize.minimize(
+                neg, x, jac=True, method="L-BFGS-B", callback=on_step, bounds=bounds,
+                options={"maxiter": budget, "maxcor": 10, "gtol": cfg.grad_tol,
+                         "ftol": 1e-14},
+            )
+            x = res.x
+            if current[1] < cfg.grad_tol:
+                termination = "converged"
+                break
+            if res.nit < budget:
+                termination = "stalled"
+                break
 
-    if moved:
-        final_model, final_cache = unpack(x)
-        final_val = evaluate_with_increments(data, final_model, final_cache, grids, incs0)
-    else:
-        final_model, final_val = model, init_val
+        final_log_posterior = init[0]
+        if len(trace) > 1:
+            model, cache = unpack(x)
+            final_log_posterior = score(model, cache, incs0)[0]
+    except (NumericalError, SimulationError) as exc:
+        return {"lengthscales": lengthscales, "termination": "error",
+                "error": f"{type(exc).__name__}: {exc}", "rejected_trials": rejected}
     return {
-        "lengthscales": (np.asarray(ell_f, float), np.asarray(ell_s, float)),
-        "model": final_model,
+        "lengthscales": lengthscales,
+        "model": model,
         "trace": tuple(trace),
         "epoch_starts": tuple(epoch_starts),
         "termination": termination,
-        "init_log_posterior": init_val.log_posterior,
-        "final_log_posterior": final_val.log_posterior,
-        "iterations": total_iters,
-        "rejected_trials": rejected[0],
+        "init_log_posterior": init[0],
+        "final_log_posterior": final_log_posterior,
+        "iterations": len(trace) - 1,
+        "rejected_trials": rejected,
     }
 
 
@@ -352,18 +337,8 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
     grids = make_grids(data, cfg.sim.resolution_factor)
     Z = build_inducing_grid(cfg.inducing_grid_spec, data)
 
-    candidates = []
-    for ell_f, ell_s in cfg.lengthscale_grid:
-        rejected = [0]
-        try:
-            candidates.append(_fit_candidate(data, grids, Z, ell_f, ell_s, cfg, rejected))
-        except (NumericalError, SimulationError) as exc:
-            candidates.append({
-                "lengthscales": (np.asarray(ell_f, float), np.asarray(ell_s, float)),
-                "termination": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "rejected_trials": rejected[0],
-            })
+    candidates = [_fit_candidate(data, grids, Z, ell_f, ell_s, cfg)
+                  for ell_f, ell_s in cfg.lengthscale_grid]
     ok = [c for c in candidates if c["termination"] != "error"]
     if not ok:
         raise FitError("all lengthscale candidates failed", diagnostics=candidates)

@@ -305,6 +305,7 @@ class TestEvaluate:
     (["fit", "--noise-vars", "0.1,0.1,0.1"], "--noise-vars"),
     (["fit", "--kernel-variance", "-1"], "--kernel-variance"),
     (["fit", "--lengthscales", "0.5,-1"], "--lengthscales"),
+    (["fit", "--inducing=-2:2:1"], "--inducing"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
                                                tmp_path, capsys):

@@ -126,6 +126,7 @@ class TestFitMap:
         np.testing.assert_array_equal(rep.final_model.noise_vars,
                                       init_noise_vars(small_dataset))
         assert rep.final_log_posterior == rep.init_log_posterior
+        assert rep.termination == "max_iters"
 
     def test_seeded_rerun_is_identical(self, small_dataset):
         r1 = fit_map(small_dataset, quick_config())
@@ -173,19 +174,26 @@ class TestFitMap:
             fit_map([], quick_config())
 
 
-def blow_up_on_call(monkeypatch, call):
-    """Make the fit's ``call``-th objective evaluation raise a blow-up."""
+def blow_up_where(monkeypatch, blows_up):
+    """Make each objective evaluation of the fit for which
+    ``blows_up(call, model, increments)`` holds raise a blow-up, where
+    ``call`` counts the evaluations from 1."""
     calls = [0]
     evaluate = fit_module.evaluate_with_increments
 
-    def flaky(*args, **kwargs):
+    def flaky(trajs, m, cache, grids, increments):
         calls[0] += 1
-        if calls[0] == call:
+        if blows_up(calls[0], m, increments):
             raise SimulationError("state exceeded 1e+06 at step 1 (sample 0)",
                                   step=1, sample=0)
-        return evaluate(*args, **kwargs)
+        return evaluate(trajs, m, cache, grids, increments)
 
     monkeypatch.setattr(fit_module, "evaluate_with_increments", flaky)
+
+
+def blow_up_on_call(monkeypatch, call):
+    """Make the fit's ``call``-th objective evaluation raise a blow-up."""
+    blow_up_where(monkeypatch, lambda n, *_: n == call)
 
 
 class TestRejectedTrials:
@@ -210,6 +218,47 @@ class TestRejectedTrials:
         (diag,) = err.value.diagnostics
         assert diag["termination"] == "error"
         assert diag["rejected_trials"] == 0
+
+    def test_failed_candidate_keeps_its_rejected_trials(self, small_dataset, monkeypatch):
+        # call 3 is the first line-search trial point; with one iteration
+        # per epoch the fit then fails at the start of the epoch-1 draw
+        seen = []
+
+        def blows_up(call, _, increments):
+            seen.append(increments)
+            return call == 3 or increments is not seen[0]
+
+        blow_up_where(monkeypatch, blows_up)
+        with pytest.raises(FitError) as err:
+            fit_map(small_dataset, quick_config(max_iters=6, resample_period=1))
+        (diag,) = err.value.diagnostics
+        assert diag["termination"] == "error"
+        assert diag["rejected_trials"] == 1
+
+    def test_stalled_epoch_ends_the_fit_on_one_draw(self, small_dataset, monkeypatch):
+        # from the 5th evaluation on, every point but the last one that
+        # scored fine blows up, so the line search fails short of the budget
+        good = []
+
+        def blows_up(call, m, _):
+            point = (m.U_f.tobytes(), m.u_sigma.tobytes(), m.noise_vars.tobytes())
+            if call >= 5 and point != good[-1]:
+                return True
+            good.append(point)
+            return False
+
+        seeds = []
+        draw = fit_module.draw_increments
+        monkeypatch.setattr(fit_module, "draw_increments",
+                            lambda *args: seeds.append(args[-1]) or draw(*args))
+        blow_up_where(monkeypatch, blows_up)
+        cfg = quick_config(max_iters=20)
+        rep = fit_map(small_dataset, cfg)
+        assert len(seeds) == 1 and rep.epoch_starts == (0,)
+        assert rep.termination == "stalled"
+        assert rep.rejected_trials > 0
+        assert len(rep.trace) - 1 < cfg.max_iters
+        assert rep.trace[-1][2] >= cfg.grad_tol
 
 
 def test_config_validation():
