@@ -32,7 +32,7 @@ from .errors import (
 )
 from .field import build_cache
 from .fit import FitConfig, default_lengthscale_grid, fit_map
-from .sim import SimConfig, build_grid, grid_points, sample_paths, state_density
+from .sim import build_grid, grid_points, sample_paths, state_density
 from .systems import (
     SYSTEMS,
     GenSpec,
@@ -218,8 +218,8 @@ def cmd_fit(args) -> int:
     grid = tuple((v, v) for v in lengthscales) or default_lengthscale_grid(data)
     fit_cfg = FitConfig(
         lengthscale_grid=grid, inducing_grid_spec=spec,
-        sim=SimConfig(resolution_factor=args.resolution_factor, n_samples=args.n_samples,
-                      seed=args.seed, resample_period=args.resample_period or None),
+        resolution_factor=args.resolution_factor, n_samples=args.n_samples,
+        seed=args.seed, resample_period=args.resample_period or None,
         max_iters=args.max_iters, grad_tol=args.grad_tol,
         kernel_variance=args.kernel_variance,
         fix_noise_vars=tuple(noise_vars) or None,
@@ -258,13 +258,13 @@ def cmd_simulate(args) -> int:
     cache = build_cache(model)
     n_steps = max(1, int(round(args.horizon / args.dt)))
     grid = build_grid([0.0, args.horizon], n_steps)
-    bundle = sample_paths(model, cache, x0, grid, args.n_paths, args.seed)
-    dataio.write_paths_csv(out / "paths.csv", bundle)
+    paths = sample_paths(model, cache, x0, grid, args.n_paths, args.seed)
+    dataio.write_paths_csv(out / "paths.csv", paths, grid.times)
     outputs = ["paths.csv"]
     if axes is not None:
         t_at = args.density_time
         idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
-        dens = state_density(bundle, idx, axes, args.bandwidth)
+        dens = state_density(paths, idx, axes, args.bandwidth)
         dataio.write_density_csv(out / "density.csv", grid_points(axes), dens)
         outputs.append("density.csv")
     dataio.write_manifest(out / "manifest.ini", {args.command: _settings(args)})

@@ -190,17 +190,18 @@ def load_model(path) -> InducingModel:
 
 # -- simulation outputs -------------------------------------------------------
 
-def write_paths_csv(path, bundle):
-    """Stream one sample's rows at a time, so only the paths array and one
-    sample's text are held; a sample's rows are one % operation on a
-    template built once from the per-step pieces."""
-    D = bundle.paths.shape[2]
+def write_paths_csv(path, paths: np.ndarray, times):
+    """Write paths (S, n_steps+1, D) at node times (n_steps+1,) one sample's
+    rows at a time, so only the paths array and one sample's text are held;
+    a sample's rows are one % operation on a template built once from the
+    per-step pieces."""
+    D = paths.shape[2]
     reals = _reals_format(D)
-    pieces = [f",{i},{_fmt(t)},{reals}\n" for i, t in enumerate(bundle.grid.times)]
+    pieces = [f",{i},{_fmt(t)},{reals}\n" for i, t in enumerate(times)]
 
     def chunks():
         yield ",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)]) + "\n"
-        for s, path_s in enumerate(bundle.paths):
+        for s, path_s in enumerate(paths):
             tag = str(s)
             yield (tag + tag.join(pieces)) % tuple(path_s.ravel().tolist())
 

@@ -41,10 +41,6 @@ class SimulationError(GpsdeError, RuntimeError):
         self.sample = sample
 
 
-class SensitivityError(SimulationError):
-    """The adjoint sweep of simulated paths produced non-finite entries."""
-
-
 class InternalError(GpsdeError, RuntimeError):
     """Cached derived state does not correspond to the supplied model."""
 

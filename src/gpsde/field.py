@@ -241,18 +241,9 @@ def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.
     return kf @ c.alpha_f, ks @ c.alpha_s
 
 
-@dataclass(frozen=True, eq=False)
-class StepTerms:
-    """Per-state quantities one adjoint step needs, batched over N."""
-
-    kf: np.ndarray       # (N, M) drift kernel rows k_f(x, Z)
-    ks: np.ndarray       # (N, M) diffusion kernel rows k_s(x, Z)
-    jac_x: np.ndarray    # (N, D, D) drift state Jacobian
-    diff_gx: np.ndarray  # (N, D) diffusion state gradient
-
-
-def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
-    """Evaluate both kernel rows and the fields' state derivatives at once.
+def step_terms_batch(X: np.ndarray, c: FieldCache):
+    """Kernel rows kf, ks (N, M), drift state Jacobian jac_x (N, D, D) and
+    diffusion state gradient diff_gx (N, D) at N states, as a tuple.
 
     With d k(x, z_m) / dx = k(x, z_m) (z_m - x) / l^2, the derivatives are
     matrix products of the rows with the (M, D*D) and (M, D) weights
@@ -274,7 +265,7 @@ def step_terms_batch(X: np.ndarray, c: FieldCache) -> StepTerms:
     diff_gx = ks @ (c.alpha_s[:, None] * c.Z)
     diff_gx -= sig[:, None] * X
     diff_gx /= np.square(c.diff_params.lengthscales)
-    return StepTerms(kf=kf, ks=ks, jac_x=jac_x, diff_gx=diff_gx)
+    return kf, ks, jac_x, diff_gx
 
 
 # -- log prior ----------------------------------------------------------------

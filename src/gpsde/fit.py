@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +35,7 @@ from .objective import (
     evaluate_with_increments,
     make_grids,
 )
-from .sim import SimConfig, child_seed, grid_points
+from .sim import child_seed, grid_points
 
 # box bounds for the log noise variances keep exp() finite during line search
 _NOISE_LOG_BOUNDS = (-23.0, 14.0)
@@ -43,20 +43,28 @@ _NOISE_LOG_BOUNDS = (-23.0, 14.0)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit protocol settings.
+    """Fit protocol settings; the defaults are those of ``gpsde fit``.
 
     lengthscale_grid   -- candidate (drift, diffusion) lengthscale pairs;
                           entries may be scalars (isotropic) or D-vectors
     inducing_grid_spec -- per-dimension (min, max, count); min/max of None
                           derive the range from the data box +-10%
-    sim                -- simulation settings (resolution, samples, seed,
-                          resample period)
+    resolution_factor  -- equal grid steps per observation interval, so the
+                          step follows the local sampling gap
+    n_samples          -- Monte Carlo path count
+    seed               -- master RNG seed
+    resample_period    -- accepted optimizer iterations between redraws of the
+                          frozen Brownian increments; None keeps one draw for
+                          the whole fit
     """
 
     lengthscale_grid: tuple
     inducing_grid_spec: tuple
-    sim: SimConfig = field(default_factory=SimConfig)
-    max_iters: int = 500
+    resolution_factor: int = 2
+    n_samples: int = 50
+    seed: int = 0
+    resample_period: int | None = None
+    max_iters: int = 200
     grad_tol: float = 1e-4
     kernel_variance: float = 1.0
     fix_noise_vars: tuple | None = None
@@ -69,6 +77,12 @@ class FitConfig:
                 raise InputError("inducing_grid_spec entries must be (min, max, count)")
             if int(spec[2]) < 2:
                 raise InputError("inducing grid needs at least 2 points per dimension")
+        if self.resolution_factor < 1:
+            raise InputError("resolution_factor must be >= 1")
+        if self.n_samples < 1:
+            raise InputError("n_samples must be >= 1")
+        if self.resample_period is not None and self.resample_period < 1:
+            raise InputError("resample_period must be >= 1 or None")
         if self.max_iters < 0:
             raise InputError("max_iters must be >= 0")
         if not self.grad_tol > 0:
@@ -170,15 +184,16 @@ def gradient_match_init(data, Z, drift_params: KernelParams, *, ridge=None,
     if ridge is None:
         ridge = max(1e-8, 0.5 * float(np.mean(G.var(axis=0))))
     Kxx = rbf_matrix(X, X, drift_params)
-    Kxx[np.diag_indices(X.shape[0])] += ridge
+    system = Kxx.copy()
+    system[np.diag_indices(X.shape[0])] += ridge
     try:
-        cho = scipy.linalg.cho_factor(Kxx, lower=True)
+        cho = scipy.linalg.cho_factor(system, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError("gradient-matching regression system is singular") from exc
     W = scipy.linalg.cho_solve(cho, G)
     U_f = rbf_matrix(Z, X, drift_params) @ W
 
-    fitted = rbf_matrix(X, X, drift_params) @ W
+    fitted = Kxx @ W
     resid = (G - fitted) * DT[:, None]            # increment-scale residuals
     resid2 = resid**2
     if noise_vars is not None:
@@ -253,8 +268,8 @@ def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig) -> dict:
                                 val.grad_log_noise])
             return val.log_posterior, float(np.max(np.abs(g[free]))), g
 
-        incs0 = draw_increments(data, grids, model, cfg.sim.n_samples,
-                                child_seed(cfg.sim.seed, 0))
+        incs0 = draw_increments(data, grids, model, cfg.n_samples,
+                                child_seed(cfg.seed, 0))
         init = score(model, cache, incs0)
         trace = [(0, *init[:2])]
         last = current = None    # (x, *score) of the last scored point; score of the iterate
@@ -287,9 +302,9 @@ def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig) -> dict:
         while len(trace) <= cfg.max_iters:
             if len(trace) > 1:     # every epoch before this one used its budget
                 epoch_starts.append(len(trace))
-                incs = draw_increments(data, grids, model, cfg.sim.n_samples,
-                                       child_seed(cfg.sim.seed, len(epoch_starts) - 1))
-            budget = min(cfg.sim.resample_period or cfg.max_iters, cfg.max_iters + 1 - len(trace))
+                incs = draw_increments(data, grids, model, cfg.n_samples,
+                                       child_seed(cfg.seed, len(epoch_starts) - 1))
+            budget = min(cfg.resample_period or cfg.max_iters, cfg.max_iters + 1 - len(trace))
             current = None
             res = scipy.optimize.minimize(
                 neg, x, jac=True, method="L-BFGS-B", callback=on_step, bounds=bounds,
@@ -334,7 +349,7 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
     if not data:
         raise InputError("no trajectories to fit")
     t_start = time.perf_counter()
-    grids = make_grids(data, cfg.sim.resolution_factor)
+    grids = make_grids(data, cfg.resolution_factor)
     Z = build_inducing_grid(cfg.inducing_grid_spec, data)
 
     candidates = [_fit_candidate(data, grids, Z, ell_f, ell_s, cfg)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError
 from .field import FieldCache, InducingModel, build_cache, log_prior, log_prior_grad
 from .sensitivity import simulate_bundle_with_sensitivities
-from .sim import SimConfig, TimeGrid, build_grid, child_seed, sample_increments
+from .sim import TimeGrid, build_grid, child_seed, sample_increments
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +219,13 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     )
 
 
-def log_posterior(trajs, m: InducingModel, sim: SimConfig) -> ObjectiveValue:
-    """Simulate from the first observation of each trajectory segment and
-    evaluate the stochastic MAP objective; deterministic given sim.seed."""
+def log_posterior(trajs, m: InducingModel, resolution_factor: int, n_samples: int,
+                  seed) -> ObjectiveValue:
+    """Simulate n_samples paths from the first observation of each trajectory
+    segment and evaluate the stochastic MAP objective; deterministic given
+    the seed."""
     trajs = _as_list(trajs)
     cache = build_cache(m)
-    grids = make_grids(trajs, sim.resolution_factor)
-    incs = draw_increments(trajs, grids, m, sim.n_samples, sim.seed)
+    grids = make_grids(trajs, resolution_factor)
+    incs = draw_increments(trajs, grids, m, n_samples, seed)
     return evaluate_with_increments(trajs, m, cache, grids, incs)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, SensitivityError
+from .errors import InputError, SimulationError
 from .field import FieldCache, InducingModel, step_terms_batch
 from .sim import TimeGrid, simulate_batch
 
@@ -56,13 +56,13 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
         if p is not None:
             lam = lam + seeds[:, p]
         if not np.isfinite(lam).all():
-            raise SensitivityError(f"non-finite adjoint state at step {i + 1}", step=i + 1)
-        terms = step_terms_batch(paths[:, i], c)
+            raise SimulationError(f"non-finite adjoint state at step {i + 1}", step=i + 1)
+        kf, ks, jac_x, diff_gx = step_terms_batch(paths[:, i], c)
         dWl = np.einsum("sd,sd->s", increments[:, i], lam)
         dt_i = dt[:, i, None]
-        gf += terms.kf.T @ (dt_i * lam)
-        gs += terms.ks.T @ dWl
-        lam = lam + dt_i * (lam[:, None, :] @ terms.jac_x)[:, 0] + terms.diff_gx * dWl[:, None]
+        gf += kf.T @ (dt_i * lam)
+        gs += ks.T @ dWl
+        lam = lam + dt_i * (lam[:, None, :] @ jac_x)[:, 0] + diff_gx * dWl[:, None]
     grad_f = scipy.linalg.cho_solve(c.chol_f, gf).ravel()
     grad_s = scipy.linalg.cho_solve(c.chol_s, gs)
     return grad_f, grad_s
@@ -70,7 +70,7 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
 
 def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
                                        grid: TimeGrid, increments: np.ndarray):
-    """Simulate a bundle and return it with its pullback.
+    """Simulate paths and return them with their pullback.
 
     increments has shape (S, n_steps, D) and x0 is one shared state or one
     state per sample.  Returns the (S, n_steps+1, D) paths and a function

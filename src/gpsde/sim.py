@@ -4,8 +4,7 @@ A :class:`TimeGrid` splits every observation interval into
 ``resolution_factor`` equal steps, so each observation time is a grid node
 however irregular the sampling.  Brownian increments come from per-sample
 counter-keyed substreams so that sample s is reproducible regardless of
-how many samples are drawn.  Multi-sample runs are bundled into a
-:class:`PathBundle`.
+how many samples are drawn.
 """
 
 from __future__ import annotations
@@ -28,33 +27,6 @@ BLOWUP_LIMIT = 1e6
 # stay cache-resident, and the memory of a sum no longer grows with the
 # number of points.
 BLOCK_FLOATS = 2**16
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation settings used by likelihood evaluation and fitting.
-
-    resolution_factor -- equal grid steps per observation interval, so the
-                         step follows the local sampling gap
-    n_samples         -- Monte Carlo path count
-    seed              -- master RNG seed
-    resample_period   -- accepted optimizer iterations between redraws of the
-                         frozen Brownian increments; None keeps one draw for
-                         the whole fit
-    """
-
-    resolution_factor: int = 2
-    n_samples: int = 50
-    seed: int = 0
-    resample_period: int | None = 20
-
-    def __post_init__(self):
-        if self.resolution_factor < 1:
-            raise InputError("resolution_factor must be >= 1")
-        if self.n_samples < 1:
-            raise InputError("n_samples must be >= 1")
-        if self.resample_period is not None and self.resample_period < 1:
-            raise InputError("resample_period must be >= 1 or None")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +171,11 @@ def simulate_callable_batch(fields, x0, dt, increments: np.ndarray) -> np.ndarra
     return paths
 
 
-@dataclass(frozen=True, eq=False)
-class PathBundle:
-    """A set of simulated sample paths on their time grid."""
-
-    paths: np.ndarray       # (S, n_steps+1, D)
-    grid: TimeGrid
-
-
 def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
-                 n_samples: int, seed) -> PathBundle:
-    """Draw increments and simulate a bundle of paths; deterministic per seed."""
+                 n_samples: int, seed) -> np.ndarray:
+    """Draw increments and simulate paths (S, n_steps+1, D); deterministic per seed."""
     incs = sample_increments(grid, n_samples, m.D, seed)
-    paths = simulate_batch(m, c, x0, grid, incs)
-    return PathBundle(paths=paths, grid=grid)
+    return simulate_batch(m, c, x0, grid, incs)
 
 
 def grid_points(axes) -> np.ndarray:
@@ -259,7 +222,7 @@ def gaussian_kde(axes, samples, bandwidth: float) -> np.ndarray:
     return dens.ravel()
 
 
-def state_density(bundle: PathBundle, grid_index: int, axes, bandwidth: float) -> np.ndarray:
-    """Isotropic Gaussian KDE of the sample states at one grid node, on the
-    Cartesian grid of the 1-d axes."""
-    return gaussian_kde(axes, bundle.paths[:, grid_index, :], bandwidth)
+def state_density(paths: np.ndarray, grid_index: int, axes, bandwidth: float) -> np.ndarray:
+    """Isotropic Gaussian KDE of the states of paths (S, n_steps+1, D) at one
+    grid node, on the Cartesian grid of the 1-d axes."""
+    return gaussian_kde(axes, paths[:, grid_index, :], bandwidth)

@@ -28,7 +28,7 @@ from gpsde.objective import (
     evaluate_with_increments,
     make_grids,
 )
-from gpsde.sim import SimConfig, build_grid, sample_increments, sample_paths, simulate_batch, state_density
+from gpsde.sim import build_grid, sample_increments, sample_paths, simulate_batch, state_density
 from gpsde.systems import (
     GenSpec,
     distribution_discrepancy,
@@ -126,8 +126,7 @@ def test_criterion_2_weak_correctness():
     var_true = sigma**2 * (1 - np.exp(-2 * theta * horizon)) / (2 * theta)
 
     grid = build_grid([0.0, horizon], 100)  # dt = 0.01
-    bundle = sample_paths(m, c, [x0], grid, 10_000, 42)
-    term = bundle.paths[:, -1, 0]
+    term = sample_paths(m, c, [x0], grid, 10_000, 42)[:, -1, 0]
     se_mean = term.std(ddof=1) / np.sqrt(term.size)
     se_var = term.var(ddof=1) * np.sqrt(2.0 / (term.size - 1))
     mean_err = abs(term.mean() - mean_true)
@@ -195,8 +194,8 @@ def double_well_fit():
     cfg = FitConfig(
         lengthscale_grid=((ell, ell),),
         inducing_grid_spec=((-5.0, 5.0, 15),),
-        sim=SimConfig(resolution_factor=1, n_samples=DW_FIT["n_samples"],
-                      seed=DW_FIT["seed"], resample_period=None),
+        resolution_factor=1, n_samples=DW_FIT["n_samples"],
+        seed=DW_FIT["seed"], resample_period=None,
         max_iters=DW_FIT["max_iters"],
         kernel_variance=DW_FIT["kernel_variance"],
         fix_noise_vars=(DW_GEN["noise_std"] ** 2,),
@@ -245,8 +244,8 @@ def test_criterion_5_data_efficiency_trend():
             cfg = FitConfig(
                 lengthscale_grid=((0.5, 0.5),),
                 inducing_grid_spec=((-1.8, 1.8, 5), (-1.8, 1.8, 5)),
-                sim=SimConfig(resolution_factor=2, n_samples=25, seed=0,
-                              resample_period=None),
+                resolution_factor=2, n_samples=25, seed=0,
+                resample_period=None,
                 max_iters=80, kernel_variance=100.0,
                 fix_noise_vars=(0.01, 0.01),
             )

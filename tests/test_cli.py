@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpsde import dataio
-from gpsde.cli import main
+from gpsde.cli import build_parser, main
+from gpsde.fit import FitConfig
 
 
 def run_cli(args):
@@ -306,6 +308,11 @@ class TestEvaluate:
     (["fit", "--kernel-variance", "-1"], "--kernel-variance"),
     (["fit", "--lengthscales", "0.5,-1"], "--lengthscales"),
     (["fit", "--inducing=-2:2:1"], "--inducing"),
+    (["evaluate", "--box=1:2:3"], "--box"),
+    (["generate", "--x0-box=abc"], "--x0-box"),
+    (["fit", "--inducing=-inf:2:5"], "--inducing"),
+    (["simulate", "--x0", "0.5", "--density-grid=-3:3"], "--density-grid"),
+    (["simulate", "--x0", "a,b"], "--x0"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
                                                tmp_path, capsys):
@@ -317,6 +324,23 @@ def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_mod
     assert rc == 3
     assert flag in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cmd, extra", [("simulate", ["--x0", "0.5"]), ("evaluate", [])])
+def test_missing_model_is_usage_error(cmd, extra, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([cmd, *extra, "--out-dir", out]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_flag_defaults_are_fit_config_defaults():
+    defaults = {f.name: f.default for f in fields(FitConfig)}
+    args = build_parser().parse_args(["fit", "--out-dir", "unused"])
+    for name in ("seed", "max_iters", "grad_tol", "n_samples", "resolution_factor",
+                 "kernel_variance"):
+        assert getattr(args, name) == defaults[name], name
+    assert (args.resample_period or None) == defaults["resample_period"]
 
 
 def test_module_entrypoint_runs():
@@ -388,6 +412,20 @@ def test_bad_config_entry_fails_like_its_flag(cmd, entry, flag, tmp_path, capsys
         run_cli([cmd, "--config", cfg, "--out-dir", out])
     assert err.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot open config file"),
+    ("n-traj = 3\n", "invalid config file"),
+], ids=["missing", "no-section"])
+def test_unreadable_config_is_data_error(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["generate", "--config", cfg, "--out-dir", out]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from gpsde.errors import DataError
 from gpsde.field import InducingModel
 from gpsde.kernels import KernelParams
 from gpsde.objective import Trajectory
-from gpsde.sim import PathBundle, build_grid
+from gpsde.sim import build_grid
 
 
 @pytest.fixture
@@ -130,9 +130,8 @@ def test_model_schema_guard(tmp_path):
 def test_paths_csv_shape(tmp_path):
     grid = build_grid([0.0, 1.0], 4)
     paths = np.arange(2 * 5 * 1, dtype=float).reshape(2, 5, 1)
-    bundle = PathBundle(paths=paths, grid=grid)
     p = tmp_path / "paths.csv"
-    dataio.write_paths_csv(p, bundle)
+    dataio.write_paths_csv(p, paths, grid.times)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "sample,step,time,x_1"
     assert len(lines) == 1 + 2 * 5
@@ -141,10 +140,10 @@ def test_paths_csv_shape(tmp_path):
 def test_paths_csv_streams_one_sample_at_a_time(tmp_path, traced_peak):
     # 500 paths of 101 states: the whole file's lines would take 13 MB
     rng = np.random.default_rng(4)
-    bundle = PathBundle(paths=rng.normal(size=(500, 101, 2)),
-                        grid=build_grid([0.0, 1.0], 100))
+    paths = rng.normal(size=(500, 101, 2))
+    times = build_grid([0.0, 1.0], 100).times
     p = tmp_path / "paths.csv"
-    peak = traced_peak(lambda: dataio.write_paths_csv(p, bundle))
+    peak = traced_peak(lambda: dataio.write_paths_csv(p, paths, times))
     assert peak < 1e6, f"peak {peak} B"
     assert len(p.read_text().splitlines()) == 1 + 500 * 101
 
@@ -178,7 +177,7 @@ def test_csv_writers_match_per_value_format(tmp_path):
     paths = awkward_reals(rng, (40, 11, 2))
     grid = build_grid([0.0, 1e-3], 10)
     p = tmp_path / "paths.csv"
-    dataio.write_paths_csv(p, PathBundle(paths=paths, grid=grid))
+    dataio.write_paths_csv(p, paths, grid.times)
     want = ["sample,step,time,x_1,x_2"] + [
         ref_row(str(s), str(i), grid.times[i], *paths[s, i])
         for s in range(40) for i in range(11)]

@@ -41,8 +41,8 @@ def make_model(seed=0, D=2, M=5, spacing=1.0, u_scale=1.0):
 
 def state_derivs(x, c):
     """Drift Jacobian (D, D) and diffusion gradient (D,) in the state at x."""
-    t = step_terms_batch(np.asarray(x, dtype=float)[None, :], c)
-    return t.jac_x[0], t.diff_gx[0]
+    _, _, jac_x, diff_gx = step_terms_batch(np.asarray(x, dtype=float)[None, :], c)
+    return jac_x[0], diff_gx[0]
 
 
 def u_derivs(x, m, c):
@@ -370,13 +370,13 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, same):
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)
     F, sig = drift_diffusion_batch(X, c)
-    t = step_terms_batch(X, c)
-    for name, val in (("F", F), ("sig", sig), ("kf", t.kf), ("ks", t.ks),
-                      ("jac_x", t.jac_x), ("diff_gx", t.diff_gx)):
+    kf, ks, jac_x, diff_gx = step_terms_batch(X, c)
+    for name, val in (("F", F), ("sig", sig), ("kf", kf), ("ks", ks),
+                      ("jac_x", jac_x), ("diff_gx", diff_gx)):
         assert_rel_close(val, ref[name])
     # at the inducing locations the rows peak at the variance; far away they vanish
     at_z = np.arange(30, 30 + M)
-    for k, p in ((t.kf, pf), (t.ks, ps)):
+    for k, p in ((kf, pf), (ks, ps)):
         peak = k[at_z, at_z - 30]
         assert np.all(peak <= p.variance)
         np.testing.assert_allclose(peak, p.variance, rtol=1e-12)
@@ -395,9 +395,9 @@ def test_step_terms_form_no_n_by_m_by_d_temporary():
     step_terms_batch(X, c)                   # warm-up outside the trace
     tracemalloc.start()
     try:
-        t = step_terms_batch(X, c)
+        kf = step_terms_batch(X, c)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert t.kf.shape == (N, M)
+    assert kf.shape == (N, M)
     assert peak < 3 * N * M * 8, f"peak {peak} B"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from gpsde.fit import (
 from gpsde.field import build_cache, drift_batch
 from gpsde.kernels import KernelParams
 from gpsde.objective import Trajectory
-from gpsde.sim import SimConfig
 from gpsde.systems import GenSpec, double_well, generate
 
 
@@ -29,8 +30,8 @@ def quick_config(max_iters=8, seed=0, resample_period=None):
     return FitConfig(
         lengthscale_grid=((0.8, 0.8),),
         inducing_grid_spec=((-2.5, 2.5, 7),),
-        sim=SimConfig(resolution_factor=1, n_samples=8, seed=seed,
-                      resample_period=resample_period),
+        resolution_factor=1, n_samples=8, seed=seed,
+        resample_period=resample_period,
         max_iters=max_iters,
     )
 
@@ -128,6 +129,14 @@ class TestFitMap:
         assert rep.final_log_posterior == rep.init_log_posterior
         assert rep.termination == "max_iters"
 
+    def test_gradient_below_tolerance_at_start_converges(self, small_dataset):
+        init_grad = fit_map(small_dataset, quick_config(max_iters=0)).trace[0][2]
+        cfg = replace(quick_config(max_iters=6), grad_tol=2.0 * init_grad)
+        rep = fit_map(small_dataset, cfg)
+        assert rep.termination == "converged"
+        assert len(rep.trace) == 1
+        assert rep.final_log_posterior == rep.init_log_posterior
+
     def test_seeded_rerun_is_identical(self, small_dataset):
         r1 = fit_map(small_dataset, quick_config())
         r2 = fit_map(small_dataset, quick_config())
@@ -149,8 +158,8 @@ class TestFitMap:
         cfg = FitConfig(
             lengthscale_grid=((0.6, 0.6), (1.2, 1.2)),
             inducing_grid_spec=((-2.5, 2.5, 7),),
-            sim=SimConfig(resolution_factor=1, n_samples=6, seed=0,
-                          resample_period=None),
+            resolution_factor=1, n_samples=6, seed=0,
+            resample_period=None,
             max_iters=5,
         )
         rep = fit_map(small_dataset, cfg)
@@ -269,6 +278,17 @@ def test_config_validation():
     with pytest.raises(InputError):
         FitConfig(lengthscale_grid=((1.0, 1.0),), inducing_grid_spec=((-1, 1, 4),),
                   grad_tol=0.0)
+
+
+def test_fit_config_simulation_settings_validation():
+    grids = dict(lengthscale_grid=((1.0, 1.0),), inducing_grid_spec=((-1, 1, 4),))
+    with pytest.raises(InputError):
+        FitConfig(**grids, resolution_factor=0)
+    with pytest.raises(InputError):
+        FitConfig(**grids, n_samples=0)
+    with pytest.raises(InputError):
+        FitConfig(**grids, resample_period=0)
+    assert FitConfig(**grids, resample_period=None).resample_period is None
 
 
 def test_default_lengthscale_grid_scales_with_data():

@@ -15,7 +15,7 @@ from gpsde.objective import (
     _obs_logliks,
     _segment_groups,
 )
-from gpsde.sim import SimConfig, sample_paths, simulate_batch
+from gpsde.sim import sample_paths, simulate_batch
 
 
 # more than two segments, the last one shorter than the others
@@ -230,12 +230,11 @@ class TestLogPosterior:
         m, _ = small_model(seed=11)
         rng = np.random.default_rng(0)
         tr = Trajectory(times=np.linspace(0, 1, 5), obs=0.3 * rng.normal(size=(5, 1)))
-        sim = SimConfig(resolution_factor=4, n_samples=4, seed=5)
-        v1 = log_posterior([tr], m, sim)
-        v2 = log_posterior([tr], m, sim)
+        v1 = log_posterior([tr], m, 4, 4, 5)
+        v2 = log_posterior([tr], m, 4, 4, 5)
         assert v1.log_posterior == v2.log_posterior
         assert np.array_equal(v1.grad_u_f, v2.grad_u_f)
-        v3 = log_posterior([tr], m, SimConfig(resolution_factor=4, n_samples=4, seed=6))
+        v3 = log_posterior([tr], m, 4, 4, 6)
         assert v1.log_posterior != v3.log_posterior
 
     def test_zero_values_reduce_to_prior_constant(self):
@@ -244,8 +243,7 @@ class TestLogPosterior:
                               u_sigma=np.zeros_like(m.u_sigma))
         rng = np.random.default_rng(1)
         tr = Trajectory(times=np.linspace(0, 1, 4), obs=rng.normal(size=(4, 1)))
-        sim = SimConfig(resolution_factor=3, n_samples=3, seed=2)
-        val = log_posterior([tr], m0, sim)
+        val = log_posterior([tr], m0, resolution_factor=3, n_samples=3, seed=2)
         c0 = build_cache(m0)
         prior = log_prior(m0, c0)
         assert val.log_posterior == pytest.approx(val.per_obs_loglik.sum() + prior, rel=1e-12)
@@ -258,7 +256,7 @@ class TestLogPosterior:
         # a gap 1e5 times shorter than the next, at one step per interval
         m, _ = small_model(seed=15)
         tr = Trajectory(times=[0.0, 1e-4, 10.0], obs=[[0.1], [0.1], [-0.2]])
-        val = log_posterior([tr], m, SimConfig(resolution_factor=1, n_samples=4, seed=1))
+        val = log_posterior([tr], m, resolution_factor=1, n_samples=4, seed=1)
         assert np.isfinite(val.log_posterior)
         assert np.all(np.isfinite(val.packed_grad()))
 
@@ -291,8 +289,8 @@ class TestLogPosterior:
         grid = make_grids([tr], 6)[0]
 
         def mixture_means(n_samples, seed):
-            b = sample_paths(m, c, tr.obs[0], grid, n_samples, seed)
-            states = b.paths[:, grid.obs_indices, :]
+            paths = sample_paths(m, c, tr.obs[0], grid, n_samples, seed)
+            states = paths[:, grid.obs_indices, :]
             per_obs, _ = _obs_logliks(tr.obs, states, m.noise_vars)
             return np.exp(per_obs)
 

@@ -6,8 +6,6 @@ from gpsde.field import InducingModel, build_cache, drift_batch, update_values
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
     BLOCK_FLOATS,
-    PathBundle,
-    SimConfig,
     build_grid,
     gaussian_kde,
     grid_points,
@@ -146,8 +144,7 @@ class TestEulerMaruyama:
         theta, sigma, x0, t = 1.0, 0.5, 1.0, 1.0
         m, c = ou_model(theta, sigma)
         g = build_grid([0.0, t], 100)  # dt = 0.01
-        bundle = sample_paths(m, c, [x0], g, 4000, 7)
-        term = bundle.paths[:, -1, 0]
+        term = sample_paths(m, c, [x0], g, 4000, 7)[:, -1, 0]
         mean_true = x0 * np.exp(-theta * t)
         var_true = sigma**2 * (1 - np.exp(-2 * theta * t)) / (2 * theta)
         se_mean = term.std(ddof=1) / np.sqrt(term.size)
@@ -173,10 +170,10 @@ class TestSamplePaths:
     def test_single_sample_reduces_to_euler_maruyama(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
-        bundle = sample_paths(m, c, [0.5], g, 1, 42)
+        paths = sample_paths(m, c, [0.5], g, 1, 42)
         inc = sample_increments(g, 1, 1, 42)
         path = simulate_batch(m, c, [0.5], g, inc)[0]
-        assert np.array_equal(bundle.paths[0], path)
+        assert np.array_equal(paths[0], path)
 
     def test_deterministic_and_seed_sensitive(self):
         m, c = ou_model()
@@ -184,23 +181,23 @@ class TestSamplePaths:
         b1 = sample_paths(m, c, [0.5], g, 5, 1)
         b2 = sample_paths(m, c, [0.5], g, 5, 1)
         b3 = sample_paths(m, c, [0.5], g, 5, 2)
-        assert np.array_equal(b1.paths, b2.paths)
-        assert not np.array_equal(b1.paths, b3.paths)
+        assert np.array_equal(b1, b2)
+        assert not np.array_equal(b1, b3)
 
     def test_initial_state_recorded(self):
         m, c = ou_model()
         g = build_grid([0.0, 0.5], 10)
-        bundle = sample_paths(m, c, [0.3], g, 3, 0)
-        assert np.all(bundle.paths[:, 0, 0] == 0.3)
+        paths = sample_paths(m, c, [0.3], g, 3, 0)
+        assert np.all(paths[:, 0, 0] == 0.3)
 
     def test_bundle_matches_individual_runs(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
-        bundle = sample_paths(m, c, [0.5], g, 3, 9)
+        paths = sample_paths(m, c, [0.5], g, 3, 9)
         inc = sample_increments(g, 3, 1, 9)
         for s in range(3):
             single = simulate_batch(m, c, [0.5], g, inc[s:s + 1])[0]
-            np.testing.assert_allclose(bundle.paths[s], single, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(paths[s], single, rtol=1e-12, atol=1e-14)
 
     def test_per_sample_initial_states(self):
         m, c = ou_model()
@@ -237,18 +234,18 @@ class TestStateDensity:
     def test_single_path_peak_value(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 10)
-        bundle = sample_paths(m, c, [0.4], g, 1, 3)
-        x_end = bundle.paths[0, -1]
+        paths = sample_paths(m, c, [0.4], g, 1, 3)
+        x_end = paths[0, -1]
         h = 0.3
-        val = state_density(bundle, g.n_steps, [[x_end[0]]], h)
+        val = state_density(paths, g.n_steps, [[x_end[0]]], h)
         assert val[0] == pytest.approx((2 * np.pi * h**2) ** -0.5, rel=1e-12)
 
     def test_nonnegative_and_integrates_to_one(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 50)
-        bundle = sample_paths(m, c, [0.0], g, 40, 21)
+        paths = sample_paths(m, c, [0.0], g, 40, 21)
         xs = np.linspace(-6, 6, 601)[:, None]
-        dens = state_density(bundle, g.n_steps, [xs[:, 0]], 0.25)
+        dens = state_density(paths, g.n_steps, [xs[:, 0]], 0.25)
         assert np.all(dens >= 0)
         riemann = dens.sum() * (xs[1, 0] - xs[0, 0])
         assert 0.98 <= riemann <= 1.02
@@ -256,11 +253,11 @@ class TestStateDensity:
     def test_input_validation(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 10)
-        bundle = sample_paths(m, c, [0.0], g, 2, 0)
+        paths = sample_paths(m, c, [0.0], g, 2, 0)
         with pytest.raises(InputError):
-            state_density(bundle, 0, [[0.0]], -1.0)
+            state_density(paths, 0, [[0.0]], -1.0)
         with pytest.raises(InputError):
-            state_density(bundle, 0, [[0.0], [0.0]], 0.2)     # one axis per dimension
+            state_density(paths, 0, [[0.0], [0.0]], 0.2)     # one axis per dimension
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_blocked_kde_matches_dense_formula(self, offset):
@@ -285,18 +282,8 @@ class TestStateDensity:
         # a 81 x 81 grid and 500 paths: the dense (points, samples) kernel
         # matrix alone would take 26 MB
         rng = np.random.default_rng(6)
-        bundle = PathBundle(paths=rng.normal(size=(500, 2, 2)),
-                            grid=build_grid([0.0, 1.0], 1))
+        paths = rng.normal(size=(500, 2, 2))
         axes = [np.linspace(-5, 5, 81), np.linspace(-6, 6, 81)]
-        peak = traced_peak(lambda: state_density(bundle, 1, axes, 0.2))
+        peak = traced_peak(lambda: state_density(paths, 1, axes, 0.2))
         assert peak < 4e6, f"peak {peak} B"
 
-
-def test_sim_config_validation():
-    with pytest.raises(InputError):
-        SimConfig(resolution_factor=0)
-    with pytest.raises(InputError):
-        SimConfig(n_samples=0)
-    with pytest.raises(InputError):
-        SimConfig(resample_period=0)
-    assert SimConfig(resample_period=None).resample_period is None

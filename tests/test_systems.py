@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gpsde.errors import InputError
+from gpsde import systems
+from gpsde.errors import InputError, SimulationError
 from gpsde.field import InducingModel, build_cache
 from gpsde.kernels import KernelParams
 from gpsde.objective import Trajectory
 from gpsde.systems import (
     GenSpec,
+    ParametricSystem,
     distribution_discrepancy,
     diffusion_error,
     double_well,
@@ -135,6 +137,20 @@ class TestGenerate:
         for i in range(1, tr.n_obs):
             x = x + spec.gen_dt * quiet.drift_fn(x[None])[0]
             np.testing.assert_allclose(tr.obs[i], x, rtol=1e-12)
+
+    def test_every_attempt_blowing_up_raises(self):
+        # one step of this drift passes the blow-up limit from any start
+        steps = []
+
+        def drift(X):
+            steps.append(X.shape[0])
+            return np.full_like(X, 1e9)
+
+        runaway = ParametricSystem("runaway", 1, drift, lambda X: np.ones(X.shape[0]))
+        with pytest.raises(SimulationError) as err:
+            generate(runaway, self.spec(n_traj=2))
+        assert err.value.sample == 0
+        assert len(steps) == systems._GEN_MAX_RETRIES
 
     def test_invalid_spec(self):
         with pytest.raises(InputError):
