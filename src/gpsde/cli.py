@@ -209,10 +209,14 @@ def cmd_fit(args) -> int:
     noise_vars = _positive_floats(args.noise_vars, "--noise-vars")
     lengthscales = _positive_floats(args.lengthscales, "--lengthscales")
     spec = _parse_grid_spec(args.inducing, "--inducing", 2, auto=True)
+    _require(all(lo is None or lo < hi for lo, hi, _ in spec), "--inducing",
+             "needs lo < hi on every axis", args.inducing)
     data = dataio.read_dataset(args.data_dir)
     D = data[0].dim
     _require(len(noise_vars) in (0, 1, D), "--noise-vars",
              f"needs one value, or one per data dimension ({D})", args.noise_vars)
+    _require(len(spec) in (1, D), "--inducing",
+             f"needs one axis, or one per data dimension ({D})", args.inducing)
     if len(spec) == 1 and D > 1:
         spec = spec * D
     grid = tuple((v, v) for v in lengthscales) or default_lengthscale_grid(data)
@@ -287,16 +291,18 @@ def cmd_evaluate(args) -> int:
     model = dataio.load_model(args.model)
     _require(model.D == system.dim, "--model", f"needs the {dims}", args.model)
     data = dataio.read_dataset(args.data_dir) if args.data_dir else None
+    _require(data is None or data[0].dim == system.dim, "--data-dir",
+             f"needs trajectories of the {dims}", args.data_dir)
     out = _out_dir(args.out_dir)
-    fitted = (model, build_cache(model))
+    cache = build_cache(model)
     disc = distribution_discrepancy(
-        system, fitted, x0, args.horizon, args.n_paths, args.seed,
+        system, cache, x0, args.horizon, args.n_paths, args.seed,
         fitted_seed=args.seed + 1,
     )
     metrics = {
         "system": args.system,
-        "drift_rms_error": drift_error(system, fitted, box, args.n_grid, data=data),
-        "diffusion_rms_error": diffusion_error(system, fitted, box, args.n_grid, data=data),
+        "drift_rms_error": drift_error(system, cache, box, args.n_grid, data=data),
+        "diffusion_rms_error": diffusion_error(system, cache, box, args.n_grid, data=data),
         "distribution_discrepancy": disc["energy"],
         "distribution_discrepancy_kde_l2": disc["kde_l2"],
     }

@@ -58,14 +58,26 @@ def atomic_write_text(path, text):
         raise
 
 
+def _write_csv(path, header, rows, row_fmt=None):
+    """Write a header line and the rows of a 2-d array, streamed in blocks
+    of about BLOCK_FLOATS values, each block one % operation on the row
+    template row_fmt (default: 17-digit reals)."""
+    rows = np.asarray(rows, dtype=float)
+    row_fmt = (row_fmt or _reals_format(rows.shape[1])) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for block in row_blocks(*rows.shape):
+            yield (row_fmt * (block.stop - block.start)) % tuple(rows[block].ravel().tolist())
+
+    atomic_write_text(path, chunks())
+
+
 # -- trajectories -------------------------------------------------------------
 
 def write_trajectory_csv(path, traj: Trajectory):
-    header = ["t"] + [f"x_{d + 1}" for d in range(traj.dim)]
-    fmt = _reals_format(1 + traj.dim)
-    rows = np.column_stack([traj.times, traj.obs]).tolist()
-    lines = [",".join(header)] + [fmt % tuple(r) for r in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["t"] + [f"x_{d + 1}" for d in range(traj.dim)],
+               np.column_stack([traj.times, traj.obs]))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -124,7 +136,12 @@ def read_dataset(data_dir) -> list[Trajectory]:
     files = sorted(data_dir.glob("traj_*.csv"))
     if not files:
         raise DataError("no traj_*.csv files found", path=data_dir)
-    return [read_trajectory_csv(p) for p in files]
+    trajs = [read_trajectory_csv(p) for p in files]
+    for p, tr in zip(files, trajs):
+        if tr.dim != trajs[0].dim:
+            raise DataError(f"dimension {tr.dim} differs from {files[0].name}'s "
+                            f"({trajs[0].dim})", path=p)
+    return trajs
 
 
 # -- models -------------------------------------------------------------------
@@ -209,29 +226,15 @@ def write_paths_csv(path, paths: np.ndarray, times):
 
 
 def write_density_csv(path, points: np.ndarray, values: np.ndarray):
-    """Stream the rows in blocks of about BLOCK_FLOATS values, each block
-    one % operation."""
     points = np.atleast_2d(points)
-    values = np.ravel(values)
-    width = points.shape[1] + 1
-    row_fmt = _reals_format(width) + "\n"
-
-    def chunks():
-        yield ",".join([f"x_{d + 1}" for d in range(width - 1)] + ["density"]) + "\n"
-        for rows in row_blocks(points.shape[0], width):
-            block = np.column_stack([points[rows], values[rows]])
-            yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
-
-    atomic_write_text(path, chunks())
+    _write_csv(path, [f"x_{d + 1}" for d in range(points.shape[1])] + ["density"],
+               np.column_stack([points, np.ravel(values)]))
 
 
 # -- fit outputs --------------------------------------------------------------
 
 def write_trace_csv(path, trace):
-    lines = ["iteration,objective,gradnorm"]
-    for it, obj, gn in trace:
-        lines.append(f"{it},{_fmt(obj)},{_fmt(gn)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["iteration", "objective", "gradnorm"], trace, "%d,%.17g,%.17g")
 
 
 def report_to_dict(report) -> dict:

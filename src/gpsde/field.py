@@ -39,8 +39,8 @@ from .kernels import (
 from .kernels import gram_blocked  # noqa: F401
 
 
-def _frozen_array(a, dtype=float):
-    a = np.array(a, dtype=dtype)
+def _frozen_array(a):
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 

@@ -29,16 +29,14 @@ import scipy.optimize
 from .errors import FitError, InputError, InternalError, NumericalError, SimulationError
 from .field import InducingModel, build_cache, update_values
 from .kernels import KernelParams, rbf_matrix
-from .objective import (
-    _as_list,
-    draw_increments,
-    evaluate_with_increments,
-    make_grids,
-)
+from .objective import draw_increments, evaluate_with_increments, make_grids
 from .sim import child_seed, grid_points
 
 # box bounds for the log noise variances keep exp() finite during line search
 _NOISE_LOG_BOUNDS = (-23.0, 14.0)
+
+# difference quotients gradient matching regresses on, at most
+_INIT_MAX_POINTS = 600
 
 
 @dataclass(frozen=True)
@@ -110,12 +108,12 @@ class FitReport:
     candidates: tuple                 # per-candidate summaries
 
 
-def default_lengthscale_grid(data, factors=(0.2, 0.5, 1.0, 2.0)):
+def default_lengthscale_grid(data):
     """Candidate pairs scaled by the per-dimension spread of the data."""
-    pooled = np.concatenate([tr.obs for tr in _as_list(data)], axis=0)
+    pooled = np.concatenate([tr.obs for tr in data], axis=0)
     scale = pooled.std(axis=0)
     scale[scale == 0] = 1.0
-    return tuple((f * scale, f * scale) for f in factors)
+    return tuple((f * scale, f * scale) for f in (0.2, 0.5, 1.0, 2.0))
 
 
 def build_inducing_grid(spec, data) -> np.ndarray:
@@ -124,14 +122,13 @@ def build_inducing_grid(spec, data) -> np.ndarray:
     Explicit (min, max) bounds are honoured; omitted bounds cover the data's
     bounding box expanded by 10% per side.
     """
-    trajs = _as_list(data)
     axes = []
     for d, (lo, hi, count) in enumerate(spec):
         count = int(count)
         if count < 1:
             raise InputError("grid count must be >= 1")
         if lo is None or hi is None:
-            vals = np.concatenate([tr.obs[:, d] for tr in trajs])
+            vals = np.concatenate([tr.obs[:, d] for tr in data])
             vmin, vmax = float(vals.min()), float(vals.max())
             span = vmax - vmin
             if span == 0.0:
@@ -148,7 +145,7 @@ def _pooled_difference_quotients(data):
     """Stack (state, difference quotient, dt) triples from all trajectories,
     sorted lexicographically so the result is order-independent."""
     xs, gs, dts = [], [], []
-    for j, tr in enumerate(_as_list(data)):
+    for j, tr in enumerate(data):
         if tr.n_obs < 2:
             warnings.warn(f"trajectory {j} has fewer than 2 points; skipped in init")
             continue
@@ -166,7 +163,7 @@ def _pooled_difference_quotients(data):
 
 
 def gradient_match_init(data, Z, drift_params: KernelParams, *, ridge=None,
-                        max_points: int = 600, noise_vars=None):
+                        noise_vars=None):
     """Initial inducing values from empirical difference quotients.
 
     Drift: GP regression of (y_{i+1} - y_i)/dt_i onto the inducing grid.
@@ -178,8 +175,8 @@ def gradient_match_init(data, Z, drift_params: KernelParams, *, ridge=None,
     """
     Z = np.asarray(Z, dtype=float)
     X, G, DT = _pooled_difference_quotients(data)
-    if X.shape[0] > max_points:
-        keep = np.linspace(0, X.shape[0] - 1, max_points).round().astype(int)
+    if X.shape[0] > _INIT_MAX_POINTS:
+        keep = np.linspace(0, X.shape[0] - 1, _INIT_MAX_POINTS).round().astype(int)
         X, G, DT = X[keep], G[keep], DT[keep]
     if ridge is None:
         ridge = max(1e-8, 0.5 * float(np.mean(G.var(axis=0))))
@@ -205,9 +202,8 @@ def gradient_match_init(data, Z, drift_params: KernelParams, *, ridge=None,
 
 def init_noise_vars(data) -> np.ndarray:
     """Crude per-dimension observation noise scale from increment spread."""
-    trajs = _as_list(data)
     deltas = np.concatenate(
-        [np.diff(tr.obs, axis=0) for tr in trajs if tr.n_obs >= 2], axis=0
+        [np.diff(tr.obs, axis=0) for tr in data if tr.n_obs >= 2], axis=0
     )
     return np.maximum(1e-6, 0.1 * deltas.var(axis=0))
 
@@ -345,7 +341,6 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
     All candidates share the inducing grid, the initialisation procedure
     and the noise seed schedule, so their final values are comparable.
     """
-    data = _as_list(data)
     if not data:
         raise InputError("no trajectories to fit")
     t_start = time.perf_counter()

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .field import FieldCache, InducingModel, build_cache, log_prior, log_prior_grad
+from .field import FieldCache, InducingModel, log_prior, log_prior_grad
+# not used here: bench/tracer.py wraps gpsde.objective.build_cache by name
+from .field import build_cache  # noqa: F401
 from .sensitivity import simulate_bundle_with_sensitivities
 from .sim import TimeGrid, build_grid, child_seed, sample_increments
 
@@ -36,8 +38,6 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).ravel()
         y = np.asarray(self.obs, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
         if y.ndim != 2 or y.shape[0] != t.size:
             raise InputError(f"obs must be (len(times), D), got {y.shape}")
         if t.size < 1:
@@ -73,10 +73,6 @@ class ObjectiveValue:
 
     def packed_grad(self) -> np.ndarray:
         return np.concatenate([self.grad_u_f, self.grad_u_s, self.grad_log_noise])
-
-
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
 def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
@@ -115,7 +111,7 @@ def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
 
 
 def make_grids(trajs, resolution_factor: int) -> list[TimeGrid]:
-    return [build_grid(tr.times, resolution_factor) for tr in _as_list(trajs)]
+    return [build_grid(tr.times, resolution_factor) for tr in trajs]
 
 
 def draw_increments(trajs, grids, m: InducingModel, n_samples: int, seed) -> list[np.ndarray]:
@@ -172,7 +168,6 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     This deterministic map of the model parameters is what the optimizer
     sees within one epoch, and what finite-difference checks differentiate.
     """
-    trajs = _as_list(trajs)
     if not len(trajs) == len(grids) == len(increments):
         raise InputError(
             f"need one grid and one increment array per trajectory, got {len(trajs)} "
@@ -217,15 +212,3 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
         grad_log_noise=grad_noise,
         per_obs_loglik=per_obs,
     )
-
-
-def log_posterior(trajs, m: InducingModel, resolution_factor: int, n_samples: int,
-                  seed) -> ObjectiveValue:
-    """Simulate n_samples paths from the first observation of each trajectory
-    segment and evaluate the stochastic MAP objective; deterministic given
-    the seed."""
-    trajs = _as_list(trajs)
-    cache = build_cache(m)
-    grids = make_grids(trajs, resolution_factor)
-    incs = draw_increments(trajs, grids, m, n_samples, seed)
-    return evaluate_with_increments(trajs, m, cache, grids, incs)

@@ -25,7 +25,7 @@ from .field import (
     drift_batch,
     drift_diffusion_batch,
 )
-from .objective import Trajectory, _as_list
+from .objective import Trajectory
 from .sim import child_seed, gaussian_kde, grid_points, row_blocks, simulate_callable_batch
 
 _GEN_MAX_RETRIES = 5
@@ -35,7 +35,6 @@ _GEN_MAX_RETRIES = 5
 class ParametricSystem:
     """Closed-form drift and diffusion of a benchmark system."""
 
-    name: str
     dim: int
     drift_fn: object
     diffusion_fn: object
@@ -88,7 +87,7 @@ def double_well() -> ParametricSystem:
         X = np.atleast_2d(X)
         return np.full(X.shape[0], 1.5)
 
-    return ParametricSystem("double-well", 1, drift, diffusion)
+    return ParametricSystem(1, drift, diffusion)
 
 
 def _iso_gauss_pdf(X, center, var):
@@ -114,15 +113,15 @@ def oscillator_hotspot() -> ParametricSystem:
         X = np.atleast_2d(X)
         return 2.0 * _iso_gauss_pdf(X, center, 0.5) + 0.3
 
-    return ParametricSystem("oscillator", 2, drift, diffusion)
+    return ParametricSystem(2, drift, diffusion)
 
 
-def van_der_pol(mu: float = 1.0, diff_base: float = 0.3, diff_amp: float = 1.5,
-                diff_center=(2.0, 0.0), diff_var: float = 0.25) -> ParametricSystem:
-    """Van der Pol oscillator with a localized diffusion bump on the cycle."""
+def van_der_pol(mu: float = 1.0) -> ParametricSystem:
+    """Van der Pol oscillator with a localized diffusion bump on the cycle:
+    sigma(x) = 1.5 N(x | (2, 0), 0.25 I) + 0.3."""
     if mu < 0:
         raise InputError("mu must be non-negative")
-    center = np.asarray(diff_center, dtype=float)
+    center = np.array([2.0, 0.0])
 
     def drift(X):
         X = np.atleast_2d(X)
@@ -132,9 +131,9 @@ def van_der_pol(mu: float = 1.0, diff_base: float = 0.3, diff_amp: float = 1.5,
 
     def diffusion(X):
         X = np.atleast_2d(X)
-        return diff_base + diff_amp * _iso_gauss_pdf(X, center, diff_var)
+        return 1.5 * _iso_gauss_pdf(X, center, 0.25) + 0.3
 
-    return ParametricSystem("van-der-pol", 2, drift, diffusion)
+    return ParametricSystem(2, drift, diffusion)
 
 
 SYSTEMS = {
@@ -146,7 +145,7 @@ SYSTEMS = {
 
 def _fields(fitted):
     """Drift, diffusion and stepping-loop field of a ParametricSystem,
-    InducingModel or (model, cache) pair, each a callable of stacked states.
+    InducingModel or FieldCache, each a callable of stacked states.
 
     The stepping field returns the drift and the signed diffusion together;
     for a model they share one kernel row per step when their kernels are
@@ -155,14 +154,9 @@ def _fields(fitted):
     if isinstance(fitted, ParametricSystem):
         drift, diffusion = fitted.drift_fn, fitted.diffusion_fn
         return drift, diffusion, lambda X: (drift(X), diffusion(X))
-    if isinstance(fitted, tuple) and len(fitted) == 2:
-        _, cache = fitted
-    elif isinstance(fitted, InducingModel):
-        cache = build_cache(fitted)
-    else:
-        raise InputError("fitted must be a ParametricSystem, InducingModel, or (model, cache)")
+    cache = build_cache(fitted) if isinstance(fitted, InducingModel) else fitted
     if not isinstance(cache, FieldCache):
-        raise InputError("second element of (model, cache) must be a FieldCache")
+        raise InputError("fitted must be a ParametricSystem, InducingModel or FieldCache")
     return (lambda X: drift_batch(np.atleast_2d(X), cache),
             lambda X: diffusion_batch(np.atleast_2d(X), cache),
             lambda X: drift_diffusion_batch(X, cache))
@@ -198,10 +192,10 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
 
 # -- recovery metrics ---------------------------------------------------------
 
-def _eval_points(eval_box, n_grid: int, data, density_frac: float) -> np.ndarray:
+def _eval_points(eval_box, n_grid: int, data) -> np.ndarray:
     """Regular grid over a (D, 2) box, n_grid nodes per dimension; with
     training data, only the nodes in the visited region (kernel density of
-    the pooled observations above density_frac of its maximum)."""
+    the pooled observations above 1% of its maximum)."""
     box = np.asarray(eval_box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
@@ -209,34 +203,34 @@ def _eval_points(eval_box, n_grid: int, data, density_frac: float) -> np.ndarray
     P = grid_points(axes)
     if data is None:
         return P
-    pooled = np.concatenate([tr.obs for tr in _as_list(data)], axis=0)
+    pooled = np.concatenate([tr.obs for tr in data], axis=0)
     if pooled.shape[0] > 4000:
         keep = np.linspace(0, pooled.shape[0] - 1, 4000).round().astype(int)
         pooled = pooled[keep]
     n, d = pooled.shape
     bw = float(np.mean(pooled.std(axis=0))) * n ** (-1.0 / (d + 4))
     dens = gaussian_kde(axes, pooled, max(bw, 1e-8))
-    return P[dens >= density_frac * dens.max()]
+    return P[dens >= 0.01 * dens.max()]
 
 
 def drift_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
-                data=None, density_frac: float = 0.01) -> float:
+                data=None) -> float:
     """RMS Euclidean drift mismatch over the evaluation grid.
 
     When training data is given, the grid is restricted to the visited
-    region (kernel density above density_frac of its maximum) so the
-    zero-reverting far field does not dominate.
+    region (kernel density above 1% of its maximum) so the zero-reverting
+    far field does not dominate.
     """
-    P = _eval_points(eval_box, n_grid, data, density_frac)
+    P = _eval_points(eval_box, n_grid, data)
     drift_fit = _fields(fitted)[0]
     diff = np.atleast_2d(true_sys.drift_fn(P)) - np.atleast_2d(drift_fit(P))
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=-1))))
 
 
 def diffusion_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
-                    data=None, density_frac: float = 0.01) -> float:
+                    data=None) -> float:
     """RMS mismatch between the true diffusion and |fitted diffusion|."""
-    P = _eval_points(eval_box, n_grid, data, density_frac)
+    P = _eval_points(eval_box, n_grid, data)
     diff_fit = _fields(fitted)[1]
     delta = np.asarray(true_sys.diffusion_fn(P)) - np.abs(np.asarray(diff_fit(P)))
     return float(np.sqrt(np.mean(delta**2)))
@@ -260,19 +254,19 @@ def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
     return float(2.0 * _mean_distance(X, Y) - _mean_distance(X, X) - _mean_distance(Y, Y))
 
 
-def kde_l2_distance(X: np.ndarray, Y: np.ndarray, n_grid: int = 41,
-                    pad: float = 0.5) -> float:
+def kde_l2_distance(X: np.ndarray, Y: np.ndarray) -> float:
     """L2 distance between Gaussian KDE grids of two point clouds.
 
-    Both clouds share the evaluation box (their joint bounding box plus
-    padding) and the bandwidth, so identical clouds score exactly zero.
+    Both clouds share the evaluation grid (41 nodes per axis over their
+    joint bounding box padded by 0.5) and the bandwidth, so identical
+    clouds score exactly zero.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     both = np.concatenate([X, Y], axis=0)
     d = both.shape[1]
     bw = max(float(np.mean(both.std(axis=0))) * both.shape[0] ** (-1.0 / (d + 4)), 1e-8)
-    axes = [np.linspace(both[:, k].min() - pad, both[:, k].max() + pad, n_grid)
+    axes = [np.linspace(both[:, k].min() - 0.5, both[:, k].max() + 0.5, 41)
             for k in range(d)]
     cell = float(np.prod([a[1] - a[0] for a in axes]))
     diff = gaussian_kde(axes, X, bw) - gaussian_kde(axes, Y, bw)
@@ -281,10 +275,9 @@ def kde_l2_distance(X: np.ndarray, Y: np.ndarray, n_grid: int = 41,
 
 def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
                              horizon: float, n_paths: int, seed, *,
-                             dt: float = 0.01, n_checkpoints: int = 10,
-                             fitted_seed=None) -> dict[str, float]:
+                             dt: float = 0.01, fitted_seed=None) -> dict[str, float]:
     """Discrepancies between true and fitted path ensembles, each summed over
-    equispaced checkpoints.
+    10 equispaced checkpoints (every step of a shorter simulation).
 
     Both systems are simulated once, from the same x0 with matched settings;
     by default they share the Brownian increments (fitted_seed=None), so a
@@ -308,6 +301,6 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
     paths_true = simulate_callable_batch(_fields(true_sys)[2], x0, dt, incs_true)
     paths_fit = simulate_callable_batch(_fields(fitted)[2], x0, dt, incs_fit)
 
-    checks = np.unique(np.linspace(1, n_steps, min(n_checkpoints, n_steps)).round().astype(int))
+    checks = np.unique(np.linspace(1, n_steps, min(10, n_steps)).round().astype(int))
     return {name: float(sum(dist(paths_true[:, i], paths_fit[:, i]) for i in checks))
             for name, dist in (("energy", energy_distance), ("kde_l2", kde_l2_distance))}

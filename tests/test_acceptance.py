@@ -209,7 +209,7 @@ def test_criterion_4_double_well_recovery(double_well_fit):
     sys_, data, rep, wall = double_well_fit
     model = rep.final_model
     cache = build_cache(model)
-    rms = drift_error(sys_, (model, cache), [[-1.8, 1.8]], 61)
+    rms = drift_error(sys_, cache, [[-1.8, 1.8]], 61)
     xs = np.linspace(-1.5, 1.5, 61)[:, None]
     mean_sigma = float(np.abs(diffusion_batch(xs, cache)).mean())
     ok = rms <= 0.6 and 1.1 <= mean_sigma <= 1.7
@@ -252,10 +252,10 @@ def test_criterion_5_data_efficiency_trend():
             rep = fit_map(full[:k], cfg)
             model = rep.final_model
             cache = build_cache(model)
-            errs[k].append(drift_error(sys_, (model, cache),
+            errs[k].append(drift_error(sys_, cache,
                                        [[-1.6, 1.6], [-1.6, 1.6]], 21, data=full))
             discs[k].append(distribution_discrepancy(
-                sys_, (model, cache), [1.0, 0.0], 5.0, 300, 7,
+                sys_, cache, [1.0, 0.0], 5.0, 300, 7,
                 dt=0.05, fitted_seed=8)["energy"])
     med_e = [float(np.median(errs[k])) for k in counts]
     med_d = [float(np.median(discs[k])) for k in counts]

@@ -41,6 +41,15 @@ def tiny_model(tiny_dataset, tmp_path_factory):
     return out / "model.json"
 
 
+@pytest.fixture(scope="module")
+def osc_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("osc")
+    rc = run_cli(["generate", "--system", "oscillator", "--n-traj", 1, "--n-obs", 12,
+                  "--subsample-every", 5, "--seed", 2, "--out-dir", out])
+    assert rc == 0
+    return out
+
+
 class TestGenerate:
     def test_writes_expected_files(self, tiny_dataset):
         names = {p.name for p in tiny_dataset.iterdir()}
@@ -313,10 +322,13 @@ class TestEvaluate:
     (["fit", "--inducing=-inf:2:5"], "--inducing"),
     (["simulate", "--x0", "0.5", "--density-grid=-3:3"], "--density-grid"),
     (["simulate", "--x0", "a,b"], "--x0"),
+    (["fit", "--inducing=2:2:5"], "--inducing"),
+    (["fit", "--inducing=-2:2:3,-2:2:3"], "--inducing"),
+    (["evaluate", "--data-dir", "OSC_DATASET"], "--data-dir"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
-                                               tmp_path, capsys):
-    cmd, rest = argv[0], argv[1:]
+                                               osc_dataset, tmp_path, capsys):
+    cmd, rest = argv[0], [osc_dataset if a == "OSC_DATASET" else a for a in argv[1:]]
     source = {"fit": ["--data-dir", tiny_dataset], "generate": []}.get(
         cmd, ["--model", tiny_model])
     out = tmp_path / "out"
@@ -324,6 +336,20 @@ def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_mod
     assert rc == 3
     assert flag in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["fit", "evaluate"])
+def test_mixed_dimension_dataset_is_data_error(cmd, tiny_dataset, tiny_model,
+                                               osc_dataset, tmp_path, capsys):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "traj_000.csv").write_bytes((tiny_dataset / "traj_000.csv").read_bytes())
+    (mixed / "traj_001.csv").write_bytes((osc_dataset / "traj_000.csv").read_bytes())
+    model = ["--model", tiny_model] if cmd == "evaluate" else []
+    out = tmp_path / "out"
+    assert run_cli([cmd, "--data-dir", mixed, *model, "--out-dir", out]) == 3
+    assert "traj_001.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd, extra", [("simulate", ["--x0", "0.5"]), ("evaluate", [])])

@@ -55,6 +55,13 @@ def test_dataset_roundtrip(tmp_path, awkward_trajectory):
         assert np.array_equal(a.obs, b.obs)
 
 
+def test_dataset_of_mixed_dimensions_names_the_odd_file(tmp_path, awkward_trajectory):
+    one_d = Trajectory(times=[0.0, 1.0], obs=[[1.0], [2.0]])
+    dataio.write_dataset(tmp_path, [awkward_trajectory, awkward_trajectory, one_d])
+    with pytest.raises(DataError, match="traj_002.csv"):
+        dataio.read_dataset(tmp_path)
+
+
 def make_model():
     rng = np.random.default_rng(5)
     return InducingModel(

@@ -10,7 +10,6 @@ from gpsde.objective import (
     Trajectory,
     draw_increments,
     evaluate_with_increments,
-    log_posterior,
     make_grids,
     _obs_logliks,
     _segment_groups,
@@ -225,6 +224,12 @@ class TestGradients:
         assert np.max(np.abs(val.grad_log_noise)) < 1e-6
 
 
+def log_posterior(trajs, m, resolution_factor, n_samples, seed):
+    grids = make_grids(trajs, resolution_factor)
+    incs = draw_increments(trajs, grids, m, n_samples, seed)
+    return evaluate_with_increments(trajs, m, build_cache(m), grids, incs)
+
+
 class TestLogPosterior:
     def test_deterministic_per_seed(self):
         m, _ = small_model(seed=11)
@@ -307,5 +312,7 @@ def test_trajectory_validation():
         Trajectory(times=[0.0, 1.0], obs=np.zeros((3, 1)))
     with pytest.raises(InputError):
         Trajectory(times=[0.0, 1.0], obs=np.array([[0.0], [np.nan]]))
+    with pytest.raises(InputError):
+        Trajectory(times=[0.0, 1.0], obs=[0.0, 1.0])     # obs must be (N, D)
     tr = Trajectory(times=[0.0, 1.0], obs=[[0.0], [1.0]])
     assert tr.n_obs == 2 and tr.dim == 1

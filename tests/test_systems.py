@@ -146,7 +146,7 @@ class TestGenerate:
             steps.append(X.shape[0])
             return np.full_like(X, 1e9)
 
-        runaway = ParametricSystem("runaway", 1, drift, lambda X: np.ones(X.shape[0]))
+        runaway = ParametricSystem(1, drift, lambda X: np.ones(X.shape[0]))
         with pytest.raises(SimulationError) as err:
             generate(runaway, self.spec(n_traj=2))
         assert err.value.sample == 0
@@ -225,6 +225,32 @@ class TestFieldErrors:
                 for _ in range(8)]
         peak = traced_peak(lambda: drift_error(sys_, m, [[-3, 3], [-3, 3]], 41, data=data))
         assert peak < 6e6, f"peak {peak} B"
+
+
+class TestFieldForms:
+    def setup_method(self):
+        self.sys_ = double_well()
+        self.model = dense_fit_of(self.sys_, -2.4, 2.4, n=21, ell=0.4)
+        rng = np.random.default_rng(5)
+        self.data = [Trajectory(times=np.arange(40) * 0.1,
+                                obs=rng.uniform(-1.2, 1.2, (40, 1)))]
+
+    def metrics(self):
+        box = [[-2.0, 2.0]]
+        return (lambda f: drift_error(self.sys_, f, box, 41, data=self.data),
+                lambda f: diffusion_error(self.sys_, f, box, 41, data=self.data),
+                lambda f: distribution_discrepancy(self.sys_, f, [0.5], 0.5, 40, 3, dt=0.02))
+
+    def test_model_and_its_cache_score_identically(self):
+        cache = build_cache(self.model)
+        for metric in self.metrics():
+            assert metric(self.model) == metric(cache)
+
+    def test_model_cache_pair_is_rejected(self):
+        pair = (self.model, build_cache(self.model))
+        for metric in self.metrics():
+            with pytest.raises(InputError):
+                metric(pair)
 
 
 class TestEnergyDistance:
