@@ -2,10 +2,11 @@
 metrics.
 
 Drift and diffusion callables are vectorized over stacked states: drift
-maps (N, D) -> (N, D) and diffusion maps (N, D) -> (N,).  Generation is
-deterministic per seed and trajectory-prefix stable: the first k
-trajectories of a larger batch equal the k-trajectory batch with the same
-seed.
+maps (N, D) -> (N, D) and diffusion maps (N, D) -> (N,).  Generation steps
+all trajectories together in one Euler-Maruyama loop.  It is deterministic
+per seed and trajectory-prefix stable: the first k trajectories of a larger
+batch equal the k-trajectory batch with the same seed.  A trajectory that
+blows up is redrawn from its next attempt key without changing the others.
 """
 
 from __future__ import annotations
@@ -163,31 +164,46 @@ def _fields(fitted):
 
 
 def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
-    """Simulate noisy observation batches from a closed-form system."""
+    """Simulate noisy observation batches from a closed-form system.
+
+    Trajectory j draws its start, increments and observation noise, in that
+    order, from the stream child_seed(seed, j, attempt).  All trajectories
+    step together; when one blows up, only it moves to its next attempt and
+    the batch runs again.
+    """
     if spec.x0_box.shape[0] != sys.dim:
         raise InputError("x0_box dimension does not match the system")
-    k = spec.subsample_every
+    n, D, k = spec.n_traj, sys.dim, spec.subsample_every
     n_steps = spec.n_obs_per_traj * k
-    obs_at = np.arange(spec.n_obs_per_traj) * k
-    times = np.arange(spec.n_obs_per_traj) * (spec.gen_dt * k)
-    trajs = []
-    for j in range(spec.n_traj):
-        for attempt in range(_GEN_MAX_RETRIES):
-            rng = np.random.Generator(np.random.PCG64(child_seed(spec.seed, j, attempt)))
-            x0 = rng.uniform(spec.x0_box[:, 0], spec.x0_box[:, 1])
-            incs = rng.normal(0.0, math.sqrt(spec.gen_dt), size=(1, n_steps, sys.dim))
-            try:
-                path = simulate_callable_batch(_fields(sys)[2], x0, spec.gen_dt, incs)[0]
-            except SimulationError:
-                continue
-            y = path[obs_at] + rng.normal(0.0, spec.noise_std, size=(spec.n_obs_per_traj, sys.dim))
-            trajs.append(Trajectory(times=times, obs=y))
+    x0 = np.empty((n, D))
+    incs = np.empty((n, n_steps, D))
+    noise = np.empty((n, spec.n_obs_per_traj, D))
+    attempts = [0] * n
+    fields = _fields(sys)[2]
+
+    def draw(j):
+        rng = np.random.Generator(np.random.PCG64(child_seed(spec.seed, j, attempts[j])))
+        x0[j] = rng.uniform(spec.x0_box[:, 0], spec.x0_box[:, 1])
+        incs[j] = rng.normal(0.0, math.sqrt(spec.gen_dt), size=(n_steps, D))
+        noise[j] = rng.normal(0.0, spec.noise_std, size=(spec.n_obs_per_traj, D))
+
+    for j in range(n):
+        draw(j)
+    while True:
+        try:
+            paths = simulate_callable_batch(fields, x0, spec.gen_dt, incs)
             break
-        else:
-            raise SimulationError(
-                f"trajectory {j} blew up in {_GEN_MAX_RETRIES} attempts", sample=j
-            )
-    return trajs
+        except SimulationError as err:
+            j = err.sample
+            attempts[j] += 1
+            if attempts[j] == _GEN_MAX_RETRIES:
+                raise SimulationError(
+                    f"trajectory {j} blew up in {_GEN_MAX_RETRIES} attempts", sample=j
+                ) from err
+            draw(j)
+    obs = paths[:, :n_steps:k] + noise
+    times = np.arange(spec.n_obs_per_traj) * (spec.gen_dt * k)
+    return [Trajectory(times=times, obs=y) for y in obs]
 
 
 # -- recovery metrics ---------------------------------------------------------

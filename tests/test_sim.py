@@ -12,6 +12,7 @@ from gpsde.sim import (
     sample_increments,
     sample_paths,
     simulate_batch,
+    simulate_callable_batch,
     state_density,
 )
 
@@ -163,7 +164,22 @@ class TestEulerMaruyama:
         inc = np.zeros((1, 100, 1))
         with pytest.raises(SimulationError) as err:
             simulate_batch(m, c, [1.0], g, inc)
-        assert err.value.step is not None
+        assert err.value.step == 1 and err.value.sample == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_blowup_guard_names_the_non_finite_sample(self, value):
+        calls = []
+
+        def fields(X):
+            calls.append(None)
+            F = np.zeros_like(X)
+            if len(calls) == 3:     # the third call makes the state at step 3
+                F[2, 1] = value
+            return F, np.zeros(X.shape[0])
+
+        with pytest.raises(SimulationError) as err:
+            simulate_callable_batch(fields, np.zeros(2), 0.1, np.zeros((4, 6, 2)))
+        assert err.value.step == 3 and err.value.sample == 2
 
 
 class TestSamplePaths:

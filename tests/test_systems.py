@@ -6,6 +6,7 @@ from gpsde.errors import InputError, SimulationError
 from gpsde.field import InducingModel, build_cache
 from gpsde.kernels import KernelParams
 from gpsde.objective import Trajectory
+from gpsde.sim import child_seed, simulate_callable_batch
 from gpsde.systems import (
     GenSpec,
     ParametricSystem,
@@ -100,6 +101,43 @@ class TestVanDerPol:
         assert best < 0.5
 
 
+def per_trajectory_oracle(sys_, spec, first_attempt=None):
+    """Generation one trajectory at a time: trajectory j simulates alone from
+    child_seed(seed, j, attempt), starting at first_attempt.get(j, 0) and
+    moving to the next attempt when it blows up."""
+    first_attempt = first_attempt or {}
+    k = spec.subsample_every
+    n_steps = spec.n_obs_per_traj * k
+    obs_at = np.arange(spec.n_obs_per_traj) * k
+    times = np.arange(spec.n_obs_per_traj) * (spec.gen_dt * k)
+    trajs = []
+    for j in range(spec.n_traj):
+        for attempt in range(first_attempt.get(j, 0), systems._GEN_MAX_RETRIES):
+            rng = np.random.Generator(np.random.PCG64(child_seed(spec.seed, j, attempt)))
+            x0 = rng.uniform(spec.x0_box[:, 0], spec.x0_box[:, 1])
+            incs = rng.normal(0.0, np.sqrt(spec.gen_dt), size=(1, n_steps, sys_.dim))
+            try:
+                path = simulate_callable_batch(
+                    lambda X: (sys_.drift_fn(X), sys_.diffusion_fn(X)), x0, spec.gen_dt, incs
+                )[0]
+            except SimulationError:
+                continue
+            y = path[obs_at] + rng.normal(0.0, spec.noise_std,
+                                          size=(spec.n_obs_per_traj, sys_.dim))
+            trajs.append(Trajectory(times=times, obs=y))
+            break
+        else:
+            raise AssertionError(f"oracle trajectory {j} blew up in every attempt")
+    return trajs
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for tg, tw in zip(got, want):
+        assert np.array_equal(tg.times, tw.times)
+        assert np.array_equal(tg.obs, tw.obs)
+
+
 class TestGenerate:
     def spec(self, **kw):
         base = dict(n_traj=3, n_obs_per_traj=20, gen_dt=0.01, subsample_every=5,
@@ -151,6 +189,38 @@ class TestGenerate:
             generate(runaway, self.spec(n_traj=2))
         assert err.value.sample == 0
         assert len(steps) == systems._GEN_MAX_RETRIES
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("system, box", [
+        (double_well, [[-2.0, 2.0]]),
+        (oscillator_hotspot, [[-2.0, 2.0], [-2.0, 2.0]]),
+        (van_der_pol, [[-2.0, 2.0], [-2.0, 2.0]]),
+    ])
+    def test_batched_loop_equals_per_trajectory_oracle(self, system, box, seed):
+        spec = self.spec(n_traj=4, n_obs_per_traj=12, subsample_every=7, noise_std=0.1,
+                         x0_box=np.array(box), seed=seed)
+        assert_same_trajectories(generate(system(), spec),
+                                 per_trajectory_oracle(system(), spec))
+
+    def test_blowup_redraws_only_that_trajectory(self):
+        base = double_well()
+        calls = []
+
+        def drift(X):
+            F = base.drift_fn(X)
+            if not calls:   # one step of 1e9 passes the blow-up limit
+                F[1] = 1e9
+            calls.append(X.shape[0])
+            return F
+
+        spec = self.spec(n_traj=4)
+        flaky = ParametricSystem(1, drift, base.diffusion_fn)
+        got = generate(flaky, spec)
+        want = per_trajectory_oracle(base, spec, first_attempt={1: 1})
+        assert_same_trajectories(got, want)
+        # trajectory 1's attempt-0 draw differs, so the others kept attempt 0
+        assert not np.array_equal(got[1].obs, per_trajectory_oracle(base, spec)[1].obs)
+        assert calls == [4] * (1 + spec.n_obs_per_traj * spec.subsample_every)
 
     def test_invalid_spec(self):
         with pytest.raises(InputError):
