@@ -218,7 +218,7 @@ class TestGenerate:
         got = generate(flaky, spec)
         want = per_trajectory_oracle(base, spec, first_attempt={1: 1})
         assert_same_trajectories(got, want)
-        # trajectory 1's attempt-0 draw differs, so the others kept attempt 0
+        # the retry took effect: trajectory 1's attempt-0 draw differs
         assert not np.array_equal(got[1].obs, per_trajectory_oracle(base, spec)[1].obs)
         assert calls == [4] * (1 + spec.n_obs_per_traj * spec.subsample_every)
 
