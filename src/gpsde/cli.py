@@ -262,7 +262,7 @@ def cmd_simulate(args) -> int:
     cache = build_cache(model)
     n_steps = max(1, int(round(args.horizon / args.dt)))
     grid = build_grid([0.0, args.horizon], n_steps)
-    paths = sample_paths(model, cache, x0, grid, args.n_paths, args.seed)
+    paths = sample_paths(cache, x0, grid, args.n_paths, args.seed)
     dataio.write_paths_csv(out / "paths.csv", paths, grid.times)
     outputs = ["paths.csv"]
     if axes is not None:

@@ -7,11 +7,12 @@ locations Z, each of its D outputs an independent GP with the same kernel,
 
 and the scalar diffusion does the same with its own kernel and values
 u_sigma.  Both revert to zero away from the inducing locations (zero-mean
-prior).  A :class:`FieldCache` holds the two M x M Cholesky factorizations
-and the derived solve products shared by every evaluation; build one with
-:func:`build_cache` and rebuild whenever Z or the kernel parameters
-change.  Updating only the inducing values reuses the factorizations via
-:func:`update_values`.
+prior).  A :class:`FieldCache` holds the model it was built from together
+with the two M x M Cholesky factorizations and the derived solve products
+shared by every evaluation, so the model's values have one owner.  Build
+one with :func:`build_cache` and rebuild whenever Z or the kernel
+parameters change; :func:`update_values` is the one way to replace the
+inducing values or noise, and it reuses the factorizations.
 
 Evaluation functions are pure and safe to call concurrently; models and
 caches are immutable after construction.
@@ -112,33 +113,20 @@ class InducingModel:
         """Stacked inducing vectors: one contiguous D-block per location."""
         return self.U_f.reshape(-1)
 
-    def with_values(self, U_f=None, u_sigma=None, noise_vars=None) -> "InducingModel":
-        """Copy of the model with replaced inducing values / noise.
-
-        The copy shares this model's checked Z, so only the new values are
-        validated.
-        """
-        m = copy.copy(self)
-        m._set_values(self.U_f if U_f is None else U_f,
-                      self.u_sigma if u_sigma is None else u_sigma,
-                      self.noise_vars if noise_vars is None else noise_vars)
-        return m
-
 
 @dataclass(frozen=True, eq=False)
 class FieldCache:
-    """Factorizations and solve products for one model configuration.
+    """Factorizations and solve products of the model they were built from.
 
-    alpha_f = K_f(Z,Z)^{-1} U_f, shape (M, D), and alpha_s = K_s(Z,Z)^{-1}
-    u_sigma are the interpolation weights, so batched evaluation is a
-    single matmul.
+    model is that InducingModel, the one owner of Z, the kernel parameters
+    and the inducing values; a cache pairs only with it.  chol_f and chol_s
+    factor the jittered Gram matrices K_f(Z,Z) and K_s(Z,Z), and
+    alpha_f = K_f^{-1} U_f, shape (M, D), and alpha_s = K_s^{-1} u_sigma
+    are the interpolation weights, so batched evaluation is a single
+    matmul.
     """
 
-    Z: np.ndarray
-    drift_params: KernelParams
-    diff_params: KernelParams
-    U_f: np.ndarray
-    u_sigma: np.ndarray
+    model: InducingModel
     chol_f: tuple
     chol_s: tuple
     logdet_f: float
@@ -147,19 +135,10 @@ class FieldCache:
     alpha_s: np.ndarray
     same_kernels: bool = False
 
-    def matches(self, m: InducingModel) -> bool:
-        return (
-            np.array_equal(self.Z, m.Z)
-            and same_params(self.drift_params, m.drift_params)
-            and same_params(self.diff_params, m.diff_params)
-            and np.array_equal(self.U_f, m.U_f)
-            and np.array_equal(self.u_sigma, m.u_sigma)
-        )
-
 
 def _checked(m: InducingModel, c: FieldCache):
-    if not c.matches(m):
-        raise InternalError("field cache does not correspond to the supplied model; rebuild it")
+    if c.model is not m:
+        raise InternalError("field cache was built from a different model; rebuild it")
 
 
 def _factor(K: np.ndarray, what: str) -> tuple:
@@ -187,11 +166,7 @@ def build_cache(m: InducingModel) -> FieldCache:
     chol_s = chol_f if same else _factor(Ks, "diffusion")
 
     return FieldCache(
-        Z=m.Z,
-        drift_params=m.drift_params,
-        diff_params=m.diff_params,
-        U_f=m.U_f,
-        u_sigma=m.u_sigma,
+        model=m,
         chol_f=chol_f,
         chol_s=chol_s,
         # the D drift columns share K_f, so their joint covariance has D x its logdet
@@ -205,33 +180,37 @@ def build_cache(m: InducingModel) -> FieldCache:
 
 def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                   noise_vars=None) -> tuple[InducingModel, FieldCache]:
-    """New (model, cache) pair with replaced inducing values, reusing the
-    existing factorizations. Z and the kernel parameters stay fixed."""
+    """New (model, cache) pair with replaced inducing values or noise,
+    reusing the existing factorizations.  The new model shares the checked
+    Z and kernel parameters of m, so only the new values are validated."""
     _checked(m, c)
-    m2 = m.with_values(U_f=U_f, u_sigma=u_sigma, noise_vars=noise_vars)
+    m2 = copy.copy(m)
+    m2._set_values(m.U_f if U_f is None else U_f,
+                   m.u_sigma if u_sigma is None else u_sigma,
+                   m.noise_vars if noise_vars is None else noise_vars)
     alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.U_f) if U_f is not None else c.alpha_f
     alpha_s = scipy.linalg.cho_solve(c.chol_s, m2.u_sigma) if u_sigma is not None else c.alpha_s
-    c2 = replace(c, U_f=m2.U_f, u_sigma=m2.u_sigma, alpha_f=alpha_f, alpha_s=alpha_s)
-    return m2, c2
+    return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s)
 
 
 # -- field evaluation ---------------------------------------------------------
 
 def drift_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     """Drift vectors at stacked states, shape (N, D)."""
-    return rbf_matrix(X, c.Z, c.drift_params) @ c.alpha_f
+    return rbf_matrix(X, c.model.Z, c.model.drift_params) @ c.alpha_f
 
 
 def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     """Signed diffusion values at stacked states, shape (N,)."""
-    return rbf_matrix(X, c.Z, c.diff_params) @ c.alpha_s
+    return rbf_matrix(X, c.model.Z, c.model.diff_params) @ c.alpha_s
 
 
 def _kernel_rows(X: np.ndarray, c: FieldCache):
     """Drift and diffusion kernel rows k(X, Z), each (N, M); one row serves
     both when the two kernels are the same."""
-    kf = rbf_matrix(X, c.Z, c.drift_params)
-    ks = kf if c.same_kernels else rbf_matrix(X, c.Z, c.diff_params)
+    m = c.model
+    kf = rbf_matrix(X, m.Z, m.drift_params)
+    ks = kf if c.same_kernels else rbf_matrix(X, m.Z, m.diff_params)
     return kf, ks
 
 
@@ -255,25 +234,27 @@ def step_terms_batch(X: np.ndarray, c: FieldCache):
     This runs once per step of the adjoint sweep.
     """
     N, D = X.shape
+    m = c.model
     kf, ks = _kernel_rows(X, c)
     F = kf @ c.alpha_f
-    P = (c.alpha_f[:, :, None] * c.Z[:, None, :]).reshape(-1, D * D)
+    P = (c.alpha_f[:, :, None] * m.Z[:, None, :]).reshape(-1, D * D)
     jac_x = (kf @ P).reshape(N, D, D)
     jac_x -= F[:, :, None] * X[:, None, :]
-    jac_x /= np.square(c.drift_params.lengthscales)
+    jac_x /= np.square(m.drift_params.lengthscales)
     sig = ks @ c.alpha_s
-    diff_gx = ks @ (c.alpha_s[:, None] * c.Z)
+    diff_gx = ks @ (c.alpha_s[:, None] * m.Z)
     diff_gx -= sig[:, None] * X
-    diff_gx /= np.square(c.diff_params.lengthscales)
+    diff_gx /= np.square(m.diff_params.lengthscales)
     return kf, ks, jac_x, diff_gx
 
 
 # -- log prior ----------------------------------------------------------------
 
-def log_prior(m: InducingModel, c: FieldCache) -> float:
-    """Log density of u_f and u_sigma under their zero-mean Gaussian priors
-    with (jittered) Gram covariances; the D drift columns are i.i.d."""
-    _checked(m, c)
+def log_prior(c: FieldCache) -> float:
+    """Log density of the cache model's u_f and u_sigma under their
+    zero-mean Gaussian priors with (jittered) Gram covariances; the D drift
+    columns are i.i.d."""
+    m = c.model
     quad_f = float(m.u_f @ c.alpha_f.ravel())
     quad_s = float(m.u_sigma @ c.alpha_s)
     n_f = m.M * m.D
@@ -284,7 +265,6 @@ def log_prior(m: InducingModel, c: FieldCache) -> float:
     )
 
 
-def log_prior_grad(m: InducingModel, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
+def log_prior_grad(c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of :func:`log_prior` w.r.t. u_f and u_sigma."""
-    _checked(m, c)
     return -c.alpha_f.ravel(), -c.alpha_s

@@ -162,11 +162,11 @@ def _pooled_difference_quotients(data):
     return X[order], G[order], DT[order]
 
 
-def gradient_match_init(data, Z, drift_params: KernelParams, *, ridge=None,
-                        noise_vars=None):
+def gradient_match_init(data, Z, drift_params: KernelParams, *, noise_vars=None):
     """Initial inducing values from empirical difference quotients.
 
-    Drift: GP regression of (y_{i+1} - y_i)/dt_i onto the inducing grid.
+    Drift: GP regression of (y_{i+1} - y_i)/dt_i onto the inducing grid,
+    with a ridge of half the mean variance of the quotients.
     Diffusion: one scalar, the per-component standard deviation of the
     increment residuals after removing the fitted drift, replicated at
     every inducing location.  When the observation noise variances are
@@ -178,8 +178,7 @@ def gradient_match_init(data, Z, drift_params: KernelParams, *, ridge=None,
     if X.shape[0] > _INIT_MAX_POINTS:
         keep = np.linspace(0, X.shape[0] - 1, _INIT_MAX_POINTS).round().astype(int)
         X, G, DT = X[keep], G[keep], DT[keep]
-    if ridge is None:
-        ridge = max(1e-8, 0.5 * float(np.mean(G.var(axis=0))))
+    ridge = max(1e-8, 0.5 * float(np.mean(G.var(axis=0))))
     Kxx = rbf_matrix(X, X, drift_params)
     system = Kxx.copy()
     system[np.diag_indices(X.shape[0])] += ridge

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .field import FieldCache, InducingModel, log_prior, log_prior_grad
+from .field import FieldCache, InducingModel, _checked, log_prior, log_prior_grad
 # not used here: bench/tracer.py wraps gpsde.objective.build_cache by name
 from .field import build_cache  # noqa: F401
 from .sensitivity import simulate_bundle_with_sensitivities
@@ -168,6 +168,7 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     This deterministic map of the model parameters is what the optimizer
     sees within one epoch, and what finite-difference checks differentiate.
     """
+    _checked(m, cache)
     if not len(trajs) == len(grids) == len(increments):
         raise InputError(
             f"need one grid and one increment array per trajectory, got {len(trajs)} "
@@ -197,16 +198,15 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
         # a later segment's start is scored by the segment before it
         scored = np.ones((K, N), dtype=bool)
         scored[firsts > 0, 0] = False
-        seeds[~scored[:, 0], :, 0] = 0.0
         gf, gs = pullback(seeds.reshape(K * S, N, m.D))
         grad_f, grad_s = grad_f + gf, grad_s + gs
         grad_noise += g_noise[scored].sum(axis=0)
         rows = (starts[js] + firsts)[:, None] + np.arange(N)
         per_obs[rows[scored]] = loglik[scored]
 
-    pg_f, pg_s = log_prior_grad(m, cache)
+    pg_f, pg_s = log_prior_grad(cache)
     return ObjectiveValue(
-        log_posterior=float(per_obs.sum()) + log_prior(m, cache),
+        log_posterior=float(per_obs.sum()) + log_prior(cache),
         grad_u_f=grad_f + pg_f,
         grad_u_s=grad_s + pg_s,
         grad_log_noise=grad_noise,

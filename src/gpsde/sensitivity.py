@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, SimulationError
-from .field import FieldCache, InducingModel, step_terms_batch
+from .field import FieldCache, InducingModel, _checked, step_terms_batch
 from .sim import TimeGrid, simulate_batch
 
 
@@ -38,7 +38,7 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
     observation nodes of frozen-noise paths.
 
     paths (S, n_steps+1, D) and increments (S, n_steps, D) come from one
-    simulation with the model of ``c`` on ``grid``, whose dt is one row of
+    simulation with ``c.model`` on ``grid``, whose dt is one row of
     steps or one row per sample; seeds has shape (S, n_obs, D), in the
     grid's observation order.
     """
@@ -48,8 +48,8 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
         raise InputError(f"seeds must be {(S, grid.n_obs, D)}, got {seeds.shape}")
     slot = {int(g): p for p, g in enumerate(grid.obs_indices)}
     lam = np.zeros((S, D))
-    gf = np.zeros((c.Z.shape[0], D))
-    gs = np.zeros(c.Z.shape[0])
+    gf = np.zeros((c.model.M, D))
+    gs = np.zeros(c.model.M)
     dt = np.broadcast_to(grid.dt, (S, grid.n_steps))
     for i in range(grid.n_steps - 1, -1, -1):
         p = slot.get(i + 1)
@@ -77,7 +77,8 @@ def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
     that maps seeds of shape (S, n_obs, D) to the gradients (u_f, u_sigma)
     of sum(seeds * x) at the observation nodes; see :func:`_adjoint_sweep`.
     """
-    paths = simulate_batch(m, c, x0, grid, increments)
+    _checked(m, c)
+    paths = simulate_batch(c, x0, grid, increments)
     increments = np.asarray(increments, dtype=float)
 
     def pullback(seeds):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SimulationError
-from .field import FieldCache, InducingModel, _checked, drift_diffusion_batch
+from .field import FieldCache, drift_diffusion_batch
 from .kernels import as_points
 
 # Any state component beyond this magnitude aborts the sample: the zero-mean
@@ -136,17 +136,16 @@ def _initial_states(x0, n: int, D: int) -> np.ndarray:
     return x0.copy()
 
 
-def simulate_batch(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
-                   increments: np.ndarray) -> np.ndarray:
+def simulate_batch(c: FieldCache, x0, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:
     """Forward-simulate all samples at once; paths shape (S, n_steps+1, D).
 
     x0 may be one shared state or one state per sample.
     """
-    _checked(m, c)
+    D = c.model.D
     increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 3 or increments.shape[1:] != (grid.n_steps, m.D):
+    if increments.ndim != 3 or increments.shape[1:] != (grid.n_steps, D):
         raise InputError(
-            f"increments must be (S, {grid.n_steps}, {m.D}), got {increments.shape}"
+            f"increments must be (S, {grid.n_steps}, {D}), got {increments.shape}"
         )
     return simulate_callable_batch(lambda X: drift_diffusion_batch(X, c),
                                    x0, grid.dt, increments)
@@ -174,11 +173,10 @@ def simulate_callable_batch(fields, x0, dt, increments: np.ndarray) -> np.ndarra
     return paths
 
 
-def sample_paths(m: InducingModel, c: FieldCache, x0, grid: TimeGrid,
-                 n_samples: int, seed) -> np.ndarray:
+def sample_paths(c: FieldCache, x0, grid: TimeGrid, n_samples: int, seed) -> np.ndarray:
     """Draw increments and simulate paths (S, n_steps+1, D); deterministic per seed."""
-    incs = sample_increments(grid, n_samples, m.D, seed)
-    return simulate_batch(m, c, x0, grid, incs)
+    incs = sample_increments(grid, n_samples, c.model.D, seed)
+    return simulate_batch(c, x0, grid, incs)
 
 
 def grid_points(axes) -> np.ndarray:

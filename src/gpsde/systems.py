@@ -168,8 +168,9 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
 
     Trajectory j draws its start, increments and observation noise, in that
     order, from the stream child_seed(seed, j, attempt).  All trajectories
-    step together; when one blows up, only it moves to its next attempt and
-    the batch runs again.
+    step together up to the last observation (the last subsample_every
+    increments go unused); when one blows up, only it moves to its next
+    attempt and the batch runs again.
     """
     if spec.x0_box.shape[0] != sys.dim:
         raise InputError("x0_box dimension does not match the system")
@@ -191,7 +192,7 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
         draw(j)
     while True:
         try:
-            paths = simulate_callable_batch(fields, x0, spec.gen_dt, incs)
+            paths = simulate_callable_batch(fields, x0, spec.gen_dt, incs[:, :n_steps - k])
             break
         except SimulationError as err:
             j = err.sample
@@ -201,7 +202,7 @@ def generate(sys: ParametricSystem, spec: GenSpec) -> list[Trajectory]:
                     f"trajectory {j} blew up in {_GEN_MAX_RETRIES} attempts", sample=j
                 ) from err
             draw(j)
-    obs = paths[:, :n_steps:k] + noise
+    obs = paths[:, ::k] + noise
     times = np.arange(spec.n_obs_per_traj) * (spec.gen_dt * k)
     return [Trajectory(times=times, obs=y) for y in obs]
 

@@ -126,7 +126,7 @@ def test_criterion_2_weak_correctness():
     var_true = sigma**2 * (1 - np.exp(-2 * theta * horizon)) / (2 * theta)
 
     grid = build_grid([0.0, horizon], 100)  # dt = 0.01
-    term = sample_paths(m, c, [x0], grid, 10_000, 42)[:, -1, 0]
+    term = sample_paths(c, [x0], grid, 10_000, 42)[:, -1, 0]
     se_mean = term.std(ddof=1) / np.sqrt(term.size)
     se_var = term.var(ddof=1) * np.sqrt(2.0 / (term.size - 1))
     mean_err = abs(term.mean() - mean_true)
@@ -141,7 +141,7 @@ def test_criterion_2_weak_correctness():
         n = 40 // agg
         g = build_grid([0.0, horizon], n)
         inc = inc_fine.reshape(20_000, n, agg, 1).sum(axis=2)
-        paths = simulate_batch(m, c, [x0], g, inc)
+        paths = simulate_batch(c, [x0], g, inc)
         errs.append(abs(paths[:, -1, 0].mean() - mean_true))
     monotone = errs[0] > errs[1] > errs[2]
     report("criterion 2 (weak correctness)", moments_ok and monotone,
@@ -279,13 +279,13 @@ def test_criterion_6_density_convergence():
     xs = np.linspace(-3.5, 3.5, 201)[:, None]
     dx = xs[1, 0] - xs[0, 0]
     h = 0.25
-    ref = state_density(sample_paths(m, c, [0.0], grid, 5000, 999),
+    ref = state_density(sample_paths(c, [0.0], grid, 5000, 999),
                         grid.n_steps, [xs[:, 0]], h)
     medians = []
     for ns in (10, 50, 250):
         dists = []
         for seed in range(5):
-            dens = state_density(sample_paths(m, c, [0.0], grid, ns, seed),
+            dens = state_density(sample_paths(c, [0.0], grid, ns, seed),
                                  grid.n_steps, [xs[:, 0]], h)
             dists.append(float(np.sqrt(np.sum((dens - ref) ** 2) * dx)))
         medians.append(float(np.median(dists)))

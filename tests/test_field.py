@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
+from gpsde.dataio import load_model, save_model
 from gpsde.errors import InputError, InternalError
 from gpsde.field import (
     InducingModel,
@@ -18,6 +19,7 @@ from gpsde.field import (
     update_values,
 )
 from gpsde.kernels import JITTER_SCALE, KernelParams, gram, gram_blocked, rbf_matrix
+from gpsde.objective import Trajectory, draw_increments, evaluate_with_increments, make_grids
 from gpsde.sensitivity import simulate_bundle_with_sensitivities
 from gpsde.sim import TimeGrid
 
@@ -59,14 +61,15 @@ def u_derivs(x, m, c):
 def field_oracle(X, c):
     """Dense reference from the explicit (N, M, D) differences X - Z:
     kernel rows, fields, drift state Jacobian and diffusion state gradient."""
-    diff = X[:, None, :] - c.Z
+    m = c.model
+    diff = X[:, None, :] - m.Z
     rows = []
-    for p in (c.drift_params, c.diff_params):
+    for p in (m.drift_params, m.diff_params):
         d = diff / p.lengthscales
         rows.append(p.variance * np.exp(-0.5 * np.sum(d * d, axis=-1)))
     kf, ks = rows
-    Gf = -kf[:, :, None] * (diff / np.square(c.drift_params.lengthscales))
-    Gs = -ks[:, :, None] * (diff / np.square(c.diff_params.lengthscales))
+    Gf = -kf[:, :, None] * (diff / np.square(m.drift_params.lengthscales))
+    Gs = -ks[:, :, None] * (diff / np.square(m.diff_params.lengthscales))
     return dict(kf=kf, ks=ks, F=kf @ c.alpha_f, sig=ks @ c.alpha_s,
                 jac_x=c.alpha_f.T @ Gf, diff_gx=Gs.transpose(0, 2, 1) @ c.alpha_s)
 
@@ -103,18 +106,20 @@ def test_equal_inducing_rows_rejected():
                       drift_params=p, diff_params=p, noise_vars=[0.1, 0.1])
 
 
-def test_with_values_shares_z_and_checks_only_the_values(model_and_cache):
-    m, _ = model_and_cache
-    m2 = m.with_values(U_f=np.ones_like(m.U_f), noise_vars=m.noise_vars * 2)
+def test_update_values_shares_z_and_checks_only_the_values(model_and_cache):
+    m, c = model_and_cache
+    m2, c2 = update_values(c, m, U_f=np.ones_like(m.U_f), noise_vars=m.noise_vars * 2)
     assert m2.Z is m.Z
+    assert c2.model is m2
+    assert c2.chol_f is c.chol_f
     np.testing.assert_array_equal(m2.U_f, 1.0)
     np.testing.assert_array_equal(m2.u_sigma, m.u_sigma)
     assert not m2.U_f.flags.writeable
     np.testing.assert_array_equal(m.U_f, make_model().U_f)     # original untouched
     with pytest.raises(InputError):
-        m.with_values(U_f=np.ones((m.M + 1, m.D)))
+        update_values(c, m, U_f=np.ones((m.M + 1, m.D)))
     with pytest.raises(InputError):
-        m.with_values(noise_vars=-m.noise_vars)
+        update_values(c, m, noise_vars=-m.noise_vars)
 
 
 def test_dependency_matrix_must_be_identity():
@@ -273,13 +278,13 @@ def test_diff_grads(model_and_cache):
 
 def test_log_prior_zero_values(model_and_cache):
     m, c = model_and_cache
-    m0, c0 = update_values(c, m, U_f=np.zeros_like(m.U_f),
-                           u_sigma=np.zeros_like(m.u_sigma))
+    _, c0 = update_values(c, m, U_f=np.zeros_like(m.U_f),
+                          u_sigma=np.zeros_like(m.u_sigma))
     n_f, n_s = m.M * m.D, m.M
     expected = (-0.5 * (c.logdet_f + c.logdet_s)
                 - 0.5 * (n_f + n_s) * np.log(2 * np.pi))
-    assert log_prior(m0, c0) == pytest.approx(expected, rel=1e-12)
-    gf, gs = log_prior_grad(m0, c0)
+    assert log_prior(c0) == pytest.approx(expected, rel=1e-12)
+    gf, gs = log_prior_grad(c0)
     assert np.all(gf == 0.0) and np.all(gs == 0.0)
 
 
@@ -309,8 +314,8 @@ def test_log_prior_single_point_standard_normal():
     c = build_cache(m)
     expected = (multivariate_normal.logpdf(0.3, 0.0, 1.0)
                 + multivariate_normal.logpdf(-1.1, 0.0, 1.0))
-    assert log_prior(m, c) == pytest.approx(expected, rel=1e-5)
-    gf, gs = log_prior_grad(m, c)
+    assert log_prior(c) == pytest.approx(expected, rel=1e-5)
+    gf, gs = log_prior_grad(c)
     assert gf[0] == pytest.approx(-0.3, rel=1e-5)
     assert gs[0] == pytest.approx(1.1, rel=1e-5)
 
@@ -321,20 +326,20 @@ def test_log_prior_matches_dense_oracle(model_and_cache):
     Ks = rbf_matrix(m.Z, m.Z, m.diff_params) + 1e-6 * np.eye(m.M)
     oracle = (multivariate_normal.logpdf(m.u_f, np.zeros(m.M * m.D), Kf)
               + multivariate_normal.logpdf(m.u_sigma, np.zeros(m.M), Ks))
-    assert log_prior(m, c) == pytest.approx(oracle, abs=1e-8)
+    assert log_prior(c) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_log_prior_grad_matches_fd(model_and_cache):
     m, c = model_and_cache
-    gf, gs = log_prior_grad(m, c)
+    gf, gs = log_prior_grad(c)
     h = 1e-6
     for q in range(m.M * m.D):
         up, um = m.u_f.copy(), m.u_f.copy()
         up[q] += h
         um[q] -= h
-        mp, cp = update_values(c, m, U_f=up.reshape(m.M, m.D))
-        mm, cm = update_values(c, m, U_f=um.reshape(m.M, m.D))
-        fd = (log_prior(mp, cp) - log_prior(mm, cm)) / (2 * h)
+        cp = update_values(c, m, U_f=up.reshape(m.M, m.D))[1]
+        cm = update_values(c, m, U_f=um.reshape(m.M, m.D))[1]
+        fd = (log_prior(cp) - log_prior(cm)) / (2 * h)
         assert gf[q] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -349,9 +354,26 @@ def test_cache_solves_reproduce_inducing_values(model_and_cache):
 
 def test_cache_mismatch_raises(model_and_cache):
     m, c = model_and_cache
-    other = m.with_values(U_f=m.U_f + 1.0)
+    other, _ = update_values(c, m, U_f=m.U_f + 1.0)
     with pytest.raises(InternalError):
-        log_prior(other, c)
+        update_values(c, other, u_sigma=m.u_sigma)
+
+
+def test_cache_pairs_only_with_the_model_it_was_built_from(tmp_path):
+    # a second load of the same file is an equal but distinct model
+    m = make_model(D=1)
+    save_model(tmp_path / "model.json", m)
+    m1, m2 = load_model(tmp_path / "model.json"), load_model(tmp_path / "model.json")
+    c1 = build_cache(m1)
+    update_values(c1, m1, U_f=m1.U_f)
+    with pytest.raises(InternalError):
+        update_values(c1, m2, U_f=m2.U_f)
+    tr = Trajectory(times=[0.0, 0.1, 0.2], obs=[[0.1], [0.2], [0.15]])
+    grids = make_grids([tr], 2)
+    incs = draw_increments([tr], grids, m1, 3, 0)
+    evaluate_with_increments([tr], m1, c1, grids, incs)
+    with pytest.raises(InternalError):
+        evaluate_with_increments([tr], m2, c1, grids, incs)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])

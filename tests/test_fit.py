@@ -69,7 +69,7 @@ class TestGradientMatchInit:
         times = np.linspace(0, 2, 30)
         tr = Trajectory(times=times, obs=(v * times)[:, None])
         Z = np.linspace(0.2, 2.2, 6)[:, None]
-        U, us = gradient_match_init([tr], Z, KernelParams(1.0, [1.0]), ridge=1e-6)
+        U, us = gradient_match_init([tr], Z, KernelParams(1.0, [1.0]))
         np.testing.assert_allclose(U[:, 0], v, atol=0.05)
         assert us[0] < 0.2  # near-zero increment residual
 

@@ -59,7 +59,7 @@ IRREGULAR_TIMES = [[0.0, 0.002, 0.5, 0.503], [0.0, 0.4, 0.401, 1.0]]
 
 def node_states(m, c, tr, grid, inc):
     """Simulated (S, n_obs, D) states at a trajectory's observation nodes."""
-    return simulate_batch(m, c, tr.obs[0], grid, inc)[:, grid.obs_indices]
+    return simulate_batch(c, tr.obs[0], grid, inc)[:, grid.obs_indices]
 
 
 def mc_loglik(tr, m, states):
@@ -102,7 +102,7 @@ class TestMcLoglik:
         m, c, tr, grids, incs = make_problem(seed=4)
         val = evaluate_with_increments([tr], m, c, grids, incs)
         assert val.per_obs_loglik.shape == (tr.n_obs,)
-        lp_sum = val.per_obs_loglik.sum() + log_prior(m, c)
+        lp_sum = val.per_obs_loglik.sum() + log_prior(c)
         assert val.log_posterior == pytest.approx(lp_sum, rel=1e-12)
         # appending a negative-loglik term can only lower the total
         assert val.per_obs_loglik[-1] < 0
@@ -116,7 +116,7 @@ class TestMcLoglik:
         m, c, tr, grids, incs = make_problem(seed=4, n_obs=LONG_N_OBS)
         val = evaluate_with_increments([tr], m, c, grids, incs)
         assert val.per_obs_loglik.shape == (tr.n_obs,)
-        lp_sum = val.per_obs_loglik.sum() + log_prior(m, c)
+        lp_sum = val.per_obs_loglik.sum() + log_prior(c)
         assert val.log_posterior == pytest.approx(lp_sum, rel=1e-12)
         for a in range(0, tr.n_obs - 1, SEGMENT_INTERVALS):
             b = min(a + SEGMENT_INTERVALS, tr.n_obs - 1)
@@ -250,7 +250,7 @@ class TestLogPosterior:
         tr = Trajectory(times=np.linspace(0, 1, 4), obs=rng.normal(size=(4, 1)))
         val = log_posterior([tr], m0, resolution_factor=3, n_samples=3, seed=2)
         c0 = build_cache(m0)
-        prior = log_prior(m0, c0)
+        prior = log_prior(c0)
         assert val.log_posterior == pytest.approx(val.per_obs_loglik.sum() + prior, rel=1e-12)
         n_f, n_s = m.M * m.D, m.M
         expected_prior = (-0.5 * (c0.logdet_f + c0.logdet_s)
@@ -294,7 +294,7 @@ class TestLogPosterior:
         grid = make_grids([tr], 6)[0]
 
         def mixture_means(n_samples, seed):
-            paths = sample_paths(m, c, tr.obs[0], grid, n_samples, seed)
+            paths = sample_paths(c, tr.obs[0], grid, n_samples, seed)
             states = paths[:, grid.obs_indices, :]
             per_obs, _ = _obs_logliks(tr.obs, states, m.noise_vars)
             return np.exp(per_obs)

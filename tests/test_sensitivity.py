@@ -87,23 +87,23 @@ def frozen_noise_fd(m, c, x0, grid, inc, seeds, h=1e-5):
     D, M = m.D, m.M
     nodes = grid.obs_indices
 
-    def value(mm, cm):
-        return np.sum(seeds * simulate_batch(mm, cm, x0, grid, inc[None])[0][nodes])
+    def value(cm):
+        return np.sum(seeds * simulate_batch(cm, x0, grid, inc[None])[0][nodes])
 
     fd_f = np.zeros(M * D)
     for q in range(M * D):
         up, um = m.u_f.copy(), m.u_f.copy()
         up[q] += h
         um[q] -= h
-        fd_f[q] = (value(*update_values(c, m, U_f=up.reshape(M, D)))
-                   - value(*update_values(c, m, U_f=um.reshape(M, D)))) / (2 * h)
+        fd_f[q] = (value(update_values(c, m, U_f=up.reshape(M, D))[1])
+                   - value(update_values(c, m, U_f=um.reshape(M, D))[1])) / (2 * h)
     fd_s = np.zeros(M)
     for q in range(M):
         up, um = m.u_sigma.copy(), m.u_sigma.copy()
         up[q] += h
         um[q] -= h
-        fd_s[q] = (value(*update_values(c, m, u_sigma=up))
-                   - value(*update_values(c, m, u_sigma=um))) / (2 * h)
+        fd_s[q] = (value(update_values(c, m, u_sigma=up)[1])
+                   - value(update_values(c, m, u_sigma=um)[1])) / (2 * h)
     return fd_f, fd_s
 
 
@@ -211,7 +211,7 @@ def test_cost_within_constant_factor_of_plain_simulation():
     seeds = np.ones((20, grid.n_obs, 2))
     t0 = time.perf_counter()
     for _ in range(3):
-        simulate_batch(m, c, [0.1, 0.1], grid, incs)
+        simulate_batch(c, [0.1, 0.1], grid, incs)
     plain = time.perf_counter() - t0
     t0 = time.perf_counter()
     for _ in range(3):

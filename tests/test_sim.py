@@ -110,7 +110,7 @@ class TestEulerMaruyama:
                                u_sigma=np.zeros_like(m.u_sigma))
         g = build_grid([0.0, 1.0], 50)
         inc = sample_increments(g, 1, 1, 0)
-        path = simulate_batch(m0, c0, [0.7], g, inc)[0]
+        path = simulate_batch(c0, [0.7], g, inc)[0]
         assert np.all(path == 0.7)
 
     def test_drift_only_matches_forward_euler_oracle(self):
@@ -118,7 +118,7 @@ class TestEulerMaruyama:
         m0, c0 = update_values(c, m, u_sigma=np.zeros_like(m.u_sigma))
         g = build_grid([0.0, 2.0], 80)
         inc = sample_increments(g, 1, 1, 1)
-        path = simulate_batch(m0, c0, [1.0], g, inc)[0]
+        path = simulate_batch(c0, [1.0], g, inc)[0]
         # independent forward-Euler stepping of the same drift field
         x = np.array([1.0])
         for i in range(g.n_steps):
@@ -136,7 +136,7 @@ class TestEulerMaruyama:
         errs = []
         for f in (2, 4, 8):
             g = build_grid(times, f)
-            path = simulate_batch(m0, c0, [x0], g, np.zeros((1, g.n_steps, 1)))[0]
+            path = simulate_batch(c0, [x0], g, np.zeros((1, g.n_steps, 1)))[0]
             errs.append(np.max(np.abs(path[g.obs_indices, 0] - x0 * np.exp(-theta * times))))
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         assert all(1.7 <= r <= 2.3 for r in ratios), (errs, ratios)
@@ -145,7 +145,7 @@ class TestEulerMaruyama:
         theta, sigma, x0, t = 1.0, 0.5, 1.0, 1.0
         m, c = ou_model(theta, sigma)
         g = build_grid([0.0, t], 100)  # dt = 0.01
-        term = sample_paths(m, c, [x0], g, 4000, 7)[:, -1, 0]
+        term = sample_paths(c, [x0], g, 4000, 7)[:, -1, 0]
         mean_true = x0 * np.exp(-theta * t)
         var_true = sigma**2 * (1 - np.exp(-2 * theta * t)) / (2 * theta)
         se_mean = term.std(ddof=1) / np.sqrt(term.size)
@@ -163,7 +163,7 @@ class TestEulerMaruyama:
         g = build_grid([0.0, 10.0], 100)
         inc = np.zeros((1, 100, 1))
         with pytest.raises(SimulationError) as err:
-            simulate_batch(m, c, [1.0], g, inc)
+            simulate_batch(c, [1.0], g, inc)
         assert err.value.step == 1 and err.value.sample == 0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -186,33 +186,33 @@ class TestSamplePaths:
     def test_single_sample_reduces_to_euler_maruyama(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
-        paths = sample_paths(m, c, [0.5], g, 1, 42)
+        paths = sample_paths(c, [0.5], g, 1, 42)
         inc = sample_increments(g, 1, 1, 42)
-        path = simulate_batch(m, c, [0.5], g, inc)[0]
+        path = simulate_batch(c, [0.5], g, inc)[0]
         assert np.array_equal(paths[0], path)
 
     def test_deterministic_and_seed_sensitive(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
-        b1 = sample_paths(m, c, [0.5], g, 5, 1)
-        b2 = sample_paths(m, c, [0.5], g, 5, 1)
-        b3 = sample_paths(m, c, [0.5], g, 5, 2)
+        b1 = sample_paths(c, [0.5], g, 5, 1)
+        b2 = sample_paths(c, [0.5], g, 5, 1)
+        b3 = sample_paths(c, [0.5], g, 5, 2)
         assert np.array_equal(b1, b2)
         assert not np.array_equal(b1, b3)
 
     def test_initial_state_recorded(self):
         m, c = ou_model()
         g = build_grid([0.0, 0.5], 10)
-        paths = sample_paths(m, c, [0.3], g, 3, 0)
+        paths = sample_paths(c, [0.3], g, 3, 0)
         assert np.all(paths[:, 0, 0] == 0.3)
 
     def test_bundle_matches_individual_runs(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
-        paths = sample_paths(m, c, [0.5], g, 3, 9)
+        paths = sample_paths(c, [0.5], g, 3, 9)
         inc = sample_increments(g, 3, 1, 9)
         for s in range(3):
-            single = simulate_batch(m, c, [0.5], g, inc[s:s + 1])[0]
+            single = simulate_batch(c, [0.5], g, inc[s:s + 1])[0]
             np.testing.assert_allclose(paths[s], single, rtol=1e-12, atol=1e-14)
 
     def test_per_sample_initial_states(self):
@@ -220,10 +220,10 @@ class TestSamplePaths:
         g = build_grid([0.0, 1.0], 20)
         inc = sample_increments(g, 3, 1, 0)
         x0s = np.array([[0.1], [0.2], [0.3]])
-        paths = simulate_batch(m, c, x0s, g, inc)
+        paths = simulate_batch(c, x0s, g, inc)
         np.testing.assert_array_equal(paths[:, 0], x0s)
         for s in range(3):
-            single = simulate_batch(m, c, x0s[s], g, inc[s:s + 1])[0]
+            single = simulate_batch(c, x0s[s], g, inc[s:s + 1])[0]
             np.testing.assert_allclose(paths[s], single, rtol=1e-12)
 
 
@@ -241,7 +241,7 @@ class TestWeakConvergence:
             n = 40 // agg
             g = build_grid([0.0, t], n)
             inc = inc_fine.reshape(3000, n, agg, 1).sum(axis=2)
-            paths = simulate_batch(m, c, [x0], g, inc)
+            paths = simulate_batch(c, [x0], g, inc)
             errs.append(abs(paths[:, -1, 0].mean() - mean_true))
         assert errs[0] > errs[1] > errs[2]
 
@@ -250,7 +250,7 @@ class TestStateDensity:
     def test_single_path_peak_value(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 10)
-        paths = sample_paths(m, c, [0.4], g, 1, 3)
+        paths = sample_paths(c, [0.4], g, 1, 3)
         x_end = paths[0, -1]
         h = 0.3
         val = state_density(paths, g.n_steps, [[x_end[0]]], h)
@@ -259,7 +259,7 @@ class TestStateDensity:
     def test_nonnegative_and_integrates_to_one(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 50)
-        paths = sample_paths(m, c, [0.0], g, 40, 21)
+        paths = sample_paths(c, [0.0], g, 40, 21)
         xs = np.linspace(-6, 6, 601)[:, None]
         dens = state_density(paths, g.n_steps, [xs[:, 0]], 0.25)
         assert np.all(dens >= 0)
@@ -269,7 +269,7 @@ class TestStateDensity:
     def test_input_validation(self):
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 10)
-        paths = sample_paths(m, c, [0.0], g, 2, 0)
+        paths = sample_paths(c, [0.0], g, 2, 0)
         with pytest.raises(InputError):
             state_density(paths, 0, [[0.0]], -1.0)
         with pytest.raises(InputError):

@@ -104,7 +104,8 @@ class TestVanDerPol:
 def per_trajectory_oracle(sys_, spec, first_attempt=None):
     """Generation one trajectory at a time: trajectory j simulates alone from
     child_seed(seed, j, attempt), starting at first_attempt.get(j, 0) and
-    moving to the next attempt when it blows up."""
+    moving to the next attempt when it blows up.  It draws k increments per
+    observation but steps only up to the last observed node."""
     first_attempt = first_attempt or {}
     k = spec.subsample_every
     n_steps = spec.n_obs_per_traj * k
@@ -118,7 +119,8 @@ def per_trajectory_oracle(sys_, spec, first_attempt=None):
             incs = rng.normal(0.0, np.sqrt(spec.gen_dt), size=(1, n_steps, sys_.dim))
             try:
                 path = simulate_callable_batch(
-                    lambda X: (sys_.drift_fn(X), sys_.diffusion_fn(X)), x0, spec.gen_dt, incs
+                    lambda X: (sys_.drift_fn(X), sys_.diffusion_fn(X)), x0, spec.gen_dt,
+                    incs[:, :n_steps - k]
                 )[0]
             except SimulationError:
                 continue
@@ -220,7 +222,26 @@ class TestGenerate:
         assert_same_trajectories(got, want)
         # the retry took effect: trajectory 1's attempt-0 draw differs
         assert not np.array_equal(got[1].obs, per_trajectory_oracle(base, spec)[1].obs)
-        assert calls == [4] * (1 + spec.n_obs_per_traj * spec.subsample_every)
+        assert calls == [4] * (1 + (spec.n_obs_per_traj - 1) * spec.subsample_every)
+
+    def test_blowup_past_the_last_observation_redraws_nothing(self):
+        # generation stops at the last observed node, so a drift that blows
+        # up only on the step after it is never called there
+        base = double_well()
+        spec = self.spec(n_traj=4)
+        last_node = (spec.n_obs_per_traj - 1) * spec.subsample_every
+        calls = []
+
+        def drift(X):
+            F = base.drift_fn(X)
+            if len(calls) == last_node:
+                F[:] = 1e9
+            calls.append(X.shape[0])
+            return F
+
+        got = generate(ParametricSystem(1, drift, base.diffusion_fn), spec)
+        assert_same_trajectories(got, per_trajectory_oracle(base, spec))
+        assert calls == [4] * last_node
 
     def test_invalid_spec(self):
         with pytest.raises(InputError):
