@@ -133,7 +133,8 @@ def write_dataset(out_dir, trajs):
 
 def read_dataset(data_dir) -> list[Trajectory]:
     data_dir = Path(data_dir)
-    files = sorted(data_dir.glob("traj_*.csv"))
+    # index order: traj_999.csv precedes traj_1000.csv
+    files = sorted(data_dir.glob("traj_*.csv"), key=lambda p: (len(p.name), p.name))
     if not files:
         raise DataError("no traj_*.csv files found", path=data_dir)
     trajs = [read_trajectory_csv(p) for p in files]
@@ -184,8 +185,6 @@ def model_from_dict(d: dict) -> InducingModel:
 
 
 def save_model(path, m: InducingModel):
-    if not all(np.isfinite(a).all() for a in (m.Z, m.U_f, m.u_sigma, m.noise_vars)):
-        raise InputError("refusing to serialise a model with non-finite entries")
     atomic_write_text(path, json.dumps(model_to_dict(m), indent=2) + "\n")
 
 
@@ -199,9 +198,11 @@ def load_model(path) -> InducingModel:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path=path, line=exc.lineno) from exc
+    if not isinstance(d, dict):
+        raise DataError("model file must hold a JSON object", path=path)
     try:
         return model_from_dict(d)
-    except (KeyError, TypeError, InputError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}", path=path) from exc
 
 

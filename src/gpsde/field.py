@@ -50,13 +50,15 @@ def _frozen_array(a):
 class InducingModel:
     """State of the learnable SDE field model.
 
-    Z          -- (M, D) inducing locations, pairwise distinct
-    U_f        -- (M, D) drift inducing vectors (row m belongs to Z_m)
-    u_sigma    -- (M,) diffusion inducing values
+    Z          -- (M, D) inducing locations, finite and pairwise distinct
+    U_f        -- (M, D) finite drift inducing vectors (row m belongs to Z_m)
+    u_sigma    -- (M,) finite diffusion inducing values
     drift_params, diff_params -- kernel hyperparameters
-    noise_vars -- (D,) diagonal observation noise variances
+    noise_vars -- (D,) positive finite diagonal observation noise variances
     A          -- optional, construction only: the drift outputs are
                   independent, so a dependency matrix must be the identity
+
+    Construction and :func:`update_values` check every value.
     """
 
     Z: np.ndarray
@@ -72,6 +74,8 @@ class InducingModel:
         M, D = Z.shape
         if M < 1:
             raise InputError("need at least one inducing location")
+        if not np.all(np.isfinite(Z)):
+            raise InputError("inducing locations Z must be finite")
         if self.drift_params.dim != D or self.diff_params.dim != D:
             raise InputError("kernel lengthscales must match state dimension")
         if A is not None and not np.array_equal(np.asarray(A, dtype=float), np.eye(D)):
@@ -94,6 +98,8 @@ class InducingModel:
         u_sigma = np.asarray(u_sigma, dtype=float).ravel()
         if u_sigma.shape != (M,):
             raise InputError(f"u_sigma must have length {M}")
+        if not (np.all(np.isfinite(U_f)) and np.all(np.isfinite(u_sigma))):
+            raise InputError("U_f and u_sigma must be finite")
         noise_vars = np.asarray(noise_vars, dtype=float).ravel()
         if noise_vars.shape != (D,) or np.any(noise_vars <= 0) or not np.all(np.isfinite(noise_vars)):
             raise InputError("noise_vars must be D positive finite reals")
@@ -120,10 +126,10 @@ class FieldCache:
 
     model is that InducingModel, the one owner of Z, the kernel parameters
     and the inducing values; a cache pairs only with it.  chol_f and chol_s
-    factor the jittered Gram matrices K_f(Z,Z) and K_s(Z,Z), and
-    alpha_f = K_f^{-1} U_f, shape (M, D), and alpha_s = K_s^{-1} u_sigma
-    are the interpolation weights, so batched evaluation is a single
-    matmul.
+    factor the jittered Gram matrices K_f(Z,Z) and K_s(Z,Z) (chol_s is
+    chol_f when the two kernels are equal), and alpha_f = K_f^{-1} U_f,
+    shape (M, D), and alpha_s = K_s^{-1} u_sigma are the interpolation
+    weights, so batched evaluation is a single matmul.
     """
 
     model: InducingModel
@@ -133,7 +139,6 @@ class FieldCache:
     logdet_s: float
     alpha_f: np.ndarray
     alpha_s: np.ndarray
-    same_kernels: bool = False
 
 
 def _checked(m: InducingModel, c: FieldCache):
@@ -174,7 +179,6 @@ def build_cache(m: InducingModel) -> FieldCache:
         logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
         alpha_f=scipy.linalg.cho_solve(chol_f, m.U_f),
         alpha_s=scipy.linalg.cho_solve(chol_s, m.u_sigma),
-        same_kernels=same,
     )
 
 
@@ -207,10 +211,10 @@ def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
 
 def _kernel_rows(X: np.ndarray, c: FieldCache):
     """Drift and diffusion kernel rows k(X, Z), each (N, M); one row serves
-    both when the two kernels are the same."""
+    both when the kernels are equal."""
     m = c.model
     kf = rbf_matrix(X, m.Z, m.drift_params)
-    ks = kf if c.same_kernels else rbf_matrix(X, m.Z, m.diff_params)
+    ks = kf if c.chol_s is c.chol_f else rbf_matrix(X, m.Z, m.diff_params)
     return kf, ks
 
 

@@ -19,7 +19,6 @@ starts from fails the candidate.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +123,6 @@ def build_inducing_grid(spec, data) -> np.ndarray:
     """
     axes = []
     for d, (lo, hi, count) in enumerate(spec):
-        count = int(count)
-        if count < 1:
-            raise InputError("grid count must be >= 1")
         if lo is None or hi is None:
             vals = np.concatenate([tr.obs[:, d] for tr in data])
             vmin, vmax = float(vals.min()), float(vals.max())
@@ -137,7 +133,7 @@ def build_inducing_grid(spec, data) -> np.ndarray:
             hi = vmax + 0.1 * span if hi is None else hi
         if not lo < hi:
             raise InputError(f"grid bounds must satisfy min < max in dimension {d}")
-        axes.append(np.linspace(float(lo), float(hi), count))
+        axes.append(np.linspace(float(lo), float(hi), int(count)))
     return grid_points(axes)
 
 
@@ -145,16 +141,11 @@ def _pooled_difference_quotients(data):
     """Stack (state, difference quotient, dt) triples from all trajectories,
     sorted lexicographically so the result is order-independent."""
     xs, gs, dts = [], [], []
-    for j, tr in enumerate(data):
-        if tr.n_obs < 2:
-            warnings.warn(f"trajectory {j} has fewer than 2 points; skipped in init")
-            continue
+    for tr in data:
         dt = np.diff(tr.times)
         xs.append(tr.obs[:-1])
         gs.append(np.diff(tr.obs, axis=0) / dt[:, None])
         dts.append(dt)
-    if not xs:
-        raise InputError("no trajectory with at least 2 points; cannot initialise")
     X = np.concatenate(xs, axis=0)
     G = np.concatenate(gs, axis=0)
     DT = np.concatenate(dts)
@@ -166,7 +157,8 @@ def gradient_match_init(data, Z, drift_params: KernelParams, *, noise_vars=None)
     """Initial inducing values from empirical difference quotients.
 
     Drift: GP regression of (y_{i+1} - y_i)/dt_i onto the inducing grid,
-    with a ridge of half the mean variance of the quotients.
+    with a ridge of half the mean variance of the quotients; a trajectory
+    has at least two observations, so each contributes its N - 1 quotients.
     Diffusion: one scalar, the per-component standard deviation of the
     increment residuals after removing the fitted drift, replicated at
     every inducing location.  When the observation noise variances are
@@ -201,9 +193,7 @@ def gradient_match_init(data, Z, drift_params: KernelParams, *, noise_vars=None)
 
 def init_noise_vars(data) -> np.ndarray:
     """Crude per-dimension observation noise scale from increment spread."""
-    deltas = np.concatenate(
-        [np.diff(tr.obs, axis=0) for tr in data if tr.n_obs >= 2], axis=0
-    )
+    deltas = np.concatenate([np.diff(tr.obs, axis=0) for tr in data], axis=0)
     return np.maximum(1e-6, 0.1 * deltas.var(axis=0))
 
 

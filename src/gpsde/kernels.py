@@ -51,10 +51,9 @@ def same_params(a: KernelParams, b: KernelParams) -> bool:
 
 
 def as_points(X, dim=None, name="X") -> np.ndarray:
-    """Coerce to an (N, D) array of stacked state vectors."""
+    """X as a float array of N stacked D-dimensional states, shape (N, D);
+    any other shape, a 1-d array included, is an InputError."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2:
         raise InputError(f"{name} must be a 2-d array of states, got shape {X.shape}")
     if dim is not None and X.shape[1] != dim:

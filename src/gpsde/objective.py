@@ -30,7 +30,8 @@ from .sim import TimeGrid, build_grid, child_seed, sample_increments
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One observed time series: strictly increasing times, (N, D) values."""
+    """One observed time series: N >= 2 strictly increasing times and
+    (N, D) values, all finite."""
 
     times: np.ndarray
     obs: np.ndarray
@@ -40,8 +41,8 @@ class Trajectory:
         y = np.asarray(self.obs, dtype=float)
         if y.ndim != 2 or y.shape[0] != t.size:
             raise InputError(f"obs must be (len(times), D), got {y.shape}")
-        if t.size < 1:
-            raise InputError("trajectory needs at least one observation")
+        if t.size < 2:
+            raise InputError("trajectory needs at least two observations")
         if np.any(np.diff(t) <= 0):
             raise InputError("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):

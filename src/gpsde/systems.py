@@ -60,8 +60,6 @@ class GenSpec:
 
     def __post_init__(self):
         box = np.asarray(self.x0_box, dtype=float)
-        if box.ndim == 1:
-            box = box[None, :]
         if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
             raise InputError("x0_box must be (D, 2) with low <= high")
         if self.n_traj < 1 or self.n_obs_per_traj < 2:
@@ -214,8 +212,8 @@ def _eval_points(eval_box, n_grid: int, data) -> np.ndarray:
     training data, only the nodes in the visited region (kernel density of
     the pooled observations above 1% of its maximum)."""
     box = np.asarray(eval_box, dtype=float)
-    if box.ndim == 1:
-        box = box[None, :]
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise InputError(f"eval_box must be (D, 2), got shape {box.shape}")
     axes = [np.linspace(lo, hi, int(n_grid)) for lo, hi in box]
     P = grid_points(axes)
     if data is None:

@@ -352,6 +352,38 @@ def test_mixed_dimension_dataset_is_data_error(cmd, tiny_dataset, tiny_model,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["fit", "evaluate"])
+def test_one_row_trajectory_is_data_error(cmd, tiny_dataset, tiny_model, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "traj_000.csv").write_bytes((tiny_dataset / "traj_000.csv").read_bytes())
+    (data / "traj_001.csv").write_text("t,x_1\n0.0,0.5\n")
+    model = ["--model", tiny_model] if cmd == "evaluate" else []
+    out = tmp_path / "out"
+    assert run_cli([cmd, "--data-dir", data, *model, "--out-dir", out]) == 3
+    assert "traj_001.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", ["list", "string-Z", "ragged-U_f", "nan-U_f", "inf-Z"])
+@pytest.mark.parametrize("cmd", ["simulate", "evaluate"])
+def test_malformed_model_file_is_data_error(payload, cmd, tiny_model, tmp_path, capsys):
+    d = json.loads(tiny_model.read_text())
+    edits = {"string-Z": ("Z", "abc"), "ragged-U_f": ("U_f", [[0.0], [1.0, 2.0]]),
+             "nan-U_f": ("U_f", [[float("nan")]] + d["U_f"][1:]),
+             "inf-Z": ("Z", [[float("inf")]] + d["Z"][1:])}
+    if payload in edits:
+        key, value = edits[payload]
+        d[key] = value
+    model = tmp_path / "bad_model.json"
+    model.write_text("[]" if payload == "list" else json.dumps(d))
+    extra = ["--x0", "0.5"] if cmd == "simulate" else []
+    out = tmp_path / "out"
+    assert run_cli([cmd, "--model", model, *extra, "--out-dir", out]) == 3
+    assert "bad_model.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, extra", [("simulate", ["--x0", "0.5"]), ("evaluate", [])])
 def test_missing_model_is_usage_error(cmd, extra, tmp_path, capsys):
     out = tmp_path / "out"

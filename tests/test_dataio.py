@@ -38,6 +38,9 @@ def test_trajectory_parse_errors_name_location(tmp_path):
     with pytest.raises(DataError) as err:
         dataio.read_trajectory_csv(p)
     assert "bad.csv:3" in str(err.value)
+    p.write_text("t,x_1\n0.0,1.0\n")                         # one observation
+    with pytest.raises(DataError, match="bad.csv.*two observations"):
+        dataio.read_trajectory_csv(p)
     p.write_text("wrong,header\n")
     with pytest.raises(DataError):
         dataio.read_trajectory_csv(p)
@@ -53,6 +56,14 @@ def test_dataset_roundtrip(tmp_path, awkward_trajectory):
     assert len(back) == 2
     for a, b in zip(trajs, back):
         assert np.array_equal(a.obs, b.obs)
+
+
+def test_dataset_reads_back_in_index_order_past_a_thousand_files(tmp_path):
+    # name order would put traj_1000.csv between traj_100.csv and traj_101.csv
+    trajs = [Trajectory(times=[0.0, 1.0], obs=[[float(j)], [0.0]]) for j in range(1002)]
+    dataio.write_dataset(tmp_path, trajs)
+    back = dataio.read_dataset(tmp_path)
+    assert [tr.obs[0, 0] for tr in back] == list(range(1002))
 
 
 def test_dataset_of_mixed_dimensions_names_the_odd_file(tmp_path, awkward_trajectory):
@@ -122,16 +133,32 @@ def test_v1_model_with_general_A_rejected(tmp_path):
         dataio.load_model(p)
 
 
+def with_entry(d, key, value, row=None):
+    """Copy of the model dict d with d[key] (or d[key][row][0]) set to value."""
+    d = json.loads(json.dumps(d))
+    if row is None:
+        d[key] = value
+    else:
+        d[key][row][0] = value
+    return d
+
+
 def test_model_schema_guard(tmp_path):
     p = tmp_path / "model.json"
     d = dataio.model_to_dict(make_model())
-    d["schema"] = "something-else"
-    p.write_text(json.dumps(d))
-    with pytest.raises(DataError):
-        dataio.load_model(p)
-    p.write_text("{not json")
-    with pytest.raises(DataError):
-        dataio.load_model(p)
+    payloads = [
+        json.dumps(with_entry(d, "schema", "something-else")),
+        "{not json",
+        "[]",                                                   # not an object
+        json.dumps(with_entry(d, "Z", "abc")),
+        json.dumps(with_entry(d, "U_f", [[0.0, 1.0], [2.0]])),  # ragged
+        json.dumps(with_entry(d, "U_f", float("nan"), row=1)),
+        json.dumps(with_entry(d, "Z", float("inf"), row=2)),
+    ]
+    for text in payloads:
+        p.write_text(text)
+        with pytest.raises(DataError, match="model.json"):
+            dataio.load_model(p)
 
 
 def test_paths_csv_shape(tmp_path):

@@ -96,6 +96,14 @@ def test_model_validation():
         InducingModel(Z=np.array([[0.0]]), U_f=np.zeros((1, 1)),
                       u_sigma=np.zeros(1), drift_params=p, diff_params=p,
                       noise_vars=[-0.1])
+    kw = dict(Z=[[0.0], [1.0]], U_f=np.zeros((2, 1)), u_sigma=np.zeros(2),
+              drift_params=p, diff_params=p, noise_vars=[0.1])
+    InducingModel(**kw)
+    for key, bad in (("Z", [0.0, 1.0]),              # 1-d points: (M, D) is required
+                     ("Z", [[0.0], [np.inf]]), ("U_f", [[np.nan], [0.0]]),
+                     ("u_sigma", [0.0, np.inf])):
+        with pytest.raises(InputError):
+            InducingModel(**{**kw, key: bad})
 
 
 def test_equal_inducing_rows_rejected():
@@ -120,6 +128,8 @@ def test_update_values_shares_z_and_checks_only_the_values(model_and_cache):
         update_values(c, m, U_f=np.ones((m.M + 1, m.D)))
     with pytest.raises(InputError):
         update_values(c, m, noise_vars=-m.noise_vars)
+    with pytest.raises(InputError):
+        update_values(c, m, u_sigma=np.full(m.M, np.nan))
 
 
 def test_dependency_matrix_must_be_identity():
@@ -387,7 +397,7 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, same):
                       u_sigma=rng.normal(size=M), drift_params=pf, diff_params=ps,
                       noise_vars=np.full(D, 0.1))
     c = build_cache(m)
-    assert c.same_kernels == same
+    assert (c.chol_s is c.chol_f) == same
     far = m.Z + 50 * np.max(np.maximum(pf.lengthscales, ps.lengthscales))
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)

@@ -79,15 +79,10 @@ class TestGradientMatchInit:
         U, us = gradient_match_init([tr], Z, KernelParams(1.0, [1.0]))
         assert np.all(np.isfinite(U)) and np.all(np.isfinite(us))
 
-    def test_short_trajectories_skipped_with_warning(self):
-        good = Trajectory(times=[0.0, 0.5, 1.0], obs=[[0.0], [0.5], [1.0]])
-        stub = Trajectory(times=[0.0], obs=[[2.0]])
-        Z = np.array([[0.0], [1.0]])
-        with pytest.warns(UserWarning):
-            U, _ = gradient_match_init([good, stub], Z, KernelParams(1.0, [1.0]))
-        assert np.all(np.isfinite(U))
-        with pytest.raises(InputError):
-            gradient_match_init([stub], Z, KernelParams(1.0, [1.0]))
+    def test_one_observation_trajectory_rejected(self):
+        # a stub is rejected where it is built, so the init never sees one
+        with pytest.raises(InputError, match="two observations"):
+            Trajectory(times=[0.0], obs=[[2.0]])
 
     def test_order_independence(self, small_dataset):
         Z = np.linspace(-2, 2, 7)[:, None]

@@ -68,6 +68,9 @@ def test_rbf_dimension_mismatch():
         gram([[0.0]], [[0.0, 1.0]], p)
     with pytest.raises(InputError):
         gram([[0.0, 1.0, 2.0]], [[0.0, 1.0, 2.0]], p)
+    p1 = KernelParams(1.0, [1.0])
+    with pytest.raises(InputError):
+        gram([0.0, 1.0], [[0.0]], p1)          # 1-d points: (N, D) is required
 
 
 def test_gram_single_point():

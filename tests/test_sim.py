@@ -274,6 +274,8 @@ class TestStateDensity:
             state_density(paths, 0, [[0.0]], -1.0)
         with pytest.raises(InputError):
             state_density(paths, 0, [[0.0], [0.0]], 0.2)     # one axis per dimension
+        with pytest.raises(InputError):
+            gaussian_kde([[0.0]], np.zeros(3), 0.2)         # 1-d samples: (S, D) is required
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_blocked_kde_matches_dense_formula(self, offset):

@@ -250,6 +250,8 @@ class TestGenerate:
             self.spec(n_obs_per_traj=1)
         with pytest.raises(InputError):
             self.spec(x0_box=np.array([[2.0, -2.0]]))
+        with pytest.raises(InputError):
+            self.spec(x0_box=np.array([-1.5, 1.5]))       # 1-d box: (D, 2) is required
 
 
 def dense_fit_of(sys_, lo, hi, n=25, ell=0.4, sigma_const=None):
@@ -281,6 +283,8 @@ class TestFieldErrors:
         expected = np.sqrt(np.mean((4 * (grid_pts - grid_pts**3)) ** 2))
         got = drift_error(sys_, zero, [[-2.0, 2.0]], 41)
         assert got == pytest.approx(expected, rel=1e-9)
+        with pytest.raises(InputError):
+            drift_error(sys_, zero, [-2.0, 2.0], 41)    # 1-d box: (D, 2) is required
 
     def test_single_shared_zero_point(self):
         sys_ = double_well()
