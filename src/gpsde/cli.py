@@ -60,7 +60,7 @@ def _parse_box(text: str, flag: str) -> np.ndarray:
     try:
         rows = [[float(v) for v in part.split(":")] for part in text.split(",")]
         box = np.array(rows, dtype=float)
-        if box.shape[1] != 2:
+        if box.shape[1] != 2 or not np.all(np.isfinite(box)):
             raise ValueError
     except ValueError:
         raise InputError(f"{flag} expects 'lo:hi[,lo:hi...]', got {text!r}") from None
@@ -110,9 +110,12 @@ def _at_least(least: int, *flag_values):
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError
     except ValueError:
-        raise InputError(f"{flag} expects comma-separated reals, got {text!r}") from None
+        raise InputError(f"{flag} expects comma-separated finite reals, got {text!r}") from None
+    return values
 
 
 def _positive_floats(text: str, flag: str) -> list[float]:

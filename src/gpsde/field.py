@@ -14,6 +14,16 @@ one with :func:`build_cache` and rebuild whenever Z or the kernel
 parameters change; :func:`update_values` is the one way to replace the
 inducing values or noise, and it reuses the factorizations.
 
+When Z is a Cartesian grid in more than one dimension (every ``gpsde fit``
+model), a kernel row is a product of one factor per axis,
+
+    k(x, z_m) = variance * prod_d exp(-(x_d - a_d[i_d(m)])^2 / (2 l_d^2)),
+
+so the rows at N states cost N * sum_d n_d exponentials instead of N * M
+and are kept as those per-axis factors; :func:`rows_matmul` and
+:func:`rows_t_matmul` contract them with weights one axis at a time, and
+the dense rows serve every other Z.
+
 Evaluation functions are pure and safe to call concurrently; models and
 caches are immutable after construction.
 """
@@ -129,7 +139,15 @@ class FieldCache:
     factor the jittered Gram matrices K_f(Z,Z) and K_s(Z,Z) (chol_s is
     chol_f when the two kernels are equal), and alpha_f = K_f^{-1} U_f,
     shape (M, D), and alpha_s = K_s^{-1} u_sigma are the interpolation
-    weights, so batched evaluation is a single matmul.
+    weights: the fields at N states are the kernel rows k(X, Z) times them.
+
+    axes holds the per-axis coordinates when Z is their Cartesian grid in
+    grid_points order (last axis fastest) and D >= 2, else None.  On such a
+    grid, weights holds every weight the fields and their state derivatives
+    contract the rows with, as rows of one (D*D + 2D + 1, M) array:
+    alpha_f[m, d] z_me (D*D rows), alpha_f^T (D), alpha_s (1) and
+    alpha_s[m] z_m^T (D).  In that order each set one contraction needs is
+    a contiguous block.
     """
 
     model: InducingModel
@@ -139,6 +157,8 @@ class FieldCache:
     logdet_s: float
     alpha_f: np.ndarray
     alpha_s: np.ndarray
+    axes: tuple | None
+    weights: np.ndarray | None
 
 
 def _checked(m: InducingModel, c: FieldCache):
@@ -169,6 +189,9 @@ def build_cache(m: InducingModel) -> FieldCache:
         Ks = gram(m.Z, m.Z, m.diff_params)
         Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
     chol_s = chol_f if same else _factor(Ks, "diffusion")
+    alpha_f = scipy.linalg.cho_solve(chol_f, m.U_f)
+    alpha_s = scipy.linalg.cho_solve(chol_s, m.u_sigma)
+    axes = _grid_axes(m.Z)
 
     return FieldCache(
         model=m,
@@ -177,9 +200,34 @@ def build_cache(m: InducingModel) -> FieldCache:
         # the D drift columns share K_f, so their joint covariance has D x its logdet
         logdet_f=float(2.0 * m.D * np.sum(np.log(np.diag(chol_f[0])))),
         logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
-        alpha_f=scipy.linalg.cho_solve(chol_f, m.U_f),
-        alpha_s=scipy.linalg.cho_solve(chol_s, m.u_sigma),
+        alpha_f=alpha_f,
+        alpha_s=alpha_s,
+        axes=axes,
+        weights=None if axes is None else _grid_weights(m.Z, alpha_f, alpha_s),
     )
+
+
+def _grid_axes(Z: np.ndarray):
+    """The per-axis coordinates of Z when D >= 2 and Z is their Cartesian
+    grid with the last axis varying fastest, else None."""
+    M, D = Z.shape
+    if D < 2:
+        return None
+    sizes = [np.unique(Z[:, d]).size for d in range(D)]
+    if math.prod(sizes) != M:
+        return None
+    # axis d repeats every prod(sizes[d+1:]) points; its first run holds its coordinates
+    strides = M // np.cumprod(sizes)
+    axes = tuple(Z[::s, d][:n] for d, (s, n) in enumerate(zip(strides, sizes)))
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return axes if np.array_equal(grid, Z) else None
+
+
+def _grid_weights(Z, alpha_f, alpha_s) -> np.ndarray:
+    """The rows of FieldCache.weights."""
+    M, D = Z.shape
+    return np.concatenate([(alpha_f[:, :, None] * Z[:, None, :]).reshape(M, D * D).T,
+                           alpha_f.T, alpha_s[None], (alpha_s[:, None] * Z).T])
 
 
 def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
@@ -194,43 +242,128 @@ def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                    m.noise_vars if noise_vars is None else noise_vars)
     alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.U_f) if U_f is not None else c.alpha_f
     alpha_s = scipy.linalg.cho_solve(c.chol_s, m2.u_sigma) if u_sigma is not None else c.alpha_s
-    return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s)
+    weights = c.weights
+    if c.axes is not None and (U_f is not None or u_sigma is not None):
+        weights = _grid_weights(m2.Z, alpha_f, alpha_s)
+    return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s, weights=weights)
 
 
 # -- field evaluation ---------------------------------------------------------
 
+def _rows(X: np.ndarray, c: FieldCache, p: KernelParams):
+    """Kernel rows k(X, Z) of kernel p: dense (N, M) from rbf_matrix, or on
+    a grid cache a tuple of per-axis factors E_d, each (n_d, N) so that
+    their elementwise work runs along the states, with
+    k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp."""
+    if c.axes is None:
+        return rbf_matrix(X, c.model.Z, p)
+    ls = p.lengthscales
+    E = np.concatenate([X[:, d] / ls[d] - (a / ls[d])[:, None] for d, a in enumerate(c.axes)])
+    E *= E
+    E *= -0.5
+    np.exp(E, out=E)
+    factors, start = [], 0
+    for a in c.axes:
+        factors.append(E[start:start + a.size])
+        start += a.size
+    factors[0] *= p.variance
+    return tuple(factors)
+
+
+def rows_matmul(k, W: np.ndarray) -> np.ndarray:
+    """k(X, Z) @ W for rows k from :func:`step_terms_batch` and W of shape
+    (M, C) or (M,).
+
+    Per-axis factors contract W's last grid axis with one matrix product,
+    then each earlier axis with a dot product per state, so no (N, M)
+    array is formed."""
+    if isinstance(k, np.ndarray):
+        return k @ W
+    N = k[0].shape[1]
+    T = W.T.reshape(-1, k[-1].shape[0]) @ k[-1]      # (C * M / n_D, N)
+    for e in k[-2::-1]:
+        T = np.einsum("kin,in->kn", T.reshape(-1, e.shape[0], N), e)
+    return np.ascontiguousarray(T.T).reshape(N, *W.shape[1:])
+
+
+def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
+    """k(X, Z)^T @ V for rows k from :func:`step_terms_batch` and V of shape
+    (N, C) or (N,).
+
+    Per-axis factors fold V into the first axis's factor and meet the
+    state-wise products of the other axes' factors in one matrix product."""
+    if isinstance(k, np.ndarray):
+        return k.T @ V
+    N = k[0].shape[1]
+    VT = np.ascontiguousarray(V.T).reshape(-1, N)
+    A = (VT[:, None, :] * k[0]).reshape(-1, N)          # (C * n_1, N)
+    R = k[1]
+    for e in k[2:]:
+        R = (R[:, None, :] * e).reshape(-1, N)
+    return (A @ R.T).reshape(len(VT), -1).T.reshape(-1, *V.shape[1:])
+
+
+def _kernel_rows(X: np.ndarray, c: FieldCache):
+    """Drift and diffusion kernel rows at X; one serves both when the
+    kernels are equal."""
+    m = c.model
+    kf = _rows(X, c, m.drift_params)
+    ks = kf if c.chol_s is c.chol_f else _rows(X, c, m.diff_params)
+    return kf, ks
+
+
+def _products(kf, ks, c: FieldCache, derivs: bool):
+    """F = k_f @ alpha_f (N, D) and sig = k_s @ alpha_s (N,) and, with derivs,
+    k_f @ (alpha_f[m, d] z_me) (N, D*D) and k_s @ (alpha_s[m] z_m) (N, D).
+
+    Dense rows take one product per weight.  On a grid each kernel's
+    weights are one block of c.weights, so each kernel's factors take one
+    contraction, and shared factors one for both kernels."""
+    m = c.model
+    D = m.D
+    if c.axes is None:
+        out = [kf @ c.alpha_f, ks @ c.alpha_s]
+        if derivs:
+            out += [kf @ (c.alpha_f[:, :, None] * m.Z[:, None, :]).reshape(-1, D * D),
+                    ks @ (c.alpha_s[:, None] * m.Z)]
+        return out
+    f, s = D * D, D * D + D          # rows of alpha_f^T and alpha_s in c.weights
+    lo, hi = (0, len(c.weights)) if derivs else (f, s + 1)
+    if kf is ks:
+        T = rows_matmul(kf, c.weights[lo:hi].T)
+    else:
+        T = np.concatenate([rows_matmul(kf, c.weights[lo:s].T),
+                            rows_matmul(ks, c.weights[s:hi].T)], axis=1)
+    F, sig = T[:, f - lo:s - lo], T[:, s - lo]
+    return [F, sig, T[:, :f], T[:, s + 1:]] if derivs else [F, sig]
+
+
 def drift_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     """Drift vectors at stacked states, shape (N, D)."""
-    return rbf_matrix(X, c.model.Z, c.model.drift_params) @ c.alpha_f
+    return rows_matmul(_rows(X, c, c.model.drift_params), c.alpha_f)
 
 
 def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     """Signed diffusion values at stacked states, shape (N,)."""
-    return rbf_matrix(X, c.model.Z, c.model.diff_params) @ c.alpha_s
-
-
-def _kernel_rows(X: np.ndarray, c: FieldCache):
-    """Drift and diffusion kernel rows k(X, Z), each (N, M); one row serves
-    both when the kernels are equal."""
-    m = c.model
-    kf = rbf_matrix(X, m.Z, m.drift_params)
-    ks = kf if c.chol_s is c.chol_f else rbf_matrix(X, m.Z, m.diff_params)
-    return kf, ks
+    return rows_matmul(_rows(X, c, c.model.diff_params), c.alpha_s)
 
 
 def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
-    """Both fields at once, sharing the kernel row when the kernels are equal."""
-    kf, ks = _kernel_rows(X, c)
-    return kf @ c.alpha_f, ks @ c.alpha_s
+    """Both fields at once, sharing the kernel rows when the kernels are equal."""
+    F, sig = _products(*_kernel_rows(X, c), c, derivs=False)
+    return F, sig
 
 
 def step_terms_batch(X: np.ndarray, c: FieldCache):
-    """Kernel rows kf, ks (N, M), drift state Jacobian jac_x (N, D, D) and
+    """Kernel rows kf, ks, drift state Jacobian jac_x (N, D, D) and
     diffusion state gradient diff_gx (N, D) at N states, as a tuple.
 
-    With d k(x, z_m) / dx = k(x, z_m) (z_m - x) / l^2, the derivatives are
-    matrix products of the rows with the (M, D*D) and (M, D) weights
-    alpha_f[m, d] z_m and alpha_s[m] z_m, minus the field value times x:
+    The rows are dense (N, M) arrays, or on a grid cache per-axis factors;
+    :func:`rows_matmul` and :func:`rows_t_matmul` take products with
+    either.  With d k(x, z_m) / dx = k(x, z_m) (z_m - x) / l^2, the
+    derivatives are products of the rows with the (M, D*D) and (M, D)
+    weights alpha_f[m, d] z_me and alpha_s[m] z_m, minus the field value
+    times x:
 
         J_f(x)[d, e] = (sum_m k_f alpha_f[m, d] z_me - f_d(x) x_e) / l_f,e^2
         grad sigma(x)[e] = (sum_m k_s alpha_s[m] z_me - sigma(x) x_e) / l_s,e^2
@@ -240,13 +373,10 @@ def step_terms_batch(X: np.ndarray, c: FieldCache):
     N, D = X.shape
     m = c.model
     kf, ks = _kernel_rows(X, c)
-    F = kf @ c.alpha_f
-    P = (c.alpha_f[:, :, None] * m.Z[:, None, :]).reshape(-1, D * D)
-    jac_x = (kf @ P).reshape(N, D, D)
+    F, sig, JZ, diff_gx = _products(kf, ks, c, derivs=True)
+    jac_x = JZ.reshape(N, D, D)
     jac_x -= F[:, :, None] * X[:, None, :]
     jac_x /= np.square(m.drift_params.lengthscales)
-    sig = ks @ c.alpha_s
-    diff_gx = ks @ (c.alpha_s[:, None] * m.Z)
     diff_gx -= sig[:, None] * X
     diff_gx /= np.square(m.diff_params.lengthscales)
     return kf, ks, jac_x, diff_gx

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, SimulationError
-from .field import FieldCache, InducingModel, _checked, step_terms_batch
+from .field import FieldCache, InducingModel, _checked, rows_t_matmul, step_terms_batch
 from .sim import TimeGrid, simulate_batch
 
 
@@ -60,8 +60,8 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
         kf, ks, jac_x, diff_gx = step_terms_batch(paths[:, i], c)
         dWl = np.einsum("sd,sd->s", increments[:, i], lam)
         dt_i = dt[:, i, None]
-        gf += kf.T @ (dt_i * lam)
-        gs += ks.T @ dWl
+        gf += rows_t_matmul(kf, dt_i * lam)
+        gs += rows_t_matmul(ks, dWl)
         lam = lam + dt_i * (lam[:, None, :] @ jac_x)[:, 0] + diff_gx * dWl[:, None]
     grad_f = scipy.linalg.cho_solve(c.chol_f, gf).ravel()
     grad_s = scipy.linalg.cho_solve(c.chol_s, gs)

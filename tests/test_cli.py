@@ -325,6 +325,9 @@ class TestEvaluate:
     (["fit", "--inducing=2:2:5"], "--inducing"),
     (["fit", "--inducing=-2:2:3,-2:2:3"], "--inducing"),
     (["evaluate", "--data-dir", "OSC_DATASET"], "--data-dir"),
+    (["simulate", "--x0", "nan"], "--x0"),
+    (["evaluate", "--x0", "inf"], "--x0"),
+    (["evaluate", "--box=-2:nan"], "--box"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
                                                osc_dataset, tmp_path, capsys):

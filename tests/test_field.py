@@ -15,6 +15,8 @@ from gpsde.field import (
     drift_diffusion_batch,
     log_prior,
     log_prior_grad,
+    rows_matmul,
+    rows_t_matmul,
     step_terms_batch,
     update_values,
 )
@@ -386,33 +388,73 @@ def test_cache_pairs_only_with_the_model_it_was_built_from(tmp_path):
         evaluate_with_increments([tr], m2, c1, grids, incs)
 
 
-@pytest.mark.parametrize("D", [1, 2, 3])
+def cartesian(axes):
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+@pytest.mark.parametrize("D,grid", [(1, None), (2, None), (3, None), (2, (4, 3)), (3, (3, 2, 4))],
+                         ids=["1", "2", "3", "2-grid", "3-grid"])
 @pytest.mark.parametrize("same", [True, False])
-def test_fields_and_state_derivatives_match_difference_oracle(D, same):
+def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
+    # scattered Z takes dense rows; a Cartesian grid takes per-axis factors
     rng = np.random.default_rng(40 + D)
-    M = 12
     pf = KernelParams(1.3, rng.uniform(0.6, 1.6, size=D))   # anisotropic
     ps = pf if same else KernelParams(0.7, rng.uniform(0.6, 1.6, size=D))
-    m = InducingModel(Z=rng.uniform(-2, 2, size=(M, D)), U_f=rng.normal(size=(M, D)),
-                      u_sigma=rng.normal(size=M), drift_params=pf, diff_params=ps,
-                      noise_vars=np.full(D, 0.1))
+    if grid is None:
+        Z = rng.uniform(-2, 2, size=(12, D))
+    else:
+        # jittered regular axes keep the Gram matrices conditioned like the
+        # scattered cases' (a near-duplicate coordinate would amplify the
+        # dense rows' rounding past the tolerance)
+        Z = cartesian([np.linspace(-2, 2, n) + rng.uniform(-0.3, 0.3, size=n) for n in grid])
+    M = len(Z)
+    kw = dict(U_f=rng.normal(size=(M, D)), u_sigma=rng.normal(size=M),
+              drift_params=pf, diff_params=ps, noise_vars=np.full(D, 0.1))
+    m = InducingModel(Z=Z, **kw)
     c = build_cache(m)
     assert (c.chol_s is c.chol_f) == same
+    assert (c.axes is None) == (grid is None)
     far = m.Z + 50 * np.max(np.maximum(pf.lengthscales, ps.lengthscales))
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)
     F, sig = drift_diffusion_batch(X, c)
     kf, ks, jac_x, diff_gx = step_terms_batch(X, c)
-    for name, val in (("F", F), ("sig", sig), ("kf", kf), ("ks", ks),
-                      ("jac_x", jac_x), ("diff_gx", diff_gx)):
+    rows_f, rows_s = rows_matmul(kf, np.eye(M)), rows_matmul(ks, np.eye(M))
+    for name, val in (("F", F), ("sig", sig), ("kf", rows_f), ("ks", rows_s),
+                      ("jac_x", jac_x), ("diff_gx", diff_gx),
+                      ("F", drift_batch(X, c)), ("sig", diffusion_batch(X, c))):
         assert_rel_close(val, ref[name])
     # at the inducing locations the rows peak at the variance; far away they vanish
     at_z = np.arange(30, 30 + M)
-    for k, p in ((kf, pf), (ks, ps)):
+    for k, p in ((rows_f, pf), (rows_s, ps)):
         peak = k[at_z, at_z - 30]
         assert np.all(peak <= p.variance)
         np.testing.assert_allclose(peak, p.variance, rtol=1e-12)
         assert np.all(k[30 + M:] == 0.0)
+    # products with the rows, against the dense oracle rows
+    W, V = rng.normal(size=(M, 3)), rng.normal(size=(len(X), 3))
+    for k, dense in ((kf, ref["kf"]), (ks, ref["ks"])):
+        assert_rel_close(rows_matmul(k, W), dense @ W)
+        assert_rel_close(rows_matmul(k, W[:, 0]), dense @ W[:, 0])
+        assert_rel_close(rows_t_matmul(k, V), dense.T @ V)
+        assert_rel_close(rows_t_matmul(k, V[:, 0]), dense.T @ V[:, 0])
+    if grid is None:
+        return
+    # a grid out of grid_points order, or with one point moved, is no grid:
+    # it takes dense rows, and the permuted one gives the same fields
+    perm = rng.permutation(M)
+    c_perm = build_cache(InducingModel(Z=Z[perm], **{**kw, "U_f": kw["U_f"][perm],
+                                                     "u_sigma": kw["u_sigma"][perm]}))
+    moved = Z.copy()
+    moved[-1, 0] += 0.1
+    c_moved = build_cache(InducingModel(Z=moved, **kw))
+    assert c_perm.axes is None and c_moved.axes is None
+    assert_rel_close(drift_diffusion_batch(X, c_perm)[0], F)
+    assert_rel_close(drift_diffusion_batch(X, c_perm)[1], sig)
+    ref_moved = field_oracle(X, c_moved)
+    F_moved, sig_moved = drift_diffusion_batch(X, c_moved)
+    assert_rel_close(F_moved, ref_moved["F"])
+    assert_rel_close(sig_moved, ref_moved["sig"])
 
 
 def test_step_terms_form_no_n_by_m_by_d_temporary():

@@ -37,15 +37,31 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
     return m, build_cache(m)
 
 
+def grid_model(seed=0, u_scale=0.5):
+    """A 2-d model on a 2 x 3 Cartesian inducing grid with equal kernels,
+    whose kernel rows the field keeps as per-axis factors."""
+    rng = np.random.default_rng(seed)
+    axes = [np.linspace(-1.5, 1.5, 2), np.linspace(-1.5, 1.5, 3)]
+    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    p = KernelParams(1.0, [1.0, 0.8])
+    m = InducingModel(Z=Z, U_f=u_scale * rng.normal(size=(6, 2)),
+                      u_sigma=u_scale * rng.normal(size=6),
+                      drift_params=p, diff_params=p, noise_vars=np.full(2, 0.04))
+    c = build_cache(m)
+    assert c.axes is not None
+    return m, c
+
+
 def make_problem(seed=0, D=1, n_obs=5, n_samples=3, factor=6):
     m, c, trs, grids, incs = make_batch_problem(
         seed, D, [np.linspace(0.0, 1.0, n_obs)], n_samples, factor)
     return m, c, trs[0], grids, incs
 
 
-def make_batch_problem(seed, D, times, n_samples=3, factor=6):
-    """A model and one trajectory per entry of ``times``."""
-    m, c = small_model(seed=seed, D=D)
+def make_batch_problem(seed, D, times, n_samples=3, factor=6, grid=False):
+    """A model and one trajectory per entry of ``times``; with grid, the
+    2-d grid model."""
+    m, c = grid_model(seed=seed) if grid else small_model(seed=seed, D=D)
     rng = np.random.default_rng(seed + 100)
     trs = [Trajectory(times=t, obs=0.4 * rng.normal(size=(len(t), D))) for t in times]
     grids = make_grids(trs, factor)
@@ -191,17 +207,19 @@ class TestGradients:
             g[q] = (value(xp) - value(xm)) / (2 * h)
         return g
 
-    @pytest.mark.parametrize("seed,D,times", [
-        pytest.param(0, 1, [np.linspace(0.0, 1.0, 5)], id="0-1"),
-        pytest.param(1, 2, [np.linspace(0.0, 1.0, 5)], id="1-2"),
-        pytest.param(2, 2, [np.linspace(0.0, 1.0, 5)], id="2-2"),
+    @pytest.mark.parametrize("seed,D,times,grid", [
+        pytest.param(0, 1, [np.linspace(0.0, 1.0, 5)], False, id="0-1"),
+        pytest.param(1, 2, [np.linspace(0.0, 1.0, 5)], False, id="1-2"),
+        pytest.param(2, 2, [np.linspace(0.0, 1.0, 5)], False, id="2-2"),
         # longer than one segment: samples restart at segment boundaries
-        pytest.param(3, 1, [np.linspace(0.0, 1.0, LONG_N_OBS)], id="3-1-long"),
+        pytest.param(3, 1, [np.linspace(0.0, 1.0, LONG_N_OBS)], False, id="3-1-long"),
         # irregular sampling: both trajectories simulate in one batch
-        pytest.param(4, 2, IRREGULAR_TIMES, id="4-2-irregular"),
+        pytest.param(4, 2, IRREGULAR_TIMES, False, id="4-2-irregular"),
+        # Cartesian Z: the field and the adjoint sweep use per-axis factors
+        pytest.param(5, 2, [np.linspace(0.0, 1.0, 5)], True, id="5-2-grid"),
     ])
-    def test_full_gradient_matches_frozen_noise_fd(self, seed, D, times):
-        m, c, trs, grids, incs = make_batch_problem(seed, D, times)
+    def test_full_gradient_matches_frozen_noise_fd(self, seed, D, times, grid):
+        m, c, trs, grids, incs = make_batch_problem(seed, D, times, grid=grid)
         val = evaluate_with_increments(trs, m, c, grids, incs)
         fd = self.frozen_fd(trs, m, c, grids, incs)
         an = val.packed_grad()

@@ -24,6 +24,21 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
     return m, build_cache(m)
 
 
+def grid_model(seed=0, sizes=(3, 4), u_scale=0.5):
+    """A 2-d model on a Cartesian inducing grid with equal kernels, whose
+    kernel rows the field keeps as per-axis factors."""
+    rng = np.random.default_rng(seed)
+    axes = [np.linspace(-1.5, 1.5, n) for n in sizes]
+    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    p = KernelParams(1.0, [1.0, 0.8])
+    m = InducingModel(Z=Z, U_f=u_scale * rng.normal(size=(len(Z), 2)),
+                      u_sigma=u_scale * rng.normal(size=len(Z)),
+                      drift_params=p, diff_params=p, noise_vars=np.full(2, 0.05))
+    c = build_cache(m)
+    assert c.axes is not None
+    return m, c
+
+
 def one_step_grid(dt):
     return TimeGrid(t0=0.0, dt=[dt], obs_indices=[0, 1])
 
@@ -107,10 +122,14 @@ def frozen_noise_fd(m, c, x0, grid, inc, seeds, h=1e-5):
     return fd_f, fd_s
 
 
-@pytest.mark.parametrize("seed,D,M", [(0, 1, 4), (1, 2, 4), (2, 2, 6), (3, 1, 9)])
-def test_whole_trajectory_matches_frozen_noise_fd(seed, D, M):
-    # the sweep's vector-Jacobian product seed^T dx/du at every node
-    m, c = small_model(seed=seed, D=D, M=M)
+@pytest.mark.parametrize("seed,D,M,grid", [(0, 1, 4, False), (1, 2, 4, False), (2, 2, 6, False),
+                                           (3, 1, 9, False), (4, 2, 12, True)],
+                         ids=["0-1-4", "1-2-4", "2-2-6", "3-1-9", "4-2-12-grid"])
+def test_whole_trajectory_matches_frozen_noise_fd(seed, D, M, grid):
+    # the sweep's vector-Jacobian product seed^T dx/du at every node; the
+    # grid case runs the sweep on per-axis factors
+    m, c = grid_model(seed=seed) if grid else small_model(seed=seed, D=D, M=M)
+    assert m.M == M
     grid = build_grid(np.linspace(0.0, 1.0, 6), 8)
     inc = sample_increments(grid, 1, D, seed + 10)[0]
     seeds = np.random.default_rng(seed).normal(size=(grid.n_obs, D))
