@@ -283,7 +283,7 @@ def rows_matmul(k, W: np.ndarray) -> np.ndarray:
     T = W.T.reshape(-1, k[-1].shape[0]) @ k[-1]      # (C * M / n_D, N)
     for e in k[-2::-1]:
         T = np.einsum("kin,in->kn", T.reshape(-1, e.shape[0], N), e)
-    return np.ascontiguousarray(T.T).reshape(N, *W.shape[1:])
+    return T.T.reshape(N, *W.shape[1:])
 
 
 def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
