@@ -242,9 +242,7 @@ def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                    m.noise_vars if noise_vars is None else noise_vars)
     alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.U_f) if U_f is not None else c.alpha_f
     alpha_s = scipy.linalg.cho_solve(c.chol_s, m2.u_sigma) if u_sigma is not None else c.alpha_s
-    weights = c.weights
-    if c.axes is not None and (U_f is not None or u_sigma is not None):
-        weights = _grid_weights(m2.Z, alpha_f, alpha_s)
+    weights = None if c.axes is None else _grid_weights(m2.Z, alpha_f, alpha_s)
     return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s, weights=weights)
 
 
