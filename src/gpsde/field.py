@@ -14,8 +14,9 @@ one with :func:`build_cache` and rebuild whenever Z or the kernel
 parameters change; :func:`update_values` is the one way to replace the
 inducing values or noise, and it reuses the factorizations.
 
-When Z is a Cartesian grid in more than one dimension (every ``gpsde fit``
-model), a kernel row is a product of one factor per axis,
+When Z is a Cartesian grid in more than one dimension (as in every
+``gpsde fit`` model with D >= 2), a kernel row is a product of one factor
+per axis,
 
     k(x, z_m) = variance * prod_d exp(-(x_d - a_d[i_d(m)])^2 / (2 l_d^2)),
 
