@@ -169,6 +169,8 @@ class UsageError(Exception):
 
 
 def _system(args):
+    _require(math.isfinite(args.mu) and args.mu >= 0, "--mu",
+             "must be non-negative and finite", args.mu)
     factory = SYSTEMS[args.system]
     return factory(mu=args.mu) if args.system == "van-der-pol" else factory()
 
@@ -251,6 +253,8 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--horizon", args.horizon), ("--dt", args.dt),
                         ("--n-paths", args.n_paths), ("--bandwidth", args.bandwidth)):
         _positive(flag, value)
+    _require(math.isfinite(args.density_time), "--density-time",
+             "must be finite (negative for the last step)", args.density_time)
     axes = None
     if args.density_grid:
         axes = [np.linspace(lo, hi, n)

@@ -14,16 +14,16 @@ one with :func:`build_cache` and rebuild whenever Z or the kernel
 parameters change; :func:`update_values` is the one way to replace the
 inducing values or noise, and it reuses the factorizations.
 
-When Z is a Cartesian grid in more than one dimension (as in every
-``gpsde fit`` model with D >= 2), a kernel row is a product of one factor
-per axis,
+When Z is a Cartesian grid (as in every ``gpsde fit`` model, and every
+1-d Z, which is the one-axis grid of its own points), a kernel row is a
+product of one factor per axis,
 
     k(x, z_m) = variance * prod_d exp(-(x_d - a_d[i_d(m)])^2 / (2 l_d^2)),
 
 so the rows at N states cost N * sum_d n_d exponentials instead of N * M
 and are kept as those per-axis factors; :func:`rows_matmul` and
 :func:`rows_t_matmul` contract them with weights one axis at a time, and
-the dense rows serve every other Z.
+the dense rows serve only a Z in D >= 2 that is no such grid.
 
 Evaluation functions are pure and safe to call concurrently; models and
 caches are immutable after construction.
@@ -143,10 +143,10 @@ class FieldCache:
     weights: the fields at N states are the kernel rows k(X, Z) times them.
 
     axes holds the per-axis coordinates when Z is their Cartesian grid in
-    grid_points order (last axis fastest) and D >= 2, else None.  On such a
-    grid, weights holds every weight the fields and their state derivatives
-    contract the rows with, as rows of one (D*D + 2D + 1, M) array:
-    alpha_f[m, d] z_me (D*D rows), alpha_f^T (D), alpha_s (1) and
+    grid_points order (last axis fastest), as every 1-d Z is, else None.
+    On such a grid, weights holds every weight the fields and their state
+    derivatives contract the rows with, as rows of one (D*D + 2D + 1, M)
+    array: alpha_f[m, d] z_me (D*D rows), alpha_f^T (D), alpha_s (1) and
     alpha_s[m] z_m^T (D).  In that order each set one contraction needs is
     a contiguous block.
     """
@@ -209,11 +209,10 @@ def build_cache(m: InducingModel) -> FieldCache:
 
 
 def _grid_axes(Z: np.ndarray):
-    """The per-axis coordinates of Z when D >= 2 and Z is their Cartesian
-    grid with the last axis varying fastest, else None."""
+    """The per-axis coordinates of Z when Z is their Cartesian grid with
+    the last axis varying fastest, else None; a 1-d Z, whose points are
+    distinct, gives (Z[:, 0],)."""
     M, D = Z.shape
-    if D < 2:
-        return None
     sizes = [np.unique(Z[:, d]).size for d in range(D)]
     if math.prod(sizes) != M:
         return None
@@ -253,10 +252,19 @@ def _rows(X: np.ndarray, c: FieldCache, p: KernelParams):
     """Kernel rows k(X, Z) of kernel p: dense (N, M) from rbf_matrix, or on
     a grid cache a tuple of per-axis factors E_d, each (n_d, N) so that
     their elementwise work runs along the states, with
-    k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp."""
+    k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp.
+
+    A single factor is exp(log variance - (z/l - x/l)^2 / 2), the halving
+    and the variance folded into the scale and the exponent."""
     if c.axes is None:
         return rbf_matrix(X, c.model.Z, p)
     ls = p.lengthscales
+    if len(c.axes) == 1:
+        s = math.sqrt(0.5) / ls[0]
+        E = np.subtract.outer(c.axes[0] * s, X[:, 0] * s)
+        E *= E
+        np.subtract(math.log(p.variance), E, out=E)
+        return (np.exp(E, out=E),)
     E = np.concatenate([X[:, d] / ls[d] - (a / ls[d])[:, None] for d, a in enumerate(c.axes)])
     E *= E
     E *= -0.5
@@ -290,9 +298,12 @@ def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
     (N, C) or (N,).
 
     Per-axis factors fold V into the first axis's factor and meet the
-    state-wise products of the other axes' factors in one matrix product."""
+    state-wise products of the other axes' factors in one matrix product;
+    a single factor is one matrix product."""
     if isinstance(k, np.ndarray):
         return k.T @ V
+    if len(k) == 1:
+        return k[0] @ V
     N = k[0].shape[1]
     VT = np.ascontiguousarray(V.T).reshape(-1, N)
     A = (VT[:, None, :] * k[0]).reshape(-1, N)          # (C * n_1, N)
@@ -337,20 +348,23 @@ def _products(kf, ks, c: FieldCache, derivs: bool):
     return [F, sig, T[:, :f], T[:, s + 1:]] if derivs else [F, sig]
 
 
-def drift_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
-    """Drift vectors at stacked states, shape (N, D)."""
-    return rows_matmul(_rows(X, c, c.model.drift_params), c.alpha_f)
-
-
-def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
-    """Signed diffusion values at stacked states, shape (N,)."""
-    return rows_matmul(_rows(X, c, c.model.diff_params), c.alpha_s)
-
-
 def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
     """Both fields at once, sharing the kernel rows when the kernels are equal."""
     F, sig = _products(*_kernel_rows(X, c), c, derivs=False)
     return F, sig
+
+
+def drift_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
+    """Drift vectors at stacked states, shape (N, D): the drift of
+    :func:`drift_diffusion_batch`, from the same contraction, so the two
+    agree to the last bit."""
+    return drift_diffusion_batch(X, c)[0]
+
+
+def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
+    """Signed diffusion values at stacked states, shape (N,): the diffusion
+    of :func:`drift_diffusion_batch`, from the same contraction."""
+    return drift_diffusion_batch(X, c)[1]
 
 
 def step_terms_batch(X: np.ndarray, c: FieldCache):

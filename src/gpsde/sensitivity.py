@@ -62,7 +62,7 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid,
         dt_i = dt[:, i, None]
         gf += rows_t_matmul(kf, dt_i * lam)
         gs += rows_t_matmul(ks, dWl)
-        lam = lam + dt_i * (lam[:, None, :] @ jac_x)[:, 0] + diff_gx * dWl[:, None]
+        lam = lam + dt_i * np.einsum("sd,sde->se", lam, jac_x) + diff_gx * dWl[:, None]
     grad_f = scipy.linalg.cho_solve(c.chol_f, gf).ravel()
     grad_s = scipy.linalg.cho_solve(c.chol_s, gs)
     return grad_f, grad_s

@@ -118,8 +118,8 @@ def oscillator_hotspot() -> ParametricSystem:
 def van_der_pol(mu: float = 1.0) -> ParametricSystem:
     """Van der Pol oscillator with a localized diffusion bump on the cycle:
     sigma(x) = 1.5 N(x | (2, 0), 0.25 I) + 0.3."""
-    if mu < 0:
-        raise InputError("mu must be non-negative")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise InputError("mu must be non-negative and finite")
     center = np.array([2.0, 0.0])
 
     def drift(X):

@@ -328,6 +328,14 @@ class TestEvaluate:
     (["simulate", "--x0", "nan"], "--x0"),
     (["evaluate", "--x0", "inf"], "--x0"),
     (["evaluate", "--box=-2:nan"], "--box"),
+    (["generate", "--system", "van-der-pol", "--mu", "nan"], "--mu"),
+    (["generate", "--system", "van-der-pol", "--mu", "inf"], "--mu"),
+    (["evaluate", "--system", "van-der-pol", "--mu", "nan"], "--mu"),
+    (["evaluate", "--system", "van-der-pol", "--mu=-inf"], "--mu"),
+    (["simulate", "--x0", "0.5", "--density-grid=-3:3:5", "--density-time", "inf"],
+     "--density-time"),
+    (["simulate", "--x0", "0.5", "--density-grid=-3:3:5", "--density-time", "nan"],
+     "--density-time"),
 ])
 def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
                                                osc_dataset, tmp_path, capsys):

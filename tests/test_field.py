@@ -396,7 +396,8 @@ def cartesian(axes):
                          ids=["1", "2", "3", "2-grid", "3-grid"])
 @pytest.mark.parametrize("same", [True, False])
 def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
-    # scattered Z takes dense rows; a Cartesian grid takes per-axis factors
+    # scattered Z in D >= 2 takes dense rows; a Cartesian grid, and every
+    # 1-d Z, takes per-axis factors
     rng = np.random.default_rng(40 + D)
     pf = KernelParams(1.3, rng.uniform(0.6, 1.6, size=D))   # anisotropic
     ps = pf if same else KernelParams(0.7, rng.uniform(0.6, 1.6, size=D))
@@ -413,7 +414,7 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
     m = InducingModel(Z=Z, **kw)
     c = build_cache(m)
     assert (c.chol_s is c.chol_f) == same
-    assert (c.axes is None) == (grid is None)
+    assert (c.axes is None) == (grid is None and D > 1)
     far = m.Z + 50 * np.max(np.maximum(pf.lengthscales, ps.lengthscales))
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)
@@ -424,6 +425,9 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
                       ("jac_x", jac_x), ("diff_gx", diff_gx),
                       ("F", drift_batch(X, c)), ("sig", diffusion_batch(X, c))):
         assert_rel_close(val, ref[name])
+    # the separate fields read the joint evaluation's contraction, to the bit
+    assert np.array_equal(drift_batch(X, c), F)
+    assert np.array_equal(diffusion_batch(X, c), sig)
     # at the inducing locations the rows peak at the variance; far away they vanish
     at_z = np.arange(30, 30 + M)
     for k, p in ((rows_f, pf), (rows_s, ps)):
