@@ -254,11 +254,12 @@ def _rows(X: np.ndarray, c: FieldCache, p: KernelParams):
     their elementwise work runs along the states, with
     k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp.
 
-    A single factor is exp(log variance - (x/l - z/l)^2 / 2), the halving
-    and the variance folded into the scale and the exponent.  Its (M, N)
-    differences come from one (M, 2) @ (2, N) product of [-z s, 1] and
-    [1; x s]: each entry sums two exact products, so it rounds as the
-    subtraction would, and faster than numpy's broadcast subtraction."""
+    A single factor is exp(log variance - (x s - z s)^2) with
+    s = sqrt(1/2) / l, the halving and the variance folded into the scale
+    and the exponent.  Its (M, N) differences come from one
+    (M, 2) @ (2, N) product of [-z s, 1] and [1; x s]: each entry sums two
+    exact products, so it rounds as the subtraction would, and the product
+    is faster than numpy's broadcast subtraction."""
     if c.axes is None:
         return rbf_matrix(X, c.model.Z, p)
     ls = p.lengthscales
