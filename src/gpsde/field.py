@@ -14,16 +14,16 @@ one with :func:`build_cache` and rebuild whenever Z or the kernel
 parameters change; :func:`update_values` is the one way to replace the
 inducing values or noise, and it reuses the factorizations.
 
-When Z is a Cartesian grid (as in every ``gpsde fit`` model, and every
-1-d Z, which is the one-axis grid of its own points), a kernel row is a
-product of one factor per axis,
+Z is always a Cartesian grid of per-axis coordinates a_d (every 1-d Z is
+the one-axis grid of its own points), as ``gpsde fit`` places it, so a
+kernel row is a product of one factor per axis,
 
     k(x, z_m) = variance * prod_d exp(-(x_d - a_d[i_d(m)])^2 / (2 l_d^2)),
 
-so the rows at N states cost N * sum_d n_d exponentials instead of N * M
-and are kept as those per-axis factors; :func:`rows_matmul` and
-:func:`rows_t_matmul` contract them with weights one axis at a time, and
-the dense rows serve only a Z in D >= 2 that is no such grid.
+and the rows at N states cost N * sum_d n_d exponentials instead of N * M.
+They are kept as those per-axis factors, never as (N, M) arrays;
+:func:`rows_matmul` and :func:`rows_t_matmul` contract them with weights
+one axis at a time.
 
 Evaluation functions are pure and safe to call concurrently; models and
 caches are immutable after construction.
@@ -39,16 +39,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, InternalError, NumericalError
-from .kernels import (
-    JITTER_SCALE,
-    KernelParams,
-    as_points,
-    gram,
-    rbf_matrix,
-    same_params,
-)
-# not used here: bench/tracer.py wraps gpsde.field.gram_blocked by name
-from .kernels import gram_blocked  # noqa: F401
+from .kernels import JITTER_SCALE, KernelParams, as_points, gram, same_params
+# not used here: bench/tracer.py wraps gpsde.field.gram_blocked and
+# gpsde.field.rbf_matrix by name
+from .kernels import gram_blocked, rbf_matrix  # noqa: F401
 
 
 def _frozen_array(a):
@@ -61,13 +55,17 @@ def _frozen_array(a):
 class InducingModel:
     """State of the learnable SDE field model.
 
-    Z          -- (M, D) inducing locations, finite and pairwise distinct
+    Z          -- (M, D) inducing locations: the distinct points of a
+                  Cartesian grid of finite per-axis coordinates, in
+                  grid_points order (the last axis varies fastest)
     U_f        -- (M, D) finite drift inducing vectors (row m belongs to Z_m)
     u_sigma    -- (M,) finite diffusion inducing values
     drift_params, diff_params -- kernel hyperparameters
     noise_vars -- (D,) positive finite diagonal observation noise variances
     A          -- optional, construction only: the drift outputs are
                   independent, so a dependency matrix must be the identity
+    axes       -- derived, not an init field: the per-axis coordinates
+                  of Z's grid, one (n_d,) array per axis
 
     Construction and :func:`update_values` check every value.
     """
@@ -92,12 +90,13 @@ class InducingModel:
         if A is not None and not np.array_equal(np.asarray(A, dtype=float), np.eye(D)):
             raise InputError(f"dependency matrix A must be the {D}x{D} identity: "
                              "the drift outputs are independent")
-        if M > 1:
-            d2 = np.sum((Z[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
-            d2[np.diag_indices(M)] = np.inf
-            if d2.min() == 0.0:
-                raise InputError("inducing locations must be pairwise distinct")
-        object.__setattr__(self, "Z", _frozen_array(Z))
+        Z = _frozen_array(Z)
+        axes = _grid_axes(Z)
+        if axes is None:
+            raise InputError("inducing locations Z must be the distinct points of a "
+                             "Cartesian grid in grid_points order (last axis fastest)")
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "axes", axes)
         self._set_values(self.U_f, self.u_sigma, self.noise_vars)
 
     def _set_values(self, U_f, u_sigma, noise_vars):
@@ -142,11 +141,9 @@ class FieldCache:
     shape (M, D), and alpha_s = K_s^{-1} u_sigma are the interpolation
     weights: the fields at N states are the kernel rows k(X, Z) times them.
 
-    axes holds the per-axis coordinates when Z is their Cartesian grid in
-    grid_points order (last axis fastest), as every 1-d Z is, else None.
-    On such a grid, weights holds every weight the fields and their state
-    derivatives contract the rows with, as rows of one (D*D + 2D + 1, M)
-    array: alpha_f[m, d] z_me (D*D rows), alpha_f^T (D), alpha_s (1) and
+    weights holds every weight the fields and their state derivatives
+    contract the rows with, as rows of one (D*D + 2D + 1, M) array:
+    alpha_f[m, d] z_me (D*D rows), alpha_f^T (D), alpha_s (1) and
     alpha_s[m] z_m^T (D).  In that order each set one contraction needs is
     a contiguous block.
     """
@@ -158,8 +155,7 @@ class FieldCache:
     logdet_s: float
     alpha_f: np.ndarray
     alpha_s: np.ndarray
-    axes: tuple | None
-    weights: np.ndarray | None
+    weights: np.ndarray
 
 
 def _checked(m: InducingModel, c: FieldCache):
@@ -192,8 +188,6 @@ def build_cache(m: InducingModel) -> FieldCache:
     chol_s = chol_f if same else _factor(Ks, "diffusion")
     alpha_f = scipy.linalg.cho_solve(chol_f, m.U_f)
     alpha_s = scipy.linalg.cho_solve(chol_s, m.u_sigma)
-    axes = _grid_axes(m.Z)
-
     return FieldCache(
         model=m,
         chol_f=chol_f,
@@ -203,15 +197,15 @@ def build_cache(m: InducingModel) -> FieldCache:
         logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
         alpha_f=alpha_f,
         alpha_s=alpha_s,
-        axes=axes,
-        weights=None if axes is None else _grid_weights(m.Z, alpha_f, alpha_s),
+        weights=_grid_weights(m.Z, alpha_f, alpha_s),
     )
 
 
 def _grid_axes(Z: np.ndarray):
-    """The per-axis coordinates of Z when Z is their Cartesian grid with
-    the last axis varying fastest, else None; a 1-d Z, whose points are
-    distinct, gives (Z[:, 0],)."""
+    """The per-axis coordinates of a non-empty Z when Z is the Cartesian
+    grid of distinct coordinates with the last axis varying fastest, else
+    None; a 1-d Z of distinct points gives (Z[:, 0],).  A grid that equals
+    Z has n_d distinct coordinates on axis d, so its points are distinct."""
     M, D = Z.shape
     sizes = [np.unique(Z[:, d]).size for d in range(D)]
     if math.prod(sizes) != M:
@@ -242,15 +236,15 @@ def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                    m.noise_vars if noise_vars is None else noise_vars)
     alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.U_f) if U_f is not None else c.alpha_f
     alpha_s = scipy.linalg.cho_solve(c.chol_s, m2.u_sigma) if u_sigma is not None else c.alpha_s
-    weights = None if c.axes is None else _grid_weights(m2.Z, alpha_f, alpha_s)
-    return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s, weights=weights)
+    return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s,
+                       weights=_grid_weights(m2.Z, alpha_f, alpha_s))
 
 
 # -- field evaluation ---------------------------------------------------------
 
-def _rows(X: np.ndarray, c: FieldCache, p: KernelParams):
-    """Kernel rows k(X, Z) of kernel p: dense (N, M) from rbf_matrix, or on
-    a grid cache a tuple of per-axis factors E_d, each (n_d, N) so that
+def _rows(X: np.ndarray, axes: tuple, p: KernelParams):
+    """Kernel rows k(X, Z) of kernel p on the grid of the 1-d coordinate
+    arrays axes, as a tuple of per-axis factors E_d, each (n_d, N) so that
     their elementwise work runs along the states, with
     k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp.
 
@@ -260,25 +254,23 @@ def _rows(X: np.ndarray, c: FieldCache, p: KernelParams):
     (M, 2) @ (2, N) product of [-z s, 1] and [1; x s]: each entry sums two
     exact products, so it rounds as the subtraction would, and the product
     is faster than numpy's broadcast subtraction."""
-    if c.axes is None:
-        return rbf_matrix(X, c.model.Z, p)
     ls = p.lengthscales
-    if len(c.axes) == 1:
+    if len(axes) == 1:
         s = math.sqrt(0.5) / ls[0]
-        A = np.ones((c.axes[0].size, 2))
-        A[:, 0] = c.axes[0] * -s
+        A = np.ones((axes[0].size, 2))
+        A[:, 0] = axes[0] * -s
         B = np.ones((2, len(X)))
         B[1] = X[:, 0] * s
         E = A @ B
         E *= E
         np.subtract(math.log(p.variance), E, out=E)
         return (np.exp(E, out=E),)
-    E = np.concatenate([X[:, d] / ls[d] - (a / ls[d])[:, None] for d, a in enumerate(c.axes)])
+    E = np.concatenate([X[:, d] / ls[d] - (a / ls[d])[:, None] for d, a in enumerate(axes)])
     E *= E
     E *= -0.5
     np.exp(E, out=E)
     factors, start = [], 0
-    for a in c.axes:
+    for a in axes:
         factors.append(E[start:start + a.size])
         start += a.size
     factors[0] *= p.variance
@@ -286,14 +278,12 @@ def _rows(X: np.ndarray, c: FieldCache, p: KernelParams):
 
 
 def rows_matmul(k, W: np.ndarray) -> np.ndarray:
-    """k(X, Z) @ W for rows k from :func:`step_terms_batch` and W of shape
-    (M, C) or (M,).
+    """k(X, Z) @ W for the per-axis factors k from :func:`step_terms_batch`
+    and W of shape (M, C) or (M,).
 
-    Per-axis factors contract W's last grid axis with one matrix product,
-    then each earlier axis with a dot product per state, so no (N, M)
-    array is formed."""
-    if isinstance(k, np.ndarray):
-        return k @ W
+    It contracts W's last grid axis with one matrix product, then each
+    earlier axis with a dot product per state, so no (N, M) array is
+    formed."""
     N = k[0].shape[1]
     T = W.T.reshape(-1, k[-1].shape[0]) @ k[-1]      # (C * M / n_D, N)
     for e in k[-2::-1]:
@@ -302,14 +292,12 @@ def rows_matmul(k, W: np.ndarray) -> np.ndarray:
 
 
 def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
-    """k(X, Z)^T @ V for rows k from :func:`step_terms_batch` and V of shape
-    (N, C) or (N,).
+    """k(X, Z)^T @ V for the per-axis factors k from :func:`step_terms_batch`
+    and V of shape (N, C) or (N,).
 
-    Per-axis factors fold V into the first axis's factor and meet the
-    state-wise products of the other axes' factors in one matrix product;
-    a single factor is one matrix product."""
-    if isinstance(k, np.ndarray):
-        return k.T @ V
+    It folds V into the first axis's factor and meets the state-wise
+    products of the other axes' factors in one matrix product; a single
+    factor is one matrix product."""
     if len(k) == 1:
         return k[0] @ V
     N = k[0].shape[1]
@@ -325,8 +313,8 @@ def _kernel_rows(X: np.ndarray, c: FieldCache):
     """Drift and diffusion kernel rows at X; one serves both when the
     kernels are equal."""
     m = c.model
-    kf = _rows(X, c, m.drift_params)
-    ks = kf if c.chol_s is c.chol_f else _rows(X, c, m.diff_params)
+    kf = _rows(X, m.axes, m.drift_params)
+    ks = kf if c.chol_s is c.chol_f else _rows(X, m.axes, m.diff_params)
     return kf, ks
 
 
@@ -334,17 +322,9 @@ def _products(kf, ks, c: FieldCache, derivs: bool):
     """F = k_f @ alpha_f (N, D) and sig = k_s @ alpha_s (N,) and, with derivs,
     k_f @ (alpha_f[m, d] z_me) (N, D*D) and k_s @ (alpha_s[m] z_m) (N, D).
 
-    Dense rows take one product per weight.  On a grid each kernel's
-    weights are one block of c.weights, so each kernel's factors take one
-    contraction, and shared factors one for both kernels."""
-    m = c.model
-    D = m.D
-    if c.axes is None:
-        out = [kf @ c.alpha_f, ks @ c.alpha_s]
-        if derivs:
-            out += [kf @ (c.alpha_f[:, :, None] * m.Z[:, None, :]).reshape(-1, D * D),
-                    ks @ (c.alpha_s[:, None] * m.Z)]
-        return out
+    Each kernel's weights are one block of c.weights, so each kernel's
+    factors take one contraction, and shared factors one for both kernels."""
+    D = c.model.D
     f, s = D * D, D * D + D          # rows of alpha_f^T and alpha_s in c.weights
     lo, hi = (0, len(c.weights)) if derivs else (f, s + 1)
     if kf is ks:
@@ -379,12 +359,11 @@ def step_terms_batch(X: np.ndarray, c: FieldCache):
     """Kernel rows kf, ks, drift state Jacobian jac_x (N, D, D) and
     diffusion state gradient diff_gx (N, D) at N states, as a tuple.
 
-    The rows are dense (N, M) arrays, or on a grid cache per-axis factors;
-    :func:`rows_matmul` and :func:`rows_t_matmul` take products with
-    either.  With d k(x, z_m) / dx = k(x, z_m) (z_m - x) / l^2, the
-    derivatives are products of the rows with the (M, D*D) and (M, D)
-    weights alpha_f[m, d] z_me and alpha_s[m] z_m, minus the field value
-    times x:
+    The rows are per-axis factors; :func:`rows_matmul` and
+    :func:`rows_t_matmul` take products with them.  With
+    d k(x, z_m) / dx = k(x, z_m) (z_m - x) / l^2, the derivatives are
+    products of the rows with the (M, D*D) and (M, D) weights
+    alpha_f[m, d] z_me and alpha_s[m] z_m, minus the field value times x:
 
         J_f(x)[d, e] = (sum_m k_f alpha_f[m, d] z_me - f_d(x) x_e) / l_f,e^2
         grad sigma(x)[e] = (sum_m k_s alpha_s[m] z_me - sigma(x) x_e) / l_s,e^2

@@ -63,7 +63,9 @@ def as_points(X, dim=None, name="X") -> np.ndarray:
 
 def rbf_matrix(X: np.ndarray, Z: np.ndarray, p: KernelParams) -> np.ndarray:
     """Pairwise kernel values variance * exp(-0.5 sum_d (x_d - z_d)^2 / l_d^2)
-    for stacked states, shape (len(X), len(Z)).
+    for stacked states, shape (len(X), len(Z)): the dense rows that the
+    gradient-matching initialisation uses and the tests compare with (the
+    field keeps its rows as per-axis factors instead).
 
     The exponent -|x/l - z/l|^2 / 2 comes from one matrix product,
     (x/l).(z/l) - |x/l|^2 / 2 - |z/l|^2 / 2, clamped at zero because rounding

@@ -46,6 +46,17 @@ def report(criterion: str, ok: bool, detail: str):
 
 # -- criterion 1: gradient fidelity -------------------------------------------
 
+def distinct_uniform(rng, M, D):
+    """M points drawn from U(-2, 2)^D, redrawn until pairwise distinct."""
+    Z = rng.uniform(-2, 2, (M, D))
+    while True:
+        d2 = np.sum((Z[:, None] - Z[None]) ** 2, -1)
+        d2[np.diag_indices(M)] = np.inf
+        if d2.min() > 1e-4:
+            return Z
+        Z = rng.uniform(-2, 2, (M, D))
+
+
 def random_instance(seed):
     rng = np.random.default_rng(seed)
     D = int(rng.integers(1, 3))
@@ -53,13 +64,16 @@ def random_instance(seed):
     n_obs = int(rng.integers(3, 11))
     n_samples = int(rng.integers(2, 6))
     factor = int(rng.integers(2, max(3, 100 // (n_obs - 1))))
-    Z = rng.uniform(-2, 2, (M, D))
-    while True:  # ensure distinct rows
-        d2 = np.sum((Z[:, None] - Z[None]) ** 2, -1)
-        d2[np.diag_indices(M)] = np.inf
-        if d2.min() > 1e-4:
-            break
-        Z = rng.uniform(-2, 2, (M, D))
+    if D == 1:
+        Z = distinct_uniform(rng, M, 1)
+    else:
+        # the Cartesian grid of 1-3 random coordinates per axis, M >= 2 points
+        sizes = rng.integers(1, 4, size=2)
+        while sizes.prod() < 2:
+            sizes = rng.integers(1, 4, size=2)
+        axes = [distinct_uniform(rng, n, 1)[:, 0] for n in sizes]
+        Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        M = len(Z)
     m = InducingModel(
         Z=Z,
         U_f=0.5 * rng.normal(size=(M, D)),

@@ -376,13 +376,15 @@ def test_one_row_trajectory_is_data_error(cmd, tiny_dataset, tiny_model, tmp_pat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("payload", ["list", "string-Z", "ragged-U_f", "nan-U_f", "inf-Z"])
+@pytest.mark.parametrize("payload", ["list", "string-Z", "ragged-U_f", "nan-U_f", "inf-Z",
+                                     "duplicate-Z"])
 @pytest.mark.parametrize("cmd", ["simulate", "evaluate"])
 def test_malformed_model_file_is_data_error(payload, cmd, tiny_model, tmp_path, capsys):
     d = json.loads(tiny_model.read_text())
     edits = {"string-Z": ("Z", "abc"), "ragged-U_f": ("U_f", [[0.0], [1.0, 2.0]]),
              "nan-U_f": ("U_f", [[float("nan")]] + d["U_f"][1:]),
-             "inf-Z": ("Z", [[float("inf")]] + d["Z"][1:])}
+             "inf-Z": ("Z", [[float("inf")]] + d["Z"][1:]),
+             "duplicate-Z": ("Z", d["Z"][:1] + d["Z"][:-1])}
     if payload in edits:
         key, value = edits[payload]
         d[key] = value

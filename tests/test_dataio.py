@@ -73,10 +73,14 @@ def test_dataset_of_mixed_dimensions_names_the_odd_file(tmp_path, awkward_trajec
         dataio.read_dataset(tmp_path)
 
 
+def cartesian(axes):
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def make_model():
     rng = np.random.default_rng(5)
     return InducingModel(
-        Z=rng.uniform(-2, 2, (4, 2)),
+        Z=cartesian(rng.uniform(-2, 2, (2, 2))),
         U_f=rng.normal(scale=12.3, size=(4, 2)),
         u_sigma=rng.normal(size=4) * 1e-7,
         drift_params=KernelParams(1.0, [0.31459, 1.77]),
@@ -158,6 +162,19 @@ def test_model_schema_guard(tmp_path):
     for text in payloads:
         p.write_text(text)
         with pytest.raises(DataError, match="model.json"):
+            dataio.load_model(p)
+
+
+def test_model_whose_z_is_no_grid_rejected(tmp_path):
+    # a 2-d Z must be the distinct points of a Cartesian grid in grid_points
+    # order: scattered points, or the grid's points permuted, are no grid
+    p = tmp_path / "model.json"
+    d = dataio.model_to_dict(make_model())
+    Z = np.array(d["Z"])
+    scattered = Z + np.random.default_rng(6).uniform(-0.1, 0.1, Z.shape)
+    for bad in (scattered, Z[[1, 0, 2, 3]]):
+        p.write_text(json.dumps(with_entry(d, "Z", bad.tolist())))
+        with pytest.raises(DataError, match="model.json.*Cartesian grid"):
             dataio.load_model(p)
 
 

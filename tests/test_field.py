@@ -26,13 +26,22 @@ from gpsde.sensitivity import simulate_bundle_with_sensitivities
 from gpsde.sim import TimeGrid
 
 
-def make_model(seed=0, D=2, M=5, spacing=1.0, u_scale=1.0):
+GRID_RULE = "distinct points of a Cartesian grid in grid_points order"
+
+
+def cartesian(axes):
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def make_model(seed=0, D=2, M=6, spacing=1.0, u_scale=1.0):
+    """A model whose Z is the grid of M // D permuted, evenly spaced
+    coordinates and, for D = 2, two jittered ones on the second axis; the
+    spacing keeps the Gram matrices comfortably conditioned."""
     rng = np.random.default_rng(seed)
-    # jittered grid keeps the Gram matrices comfortably conditioned
-    base = np.stack(np.meshgrid(*[np.arange(M) * spacing] * 1, indexing="ij"), -1)
-    Z = rng.permutation(np.arange(M))[:, None] * spacing
+    axes = [rng.permutation(np.arange(M // D)) * spacing]
     if D == 2:
-        Z = np.concatenate([Z, rng.uniform(-1, 1, (M, 1))], axis=1)
+        axes.append((np.arange(2) - 0.5) * spacing + rng.uniform(-0.2, 0.2, 2))
+    Z = cartesian(axes)
     return InducingModel(
         Z=Z,
         U_f=u_scale * rng.normal(size=(M, D)),
@@ -111,7 +120,7 @@ def test_model_validation():
 def test_equal_inducing_rows_rejected():
     p = KernelParams(1.0, [1.0, 1.0])
     Z = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(InputError, match="pairwise distinct"):
+    with pytest.raises(InputError, match=GRID_RULE):
         InducingModel(Z=Z, U_f=np.zeros((3, 2)), u_sigma=np.zeros(3),
                       drift_params=p, diff_params=p, noise_vars=[0.1, 0.1])
 
@@ -136,7 +145,7 @@ def test_update_values_shares_z_and_checks_only_the_values(model_and_cache):
 
 def test_dependency_matrix_must_be_identity():
     p = KernelParams(1.0, [1.0, 1.0])
-    kw = dict(Z=[[0.0, 0.0], [1.0, 0.5]], U_f=np.zeros((2, 2)), u_sigma=np.zeros(2),
+    kw = dict(Z=[[0.0, 0.0], [0.0, 0.5]], U_f=np.zeros((2, 2)), u_sigma=np.zeros(2),
               drift_params=p, diff_params=p, noise_vars=[0.1, 0.1])
     InducingModel(**kw, A=np.eye(2))
     with pytest.raises(InputError):
@@ -305,7 +314,7 @@ def test_equal_kernels_factor_like_two_separate_gram_matrices():
     # factor, bit-identical to factoring its own jittered Gram matrix
     rng = np.random.default_rng(12)
     M = 9
-    m = InducingModel(Z=rng.uniform(-2, 2, size=(M, 2)), U_f=rng.normal(size=(M, 2)),
+    m = InducingModel(Z=cartesian(rng.uniform(-2, 2, size=(2, 3))), U_f=rng.normal(size=(M, 2)),
                       u_sigma=rng.normal(size=M), drift_params=KernelParams(1.3, [0.7, 0.9]),
                       diff_params=KernelParams(1.3, [0.7, 0.9]), noise_vars=[0.1, 0.1])
     c = build_cache(m)
@@ -388,16 +397,12 @@ def test_cache_pairs_only_with_the_model_it_was_built_from(tmp_path):
         evaluate_with_increments([tr], m2, c1, grids, incs)
 
 
-def cartesian(axes):
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
 @pytest.mark.parametrize("D,grid", [(1, None), (2, None), (3, None), (2, (4, 3)), (3, (3, 2, 4))],
                          ids=["1", "2", "3", "2-grid", "3-grid"])
 @pytest.mark.parametrize("same", [True, False])
 def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
-    # scattered Z in D >= 2 takes dense rows; a Cartesian grid, and every
-    # 1-d Z, takes per-axis factors
+    # a Cartesian grid, and every 1-d Z, takes per-axis factors; a scattered
+    # Z in D >= 2 is no grid and is rejected
     rng = np.random.default_rng(40 + D)
     pf = KernelParams(1.3, rng.uniform(0.6, 1.6, size=D))   # anisotropic
     ps = pf if same else KernelParams(0.7, rng.uniform(0.6, 1.6, size=D))
@@ -411,15 +416,20 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
     M = len(Z)
     kw = dict(U_f=rng.normal(size=(M, D)), u_sigma=rng.normal(size=M),
               drift_params=pf, diff_params=ps, noise_vars=np.full(D, 0.1))
+    if grid is None and D > 1:
+        with pytest.raises(InputError, match=GRID_RULE):
+            InducingModel(Z=Z, **kw)
+        return
     m = InducingModel(Z=Z, **kw)
     c = build_cache(m)
     assert (c.chol_s is c.chol_f) == same
-    assert (c.axes is None) == (grid is None and D > 1)
     far = m.Z + 50 * np.max(np.maximum(pf.lengthscales, ps.lengthscales))
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)
     F, sig = drift_diffusion_batch(X, c)
     kf, ks, jac_x, diff_gx = step_terms_batch(X, c)
+    for k in (kf, ks):
+        assert [e.shape for e in k] == [(a.size, len(X)) for a in m.axes]
     rows_f, rows_s = rows_matmul(kf, np.eye(M)), rows_matmul(ks, np.eye(M))
     for name, val in (("F", F), ("sig", sig), ("kf", rows_f), ("ks", rows_s),
                       ("jac_x", jac_x), ("diff_gx", diff_gx),
@@ -444,28 +454,21 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
         assert_rel_close(rows_t_matmul(k, V[:, 0]), dense.T @ V[:, 0])
     if grid is None:
         return
-    # a grid out of grid_points order, or with one point moved, is no grid:
-    # it takes dense rows, and the permuted one gives the same fields
+    # a grid out of grid_points order, or with one point moved, is no grid
     perm = rng.permutation(M)
-    c_perm = build_cache(InducingModel(Z=Z[perm], **{**kw, "U_f": kw["U_f"][perm],
-                                                     "u_sigma": kw["u_sigma"][perm]}))
     moved = Z.copy()
     moved[-1, 0] += 0.1
-    c_moved = build_cache(InducingModel(Z=moved, **kw))
-    assert c_perm.axes is None and c_moved.axes is None
-    assert_rel_close(drift_diffusion_batch(X, c_perm)[0], F)
-    assert_rel_close(drift_diffusion_batch(X, c_perm)[1], sig)
-    ref_moved = field_oracle(X, c_moved)
-    F_moved, sig_moved = drift_diffusion_batch(X, c_moved)
-    assert_rel_close(F_moved, ref_moved["F"])
-    assert_rel_close(sig_moved, ref_moved["sig"])
+    for bad in (Z[perm], moved):
+        with pytest.raises(InputError, match=GRID_RULE):
+            InducingModel(Z=bad, **kw)
 
 
 def test_step_terms_form_no_n_by_m_by_d_temporary():
-    # distinct kernels: the two (N, M) rows it returns are the floor
+    # distinct kernels on a 15 x 15 grid: the rows are per-axis factors, so
+    # the peak stays below one dense (N, M) row set
     N, M, D = 200, 225, 2
     rng = np.random.default_rng(9)
-    m = InducingModel(Z=rng.uniform(-2, 2, size=(M, D)), U_f=rng.normal(size=(M, D)),
+    m = InducingModel(Z=cartesian([np.linspace(-2, 2, 15)] * D), U_f=rng.normal(size=(M, D)),
                       u_sigma=rng.normal(size=M), drift_params=KernelParams(1.0, [0.5, 0.7]),
                       diff_params=KernelParams(1.0, [0.6, 0.6]), noise_vars=[0.1, 0.1])
     c = build_cache(m)
@@ -477,5 +480,5 @@ def test_step_terms_form_no_n_by_m_by_d_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kf.shape == (N, M)
-    assert peak < 3 * N * M * 8, f"peak {peak} B"
+    assert [e.shape for e in kf] == [(15, N)] * D
+    assert peak < N * M * 8, f"peak {peak} B"

@@ -22,10 +22,13 @@ LONG_N_OBS = 2 * SEGMENT_INTERVALS + 10
 
 
 def small_model(seed=0, D=1, M=4, u_scale=0.5):
+    """A model with distinct kernels whose Z is the grid of M // D evenly
+    spaced coordinates and, for D = 2, two jittered ones on the second axis."""
     rng = np.random.default_rng(seed)
-    Z = np.linspace(-1.5, 1.5, M)[:, None]
+    axes = [np.linspace(-1.5, 1.5, M // D)]
     if D == 2:
-        Z = np.concatenate([Z, rng.uniform(-1.5, 1.5, (M, 1))], axis=1)
+        axes.append(np.array([-0.75, 0.75]) + rng.uniform(-0.3, 0.3, 2))
+    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     m = InducingModel(
         Z=Z,
         U_f=u_scale * rng.normal(size=(M, D)),
@@ -39,7 +42,7 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
 
 def grid_model(seed=0, u_scale=0.5):
     """A 2-d model on a 2 x 3 Cartesian inducing grid with equal kernels,
-    whose kernel rows the field keeps as per-axis factors."""
+    whose one set of per-axis factors serves both fields."""
     rng = np.random.default_rng(seed)
     axes = [np.linspace(-1.5, 1.5, 2), np.linspace(-1.5, 1.5, 3)]
     Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -47,9 +50,7 @@ def grid_model(seed=0, u_scale=0.5):
     m = InducingModel(Z=Z, U_f=u_scale * rng.normal(size=(6, 2)),
                       u_sigma=u_scale * rng.normal(size=6),
                       drift_params=p, diff_params=p, noise_vars=np.full(2, 0.04))
-    c = build_cache(m)
-    assert c.axes is not None
-    return m, c
+    return m, build_cache(m)
 
 
 def make_problem(seed=0, D=1, n_obs=5, n_samples=3, factor=6):
@@ -215,7 +216,7 @@ class TestGradients:
         pytest.param(3, 1, [np.linspace(0.0, 1.0, LONG_N_OBS)], False, id="3-1-long"),
         # irregular sampling: both trajectories simulate in one batch
         pytest.param(4, 2, IRREGULAR_TIMES, False, id="4-2-irregular"),
-        # Cartesian Z: the field and the adjoint sweep use per-axis factors
+        # equal kernels: the field and the adjoint sweep share one set of factors
         pytest.param(5, 2, [np.linspace(0.0, 1.0, 5)], True, id="5-2-grid"),
     ])
     def test_full_gradient_matches_frozen_noise_fd(self, seed, D, times, grid):
