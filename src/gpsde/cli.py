@@ -208,7 +208,7 @@ def cmd_fit(args) -> int:
     # every flag is checked before any output is written
     _at_least(1, ("--n-samples", args.n_samples),
               ("--resolution-factor", args.resolution_factor))
-    _at_least(0, ("--resample-period", args.resample_period), ("--max-iters", args.max_iters))
+    _at_least(0, ("--max-iters", args.max_iters))
     _positive("--grad-tol", args.grad_tol)
     _positive("--kernel-variance", args.kernel_variance)
     noise_vars = _positive_floats(args.noise_vars, "--noise-vars")
@@ -224,12 +224,11 @@ def cmd_fit(args) -> int:
              f"needs one axis, or one per data dimension ({D})", args.inducing)
     if len(spec) == 1 and D > 1:
         spec = spec * D
-    grid = tuple((v, v) for v in lengthscales) or default_lengthscale_grid(data)
+    grid = tuple(lengthscales) or default_lengthscale_grid(data)
     fit_cfg = FitConfig(
         lengthscale_grid=grid, inducing_grid_spec=spec,
         resolution_factor=args.resolution_factor, n_samples=args.n_samples,
-        seed=args.seed, resample_period=args.resample_period or None,
-        max_iters=args.max_iters, grad_tol=args.grad_tol,
+        seed=args.seed, max_iters=args.max_iters, grad_tol=args.grad_tol,
         kernel_variance=args.kernel_variance,
         fix_noise_vars=tuple(noise_vars) or None,
     )
@@ -356,12 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--grad-tol", type=float, default=1e-4)
     f.add_argument("--n-samples", type=int, default=50)
     f.add_argument("--resolution-factor", type=int, default=2)
-    f.add_argument("--resample-period", type=int, default=0,
-                   help="0 keeps one frozen noise draw for the whole fit")
     f.add_argument("--inducing", default="auto:15",
                    help="'lo:hi:count[,...]' or 'auto:count'")
     f.add_argument("--lengthscales", default="",
-                   help="comma list of isotropic candidates")
+                   help="comma list of isotropic candidates, each one lengthscale "
+                        "for both the drift and the diffusion kernel")
     f.add_argument("--kernel-variance", type=float, default=1.0)
     f.add_argument("--noise-vars", default="",
                    help="fix the observation noise variances (comma list) "

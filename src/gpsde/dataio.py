@@ -242,18 +242,13 @@ def report_to_dict(report) -> dict:
     # wall_time is deliberately not serialised: output files must be
     # byte-identical across reruns of the same seeded config.
     return {
-        "selected_lengthscales": {
-            "drift": np.asarray(report.selected_lengthscales[0]).tolist(),
-            "diffusion": np.asarray(report.selected_lengthscales[1]).tolist(),
-        },
+        "selected_lengthscales": report.selected_lengthscales.tolist(),
         "termination": report.termination,
         "init_log_posterior": report.init_log_posterior,
         "final_log_posterior": report.final_log_posterior,
         "iterations": report.trace[-1][0],
-        "epoch_starts": list(report.epoch_starts),
         "candidates": [
-            {k: (np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v)
-             for k, v in c.items()}
+            {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in c.items()}
             for c in report.candidates
         ],
     }

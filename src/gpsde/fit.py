@@ -2,18 +2,17 @@
 
 The protocol: place inducing locations on a fixed dense grid, initialise
 the inducing vectors by gradient matching (GP regression of empirical
-difference quotients), then run limited-memory BFGS on the frozen-noise
-log-posterior over (u_f, u_sigma, log noise_vars).  Kernel lengthscales
-are not part of the gradient ascent; candidates come from a small grid
-and the pair with the best final log-posterior wins.
+difference quotients), then run one limited-memory BFGS minimisation on
+the frozen-noise log-posterior over (u_f, u_sigma, log noise_vars).
+Kernel lengthscales are not part of the gradient ascent; candidates come
+from a small grid, each one lengthscale shared by the drift and diffusion
+kernels, and the candidate with the best final log-posterior wins.
 
-Brownian increments are frozen while the quasi-Newton line search runs
-and redrawn every ``resample_period`` accepted iterations, so within one
-epoch the objective is a deterministic function and accepted steps never
-decrease it.  An epoch that stops short of its budget ends the fit.  A
-line-search trial point whose simulated paths blow up is rejected (the
-line search backtracks) and counted; a blow-up at the point an epoch
-starts from fails the candidate.
+Each candidate draws its Brownian increments once, so the objective is a
+deterministic function for the whole run and accepted steps never
+decrease it.  A line-search trial point whose simulated paths blow up is
+rejected (the line search backtracks) and counted; a blow-up at the
+starting point fails the candidate.
 """
 
 from __future__ import annotations
@@ -42,17 +41,15 @@ _INIT_MAX_POINTS = 600
 class FitConfig:
     """Fit protocol settings; the defaults are those of ``gpsde fit``.
 
-    lengthscale_grid   -- candidate (drift, diffusion) lengthscale pairs;
-                          entries may be scalars (isotropic) or D-vectors
+    lengthscale_grid   -- candidate lengthscales, each shared by the drift
+                          and diffusion kernels; an entry is a scalar
+                          (isotropic) or a D-vector
     inducing_grid_spec -- per-dimension (min, max, count); min/max of None
                           derive the range from the data box +-10%
     resolution_factor  -- equal grid steps per observation interval, so the
                           step follows the local sampling gap
     n_samples          -- Monte Carlo path count
     seed               -- master RNG seed
-    resample_period    -- accepted optimizer iterations between redraws of the
-                          frozen Brownian increments; None keeps one draw for
-                          the whole fit
     """
 
     lengthscale_grid: tuple
@@ -60,7 +57,6 @@ class FitConfig:
     resolution_factor: int = 2
     n_samples: int = 50
     seed: int = 0
-    resample_period: int | None = None
     max_iters: int = 200
     grad_tol: float = 1e-4
     kernel_variance: float = 1.0
@@ -78,8 +74,6 @@ class FitConfig:
             raise InputError("resolution_factor must be >= 1")
         if self.n_samples < 1:
             raise InputError("n_samples must be >= 1")
-        if self.resample_period is not None and self.resample_period < 1:
-            raise InputError("resample_period must be >= 1 or None")
         if self.max_iters < 0:
             raise InputError("max_iters must be >= 0")
         if not self.grad_tol > 0:
@@ -97,22 +91,21 @@ class FitReport:
 
     final_model: InducingModel
     trace: tuple                      # (iteration, log_posterior, grad_inf_norm)
-    selected_lengthscales: tuple
+    selected_lengthscales: np.ndarray  # (D,), shared by both kernels
     wall_time: float
     termination: str                  # converged (gradient < grad_tol) | max_iters | stalled
     rejected_trials: int              # blown-up line-search trial points
     init_log_posterior: float
     final_log_posterior: float
-    epoch_starts: tuple
     candidates: tuple                 # per-candidate summaries
 
 
 def default_lengthscale_grid(data):
-    """Candidate pairs scaled by the per-dimension spread of the data."""
+    """Candidate lengthscales scaled by the per-dimension spread of the data."""
     pooled = np.concatenate([tr.obs for tr in data], axis=0)
     scale = pooled.std(axis=0)
     scale[scale == 0] = 1.0
-    return tuple((f * scale, f * scale) for f in (0.2, 0.5, 1.0, 2.0))
+    return tuple(f * scale for f in (0.2, 0.5, 1.0, 2.0))
 
 
 def build_inducing_grid(spec, data) -> np.ndarray:
@@ -197,36 +190,34 @@ def init_noise_vars(data) -> np.ndarray:
     return np.maximum(1e-6, 0.1 * deltas.var(axis=0))
 
 
-def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig) -> dict:
-    """Fit one lengthscale pair; a numerical failure L-BFGS-B cannot back
-    away from returns an "error" summary that keeps the rejected-trial count."""
-    lengthscales = (np.asarray(ell_f, float), np.asarray(ell_s, float))
+def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict:
+    """Fit one lengthscale candidate, whose kernel serves both the drift and
+    the diffusion; a numerical failure L-BFGS-B cannot back away from
+    returns an "error" summary that keeps the rejected-trial count."""
     rejected = 0
     try:
         D = data[0].dim
-        drift_params = KernelParams(cfg.kernel_variance, np.broadcast_to(lengthscales[0], (D,)))
-        diff_params = KernelParams(cfg.kernel_variance, np.broadcast_to(lengthscales[1], (D,)))
-        U0, us0 = gradient_match_init(data, Z, drift_params, noise_vars=cfg.fix_noise_vars)
+        U0, us0 = gradient_match_init(data, Z, params, noise_vars=cfg.fix_noise_vars)
         noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
                   else init_noise_vars(data))
         if noise0.size == 1 and D > 1:
             noise0 = np.full(D, float(noise0[0]))
         model = InducingModel(
-            Z=Z, U_f=U0, u_sigma=us0, drift_params=drift_params,
-            diff_params=diff_params, noise_vars=noise0,
+            Z=Z, U_f=U0, u_sigma=us0, drift_params=params,
+            diff_params=params, noise_vars=noise0,
         )
         cache = build_cache(model)
         M, MD = model.M, model.M * model.D
 
         # optimize whitened coordinates v = L^{-1} u (L the prior Cholesky
-        # factors, applied to each drift column): the prior Hessian becomes the
-        # identity, which conditions the quasi-Newton iteration far better than
-        # raw inducing values.  x[:MD] holds V = L_f^{-1} U_f in its (m, d) order.
-        Lf = np.tril(cache.chol_f[0])
-        Ls = np.tril(cache.chol_s[0])
+        # factor both kernels share, applied to each drift column): the prior
+        # Hessian becomes the identity, which conditions the quasi-Newton
+        # iteration far better than raw inducing values.  x[:MD] holds
+        # V = L^{-1} U_f in its (m, d) order.
+        L = np.tril(cache.chol_f[0])
         x = np.concatenate([
-            scipy.linalg.solve_triangular(Lf, model.U_f, lower=True).ravel(),
-            scipy.linalg.solve_triangular(Ls, model.u_sigma, lower=True),
+            scipy.linalg.solve_triangular(L, model.U_f, lower=True).ravel(),
+            scipy.linalg.solve_triangular(L, model.u_sigma, lower=True),
             np.log(model.noise_vars),
         ])
         free = np.ones(x.size, dtype=bool)
@@ -240,31 +231,31 @@ def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig) -> dict:
         def unpack(xv):
             return update_values(
                 cache, model,
-                U_f=Lf @ xv[:MD].reshape(M, D),
-                u_sigma=Ls @ xv[MD:MD + M],
+                U_f=L @ xv[:MD].reshape(M, D),
+                u_sigma=L @ xv[MD:MD + M],
                 noise_vars=np.exp(xv[MD + M:]),
             )
 
-        def score(m, c, increments):
+        incs = draw_increments(data, grids, model, cfg.n_samples, child_seed(cfg.seed, 0))
+
+        def score(m, c):
             """Log-posterior, free gradient's inf-norm and whitened gradient."""
-            val = evaluate_with_increments(data, m, c, grids, increments)
-            g = np.concatenate([(Lf.T @ val.grad_u_f.reshape(M, D)).ravel(),
-                                Ls.T @ val.grad_u_s,
+            val = evaluate_with_increments(data, m, c, grids, incs)
+            g = np.concatenate([(L.T @ val.grad_u_f.reshape(M, D)).ravel(),
+                                L.T @ val.grad_u_s,
                                 val.grad_log_noise])
             return val.log_posterior, float(np.max(np.abs(g[free]))), g
 
-        incs0 = draw_increments(data, grids, model, cfg.n_samples,
-                                child_seed(cfg.seed, 0))
-        init = score(model, cache, incs0)
+        init = score(model, cache)
         trace = [(0, *init[:2])]
         last = current = None    # (x, *score) of the last scored point; score of the iterate
 
         def neg(xv):
             nonlocal last, current, rejected
             try:
-                last = (xv, *score(*unpack(xv), incs))
+                last = (xv, *score(*unpack(xv)))
             except SimulationError:
-                if current is None:            # the epoch's start point
+                if current is None:            # the starting point
                     raise
                 rejected += 1
                 # a rejected trial looks no better than the base point and
@@ -283,39 +274,27 @@ def _fit_candidate(data, grids, Z, ell_f, ell_s, cfg: FitConfig) -> dict:
             current = last[1:]
             trace.append((len(trace), *current[:2]))
 
-        epoch_starts, incs, termination = [0], incs0, "max_iters"
-        while len(trace) <= cfg.max_iters:
-            if len(trace) > 1:     # every epoch before this one used its budget
-                epoch_starts.append(len(trace))
-                incs = draw_increments(data, grids, model, cfg.n_samples,
-                                       child_seed(cfg.seed, len(epoch_starts) - 1))
-            budget = min(cfg.resample_period or cfg.max_iters, cfg.max_iters + 1 - len(trace))
-            current = None
+        termination, final_log_posterior = "max_iters", init[0]
+        if cfg.max_iters > 0:
             res = scipy.optimize.minimize(
                 neg, x, jac=True, method="L-BFGS-B", callback=on_step, bounds=bounds,
-                options={"maxiter": budget, "maxcor": 10, "gtol": cfg.grad_tol,
+                options={"maxiter": cfg.max_iters, "maxcor": 10, "gtol": cfg.grad_tol,
                          "ftol": 1e-14},
             )
-            x = res.x
             if current[1] < cfg.grad_tol:
                 termination = "converged"
-                break
-            if res.nit < budget:
+            elif res.nit < cfg.max_iters:
                 termination = "stalled"
-                break
-
-        final_log_posterior = init[0]
-        if len(trace) > 1:
-            model, cache = unpack(x)
-            final_log_posterior = score(model, cache, incs0)[0]
+            if len(trace) > 1:
+                model, cache = unpack(res.x)
+                final_log_posterior = score(model, cache)[0]
     except (NumericalError, SimulationError) as exc:
-        return {"lengthscales": lengthscales, "termination": "error",
+        return {"lengthscales": params.lengthscales, "termination": "error",
                 "error": f"{type(exc).__name__}: {exc}", "rejected_trials": rejected}
     return {
-        "lengthscales": lengthscales,
+        "lengthscales": params.lengthscales,
         "model": model,
         "trace": tuple(trace),
-        "epoch_starts": tuple(epoch_starts),
         "termination": termination,
         "init_log_posterior": init[0],
         "final_log_posterior": final_log_posterior,
@@ -328,23 +307,30 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
     """Fit each lengthscale candidate and keep the best final log-posterior.
 
     All candidates share the inducing grid, the initialisation procedure
-    and the noise seed schedule, so their final values are comparable.
+    and the noise seed, so their final values are comparable.
     """
     if not data:
         raise InputError("no trajectories to fit")
     t_start = time.perf_counter()
+    D = data[0].dim
+    kernels = []
+    for ell in cfg.lengthscale_grid:
+        ls = np.asarray(ell, dtype=float)
+        if ls.ndim > 1 or ls.size not in (1, D):
+            raise InputError(f"lengthscale candidate {ell!r} needs one value, or one "
+                             f"per data dimension ({D})")
+        kernels.append(KernelParams(cfg.kernel_variance, np.broadcast_to(ls, (D,))))
     grids = make_grids(data, cfg.resolution_factor)
     Z = build_inducing_grid(cfg.inducing_grid_spec, data)
 
-    candidates = [_fit_candidate(data, grids, Z, ell_f, ell_s, cfg)
-                  for ell_f, ell_s in cfg.lengthscale_grid]
+    candidates = [_fit_candidate(data, grids, Z, params, cfg) for params in kernels]
     ok = [c for c in candidates if c["termination"] != "error"]
     if not ok:
         raise FitError("all lengthscale candidates failed", diagnostics=candidates)
     best = max(ok, key=lambda c: c["final_log_posterior"])
 
     summaries = tuple(
-        {k: v for k, v in c.items() if k not in ("model", "trace", "epoch_starts")}
+        {k: v for k, v in c.items() if k not in ("model", "trace")}
         for c in candidates
     )
     return FitReport(
@@ -356,6 +342,5 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
         rejected_trials=best["rejected_trials"],
         init_log_posterior=best["init_log_posterior"],
         final_log_posterior=best["final_log_posterior"],
-        epoch_starts=best["epoch_starts"],
         candidates=summaries,
     )

@@ -167,7 +167,7 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     ``per_obs_loglik`` keeps trajectory and observation order.
 
     This deterministic map of the model parameters is what the optimizer
-    sees within one epoch, and what finite-difference checks differentiate.
+    sees for a whole fit, and what finite-difference checks differentiate.
     """
     _checked(m, cache)
     if not len(trajs) == len(grids) == len(increments):

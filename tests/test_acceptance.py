@@ -204,13 +204,11 @@ def double_well_fit():
     sys_ = double_well()
     spec = GenSpec(x0_box=np.array([[-2.2, 2.2]]), **DW_GEN)
     data = generate(sys_, spec)
-    ell = DW_FIT["lengthscales"]
     cfg = FitConfig(
-        lengthscale_grid=((ell, ell),),
+        lengthscale_grid=(DW_FIT["lengthscales"],),
         inducing_grid_spec=((-5.0, 5.0, 15),),
         resolution_factor=1, n_samples=DW_FIT["n_samples"],
-        seed=DW_FIT["seed"], resample_period=None,
-        max_iters=DW_FIT["max_iters"],
+        seed=DW_FIT["seed"], max_iters=DW_FIT["max_iters"],
         kernel_variance=DW_FIT["kernel_variance"],
         fix_noise_vars=(DW_GEN["noise_std"] ** 2,),
     )
@@ -256,10 +254,9 @@ def test_criterion_5_data_efficiency_trend():
         full = generate(sys_, spec)  # prefix-stable: first k form the k-batch
         for k in counts:
             cfg = FitConfig(
-                lengthscale_grid=((0.5, 0.5),),
+                lengthscale_grid=(0.5,),
                 inducing_grid_spec=((-1.8, 1.8, 5), (-1.8, 1.8, 5)),
                 resolution_factor=2, n_samples=25, seed=0,
-                resample_period=None,
                 max_iters=80, kernel_variance=100.0,
                 fix_noise_vars=(0.01, 0.01),
             )

@@ -309,7 +309,7 @@ class TestEvaluate:
     (["generate", "--subsample-every", "0"], "--subsample-every"),
     (["fit", "--n-samples", "0"], "--n-samples"),
     (["fit", "--resolution-factor", "0"], "--resolution-factor"),
-    (["fit", "--resample-period", "-1"], "--resample-period"),
+    (["fit", "--lengthscales", "0.5,abc"], "--lengthscales"),
     (["fit", "--max-iters", "-1"], "--max-iters"),
     (["fit", "--grad-tol", "0"], "--grad-tol"),
     (["fit", "--noise-vars", "0.1,0"], "--noise-vars"),
@@ -406,12 +406,33 @@ def test_missing_model_is_usage_error(cmd, extra, tmp_path, capsys):
 
 
 def test_fit_flag_defaults_are_fit_config_defaults():
-    defaults = {f.name: f.default for f in fields(FitConfig)}
-    args = build_parser().parse_args(["fit", "--out-dir", "unused"])
-    for name in ("seed", "max_iters", "grad_tol", "n_samples", "resolution_factor",
-                 "kernel_variance"):
-        assert getattr(args, name) == defaults[name], name
-    assert (args.resample_period or None) == defaults["resample_period"]
+    parsed = vars(build_parser().parse_args(["fit", "--out-dir", "unused"]))
+    shared = [f for f in fields(FitConfig) if f.name in parsed]
+    assert shared
+    for f in shared:
+        assert parsed[f.name] == f.default, f.name
+
+
+def test_removed_resample_period_flag_is_usage_error(tiny_dataset, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["fit", "--data-dir", tiny_dataset, "--resample-period", 1,
+                 "--out-dir", out])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_manifest_with_removed_resample_period_is_data_error(tiny_model, tmp_path, capsys):
+    # fit manifests written while the option existed hold this line
+    text = (tiny_model.parent / "manifest.ini").read_text()
+    old = tmp_path / "old.ini"
+    old.write_text(text.replace("resolution_factor = 2\n",
+                                "resolution_factor = 2\nresample_period = 0\n"))
+    assert "resample_period = 0" in old.read_text()
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--config", old, "--out-dir", out]) == 3
+    assert "unknown config key 'resample_period'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entrypoint_runs():
@@ -453,7 +474,7 @@ def test_config_file_overridden_by_flags(tmp_path):
     ["generate", "--system", "oscillator", "--n-traj", 1, "--n-obs", 12,
      "--subsample-every", 5, "--x0-box=-1:1,-1:1", "--seed", 2],
     ["fit", "--inducing=-2.5:2.5:5", "--lengthscales", "1.0", "--max-iters", 2,
-     "--n-samples", 4, "--resample-period", 1, "--seed", 5],
+     "--n-samples", 4, "--seed", 5],
     ["simulate", "--x0", "0.5", "--horizon", "0.5", "--dt", "0.05", "--n-paths", 5,
      "--density-grid=-3:3:31", "--density-time", "0.25", "--seed", 3],
     ["evaluate", "--box=-1.5:1.5", "--n-grid", 11, "--x0", "0.5", "--horizon", "0.3",
@@ -472,7 +493,7 @@ def test_manifest_as_config_reproduces_the_run(argv, tiny_dataset, tiny_model, t
 @pytest.mark.parametrize("cmd, entry, flag", [
     ("generate", "n_obs = abc", "--n-obs"),
     ("simulate", "n_paths = 2.5", "--n-paths"),
-    ("fit", "resample_period = 0.5", "--resample-period"),
+    ("fit", "max_iters = 0.5", "--max-iters"),
     ("generate", "system = nosuch", "--system"),
 ])
 def test_bad_config_entry_fails_like_its_flag(cmd, entry, flag, tmp_path, capsys):

@@ -26,12 +26,11 @@ def small_dataset():
     return generate(double_well(), spec)
 
 
-def quick_config(max_iters=8, seed=0, resample_period=None):
+def quick_config(max_iters=8, seed=0):
     return FitConfig(
-        lengthscale_grid=((0.8, 0.8),),
+        lengthscale_grid=(0.8,),
         inducing_grid_spec=((-2.5, 2.5, 7),),
         resolution_factor=1, n_samples=8, seed=seed,
-        resample_period=resample_period,
         max_iters=max_iters,
     )
 
@@ -151,27 +150,29 @@ class TestFitMap:
 
     def test_selection_returns_grid_member(self, small_dataset):
         cfg = FitConfig(
-            lengthscale_grid=((0.6, 0.6), (1.2, 1.2)),
+            lengthscale_grid=(0.6, 1.2),
             inducing_grid_spec=((-2.5, 2.5, 7),),
             resolution_factor=1, n_samples=6, seed=0,
-            resample_period=None,
             max_iters=5,
         )
         rep = fit_map(small_dataset, cfg)
-        sel = float(np.ravel(rep.selected_lengthscales[0])[0])
+        (sel,) = rep.selected_lengthscales
         assert sel in (0.6, 1.2)
         assert len(rep.candidates) == 2
         assert rep.final_log_posterior == max(c["final_log_posterior"]
                                               for c in rep.candidates)
 
-    def test_resampling_epochs_recorded(self, small_dataset):
-        rep = fit_map(small_dataset, quick_config(max_iters=9, resample_period=3))
-        assert len(rep.epoch_starts) >= 2
-        # within each epoch the trace stays non-decreasing
-        bounds = list(rep.epoch_starts) + [len(rep.trace)]
-        for a, b in zip(bounds, bounds[1:]):
-            lps = [lp for _, lp, _ in rep.trace[a:b]]
-            assert all(y >= x - 1e-9 for x, y in zip(lps, lps[1:]))
+    @pytest.mark.parametrize("grid", [(0.8, (0.8, 0.8, 0.8)), (0.8, [[0.8]])],
+                             ids=["3-vector", "matrix"])
+    def test_lengthscale_of_wrong_shape_rejected_before_any_candidate(
+            self, small_dataset, monkeypatch, grid):
+        def no_candidate(*_):
+            raise AssertionError("a candidate ran")
+
+        monkeypatch.setattr(fit_module, "gradient_match_init", no_candidate)
+        cfg = replace(quick_config(), lengthscale_grid=grid)
+        with pytest.raises(InputError, match=r"lengthscale candidate .*0\.8.* \(1\)"):
+            fit_map(small_dataset, cfg)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
@@ -224,17 +225,20 @@ class TestRejectedTrials:
         assert diag["rejected_trials"] == 0
 
     def test_failed_candidate_keeps_its_rejected_trials(self, small_dataset, monkeypatch):
-        # call 3 is the first line-search trial point; with one iteration
-        # per epoch the fit then fails at the start of the epoch-1 draw
-        seen = []
+        # call 3 is the first line-search trial point; the fit then fails at
+        # the re-score of the last accepted point, after L-BFGS-B returns
+        returned = []
+        minimize = fit_module.scipy.optimize.minimize
 
-        def blows_up(call, _, increments):
-            seen.append(increments)
-            return call == 3 or increments is not seen[0]
+        def minimize_then_mark(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            returned.append(True)
+            return res
 
-        blow_up_where(monkeypatch, blows_up)
+        monkeypatch.setattr(fit_module.scipy.optimize, "minimize", minimize_then_mark)
+        blow_up_where(monkeypatch, lambda call, *_: call == 3 or bool(returned))
         with pytest.raises(FitError) as err:
-            fit_map(small_dataset, quick_config(max_iters=6, resample_period=1))
+            fit_map(small_dataset, quick_config(max_iters=6))
         (diag,) = err.value.diagnostics
         assert diag["termination"] == "error"
         assert diag["rejected_trials"] == 1
@@ -258,7 +262,7 @@ class TestRejectedTrials:
         blow_up_where(monkeypatch, blows_up)
         cfg = quick_config(max_iters=20)
         rep = fit_map(small_dataset, cfg)
-        assert len(seeds) == 1 and rep.epoch_starts == (0,)
+        assert len(seeds) == 1
         assert rep.termination == "stalled"
         assert rep.rejected_trials > 0
         assert len(rep.trace) - 1 < cfg.max_iters
@@ -269,27 +273,23 @@ def test_config_validation():
     with pytest.raises(InputError):
         FitConfig(lengthscale_grid=(), inducing_grid_spec=((-1, 1, 4),))
     with pytest.raises(InputError):
-        FitConfig(lengthscale_grid=((1.0, 1.0),), inducing_grid_spec=((-1, 1, 1),))
+        FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 1),))
     with pytest.raises(InputError):
-        FitConfig(lengthscale_grid=((1.0, 1.0),), inducing_grid_spec=((-1, 1, 4),),
+        FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),),
                   grad_tol=0.0)
 
 
 def test_fit_config_simulation_settings_validation():
-    grids = dict(lengthscale_grid=((1.0, 1.0),), inducing_grid_spec=((-1, 1, 4),))
+    grids = dict(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),))
     with pytest.raises(InputError):
         FitConfig(**grids, resolution_factor=0)
     with pytest.raises(InputError):
         FitConfig(**grids, n_samples=0)
-    with pytest.raises(InputError):
-        FitConfig(**grids, resample_period=0)
-    assert FitConfig(**grids, resample_period=None).resample_period is None
 
 
 def test_default_lengthscale_grid_scales_with_data():
     tr = Trajectory(times=[0.0, 1.0, 2.0], obs=[[0.0, 0.0], [2.0, 0.2], [4.0, 0.4]])
     grid = default_lengthscale_grid([tr])
     assert len(grid) == 4
-    lf, ls = grid[2]  # the 1.0x entry
-    np.testing.assert_allclose(lf, np.std([[0, 0], [2, 0.2], [4, 0.4]], axis=0))
-    np.testing.assert_allclose(lf, ls)
+    # the 1.0x entry, one lengthscale per dimension
+    np.testing.assert_allclose(grid[2], np.std([[0, 0], [2, 0.2], [4, 0.4]], axis=0))
