@@ -23,15 +23,18 @@ kernel row is a product of one factor per axis,
 and the rows at N states cost N * sum_d n_d exponentials instead of N * M.
 They are kept as those per-axis factors, never as (N, M) arrays;
 :func:`rows_matmul` and :func:`rows_t_matmul` contract them with weights
-one axis at a time.
+one axis at a time.  The Gram matrix K(Z, Z) factorises the same way, into
+the Kronecker product of the per-axis Gram matrices.
 
-Evaluation functions are pure and safe to call concurrently; models and
-caches are immutable after construction.
+Evaluation functions are pure, apart from writing the rows into a buffer
+the caller passes, and safe to call concurrently; models and caches are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import InitVar, dataclass, replace
 
@@ -146,6 +149,10 @@ class FieldCache:
     alpha_f[m, d] z_me (D*D rows), alpha_f^T (D), alpha_s (1) and
     alpha_s[m] z_m^T (D).  In that order each set one contraction needs is
     a contiguous block.
+
+    row_maps holds what :func:`_rows` needs of each kernel beyond the
+    states, one entry for equal kernels, else the drift's and the
+    diffusion's.
     """
 
     model: InducingModel
@@ -156,6 +163,7 @@ class FieldCache:
     alpha_f: np.ndarray
     alpha_s: np.ndarray
     weights: np.ndarray
+    row_maps: tuple
 
 
 def _checked(m: InducingModel, c: FieldCache):
@@ -178,12 +186,12 @@ def build_cache(m: InducingModel) -> FieldCache:
     """Factorize the (jittered) Gram matrices of a model and precompute the
     products used by field evaluation and its derivatives."""
     M = m.M
-    Kf = gram(m.Z, m.Z, m.drift_params)
+    Kf = _grid_gram(m.axes, m.drift_params)
     Kf[np.diag_indices(M)] += JITTER_SCALE * m.drift_params.variance
     chol_f = _factor(Kf, "drift")
     same = same_params(m.drift_params, m.diff_params)
     if not same:        # equal kernels share one jittered Gram matrix and factor
-        Ks = gram(m.Z, m.Z, m.diff_params)
+        Ks = _grid_gram(m.axes, m.diff_params)
         Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
     chol_s = chol_f if same else _factor(Ks, "diffusion")
     alpha_f = scipy.linalg.cho_solve(chol_f, m.U_f)
@@ -198,7 +206,19 @@ def build_cache(m: InducingModel) -> FieldCache:
         alpha_f=alpha_f,
         alpha_s=alpha_s,
         weights=_grid_weights(m.Z, alpha_f, alpha_s),
+        row_maps=tuple(_row_map(m.axes, p) for p in (
+            (m.drift_params,) if same else (m.drift_params, m.diff_params))),
     )
+
+
+def _grid_gram(axes: tuple, p: KernelParams) -> np.ndarray:
+    """Gram matrix K(Z, Z) of kernel p on the grid of axes, in grid_points
+    order: the variance times the Kronecker product of the per-axis
+    unit-variance Gram matrices, each of which squares exact differences."""
+    K = functools.reduce(np.kron, [gram(a[:, None], a[:, None], KernelParams(1.0, [l]))
+                                   for a, l in zip(axes, p.lengthscales)])
+    K *= p.variance
+    return K
 
 
 def _grid_axes(Z: np.ndarray):
@@ -242,48 +262,61 @@ def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
 
 # -- field evaluation ---------------------------------------------------------
 
-def _rows(X: np.ndarray, axes: tuple, p: KernelParams):
-    """Kernel rows k(X, Z) of kernel p on the grid of the 1-d coordinate
-    arrays axes, as a tuple of per-axis factors E_d, each (n_d, N) so that
-    their elementwise work runs along the states, with
-    k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp.
-
-    A single factor is exp(log variance - (x s - z s)^2) with
-    s = sqrt(1/2) / l, the halving and the variance folded into the scale
-    and the exponent.  Its (M, N) differences come from one
-    (M, 2) @ (2, N) product of [-z s, 1] and [1; x s]: each entry sums two
-    exact products, so it rounds as the subtraction would, and the product
-    is faster than numpy's broadcast subtraction."""
-    ls = p.lengthscales
-    if len(axes) == 1:
-        s = math.sqrt(0.5) / ls[0]
-        A = np.ones((axes[0].size, 2))
-        A[:, 0] = axes[0] * -s
-        B = np.ones((2, len(X)))
-        B[1] = X[:, 0] * s
-        E = A @ B
-        E *= E
-        np.subtract(math.log(p.variance), E, out=E)
-        return (np.exp(E, out=E),)
-    E = np.concatenate([X[:, d] / ls[d] - (a / ls[d])[:, None] for d, a in enumerate(axes)])
-    E *= E
-    E *= -0.5
-    np.exp(E, out=E)
+def _factors(E: np.ndarray, axes: tuple) -> tuple:
+    """The per-axis factors held in the consecutive row blocks of E."""
     factors, start = [], 0
     for a in axes:
         factors.append(E[start:start + a.size])
         start += a.size
-    factors[0] *= p.variance
     return tuple(factors)
 
 
+def _row_map(axes: tuple, p: KernelParams) -> tuple:
+    """The matrix A = [e_d, -a_d s_d] (sum n_d, D+1), the scales s (D, 1)
+    and the log variance with which :func:`_rows` forms kernel p's rows."""
+    s = math.sqrt(0.5) / p.lengthscales
+    D = len(axes)
+    A = np.zeros((sum(a.size for a in axes), D + 1))
+    start = 0
+    for d, a in enumerate(axes):
+        A[start:start + a.size, d] = 1.0
+        A[start:start + a.size, D] = a * -s[d]
+        start += a.size
+    return A, s[:, None], math.log(p.variance)
+
+
+def _rows(X: np.ndarray, row_map: tuple, axes: tuple, out=None):
+    """Kernel rows k(X, Z) of a kernel on the grid of the 1-d coordinate
+    arrays axes, as a tuple of per-axis factors E_d, each (n_d, N) so that
+    their elementwise work runs along the states, with
+    k(x_n, z_m) = prod_d E_d[i_d(m), n], all from one exp.  The factors
+    are consecutive row blocks of one (sum n_d, N) array, out if given.
+
+    Factor d is exp(-(x_d s_d - a_d s_d)^2) with s_d = sqrt(1/2) / l_d, the
+    halving folded into the scale, and the first factor carries the
+    variance as log variance in its exponent.  The differences come from
+    one (sum n_d, D+1) @ (D+1, N) product of the kernel's
+    :func:`_row_map` A with [x s; 1]: each entry sums two exact products
+    and zeros, so it rounds as the subtraction would, and the product is
+    faster than numpy's broadcast subtraction."""
+    A, s, log_var = row_map
+    B = np.ones((len(s) + 1, len(X)))
+    np.multiply(X.T, s, out=B[:-1])
+    E = np.matmul(A, B, out=out)
+    E *= E
+    first, rest = E[:axes[0].size], E[axes[0].size:]
+    np.subtract(log_var, first, out=first)
+    np.negative(rest, out=rest)
+    return _factors(np.exp(E, out=E), axes)
+
+
 def rows_matmul(k, W: np.ndarray) -> np.ndarray:
-    """k(X, Z) @ W for the per-axis factors k from :func:`step_terms_batch`
+    """k(X, Z) @ W for the per-axis factors k from :func:`kernel_rows`
     and W of shape (M, C) or (M,).
 
     It contracts W's last grid axis with one matrix product, then each
     earlier axis with a dot product per state, so no (N, M) array is
-    formed."""
+    formed.  The result is the transpose of a C-ordered (C, N) array."""
     N = k[0].shape[1]
     T = W.T.reshape(-1, k[-1].shape[0]) @ k[-1]      # (C * M / n_D, N)
     for e in k[-2::-1]:
@@ -292,7 +325,7 @@ def rows_matmul(k, W: np.ndarray) -> np.ndarray:
 
 
 def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
-    """k(X, Z)^T @ V for the per-axis factors k from :func:`step_terms_batch`
+    """k(X, Z)^T @ V for the per-axis factors k from :func:`kernel_rows`
     and V of shape (N, C) or (N,).
 
     It folds V into the first axis's factor and meets the state-wise
@@ -309,37 +342,49 @@ def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
     return (A @ R.T).reshape(len(VT), -1).T.reshape(-1, *V.shape[1:])
 
 
-def _kernel_rows(X: np.ndarray, c: FieldCache):
+def rows_buffer(c: FieldCache, n: int, N: int) -> np.ndarray:
+    """Room for the kernel rows at n sets of N states, shape
+    (n, kernels, sum n_d, N): one slice per set for :func:`kernel_rows`,
+    with one kernel's factors when the kernels are equal, else the drift's
+    then the diffusion's."""
+    return np.empty((n, len(c.row_maps), sum(a.size for a in c.model.axes), N))
+
+
+def kernel_rows(X: np.ndarray, c: FieldCache, out=None):
     """Drift and diffusion kernel rows at X; one serves both when the
-    kernels are equal."""
-    m = c.model
-    kf = _rows(X, m.axes, m.drift_params)
-    ks = kf if c.chol_s is c.chol_f else _rows(X, m.axes, m.diff_params)
-    return kf, ks
+    kernels are equal.  out, one slice of a :func:`rows_buffer`, receives
+    them; :func:`buffered_rows` reads them back."""
+    axes = c.model.axes
+    rows = [_rows(X, rm, axes, None if out is None else out[k])
+            for k, rm in enumerate(c.row_maps)]
+    return rows[0], rows[-1]
 
 
-def _products(kf, ks, c: FieldCache, derivs: bool):
-    """F = k_f @ alpha_f (N, D) and sig = k_s @ alpha_s (N,) and, with derivs,
-    k_f @ (alpha_f[m, d] z_me) (N, D*D) and k_s @ (alpha_s[m] z_m) (N, D).
+def buffered_rows(out: np.ndarray, c: FieldCache):
+    """The drift and diffusion rows that :func:`kernel_rows` formed in out."""
+    rows = [_factors(E, c.model.axes) for E in out]
+    return rows[0], rows[-1]
+
+
+def _products(kf, ks, c: FieldCache, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of c.weights times the kernel rows, shape (hi - lo, N):
+    the drift rows (before alpha_s) with kf, the others with ks.
 
     Each kernel's weights are one block of c.weights, so each kernel's
-    factors take one contraction, and shared factors one for both kernels."""
-    D = c.model.D
-    f, s = D * D, D * D + D          # rows of alpha_f^T and alpha_s in c.weights
-    lo, hi = (0, len(c.weights)) if derivs else (f, s + 1)
+    factors take one contraction, and shared factors one for both kernels;
+    the transpose of :func:`rows_matmul`'s result is C-ordered."""
     if kf is ks:
-        T = rows_matmul(kf, c.weights[lo:hi].T)
-    else:
-        T = np.concatenate([rows_matmul(kf, c.weights[lo:s].T),
-                            rows_matmul(ks, c.weights[s:hi].T)], axis=1)
-    F, sig = T[:, f - lo:s - lo], T[:, s - lo]
-    return [F, sig, T[:, :f], T[:, s + 1:]] if derivs else [F, sig]
+        return rows_matmul(kf, c.weights[lo:hi].T).T
+    s = c.model.D * (c.model.D + 1)                 # row of alpha_s in c.weights
+    return np.concatenate([rows_matmul(kf, c.weights[lo:s].T).T,
+                           rows_matmul(ks, c.weights[s:hi].T).T])
 
 
 def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
     """Both fields at once, sharing the kernel rows when the kernels are equal."""
-    F, sig = _products(*_kernel_rows(X, c), c, derivs=False)
-    return F, sig
+    D = c.model.D
+    T = _products(*kernel_rows(X, c), c, D * D, D * D + D + 1)
+    return T[:D].T, T[D]
 
 
 def drift_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
@@ -355,9 +400,14 @@ def diffusion_batch(X: np.ndarray, c: FieldCache) -> np.ndarray:
     return drift_diffusion_batch(X, c)[1]
 
 
-def step_terms_batch(X: np.ndarray, c: FieldCache):
-    """Kernel rows kf, ks, drift state Jacobian jac_x (N, D, D) and
-    diffusion state gradient diff_gx (N, D) at N states, as a tuple.
+def step_terms_batch(X: np.ndarray, c: FieldCache, out=None):
+    """Everything one Euler-Maruyama step and its adjoint need at N states,
+    as the tuple (F, sig, kf, ks, jac, dg): the drift F (N, D) and signed
+    diffusion sig (N,) of :func:`drift_diffusion_batch`, the kernel rows
+    kf and ks, the drift state Jacobian jac (D, D, N) with
+    jac[d, e, n] = d f_d / d x_e at state n, and the diffusion state
+    gradient dg (D, N).  out, one slice of a :func:`rows_buffer`, receives
+    the rows.
 
     The rows are per-axis factors; :func:`rows_matmul` and
     :func:`rows_t_matmul` take products with them.  With
@@ -368,18 +418,21 @@ def step_terms_batch(X: np.ndarray, c: FieldCache):
         J_f(x)[d, e] = (sum_m k_f alpha_f[m, d] z_me - f_d(x) x_e) / l_f,e^2
         grad sigma(x)[e] = (sum_m k_s alpha_s[m] z_me - sigma(x) x_e) / l_s,e^2
 
-    This runs once per step of the adjoint sweep.
+    All of them come from one contraction of c.weights, and the states lie
+    on the contiguous axis of every (.., N) result.
     """
     N, D = X.shape
     m = c.model
-    kf, ks = _kernel_rows(X, c)
-    F, sig, JZ, diff_gx = _products(kf, ks, c, derivs=True)
-    jac_x = JZ.reshape(N, D, D)
-    jac_x -= F[:, :, None] * X[:, None, :]
-    jac_x /= np.square(m.drift_params.lengthscales)
-    diff_gx -= sig[:, None] * X
-    diff_gx /= np.square(m.diff_params.lengthscales)
-    return kf, ks, jac_x, diff_gx
+    kf, ks = kernel_rows(X, c, out)
+    T = _products(kf, ks, c, 0, len(c.weights))
+    f, s = D * D, D * D + D          # rows of alpha_f^T and alpha_s in c.weights
+    F, sig, jac, dg = T[f:s], T[s], T[:f].reshape(D, D, N), T[s + 1:]
+    XT = np.ascontiguousarray(X.T)
+    jac -= F[:, None, :] * XT
+    jac /= np.square(m.drift_params.lengthscales)[:, None]
+    dg -= sig * XT
+    dg /= np.square(m.diff_params.lengthscales)[:, None]
+    return F.T, sig, kf, ks, jac, dg
 
 
 # -- log prior ----------------------------------------------------------------

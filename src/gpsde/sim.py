@@ -141,14 +141,19 @@ def simulate_batch(c: FieldCache, x0, grid: TimeGrid, increments: np.ndarray) ->
 
     x0 may be one shared state or one state per sample.
     """
-    D = c.model.D
+    increments = checked_increments(increments, grid, c.model.D)
+    return simulate_callable_batch(lambda X: drift_diffusion_batch(X, c),
+                                   x0, grid.dt, increments)
+
+
+def checked_increments(increments, grid: TimeGrid, D: int) -> np.ndarray:
+    """increments as a float array, which must be (S, grid.n_steps, D)."""
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (grid.n_steps, D):
         raise InputError(
             f"increments must be (S, {grid.n_steps}, {D}), got {increments.shape}"
         )
-    return simulate_callable_batch(lambda X: drift_diffusion_batch(X, c),
-                                   x0, grid.dt, increments)
+    return increments
 
 
 def simulate_callable_batch(fields, x0, dt, increments: np.ndarray) -> np.ndarray:

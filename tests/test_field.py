@@ -9,6 +9,7 @@ from gpsde.dataio import load_model, save_model
 from gpsde.errors import InputError, InternalError
 from gpsde.field import (
     InducingModel,
+    _grid_gram,
     build_cache,
     diffusion_batch,
     drift_batch,
@@ -54,8 +55,8 @@ def make_model(seed=0, D=2, M=6, spacing=1.0, u_scale=1.0):
 
 def state_derivs(x, c):
     """Drift Jacobian (D, D) and diffusion gradient (D,) in the state at x."""
-    _, _, jac_x, diff_gx = step_terms_batch(np.asarray(x, dtype=float)[None, :], c)
-    return jac_x[0], diff_gx[0]
+    *_, jac, dg = step_terms_batch(np.asarray(x, dtype=float)[None, :], c)
+    return jac[:, :, 0], dg[:, 0]
 
 
 def u_derivs(x, m, c):
@@ -309,16 +310,29 @@ def test_log_prior_zero_values(model_and_cache):
     assert np.all(gf == 0.0) and np.all(gs == 0.0)
 
 
+@pytest.mark.parametrize("sizes", [(15,), (15, 15), (4, 3, 5)], ids=["1", "15x15", "3-d"])
+def test_grid_gram_matches_dense_gram(sizes):
+    # the Kronecker product of per-axis Gram matrices: bit-identical to the
+    # dense Gram matrix on one axis, and within 4 ulp of the variance on more
+    rng = np.random.default_rng(len(sizes))
+    axes = tuple(np.sort(rng.uniform(-2, 2, size=n)) for n in sizes)
+    p = KernelParams(2.5, rng.uniform(0.3, 1.2, size=len(sizes)))
+    K, dense = _grid_gram(axes, p), gram(cartesian(axes), cartesian(axes), p)
+    if len(sizes) == 1:
+        assert np.array_equal(K, dense)
+    np.testing.assert_allclose(K, dense, rtol=0, atol=4 * np.finfo(float).eps * p.variance)
+
+
 def test_equal_kernels_factor_like_two_separate_gram_matrices():
     # equal (not identical) kernel parameters: the diffusion shares the drift's
-    # factor, bit-identical to factoring its own jittered Gram matrix
+    # factor, bit-identical to factoring its own jittered (per-axis) Gram matrix
     rng = np.random.default_rng(12)
     M = 9
     m = InducingModel(Z=cartesian(rng.uniform(-2, 2, size=(2, 3))), U_f=rng.normal(size=(M, 2)),
                       u_sigma=rng.normal(size=M), drift_params=KernelParams(1.3, [0.7, 0.9]),
                       diff_params=KernelParams(1.3, [0.7, 0.9]), noise_vars=[0.1, 0.1])
     c = build_cache(m)
-    Ks = gram(m.Z, m.Z, m.diff_params)
+    Ks = _grid_gram(m.axes, m.diff_params)
     Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
     chol_s = scipy.linalg.cho_factor(Ks, lower=True)
     assert np.array_equal(c.chol_s[0], chol_s[0])
@@ -427,12 +441,14 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)
     F, sig = drift_diffusion_batch(X, c)
-    kf, ks, jac_x, diff_gx = step_terms_batch(X, c)
+    F_step, sig_step, kf, ks, jac, dg = step_terms_batch(X, c)
+    assert jac.shape == (D, D, len(X)) and dg.shape == (D, len(X))
     for k in (kf, ks):
         assert [e.shape for e in k] == [(a.size, len(X)) for a in m.axes]
     rows_f, rows_s = rows_matmul(kf, np.eye(M)), rows_matmul(ks, np.eye(M))
     for name, val in (("F", F), ("sig", sig), ("kf", rows_f), ("ks", rows_s),
-                      ("jac_x", jac_x), ("diff_gx", diff_gx),
+                      ("jac_x", jac.transpose(2, 0, 1)), ("diff_gx", dg.T),
+                      ("F", F_step), ("sig", sig_step),
                       ("F", drift_batch(X, c)), ("sig", diffusion_batch(X, c))):
         assert_rel_close(val, ref[name])
     # the separate fields read the joint evaluation's contraction, to the bit
@@ -476,7 +492,7 @@ def test_step_terms_form_no_n_by_m_by_d_temporary():
     step_terms_batch(X, c)                   # warm-up outside the trace
     tracemalloc.start()
     try:
-        kf = step_terms_batch(X, c)[0]
+        kf = step_terms_batch(X, c)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import gpsde.field as field
 from gpsde.errors import SimulationError
 from gpsde.field import InducingModel, build_cache, update_values
 from gpsde.kernels import KernelParams, gram_blocked, rbf_matrix
+from gpsde.objective import Trajectory, draw_increments, evaluate_with_increments, make_grids
 from gpsde.sensitivity import simulate_bundle_with_sensitivities
-from gpsde.sim import TimeGrid, build_grid, sample_increments, simulate_batch
+from gpsde.sim import TimeGrid, build_grid, grid_points, sample_increments, simulate_batch
 
 
 def small_model(seed=0, D=1, M=4, u_scale=0.5):
@@ -238,3 +240,74 @@ def test_cost_within_constant_factor_of_plain_simulation():
         simulate_bundle_with_sensitivities(m, c, [0.1, 0.1], grid, incs)[1](seeds)
     with_sens = time.perf_counter() - t0
     assert with_sens <= 60 * plain + 0.05
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap module functions so that each call adds to counts[name]."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("D,same", [(1, True), (1, False), (2, True), (2, False)])
+def test_pullback_reuses_the_forward_step_terms(monkeypatch, D, same):
+    # the forward sweep forms each step's terms once, one row set and one
+    # contraction per kernel; the adjoint sweep contracts no weights, and
+    # forms the rows again only for a 1-d Z, once per step and kernel
+    m, _ = small_model(seed=9, D=D, M=6)
+    if same:
+        m = InducingModel(Z=m.Z, U_f=m.U_f, u_sigma=m.u_sigma, drift_params=m.drift_params,
+                          diff_params=m.drift_params, noise_vars=m.noise_vars)
+    c = build_cache(m)
+    kernels = 1 if same else 2
+    grid = build_grid(np.linspace(0.0, 1.0, 4), 5)
+    incs = sample_increments(grid, 3, D, 0)
+    counts = count_calls(monkeypatch, field, ["_rows", "rows_matmul"])
+    _, pullback = simulate_bundle_with_sensitivities(m, c, np.full(D, 0.1), grid, incs)
+    forward = {"_rows": grid.n_steps * kernels, "rows_matmul": grid.n_steps * kernels}
+    assert counts == forward
+    pullback(np.ones((3, grid.n_obs, D)))
+    assert counts == {"_rows": forward["_rows"] * (2 if D == 1 else 1),
+                      "rows_matmul": forward["rows_matmul"]}
+
+
+def memory_problem(D, n, S=100):
+    """An objective evaluation on a grid of n points per axis: one
+    trajectory of 11 observations, 4 steps per interval."""
+    rng = np.random.default_rng(0)
+    Z = grid_points([np.linspace(-2, 2, n)] * D)
+    M = len(Z)
+    p = KernelParams(1.0, [0.6] * D)
+    m = InducingModel(Z=Z, U_f=0.3 * rng.normal(size=(M, D)),
+                      u_sigma=0.5 + 0.1 * rng.normal(size=M), drift_params=p,
+                      diff_params=p, noise_vars=np.full(D, 0.05))
+    tr = Trajectory(np.linspace(0, 1, 11), np.cumsum(0.1 * rng.normal(size=(11, D)), axis=0))
+    grids = make_grids([tr], 4)
+    return m, build_cache(m), [tr], grids, draw_increments([tr], grids, m, S, 1)
+
+
+def test_two_d_evaluation_keeps_only_the_step_terms(traced_peak):
+    # a 2-d evaluation keeps each step's per-axis factors, J_f and grad sigma:
+    # n_steps * S * (sum n_d + D^2 + D) floats; half as much again covers the
+    # paths, the increments and one step's temporaries
+    D, n, S = 2, 12, 100
+    m, c, trajs, grids, incs = memory_problem(D, n, S)
+    kept = grids[0].n_steps * S * (D * n + D * D + D) * 8
+    peak = traced_peak(lambda: evaluate_with_increments(trajs, m, c, grids, incs))
+    assert peak <= 1.5 * kept, f"peak {peak} B, kept {kept} B"
+
+
+def test_one_d_evaluation_keeps_no_rows(traced_peak):
+    # a 1-d row set is dense, so the adjoint forms it again: the peak stays
+    # below one (n_steps, M, S) store of the rows
+    n, S = 60, 100
+    m, c, trajs, grids, incs = memory_problem(1, n, S)
+    store = grids[0].n_steps * n * S * 8
+    peak = traced_peak(lambda: evaluate_with_increments(trajs, m, c, grids, incs))
+    assert peak < store, f"peak {peak} B, row store {store} B"
