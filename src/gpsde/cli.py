@@ -30,9 +30,9 @@ from .errors import (
     NumericalError,
     SimulationError,
 )
-from .field import build_cache
+from .field import build_cache, grid_points
 from .fit import FitConfig, default_lengthscale_grid, fit_map
-from .sim import build_grid, grid_points, sample_paths, state_density
+from .sim import build_grid, sample_paths, state_density
 from .systems import (
     SYSTEMS,
     GenSpec,

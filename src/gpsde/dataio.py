@@ -227,7 +227,6 @@ def write_paths_csv(path, paths: np.ndarray, times):
 
 
 def write_density_csv(path, points: np.ndarray, values: np.ndarray):
-    points = np.atleast_2d(points)
     _write_csv(path, [f"x_{d + 1}" for d in range(points.shape[1])] + ["density"],
                np.column_stack([points, np.ravel(values)]))
 

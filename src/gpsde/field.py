@@ -24,7 +24,11 @@ and the rows at N states cost N * sum_d n_d exponentials instead of N * M.
 They are kept as those per-axis factors, never as (N, M) arrays;
 :func:`rows_matmul` and :func:`rows_t_matmul` contract them with weights
 one axis at a time.  The Gram matrix K(Z, Z) factorises the same way, into
-the Kronecker product of the per-axis Gram matrices.
+the Kronecker product of the per-axis Gram matrices.  The adjoint sweep's
+products with the rows and its K^{-1} solves live here too
+(:func:`rows_t_products`, :func:`gram_solve`), so which rows are kept, when
+the kernels share them and how K is factored are decided in this module
+alone.
 
 Evaluation functions are pure, apart from writing the rows into a buffer
 the caller passes, and safe to call concurrently; models and caches are
@@ -233,8 +237,13 @@ def _grid_axes(Z: np.ndarray):
     # axis d repeats every prod(sizes[d+1:]) points; its first run holds its coordinates
     strides = M // np.cumprod(sizes)
     axes = tuple(Z[::s, d][:n] for d, (s, n) in enumerate(zip(strides, sizes)))
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    return axes if np.array_equal(grid, Z) else None
+    return axes if np.array_equal(grid_points(axes), Z) else None
+
+
+def grid_points(axes) -> np.ndarray:
+    """Points (P, D) of the Cartesian grid on D 1-d axes, the last axis
+    varying fastest: the order of an inducing grid Z."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _grid_weights(Z, alpha_f, alpha_s) -> np.ndarray:
@@ -311,7 +320,7 @@ def _rows(X: np.ndarray, row_map: tuple, axes: tuple, out=None):
 
 
 def rows_matmul(k, W: np.ndarray) -> np.ndarray:
-    """k(X, Z) @ W for the per-axis factors k from :func:`kernel_rows`
+    """k(X, Z) @ W for the per-axis factors k of one kernel's rows
     and W of shape (M, C) or (M,).
 
     It contracts W's last grid axis with one matrix product, then each
@@ -325,7 +334,7 @@ def rows_matmul(k, W: np.ndarray) -> np.ndarray:
 
 
 def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
-    """k(X, Z)^T @ V for the per-axis factors k from :func:`kernel_rows`
+    """k(X, Z)^T @ V for the per-axis factors k of one kernel's rows
     and V of shape (N, C) or (N,).
 
     It folds V into the first axis's factor and meets the state-wise
@@ -342,48 +351,66 @@ def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
     return (A @ R.T).reshape(len(VT), -1).T.reshape(-1, *V.shape[1:])
 
 
-def rows_buffer(c: FieldCache, n: int, N: int) -> np.ndarray:
+def rows_buffer(c: FieldCache, n: int, N: int):
     """Room for the kernel rows at n sets of N states, shape
-    (n, kernels, sum n_d, N): one slice per set for :func:`kernel_rows`,
-    with one kernel's factors when the kernels are equal, else the drift's
-    then the diffusion's."""
-    return np.empty((n, len(c.row_maps), sum(a.size for a in c.model.axes), N))
-
-
-def kernel_rows(X: np.ndarray, c: FieldCache, out=None):
-    """Drift and diffusion kernel rows at X; one serves both when the
-    kernels are equal.  out, one slice of a :func:`rows_buffer`, receives
-    them; :func:`buffered_rows` reads them back."""
+    (n, kernels, sum n_d, N): one slice per set for :func:`step_terms_batch`
+    to fill and :func:`rows_t_products` to read, with one kernel's factors
+    when the kernels are equal, else the drift's then the diffusion's.
+    None for a 1-d Z, whose rows are M dense floats per state: they are
+    formed again rather than kept."""
     axes = c.model.axes
-    rows = [_rows(X, rm, axes, None if out is None else out[k])
+    if len(axes) < 2:
+        return None
+    return np.empty((n, len(c.row_maps), sum(a.size for a in axes), N))
+
+
+def _kernel_rows(X: np.ndarray, c: FieldCache, out=None) -> list:
+    """The rows of each kernel at X, one entry when the kernels are equal,
+    else the drift's then the diffusion's; out, one slice of a
+    :func:`rows_buffer`, receives them."""
+    return [_rows(X, rm, c.model.axes, None if out is None else out[k])
             for k, rm in enumerate(c.row_maps)]
-    return rows[0], rows[-1]
 
 
-def buffered_rows(out: np.ndarray, c: FieldCache):
-    """The drift and diffusion rows that :func:`kernel_rows` formed in out."""
-    rows = [_factors(E, c.model.axes) for E in out]
-    return rows[0], rows[-1]
+def rows_t_products(X: np.ndarray, c: FieldCache, V: np.ndarray, kept=None) -> np.ndarray:
+    """The (M, D+1) products [k_f(X)^T V[:D]^T | k_s(X)^T V[D]] for V of
+    shape (D+1, N), one product when the kernels are equal.  kept, one
+    slice of a :func:`rows_buffer`, holds the rows :func:`step_terms_batch`
+    formed at X; without it the rows are formed again."""
+    rows = _kernel_rows(X, c) if kept is None else [_factors(E, c.model.axes) for E in kept]
+    if len(rows) == 1:
+        return rows_t_matmul(rows[0], V.T)
+    return np.column_stack([rows_t_matmul(rows[0], V[:-1].T),
+                            rows_t_matmul(rows[1], V[-1])])
 
 
-def _products(kf, ks, c: FieldCache, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of c.weights times the kernel rows, shape (hi - lo, N):
-    the drift rows (before alpha_s) with kf, the others with ks.
+def gram_solve(c: FieldCache, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_f^{-1} G[:, :D], raveled to the order of u_f, and K_s^{-1} G[:, D]
+    for G of shape (M, D+1), with the jittered Gram matrices."""
+    D = c.model.D
+    return (scipy.linalg.cho_solve(c.chol_f, G[:, :D]).ravel(),
+            scipy.linalg.cho_solve(c.chol_s, G[:, D]))
+
+
+def _products(rows: list, c: FieldCache, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of c.weights times the :func:`_kernel_rows` rows, shape
+    (hi - lo, N): the drift rows (before alpha_s) with the drift kernel's,
+    the others with the diffusion kernel's.
 
     Each kernel's weights are one block of c.weights, so each kernel's
     factors take one contraction, and shared factors one for both kernels;
     the transpose of :func:`rows_matmul`'s result is C-ordered."""
-    if kf is ks:
-        return rows_matmul(kf, c.weights[lo:hi].T).T
+    if len(rows) == 1:
+        return rows_matmul(rows[0], c.weights[lo:hi].T).T
     s = c.model.D * (c.model.D + 1)                 # row of alpha_s in c.weights
-    return np.concatenate([rows_matmul(kf, c.weights[lo:s].T).T,
-                           rows_matmul(ks, c.weights[s:hi].T).T])
+    return np.concatenate([rows_matmul(rows[0], c.weights[lo:s].T).T,
+                           rows_matmul(rows[1], c.weights[s:hi].T).T])
 
 
 def drift_diffusion_batch(X: np.ndarray, c: FieldCache) -> tuple[np.ndarray, np.ndarray]:
     """Both fields at once, sharing the kernel rows when the kernels are equal."""
     D = c.model.D
-    T = _products(*kernel_rows(X, c), c, D * D, D * D + D + 1)
+    T = _products(_kernel_rows(X, c), c, D * D, D * D + D + 1)
     return T[:D].T, T[D]
 
 
@@ -423,8 +450,8 @@ def step_terms_batch(X: np.ndarray, c: FieldCache, out=None):
     """
     N, D = X.shape
     m = c.model
-    kf, ks = kernel_rows(X, c, out)
-    T = _products(kf, ks, c, 0, len(c.weights))
+    rows = _kernel_rows(X, c, out)
+    T = _products(rows, c, 0, len(c.weights))
     f, s = D * D, D * D + D          # rows of alpha_f^T and alpha_s in c.weights
     F, sig, jac, dg = T[f:s], T[s], T[:f].reshape(D, D, N), T[s + 1:]
     XT = np.ascontiguousarray(X.T)
@@ -432,7 +459,7 @@ def step_terms_batch(X: np.ndarray, c: FieldCache, out=None):
     jac /= np.square(m.drift_params.lengthscales)[:, None]
     dg -= sig * XT
     dg /= np.square(m.diff_params.lengthscales)[:, None]
-    return F.T, sig, kf, ks, jac, dg
+    return F.T, sig, rows[0], rows[-1], jac, dg
 
 
 # -- log prior ----------------------------------------------------------------

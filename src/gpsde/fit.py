@@ -25,10 +25,10 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import FitError, InputError, InternalError, NumericalError, SimulationError
-from .field import InducingModel, build_cache, update_values
+from .field import InducingModel, build_cache, grid_points, update_values
 from .kernels import KernelParams, rbf_matrix
 from .objective import draw_increments, evaluate_with_increments, make_grids
-from .sim import child_seed, grid_points
+from .sim import child_seed
 
 # box bounds for the log noise variances keep exp() finite during line search
 _NOISE_LOG_BOUNDS = (-23.0, 14.0)

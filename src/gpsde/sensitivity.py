@@ -11,34 +11,30 @@ its discrete adjoint runs backwards from the last node,
     lambda_i = g_i + lambda_{i+1} + dt_i J_f(x_i)^T lambda_{i+1}
                    + grad sigma(x_i) (dW_i . lambda_{i+1}),
 
-and collects the vector-Jacobian product g^T dx/du from the kernel rows at
-each step's state, with k(x) = k(x, Z) a row:
-dL/dU_f = K_f^{-1} sum_i dt_i k_f(x_i)^T lambda_{i+1}^T (an M x D matrix) and
-dL/du_sigma = K_s^{-1} sum_i k_s(x_i)^T (dW_i . lambda_{i+1}).  The
-initial state is fixed data, so the seed at the first node does not enter.
-Because the sweep differentiates the simulator itself, the result matches
-finite differences of the frozen-noise path map to solver precision, and
-one sweep costs about one forward simulation whatever the number of
-inducing values.
+and the vector-Jacobian product g^T dx/du collects, at each step's state,
+the kernel rows k(x) = k(x, Z) against V_i = [dt_i lambda_{i+1} |
+dW_i . lambda_{i+1}]: dL/dU_f = K_f^{-1} sum_i dt_i k_f(x_i)^T lambda_{i+1}^T
+(an M x D matrix) and dL/du_sigma = K_s^{-1} sum_i k_s(x_i)^T
+(dW_i . lambda_{i+1}).  The initial state is fixed data, so the seed at the
+first node does not enter.  Because the sweep differentiates the simulator
+itself, the result matches finite differences of the frozen-noise path map
+to solver precision, and one sweep costs about one forward simulation
+whatever the number of inducing values.
 
 The forward sweep forms every step's field terms once, with one
-:func:`step_terms_batch` call: the drift and diffusion that step the
-paths, and J_f and grad sigma, which it keeps for the adjoint sweep in
-buffers allocated once per simulation.  It keeps the per-axis kernel
-factors too when Z has two or more axes; a 1-d row set is dense (M floats
-per state), so the 1-d adjoint sweep forms the rows again from the stored
-states, and only the rows.  The adjoint sweep itself is then the lambda
-recursion and the products with the rows.
+:func:`step_terms_batch` call, keeping J_f, grad sigma and whatever rows
+:func:`rows_buffer` makes room for.  This module is the lambda recursion:
+the field forms the products with the rows (:func:`rows_t_products`) and
+applies K^{-1} to their sum (:func:`gram_solve`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, SimulationError
-from .field import (FieldCache, InducingModel, _checked, buffered_rows, kernel_rows,
-                    rows_buffer, rows_t_matmul, step_terms_batch)
+from .field import (FieldCache, InducingModel, _checked, gram_solve, rows_buffer,
+                    rows_t_products, step_terms_batch)
 from .sim import TimeGrid, checked_increments, simulate_callable_batch
 
 
@@ -49,10 +45,9 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid, increments:
 
     paths (S, n_steps+1, D) and increments (S, n_steps, D) come from one
     simulation with ``c.model`` on ``grid``, whose dt is one row of
-    steps or one row per sample; rows (a :func:`rows_buffer`, or None to
-    form the rows from the paths), jac (n_steps, D, D, S) and
-    dg (n_steps, D, S) are its steps' field terms.  seeds has shape
-    (S, n_obs, D), in the grid's observation order.
+    steps or one row per sample; rows (what :func:`rows_buffer` gave),
+    jac (n_steps, D, D, S) and dg (n_steps, D, S) are its steps' field
+    terms.  seeds has shape (S, n_obs, D), in the grid's observation order.
     """
     S, _, D = paths.shape
     seeds = np.asarray(seeds, dtype=float)
@@ -60,8 +55,7 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid, increments:
         raise InputError(f"seeds must be {(S, grid.n_obs, D)}, got {seeds.shape}")
     slot = {int(g): p for p, g in enumerate(grid.obs_indices)}
     lam = np.zeros((D, S))
-    gf = np.zeros((c.model.M, D))
-    gs = np.zeros(c.model.M)
+    G = np.zeros((c.model.M, D + 1))
     dt = np.broadcast_to(grid.dt, (S, grid.n_steps))
     V = np.empty((D + 1, S))        # dt_i lambda and dW_i . lambda, one column per sample
     for i in range(grid.n_steps - 1, -1, -1):
@@ -70,20 +64,11 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid, increments:
             lam = lam + seeds[:, p].T
         if not np.isfinite(lam).all():
             raise SimulationError(f"non-finite adjoint state at step {i + 1}", step=i + 1)
-        kf, ks = kernel_rows(paths[:, i], c) if rows is None else buffered_rows(rows[i], c)
         np.multiply(dt[:, i], lam, out=V[:D])
         np.einsum("sd,ds->s", increments[:, i], lam, out=V[D])
-        if kf is ks:
-            g = rows_t_matmul(kf, V.T)
-            gf += g[:, :D]
-            gs += g[:, D]
-        else:
-            gf += rows_t_matmul(kf, V[:D].T)
-            gs += rows_t_matmul(ks, V[D])
+        G += rows_t_products(paths[:, i], c, V, None if rows is None else rows[i])
         lam = lam + dt[:, i] * np.einsum("ds,des->es", lam, jac[i]) + dg[i] * V[D]
-    grad_f = scipy.linalg.cho_solve(c.chol_f, gf).ravel()
-    grad_s = scipy.linalg.cho_solve(c.chol_s, gs)
-    return grad_f, grad_s
+    return gram_solve(c, G)
 
 
 def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
@@ -98,7 +83,7 @@ def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
     _checked(m, c)
     increments = checked_increments(increments, grid, m.D)
     S, n_steps, D = increments.shape
-    rows = rows_buffer(c, n_steps, S) if len(m.axes) >= 2 else None
+    rows = rows_buffer(c, n_steps, S)
     jac = np.empty((n_steps, D, D, S))
     dg = np.empty((n_steps, D, S))
     steps = iter(range(n_steps))

@@ -171,8 +171,7 @@ def simulate_callable_batch(fields, x0, dt, increments: np.ndarray) -> np.ndarra
     paths[:, 0] = X
     for i in range(n_steps):
         F, sig = fields(X)
-        sig = np.asarray(sig, dtype=float)
-        X = X + np.asarray(F, dtype=float) * dt[:, i, None] + sig[:, None] * increments[:, i]
+        X = X + F * dt[:, i, None] + sig[:, None] * increments[:, i]
         _blowup_check(X, i + 1)
         paths[:, i + 1] = X
     return paths
@@ -184,13 +183,6 @@ def sample_paths(c: FieldCache, x0, grid: TimeGrid, n_samples: int, seed) -> np.
     return simulate_batch(c, x0, grid, incs)
 
 
-def grid_points(axes) -> np.ndarray:
-    """Points (P, D) of the Cartesian grid on D 1-d axes, the last axis
-    varying fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def row_blocks(n_rows: int, row_floats: int):
     """Consecutive slices of range(n_rows), each about BLOCK_FLOATS floats
     when a row holds row_floats; at least one row per slice."""
@@ -200,10 +192,11 @@ def row_blocks(n_rows: int, row_floats: int):
 
 def gaussian_kde(axes, samples, bandwidth: float) -> np.ndarray:
     """Isotropic Gaussian KDE of samples (S, D) on the Cartesian grid of D 1-d
-    axes, in :func:`grid_points` order.  The kernel factorises over dimensions
-    into E_d = exp(-((a_d - x_d) / h)^2 / 2), shape (n_d, S): products of the
-    leading axes' factors are formed one row block of their grid at a time,
-    and each block meets the last axis's factor in one matrix product."""
+    axes, in :func:`gpsde.field.grid_points` order.  The kernel factorises
+    over dimensions into E_d = exp(-((a_d - x_d) / h)^2 / 2), shape (n_d, S):
+    products of the leading axes' factors are formed one row block of their
+    grid at a time, and each block meets the last axis's factor in one
+    matrix product."""
     samples = as_points(samples, name="samples")
     S, D = samples.shape
     if S == 0:

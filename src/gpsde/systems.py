@@ -25,9 +25,11 @@ from .field import (
     diffusion_batch,
     drift_batch,
     drift_diffusion_batch,
+    grid_points,
 )
+from .kernels import as_points
 from .objective import Trajectory
-from .sim import child_seed, gaussian_kde, grid_points, row_blocks, simulate_callable_batch
+from .sim import child_seed, gaussian_kde, row_blocks, simulate_callable_batch
 
 _GEN_MAX_RETRIES = 5
 
@@ -79,11 +81,9 @@ def double_well() -> ParametricSystem:
     """1-d bistable system: drift 4(x - x^3), constant diffusion 1.5."""
 
     def drift(X):
-        X = np.atleast_2d(X)
         return 4.0 * (X - X**3)
 
     def diffusion(X):
-        X = np.atleast_2d(X)
         return np.full(X.shape[0], 1.5)
 
     return ParametricSystem(1, drift, diffusion)
@@ -100,7 +100,6 @@ def oscillator_hotspot() -> ParametricSystem:
     (-1, -1): sigma(x) = 2 N(x | (-1,-1), 0.5 I) + 0.3."""
 
     def drift(X):
-        X = np.atleast_2d(X)
         r2 = X[:, 0] ** 2 + X[:, 1] ** 2
         return np.stack(
             [X[:, 0] * (1.0 - r2) - X[:, 1], X[:, 1] * (1.0 - r2) + X[:, 0]], axis=-1
@@ -109,7 +108,6 @@ def oscillator_hotspot() -> ParametricSystem:
     center = np.array([-1.0, -1.0])
 
     def diffusion(X):
-        X = np.atleast_2d(X)
         return 2.0 * _iso_gauss_pdf(X, center, 0.5) + 0.3
 
     return ParametricSystem(2, drift, diffusion)
@@ -123,13 +121,11 @@ def van_der_pol(mu: float = 1.0) -> ParametricSystem:
     center = np.array([2.0, 0.0])
 
     def drift(X):
-        X = np.atleast_2d(X)
         return np.stack(
             [X[:, 1], mu * (1.0 - X[:, 0] ** 2) * X[:, 1] - X[:, 0]], axis=-1
         )
 
     def diffusion(X):
-        X = np.atleast_2d(X)
         return 1.5 * _iso_gauss_pdf(X, center, 0.25) + 0.3
 
     return ParametricSystem(2, drift, diffusion)
@@ -156,8 +152,8 @@ def _fields(fitted):
     cache = build_cache(fitted) if isinstance(fitted, InducingModel) else fitted
     if not isinstance(cache, FieldCache):
         raise InputError("fitted must be a ParametricSystem, InducingModel or FieldCache")
-    return (lambda X: drift_batch(np.atleast_2d(X), cache),
-            lambda X: diffusion_batch(np.atleast_2d(X), cache),
+    return (lambda X: drift_batch(X, cache),
+            lambda X: diffusion_batch(X, cache),
             lambda X: drift_diffusion_batch(X, cache))
 
 
@@ -238,7 +234,7 @@ def drift_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
     """
     P = _eval_points(eval_box, n_grid, data)
     drift_fit = _fields(fitted)[0]
-    diff = np.atleast_2d(true_sys.drift_fn(P)) - np.atleast_2d(drift_fit(P))
+    diff = true_sys.drift_fn(P) - drift_fit(P)
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=-1))))
 
 
@@ -247,7 +243,7 @@ def diffusion_error(true_sys: ParametricSystem, fitted, eval_box, n_grid: int,
     """RMS mismatch between the true diffusion and |fitted diffusion|."""
     P = _eval_points(eval_box, n_grid, data)
     diff_fit = _fields(fitted)[1]
-    delta = np.asarray(true_sys.diffusion_fn(P)) - np.abs(np.asarray(diff_fit(P)))
+    delta = true_sys.diffusion_fn(P) - np.abs(diff_fit(P))
     return float(np.sqrt(np.mean(delta**2)))
 
 
@@ -264,8 +260,7 @@ def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
     The three mean distances run the same code, so identical clouds score
     exactly 2a - a - a = 0.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X, Y = as_points(X, name="X"), as_points(Y, name="Y")
     return float(2.0 * _mean_distance(X, Y) - _mean_distance(X, X) - _mean_distance(Y, Y))
 
 
@@ -276,8 +271,7 @@ def kde_l2_distance(X: np.ndarray, Y: np.ndarray) -> float:
     joint bounding box padded by 0.5) and the bandwidth, so identical
     clouds score exactly zero.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X, Y = as_points(X, name="X"), as_points(Y, name="Y")
     both = np.concatenate([X, Y], axis=0)
     d = both.shape[1]
     bw = max(float(np.mean(both.std(axis=0))) * both.shape[0] ** (-1.0 / (d + 4)), 1e-8)

@@ -18,6 +18,7 @@ from gpsde.field import (
     build_cache,
     diffusion_batch,
     drift_batch,
+    grid_points,
     update_values,
 )
 from gpsde.fit import FitConfig, fit_map
@@ -72,7 +73,7 @@ def random_instance(seed):
         while sizes.prod() < 2:
             sizes = rng.integers(1, 4, size=2)
         axes = [distinct_uniform(rng, n, 1)[:, 0] for n in sizes]
-        Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        Z = grid_points(axes)
         M = len(Z)
     m = InducingModel(
         Z=Z,
@@ -175,7 +176,7 @@ def test_criterion_3_interpolation():
         else:
             side = int(round(M ** 0.5))
             ax = np.arange(side) * spacing
-            Z = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, D)
+            Z = grid_points([ax, ax])
         m = InducingModel(
             Z=Z, U_f=rng.normal(scale=2.0, size=Z.shape),
             u_sigma=rng.normal(scale=2.0, size=Z.shape[0]),

@@ -5,7 +5,7 @@ import pytest
 
 from gpsde import dataio
 from gpsde.errors import DataError
-from gpsde.field import InducingModel
+from gpsde.field import InducingModel, grid_points
 from gpsde.kernels import KernelParams
 from gpsde.objective import Trajectory
 from gpsde.sim import build_grid
@@ -73,14 +73,10 @@ def test_dataset_of_mixed_dimensions_names_the_odd_file(tmp_path, awkward_trajec
         dataio.read_dataset(tmp_path)
 
 
-def cartesian(axes):
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
 def make_model():
     rng = np.random.default_rng(5)
     return InducingModel(
-        Z=cartesian(rng.uniform(-2, 2, (2, 2))),
+        Z=grid_points(rng.uniform(-2, 2, (2, 2))),
         U_f=rng.normal(scale=12.3, size=(4, 2)),
         u_sigma=rng.normal(size=4) * 1e-7,
         drift_params=KernelParams(1.0, [0.31459, 1.77]),

@@ -14,10 +14,14 @@ from gpsde.field import (
     diffusion_batch,
     drift_batch,
     drift_diffusion_batch,
+    gram_solve,
+    grid_points,
     log_prior,
     log_prior_grad,
+    rows_buffer,
     rows_matmul,
     rows_t_matmul,
+    rows_t_products,
     step_terms_batch,
     update_values,
 )
@@ -30,10 +34,6 @@ from gpsde.sim import TimeGrid
 GRID_RULE = "distinct points of a Cartesian grid in grid_points order"
 
 
-def cartesian(axes):
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
 def make_model(seed=0, D=2, M=6, spacing=1.0, u_scale=1.0):
     """A model whose Z is the grid of M // D permuted, evenly spaced
     coordinates and, for D = 2, two jittered ones on the second axis; the
@@ -42,7 +42,7 @@ def make_model(seed=0, D=2, M=6, spacing=1.0, u_scale=1.0):
     axes = [rng.permutation(np.arange(M // D)) * spacing]
     if D == 2:
         axes.append((np.arange(2) - 0.5) * spacing + rng.uniform(-0.2, 0.2, 2))
-    Z = cartesian(axes)
+    Z = grid_points(axes)
     return InducingModel(
         Z=Z,
         U_f=u_scale * rng.normal(size=(M, D)),
@@ -317,7 +317,7 @@ def test_grid_gram_matches_dense_gram(sizes):
     rng = np.random.default_rng(len(sizes))
     axes = tuple(np.sort(rng.uniform(-2, 2, size=n)) for n in sizes)
     p = KernelParams(2.5, rng.uniform(0.3, 1.2, size=len(sizes)))
-    K, dense = _grid_gram(axes, p), gram(cartesian(axes), cartesian(axes), p)
+    K, dense = _grid_gram(axes, p), gram(grid_points(axes), grid_points(axes), p)
     if len(sizes) == 1:
         assert np.array_equal(K, dense)
     np.testing.assert_allclose(K, dense, rtol=0, atol=4 * np.finfo(float).eps * p.variance)
@@ -328,7 +328,7 @@ def test_equal_kernels_factor_like_two_separate_gram_matrices():
     # factor, bit-identical to factoring its own jittered (per-axis) Gram matrix
     rng = np.random.default_rng(12)
     M = 9
-    m = InducingModel(Z=cartesian(rng.uniform(-2, 2, size=(2, 3))), U_f=rng.normal(size=(M, 2)),
+    m = InducingModel(Z=grid_points(rng.uniform(-2, 2, size=(2, 3))), U_f=rng.normal(size=(M, 2)),
                       u_sigma=rng.normal(size=M), drift_params=KernelParams(1.3, [0.7, 0.9]),
                       diff_params=KernelParams(1.3, [0.7, 0.9]), noise_vars=[0.1, 0.1])
     c = build_cache(m)
@@ -426,7 +426,7 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
         # jittered regular axes keep the Gram matrices conditioned like the
         # scattered cases' (a near-duplicate coordinate would amplify the
         # dense rows' rounding past the tolerance)
-        Z = cartesian([np.linspace(-2, 2, n) + rng.uniform(-0.3, 0.3, size=n) for n in grid])
+        Z = grid_points([np.linspace(-2, 2, n) + rng.uniform(-0.3, 0.3, size=n) for n in grid])
     M = len(Z)
     kw = dict(U_f=rng.normal(size=(M, D)), u_sigma=rng.normal(size=M),
               drift_params=pf, diff_params=ps, noise_vars=np.full(D, 0.1))
@@ -479,12 +479,45 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
             InducingModel(Z=bad, **kw)
 
 
+@pytest.mark.parametrize("sizes", [(7,), (4, 3)], ids=["1-d", "4x3"])
+@pytest.mark.parametrize("same", [True, False])
+def test_adjoint_products_and_solves_match_dense_oracle(sizes, same):
+    # the adjoint's products with kept or re-formed rows, against dense
+    # rbf_matrix rows, and its solves, against the jittered Gram matrices
+    rng = np.random.default_rng(11)
+    D, N = len(sizes), 20
+    pf = KernelParams(1.3, rng.uniform(0.6, 1.6, size=D))
+    ps = pf if same else KernelParams(0.7, rng.uniform(0.6, 1.6, size=D))
+    Z = grid_points([np.linspace(-2, 2, n) + rng.uniform(-0.3, 0.3, size=n) for n in sizes])
+    M = len(Z)
+    m = InducingModel(Z=Z, U_f=rng.normal(size=(M, D)), u_sigma=rng.normal(size=M),
+                      drift_params=pf, diff_params=ps, noise_vars=np.full(D, 0.1))
+    c = build_cache(m)
+    X, V = rng.uniform(-2.5, 2.5, size=(N, D)), rng.normal(size=(D + 1, N))
+    want = np.column_stack([rbf_matrix(X, Z, pf).T @ V[:D].T, rbf_matrix(X, Z, ps).T @ V[D]])
+    assert_rel_close(rows_t_products(X, c, V), want)
+    kept = rows_buffer(c, 2, N)
+    if D == 1:
+        assert kept is None          # a 1-d row set is dense: formed again, never kept
+    else:
+        assert kept.shape == (2, 1 if same else 2, sum(sizes), N)
+        step_terms_batch(X, c, kept[1])
+        # the kept rows serve, whatever the states passed beside them
+        assert np.array_equal(rows_t_products(np.full((N, D), np.nan), c, V, kept[1]),
+                              rows_t_products(X, c, V))
+    G = rng.normal(size=(M, D + 1))
+    gf, gs = gram_solve(c, G)
+    for got, p, rhs in ((gf, pf, G[:, :D]), (gs, ps, G[:, D])):
+        K = rbf_matrix(Z, Z, p) + JITTER_SCALE * p.variance * np.eye(M)
+        assert_rel_close(got, np.linalg.solve(K, rhs).ravel())
+
+
 def test_step_terms_form_no_n_by_m_by_d_temporary():
     # distinct kernels on a 15 x 15 grid: the rows are per-axis factors, so
     # the peak stays below one dense (N, M) row set
     N, M, D = 200, 225, 2
     rng = np.random.default_rng(9)
-    m = InducingModel(Z=cartesian([np.linspace(-2, 2, 15)] * D), U_f=rng.normal(size=(M, D)),
+    m = InducingModel(Z=grid_points([np.linspace(-2, 2, 15)] * D), U_f=rng.normal(size=(M, D)),
                       u_sigma=rng.normal(size=M), drift_params=KernelParams(1.0, [0.5, 0.7]),
                       diff_params=KernelParams(1.0, [0.6, 0.6]), noise_vars=[0.1, 0.1])
     c = build_cache(m)

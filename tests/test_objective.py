@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpsde.errors import InputError
-from gpsde.field import InducingModel, build_cache, log_prior, update_values
+from gpsde.field import InducingModel, build_cache, grid_points, log_prior, update_values
 from gpsde.kernels import KernelParams
 from gpsde.objective import (
     SEGMENT_INTERVALS,
@@ -28,7 +28,7 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
     axes = [np.linspace(-1.5, 1.5, M // D)]
     if D == 2:
         axes.append(np.array([-0.75, 0.75]) + rng.uniform(-0.3, 0.3, 2))
-    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    Z = grid_points(axes)
     m = InducingModel(
         Z=Z,
         U_f=u_scale * rng.normal(size=(M, D)),
@@ -45,7 +45,7 @@ def grid_model(seed=0, u_scale=0.5):
     whose one set of per-axis factors serves both fields."""
     rng = np.random.default_rng(seed)
     axes = [np.linspace(-1.5, 1.5, 2), np.linspace(-1.5, 1.5, 3)]
-    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    Z = grid_points(axes)
     p = KernelParams(1.0, [1.0, 0.8])
     m = InducingModel(Z=Z, U_f=u_scale * rng.normal(size=(6, 2)),
                       u_sigma=u_scale * rng.normal(size=6),

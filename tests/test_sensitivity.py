@@ -3,11 +3,11 @@ import pytest
 
 import gpsde.field as field
 from gpsde.errors import SimulationError
-from gpsde.field import InducingModel, build_cache, update_values
+from gpsde.field import InducingModel, build_cache, grid_points, update_values
 from gpsde.kernels import KernelParams, gram_blocked, rbf_matrix
 from gpsde.objective import Trajectory, draw_increments, evaluate_with_increments, make_grids
 from gpsde.sensitivity import simulate_bundle_with_sensitivities
-from gpsde.sim import TimeGrid, build_grid, grid_points, sample_increments, simulate_batch
+from gpsde.sim import TimeGrid, build_grid, sample_increments, simulate_batch
 
 
 def small_model(seed=0, D=1, M=4, u_scale=0.5):
@@ -17,7 +17,7 @@ def small_model(seed=0, D=1, M=4, u_scale=0.5):
     axes = [np.linspace(-1.5, 1.5, M // D)]
     if D == 2:
         axes.append(np.array([-0.75, 0.75]) + rng.uniform(-0.3, 0.3, 2))
-    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    Z = grid_points(axes)
     m = InducingModel(
         Z=Z,
         U_f=u_scale * rng.normal(size=(M, D)),
@@ -34,7 +34,7 @@ def grid_model(seed=0, sizes=(3, 4), u_scale=0.5):
     one set of per-axis factors serves both fields."""
     rng = np.random.default_rng(seed)
     axes = [np.linspace(-1.5, 1.5, n) for n in sizes]
-    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    Z = grid_points(axes)
     p = KernelParams(1.0, [1.0, 0.8])
     m = InducingModel(Z=Z, U_f=u_scale * rng.normal(size=(len(Z), 2)),
                       u_sigma=u_scale * rng.normal(size=len(Z)),

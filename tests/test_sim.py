@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from gpsde.errors import InputError, SimulationError
-from gpsde.field import InducingModel, build_cache, drift_batch, update_values
+from gpsde.field import InducingModel, build_cache, drift_batch, grid_points, update_values
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
     BLOCK_FLOATS,
     build_grid,
     gaussian_kde,
-    grid_points,
     sample_increments,
     sample_paths,
     simulate_batch,

@@ -3,7 +3,7 @@ import pytest
 
 from gpsde import systems
 from gpsde.errors import InputError, SimulationError
-from gpsde.field import InducingModel, build_cache
+from gpsde.field import InducingModel, build_cache, grid_points
 from gpsde.kernels import KernelParams
 from gpsde.objective import Trajectory
 from gpsde.sim import child_seed, simulate_callable_batch
@@ -42,7 +42,7 @@ class TestDoubleWell:
         sys_ = double_well()
         for _ in range(5):
             x = rng.uniform(-2, 2)
-            assert sys_.drift_fn([[x]])[0, 0] == pytest.approx(4.0 * x - 4.0 * x**3)
+            assert sys_.drift_fn(np.array([[x]]))[0, 0] == pytest.approx(4.0 * x - 4.0 * x**3)
 
 
 class TestOscillator:
@@ -68,11 +68,11 @@ class TestOscillator:
         sys_ = oscillator_hotspot()
         for _ in range(5):
             x1, x2 = rng.uniform(-2, 2, 2)
-            f = sys_.drift_fn([[x1, x2]])[0]
+            f = sys_.drift_fn(np.array([[x1, x2]]))[0]
             r2 = x1 * x1 + x2 * x2
             assert f[0] == pytest.approx(x1 * (1 - r2) - x2, rel=1e-12)
             assert f[1] == pytest.approx(x2 * (1 - r2) + x1, rel=1e-12)
-            s = sys_.diffusion_fn([[x1, x2]])[0]
+            s = sys_.diffusion_fn(np.array([[x1, x2]]))[0]
             d2 = (x1 + 1) ** 2 + (x2 + 1) ** 2
             expected = 2 * np.exp(-0.5 * d2 / 0.5) / (2 * np.pi * 0.5) + 0.3
             assert s == pytest.approx(expected, rel=1e-12)
@@ -81,11 +81,11 @@ class TestOscillator:
 class TestVanDerPol:
     def test_origin_is_fixed_point(self):
         sys_ = van_der_pol(1.0)
-        np.testing.assert_allclose(sys_.drift_fn([[0.0, 0.0]]), 0.0, atol=1e-14)
+        np.testing.assert_allclose(sys_.drift_fn(np.array([[0.0, 0.0]])), 0.0, atol=1e-14)
 
     def test_zero_mu_is_harmonic_oscillator(self):
         sys_ = van_der_pol(0.0)
-        f = sys_.drift_fn([[0.3, -0.7]])[0]
+        f = sys_.drift_fn(np.array([[0.3, -0.7]]))[0]
         np.testing.assert_allclose(f, [-0.7, -0.3], atol=1e-14)
 
     def test_limit_cycle_returns_near_start(self):
@@ -170,7 +170,7 @@ class TestGenerate:
         sys_ = double_well()
         from dataclasses import replace
 
-        quiet = replace(sys_, diffusion_fn=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
+        quiet = replace(sys_, diffusion_fn=lambda X: np.zeros(len(X)))
         spec = self.spec(noise_std=0.0, subsample_every=1, n_traj=1)
         tr = generate(quiet, spec)[0]
         x = tr.obs[0].copy()
@@ -311,7 +311,7 @@ class TestFieldErrors:
         # (grid, M) kernel rows of the fitted drift (3 MB) stay
         sys_ = van_der_pol()
         axis = np.linspace(-3, 3, 15)
-        Z = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        Z = grid_points([axis, axis])
         p = KernelParams(1.0, [0.6, 0.6])
         m = InducingModel(Z=Z, U_f=sys_.drift_fn(Z), u_sigma=sys_.diffusion_fn(Z),
                           drift_params=p, diff_params=p, noise_vars=[0.01, 0.01])
@@ -378,6 +378,17 @@ class TestEnergyDistance:
         dense = 2 * mean_dist(X, Y) - mean_dist(X, X) - mean_dist(Y, Y)
         assert abs(energy_distance(X, Y) - dense) <= 1e-12 * mean_dist(X, Y)
         assert energy_distance(Y, Y) == 0.0
+
+
+@pytest.mark.parametrize("dist", [energy_distance, kde_l2_distance])
+def test_distances_reject_one_d_clouds(dist):
+    # a 1-d array of n values is not n points: it was once read as one
+    # n-dimensional point (energy_distance(zeros(3), [1, 2, 3]) gave 7.48)
+    cloud = np.array([[0.0], [1.0], [2.0]])
+    for X, Y in ((np.zeros(3), np.array([1.0, 2.0, 3.0])), (np.zeros(2), cloud),
+                 (cloud, np.zeros(2))):
+        with pytest.raises(InputError, match="2-d array of states"):
+            dist(X, Y)
 
 
 class TestDistributionDiscrepancy:
