@@ -25,8 +25,8 @@ class DataError(GpsdeError, ValueError):
 
 
 class NumericalError(GpsdeError, RuntimeError):
-    """A linear-algebra step failed, e.g. a Gram matrix that is not
-    positive definite even after jitter."""
+    """A linear-algebra step failed: the gradient-matching regression
+    system is not positive definite."""
 
 
 class SimulationError(GpsdeError, RuntimeError):

@@ -8,11 +8,10 @@ locations Z, each of its D outputs an independent GP with the same kernel,
 and the scalar diffusion does the same with its own kernel and values
 u_sigma.  Both revert to zero away from the inducing locations (zero-mean
 prior).  A :class:`FieldCache` holds the model it was built from together
-with the two M x M Cholesky factorizations and the derived solve products
-shared by every evaluation, so the model's values have one owner.  Build
-one with :func:`build_cache` and rebuild whenever Z or the kernel
-parameters change; :func:`update_values` is the one way to replace the
-inducing values or noise, and it reuses the factorizations.
+with each kernel's prior factors and the interpolation weights shared by
+every evaluation, so the model's values have one owner.  Build one with
+:func:`build_cache`; :func:`update_values` is the one way to replace the
+inducing values or noise, and it returns a new model with a new cache.
 
 Z is always a Cartesian grid of per-axis coordinates a_d (every 1-d Z is
 the one-axis grid of its own points), as ``gpsde fit`` places it, so a
@@ -24,11 +23,15 @@ and the rows at N states cost N * sum_d n_d exponentials instead of N * M.
 They are kept as those per-axis factors, never as (N, M) arrays;
 :func:`rows_matmul` and :func:`rows_t_matmul` contract them with weights
 one axis at a time.  The Gram matrix K(Z, Z) factorises the same way, into
-the Kronecker product of the per-axis Gram matrices.  The adjoint sweep's
-products with the rows and its K^{-1} solves live here too
-(:func:`rows_t_products`, :func:`gram_solve`), so which rows are kept, when
-the kernels share them and how K is factored are decided in this module
-alone.
+the Kronecker product of the per-axis Gram matrices, so one
+eigendecomposition per axis gives its jittered form as Q diag(lam) Q^T
+with Q the Kronecker product of the per-axis eigenvector matrices.  No
+M x M matrix is formed: every product with a power of K (the
+interpolation weights, :func:`gram_solve`, the fit's whitening
+:func:`gram_root` and the log-determinant in :func:`log_prior`) applies Q
+one axis at a time.  The adjoint sweep's products with the rows live here
+too (:func:`rows_t_products`), so which rows are kept, when the kernels
+share them and how K is factored are decided in this module alone.
 
 Evaluation functions are pure, apart from writing the rows into a buffer
 the caller passes, and safe to call concurrently; models and caches are
@@ -37,15 +40,13 @@ immutable after construction.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InputError, InternalError, NumericalError
+from .errors import InputError, InternalError
 from .kernels import JITTER_SCALE, KernelParams, as_points, gram, same_params
 # not used here: bench/tracer.py wraps gpsde.field.gram_blocked and
 # gpsde.field.rbf_matrix by name
@@ -104,20 +105,15 @@ class InducingModel:
                              "Cartesian grid in grid_points order (last axis fastest)")
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "axes", axes)
-        self._set_values(self.U_f, self.u_sigma, self.noise_vars)
-
-    def _set_values(self, U_f, u_sigma, noise_vars):
-        """Check and freeze the inducing values and noise against Z."""
-        M, D = self.Z.shape
-        U_f = np.asarray(U_f, dtype=float)
+        U_f = np.asarray(self.U_f, dtype=float)
         if U_f.shape != (M, D):
             raise InputError(f"U_f must be {(M, D)}, got {U_f.shape}")
-        u_sigma = np.asarray(u_sigma, dtype=float).ravel()
+        u_sigma = np.asarray(self.u_sigma, dtype=float).ravel()
         if u_sigma.shape != (M,):
             raise InputError(f"u_sigma must have length {M}")
         if not (np.all(np.isfinite(U_f)) and np.all(np.isfinite(u_sigma))):
             raise InputError("U_f and u_sigma must be finite")
-        noise_vars = np.asarray(noise_vars, dtype=float).ravel()
+        noise_vars = np.asarray(self.noise_vars, dtype=float).ravel()
         if noise_vars.shape != (D,) or np.any(noise_vars <= 0) or not np.all(np.isfinite(noise_vars)):
             raise InputError("noise_vars must be D positive finite reals")
         for name, val in (("U_f", U_f), ("u_sigma", u_sigma), ("noise_vars", noise_vars)):
@@ -139,14 +135,16 @@ class InducingModel:
 
 @dataclass(frozen=True, eq=False)
 class FieldCache:
-    """Factorizations and solve products of the model they were built from.
+    """Prior factors and interpolation weights of the model they were
+    built from.
 
     model is that InducingModel, the one owner of Z, the kernel parameters
-    and the inducing values; a cache pairs only with it.  chol_f and chol_s
-    factor the jittered Gram matrices K_f(Z,Z) and K_s(Z,Z) (chol_s is
-    chol_f when the two kernels are equal), and alpha_f = K_f^{-1} U_f,
-    shape (M, D), and alpha_s = K_s^{-1} u_sigma are the interpolation
-    weights: the fields at N states are the kernel rows k(X, Z) times them.
+    and the inducing values; a cache pairs only with it.  prior_f and
+    prior_s are the :func:`_grid_prior` factors (Q_1, ..., Q_D, lam) of
+    the jittered Gram matrices K_f(Z,Z) and K_s(Z,Z) (prior_s is prior_f
+    when the two kernels are equal), and alpha_f = K_f^{-1} U_f, shape
+    (M, D), and alpha_s = K_s^{-1} u_sigma are the interpolation weights:
+    the fields at N states are the kernel rows k(X, Z) times them.
 
     weights holds every weight the fields and their state derivatives
     contract the rows with, as rows of one (D*D + 2D + 1, M) array:
@@ -160,10 +158,8 @@ class FieldCache:
     """
 
     model: InducingModel
-    chol_f: tuple
-    chol_s: tuple
-    logdet_f: float
-    logdet_s: float
+    prior_f: tuple
+    prior_s: tuple
     alpha_f: np.ndarray
     alpha_s: np.ndarray
     weights: np.ndarray
@@ -175,38 +171,19 @@ def _checked(m: InducingModel, c: FieldCache):
         raise InternalError("field cache was built from a different model; rebuild it")
 
 
-def _factor(K: np.ndarray, what: str) -> tuple:
-    try:
-        return scipy.linalg.cho_factor(K, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(K)
-        raise NumericalError(
-            f"{what} Gram matrix is not positive definite after jitter "
-            f"(condition number {cond:.3e})"
-        ) from exc
-
-
 def build_cache(m: InducingModel) -> FieldCache:
-    """Factorize the (jittered) Gram matrices of a model and precompute the
+    """Factor the (jittered) Gram matrices of a model and precompute the
     products used by field evaluation and its derivatives."""
-    M = m.M
-    Kf = _grid_gram(m.axes, m.drift_params)
-    Kf[np.diag_indices(M)] += JITTER_SCALE * m.drift_params.variance
-    chol_f = _factor(Kf, "drift")
+    prior_f = _grid_prior(m.axes, m.drift_params)
     same = same_params(m.drift_params, m.diff_params)
-    if not same:        # equal kernels share one jittered Gram matrix and factor
-        Ks = _grid_gram(m.axes, m.diff_params)
-        Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
-    chol_s = chol_f if same else _factor(Ks, "diffusion")
-    alpha_f = scipy.linalg.cho_solve(chol_f, m.U_f)
-    alpha_s = scipy.linalg.cho_solve(chol_s, m.u_sigma)
+    # equal kernels share one factorization
+    prior_s = prior_f if same else _grid_prior(m.axes, m.diff_params)
+    alpha_f = _prior_matmul(prior_f, m.U_f, -1.0)
+    alpha_s = _prior_matmul(prior_s, m.u_sigma, -1.0)
     return FieldCache(
         model=m,
-        chol_f=chol_f,
-        chol_s=chol_s,
-        # the D drift columns share K_f, so their joint covariance has D x its logdet
-        logdet_f=float(2.0 * m.D * np.sum(np.log(np.diag(chol_f[0])))),
-        logdet_s=float(2.0 * np.sum(np.log(np.diag(chol_s[0])))),
+        prior_f=prior_f,
+        prior_s=prior_s,
         alpha_f=alpha_f,
         alpha_s=alpha_s,
         weights=_grid_weights(m.Z, alpha_f, alpha_s),
@@ -215,14 +192,49 @@ def build_cache(m: InducingModel) -> FieldCache:
     )
 
 
-def _grid_gram(axes: tuple, p: KernelParams) -> np.ndarray:
-    """Gram matrix K(Z, Z) of kernel p on the grid of axes, in grid_points
-    order: the variance times the Kronecker product of the per-axis
-    unit-variance Gram matrices, each of which squares exact differences."""
-    K = functools.reduce(np.kron, [gram(a[:, None], a[:, None], KernelParams(1.0, [l]))
-                                   for a, l in zip(axes, p.lengthscales)])
-    K *= p.variance
-    return K
+def _grid_prior(axes: tuple, p: KernelParams) -> tuple:
+    """The factors (Q_1, ..., Q_D, lam) of kernel p's jittered Gram matrix
+    on the grid of axes, in grid_points order:
+
+        K(Z, Z) + variance * JITTER_SCALE * I = Q diag(lam) Q^T,
+
+    with Q the Kronecker product of the Q_d, from the eigendecomposition
+    Q_d diag(lam_d) Q_d^T of axis d's unit-variance Gram matrix (which
+    squares exact differences), and lam = variance * (kron_d lam_d +
+    JITTER_SCALE).  Rounding-negative lam_d are clipped at 0, so every lam
+    is at least variance * JITTER_SCALE."""
+    Qs, lams = [], []
+    for a, l in zip(axes, p.lengthscales):
+        lam_d, Q_d = np.linalg.eigh(gram(a[:, None], a[:, None], KernelParams(1.0, [l])))
+        Qs.append(Q_d)
+        lams.append(np.maximum(lam_d, 0.0))
+    return (*Qs, p.variance * (functools.reduce(np.multiply.outer, lams).ravel() + JITTER_SCALE))
+
+
+def _kron_matmul(Qs, B: np.ndarray) -> np.ndarray:
+    """Q B for Q the Kronecker product of the per-axis square matrices Qs
+    and B of shape (M, C) or (M,) in grid_points order.  Each axis takes
+    one matrix product with its factor and a transpose, which brings the
+    next axis to the front."""
+    X = B
+    for Q in Qs:
+        X = (Q @ X.reshape(Q.shape[0], -1)).T
+    return X.reshape(-1, B.shape[0]).T.reshape(B.shape)
+
+
+def _prior_matmul(prior: tuple, B: np.ndarray, power: float) -> np.ndarray:
+    """K^power B for the :func:`_grid_prior` factors of a jittered Gram
+    matrix K = Q diag(lam) Q^T and B of shape (M, C) or (M,)."""
+    *Qs, lam = prior
+    W = _kron_matmul([Q.T for Q in Qs], B)
+    return _kron_matmul(Qs, (lam ** power * W.T).T)
+
+
+def gram_root(c: FieldCache, B: np.ndarray, inverse=False) -> np.ndarray:
+    """K_f^{1/2} B, or K_f^{-1/2} B when inverse, with the symmetric root
+    of the jittered drift Gram matrix, for B of shape (M, C) or (M,): the
+    whitening of the fit's inducing values."""
+    return _prior_matmul(c.prior_f, B, -0.5 if inverse else 0.5)
 
 
 def _grid_axes(Z: np.ndarray):
@@ -255,18 +267,12 @@ def _grid_weights(Z, alpha_f, alpha_s) -> np.ndarray:
 
 def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                   noise_vars=None) -> tuple[InducingModel, FieldCache]:
-    """New (model, cache) pair with replaced inducing values or noise,
-    reusing the existing factorizations.  The new model shares the checked
-    Z and kernel parameters of m, so only the new values are validated."""
+    """New (model, cache) pair with replaced inducing values or noise: m
+    with the given values, checked as at construction, and its cache."""
     _checked(m, c)
-    m2 = copy.copy(m)
-    m2._set_values(m.U_f if U_f is None else U_f,
-                   m.u_sigma if u_sigma is None else u_sigma,
-                   m.noise_vars if noise_vars is None else noise_vars)
-    alpha_f = scipy.linalg.cho_solve(c.chol_f, m2.U_f) if U_f is not None else c.alpha_f
-    alpha_s = scipy.linalg.cho_solve(c.chol_s, m2.u_sigma) if u_sigma is not None else c.alpha_s
-    return m2, replace(c, model=m2, alpha_f=alpha_f, alpha_s=alpha_s,
-                       weights=_grid_weights(m2.Z, alpha_f, alpha_s))
+    m2 = replace(m, **{k: v for k, v in (("U_f", U_f), ("u_sigma", u_sigma),
+                                         ("noise_vars", noise_vars)) if v is not None})
+    return m2, build_cache(m2)
 
 
 # -- field evaluation ---------------------------------------------------------
@@ -388,8 +394,8 @@ def gram_solve(c: FieldCache, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_f^{-1} G[:, :D], raveled to the order of u_f, and K_s^{-1} G[:, D]
     for G of shape (M, D+1), with the jittered Gram matrices."""
     D = c.model.D
-    return (scipy.linalg.cho_solve(c.chol_f, G[:, :D]).ravel(),
-            scipy.linalg.cho_solve(c.chol_s, G[:, D]))
+    return (_prior_matmul(c.prior_f, G[:, :D], -1.0).ravel(),
+            _prior_matmul(c.prior_s, G[:, D], -1.0))
 
 
 def _products(rows: list, c: FieldCache, lo: int, hi: int) -> np.ndarray:
@@ -467,16 +473,12 @@ def step_terms_batch(X: np.ndarray, c: FieldCache, out=None):
 def log_prior(c: FieldCache) -> float:
     """Log density of the cache model's u_f and u_sigma under their
     zero-mean Gaussian priors with (jittered) Gram covariances; the D drift
-    columns are i.i.d."""
+    columns are i.i.d., so their joint covariance has D times K_f's
+    log-determinant, the sum of log lam."""
     m = c.model
-    quad_f = float(m.u_f @ c.alpha_f.ravel())
-    quad_s = float(m.u_sigma @ c.alpha_s)
-    n_f = m.M * m.D
-    n_s = m.M
-    return (
-        -0.5 * (quad_f + c.logdet_f + n_f * math.log(2.0 * math.pi))
-        - 0.5 * (quad_s + c.logdet_s + n_s * math.log(2.0 * math.pi))
-    )
+    quad = float(m.u_f @ c.alpha_f.ravel()) + float(m.u_sigma @ c.alpha_s)
+    logdet = m.D * np.sum(np.log(c.prior_f[-1])) + np.sum(np.log(c.prior_s[-1]))
+    return float(-0.5 * (quad + logdet + (m.D + 1) * m.M * math.log(2.0 * math.pi)))
 
 
 def log_prior_grad(c: FieldCache) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import FitError, InputError, InternalError, NumericalError, SimulationError
-from .field import InducingModel, build_cache, grid_points, update_values
+from .field import InducingModel, build_cache, gram_root, grid_points, update_values
 from .kernels import KernelParams, rbf_matrix
 from .objective import draw_increments, evaluate_with_increments, make_grids
 from .sim import child_seed
@@ -209,17 +209,14 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
         cache = build_cache(model)
         M, MD = model.M, model.M * model.D
 
-        # optimize whitened coordinates v = L^{-1} u (L the prior Cholesky
-        # factor both kernels share, applied to each drift column): the prior
-        # Hessian becomes the identity, which conditions the quasi-Newton
-        # iteration far better than raw inducing values.  x[:MD] holds
-        # V = L^{-1} U_f in its (m, d) order.
-        L = np.tril(cache.chol_f[0])
-        x = np.concatenate([
-            scipy.linalg.solve_triangular(L, model.U_f, lower=True).ravel(),
-            scipy.linalg.solve_triangular(L, model.u_sigma, lower=True),
-            np.log(model.noise_vars),
-        ])
+        # optimize whitened coordinates v = K^{-1/2} u (K the jittered prior
+        # Gram matrix both kernels share, applied to each drift column, and
+        # K^{1/2} its symmetric root): the prior Hessian becomes the
+        # identity, which conditions the quasi-Newton iteration far better
+        # than raw inducing values.  x[:MD] holds V = K^{-1/2} U_f in its
+        # (m, d) order, x[MD:MD + M] the whitened u_sigma.
+        V = gram_root(cache, np.column_stack([model.U_f, model.u_sigma]), inverse=True)
+        x = np.concatenate([V[:, :D].ravel(), V[:, D], np.log(model.noise_vars)])
         free = np.ones(x.size, dtype=bool)
         if cfg.fix_noise_vars is not None:
             # pin the noise coordinates through equality bounds
@@ -229,21 +226,17 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
             bounds = [(None, None)] * (MD + M) + [_NOISE_LOG_BOUNDS] * D
 
         def unpack(xv):
-            return update_values(
-                cache, model,
-                U_f=L @ xv[:MD].reshape(M, D),
-                u_sigma=L @ xv[MD:MD + M],
-                noise_vars=np.exp(xv[MD + M:]),
-            )
+            U = gram_root(cache, np.column_stack([xv[:MD].reshape(M, D), xv[MD:MD + M]]))
+            return update_values(cache, model, U_f=U[:, :D], u_sigma=U[:, D],
+                                 noise_vars=np.exp(xv[MD + M:]))
 
         incs = draw_increments(data, grids, model, cfg.n_samples, child_seed(cfg.seed, 0))
 
         def score(m, c):
             """Log-posterior, free gradient's inf-norm and whitened gradient."""
             val = evaluate_with_increments(data, m, c, grids, incs)
-            g = np.concatenate([(L.T @ val.grad_u_f.reshape(M, D)).ravel(),
-                                L.T @ val.grad_u_s,
-                                val.grad_log_noise])
+            G = gram_root(cache, np.column_stack([val.grad_u_f.reshape(M, D), val.grad_u_s]))
+            g = np.concatenate([G[:, :D].ravel(), G[:, D], val.grad_log_noise])
             return val.log_posterior, float(np.max(np.abs(g[free]))), g
 
         init = score(model, cache)

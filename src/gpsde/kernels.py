@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 
-# Relative jitter added to Gram diagonals before factorization.
+# Relative jitter added to the diagonals of the inducing Gram matrices.
 JITTER_SCALE = 1e-6
 
 
@@ -85,15 +85,16 @@ def rbf_matrix(X: np.ndarray, Z: np.ndarray, p: KernelParams) -> np.ndarray:
 
 
 def gram(X, Z, p: KernelParams) -> np.ndarray:
-    """Checked Gram matrix with entry (i, j) = k(X_i, Z_j), for matrices that
-    get factorized.
+    """Checked Gram matrix with entry (i, j) = k(X_i, Z_j), for matrices the
+    prior is solved with.
 
     Unlike :func:`rbf_matrix` it squares the exact pairwise differences:
     the matrix-product form errs by about eps |x/l|^2 in each squared
-    distance, and a Cholesky solve amplifies entry errors by up to the
-    condition number, which the jitter bounds only by about
-    M / JITTER_SCALE.  It forms an (N, M, D) array, so it is meant for the
-    M x M inducing Gram matrices.
+    distance, and a solve with the jittered matrix amplifies entry errors
+    by up to its condition number, which the jitter bounds only by about
+    M / JITTER_SCALE.  It forms an (N, M, D) array, so it is meant for
+    small matrices: the field's per-axis inducing Gram matrices and the
+    tests' dense references.
     """
     X = as_points(X, p.dim, "X")
     Z = as_points(Z, p.dim, "Z")

@@ -260,7 +260,8 @@ def energy_distance(X: np.ndarray, Y: np.ndarray) -> float:
     The three mean distances run the same code, so identical clouds score
     exactly 2a - a - a = 0.
     """
-    X, Y = as_points(X, name="X"), as_points(Y, name="Y")
+    X = as_points(X, name="X")
+    Y = as_points(Y, X.shape[1], name="Y")
     return float(2.0 * _mean_distance(X, Y) - _mean_distance(X, X) - _mean_distance(Y, Y))
 
 
@@ -271,7 +272,8 @@ def kde_l2_distance(X: np.ndarray, Y: np.ndarray) -> float:
     joint bounding box padded by 0.5) and the bandwidth, so identical
     clouds score exactly zero.
     """
-    X, Y = as_points(X, name="X"), as_points(Y, name="Y")
+    X = as_points(X, name="X")
+    Y = as_points(Y, X.shape[1], name="Y")
     both = np.concatenate([X, Y], axis=0)
     d = both.shape[1]
     bw = max(float(np.mean(both.std(axis=0))) * both.shape[0] ** (-1.0 / (d + 4)), 1e-8)

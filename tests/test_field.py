@@ -1,19 +1,20 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from gpsde.dataio import load_model, save_model
 from gpsde.errors import InputError, InternalError
 from gpsde.field import (
     InducingModel,
-    _grid_gram,
+    _grid_prior,
     build_cache,
     diffusion_batch,
     drift_batch,
     drift_diffusion_batch,
+    gram_root,
     gram_solve,
     grid_points,
     log_prior,
@@ -129,9 +130,7 @@ def test_equal_inducing_rows_rejected():
 def test_update_values_shares_z_and_checks_only_the_values(model_and_cache):
     m, c = model_and_cache
     m2, c2 = update_values(c, m, U_f=np.ones_like(m.U_f), noise_vars=m.noise_vars * 2)
-    assert m2.Z is m.Z
     assert c2.model is m2
-    assert c2.chol_f is c.chol_f
     np.testing.assert_array_equal(m2.U_f, 1.0)
     np.testing.assert_array_equal(m2.u_sigma, m.u_sigma)
     assert not m2.U_f.flags.writeable
@@ -157,7 +156,9 @@ def test_dependency_matrix_must_be_identity():
 
 def test_drift_cache_factors_only_the_m_by_m_gram(model_and_cache):
     m, c = model_and_cache
-    assert c.chol_f[0].shape == (m.M, m.M)
+    *Qs, lam = c.prior_f
+    assert [Q.shape for Q in Qs] == [(a.size, a.size) for a in m.axes]
+    assert lam.shape == (m.M,)
     assert c.alpha_f.shape == (m.M, m.D)
 
 
@@ -303,42 +304,75 @@ def test_log_prior_zero_values(model_and_cache):
     _, c0 = update_values(c, m, U_f=np.zeros_like(m.U_f),
                           u_sigma=np.zeros_like(m.u_sigma))
     n_f, n_s = m.M * m.D, m.M
-    expected = (-0.5 * (c.logdet_f + c.logdet_s)
+    logdet_f, logdet_s = (np.linalg.slogdet(gram(m.Z, m.Z, p) + JITTER_SCALE * p.variance
+                                            * np.eye(m.M))[1]
+                          for p in (m.drift_params, m.diff_params))
+    expected = (-0.5 * (m.D * logdet_f + logdet_s)
                 - 0.5 * (n_f + n_s) * np.log(2 * np.pi))
     assert log_prior(c0) == pytest.approx(expected, rel=1e-12)
     gf, gs = log_prior_grad(c0)
     assert np.all(gf == 0.0) and np.all(gs == 0.0)
 
 
-@pytest.mark.parametrize("sizes", [(15,), (15, 15), (4, 3, 5)], ids=["1", "15x15", "3-d"])
-def test_grid_gram_matches_dense_gram(sizes):
-    # the Kronecker product of per-axis Gram matrices: bit-identical to the
-    # dense Gram matrix on one axis, and within 4 ulp of the variance on more
+def grid_case(sizes):
+    """Sorted random axes and an anisotropic kernel of variance 2.5."""
     rng = np.random.default_rng(len(sizes))
     axes = tuple(np.sort(rng.uniform(-2, 2, size=n)) for n in sizes)
-    p = KernelParams(2.5, rng.uniform(0.3, 1.2, size=len(sizes)))
-    K, dense = _grid_gram(axes, p), gram(grid_points(axes), grid_points(axes), p)
-    if len(sizes) == 1:
-        assert np.array_equal(K, dense)
-    np.testing.assert_allclose(K, dense, rtol=0, atol=4 * np.finfo(float).eps * p.variance)
+    return axes, KernelParams(2.5, rng.uniform(0.3, 1.2, size=len(sizes)))
+
+
+@pytest.mark.parametrize("sizes", [(15,), (15, 15), (4, 3, 5)], ids=["1", "15x15", "3-d"])
+def test_grid_gram_matches_dense_gram(sizes):
+    # Q diag(lam) Q^T from the per-axis eigendecompositions is the dense
+    # jittered Gram matrix within 32 ulp of the variance (14 measured)
+    axes, p = grid_case(sizes)
+    *Qs, lam = _grid_prior(axes, p)
+    Q = functools.reduce(np.kron, Qs)
+    Z = grid_points(axes)
+    dense = gram(Z, Z, p) + JITTER_SCALE * p.variance * np.eye(len(Z))
+    assert lam.min() >= JITTER_SCALE * p.variance
+    np.testing.assert_allclose((Q * lam) @ Q.T, dense, rtol=0,
+                               atol=32 * np.finfo(float).eps * p.variance)
+
+
+@pytest.mark.parametrize("sizes", [(15,), (15, 15), (4, 3, 5)], ids=["1", "15x15", "3-d"])
+def test_gram_root_is_the_symmetric_root_of_the_jittered_gram(sizes):
+    # root.root within 64 ulp of the variance (22 measured); root^{-1}.root
+    # amplifies rounding by up to sqrt(1 / JITTER_SCALE): within 4096 ulp
+    # of 1 (947 measured)
+    axes, p = grid_case(sizes)
+    Z = grid_points(axes)
+    M, D = Z.shape
+    m = InducingModel(Z=Z, U_f=np.zeros((M, D)), u_sigma=np.zeros(M), drift_params=p,
+                      diff_params=p, noise_vars=np.full(D, 0.1))
+    c = build_cache(m)
+    eps, I = np.finfo(float).eps, np.eye(M)
+    R = gram_root(c, I)
+    np.testing.assert_allclose(R, R.T, rtol=0, atol=4 * eps * p.variance)
+    np.testing.assert_allclose(gram_root(c, R), gram(Z, Z, p) + JITTER_SCALE * p.variance * I,
+                               rtol=0, atol=64 * eps * p.variance)
+    np.testing.assert_allclose(gram_root(c, R, inverse=True), I, rtol=0, atol=4096 * eps)
+    u = np.arange(M, dtype=float)           # one column as a vector
+    assert np.array_equal(gram_root(c, u), gram_root(c, u[:, None])[:, 0])
 
 
 def test_equal_kernels_factor_like_two_separate_gram_matrices():
     # equal (not identical) kernel parameters: the diffusion shares the drift's
-    # factor, bit-identical to factoring its own jittered (per-axis) Gram matrix
+    # prior factors, bit-identical to factoring its own jittered Gram matrix
     rng = np.random.default_rng(12)
     M = 9
     m = InducingModel(Z=grid_points(rng.uniform(-2, 2, size=(2, 3))), U_f=rng.normal(size=(M, 2)),
                       u_sigma=rng.normal(size=M), drift_params=KernelParams(1.3, [0.7, 0.9]),
                       diff_params=KernelParams(1.3, [0.7, 0.9]), noise_vars=[0.1, 0.1])
     c = build_cache(m)
-    Ks = _grid_gram(m.axes, m.diff_params)
-    Ks[np.diag_indices(M)] += JITTER_SCALE * m.diff_params.variance
-    chol_s = scipy.linalg.cho_factor(Ks, lower=True)
-    assert np.array_equal(c.chol_s[0], chol_s[0])
-    assert np.array_equal(c.alpha_s, scipy.linalg.cho_solve(chol_s, m.u_sigma))
-    assert c.logdet_s == 2.0 * np.sum(np.log(np.diag(chol_s[0])))
-    assert c.logdet_f == pytest.approx(m.D * c.logdet_s, rel=1e-14)
+    assert c.prior_s is c.prior_f
+    fresh = _grid_prior(m.axes, m.diff_params)
+    assert all(np.array_equal(a, b) for a, b in zip(c.prior_s, fresh, strict=True))
+    other = build_cache(InducingModel(Z=m.Z, U_f=m.U_f, u_sigma=m.u_sigma,
+                                      drift_params=KernelParams(1.0, [0.5, 0.5]),
+                                      diff_params=m.diff_params, noise_vars=m.noise_vars))
+    assert other.prior_s is not other.prior_f
+    assert np.array_equal(c.alpha_s, other.alpha_s)
 
 
 def test_log_prior_single_point_standard_normal():
@@ -436,7 +470,7 @@ def test_fields_and_state_derivatives_match_difference_oracle(D, grid, same):
         return
     m = InducingModel(Z=Z, **kw)
     c = build_cache(m)
-    assert (c.chol_s is c.chol_f) == same
+    assert (c.prior_s is c.prior_f) == same
     far = m.Z + 50 * np.max(np.maximum(pf.lengthscales, ps.lengthscales))
     X = np.concatenate([rng.uniform(-2.5, 2.5, size=(30, D)), m.Z, far])
     ref = field_oracle(X, c)

@@ -93,13 +93,14 @@ def test_gram_jittered_psd():
     rng = np.random.default_rng(3)
     p = KernelParams(1.0, [0.9])
     X = rng.normal(size=(10, 1))
-    # the factor build_cache keeps is that of the jittered Gram matrix
+    # the prior build_cache keeps is that of the jittered Gram matrix
     m = InducingModel(Z=X, U_f=np.zeros((10, 1)), u_sigma=np.zeros(10), drift_params=p,
                       diff_params=p, noise_vars=[0.1])
-    L = np.tril(build_cache(m).chol_s[0])
-    K = L @ L.T
+    Q, lam = build_cache(m).prior_s
+    K = (Q * lam) @ Q.T
     np.testing.assert_allclose(K, gram(X, X, p) + JITTER_SCALE * p.variance * np.eye(10),
                                atol=1e-12)
+    assert lam.min() >= JITTER_SCALE * p.variance
     eigs = np.linalg.eigvalsh(K)
     assert eigs.min() >= -1e-8
     np.linalg.cholesky(K)  # must not raise

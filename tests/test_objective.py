@@ -3,7 +3,7 @@ import pytest
 
 from gpsde.errors import InputError
 from gpsde.field import InducingModel, build_cache, grid_points, log_prior, update_values
-from gpsde.kernels import KernelParams
+from gpsde.kernels import JITTER_SCALE, KernelParams, gram
 from gpsde.objective import (
     SEGMENT_INTERVALS,
     ObjectiveValue,
@@ -272,7 +272,10 @@ class TestLogPosterior:
         prior = log_prior(c0)
         assert val.log_posterior == pytest.approx(val.per_obs_loglik.sum() + prior, rel=1e-12)
         n_f, n_s = m.M * m.D, m.M
-        expected_prior = (-0.5 * (c0.logdet_f + c0.logdet_s)
+        logdet_f, logdet_s = (np.linalg.slogdet(gram(m.Z, m.Z, p) + JITTER_SCALE * p.variance
+                                                * np.eye(m.M))[1]
+                              for p in (m.drift_params, m.diff_params))
+        expected_prior = (-0.5 * (m.D * logdet_f + logdet_s)
                           - 0.5 * (n_f + n_s) * np.log(2 * np.pi))
         assert prior == pytest.approx(expected_prior, rel=1e-12)
 

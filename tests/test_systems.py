@@ -391,6 +391,12 @@ def test_distances_reject_one_d_clouds(dist):
             dist(X, Y)
 
 
+@pytest.mark.parametrize("dist", [energy_distance, kde_l2_distance])
+def test_distances_reject_clouds_of_different_dimension(dist):
+    with pytest.raises(InputError, match="Y states have dimension 2, expected 1"):
+        dist(np.zeros((4, 1)), np.zeros((3, 2)))
+
+
 class TestDistributionDiscrepancy:
     def test_same_system_same_seed_is_exactly_zero(self):
         sys_ = double_well()
