@@ -108,6 +108,13 @@ def _at_least(least: int, *flag_values):
         _require(value >= least, flag, f"must be at least {least}", value)
 
 
+def _nonnegative_int(text: str) -> int:
+    """--seed's type: a negative seed is a usage error, raised before any output."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",")]
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--system", choices=sorted(SYSTEMS), default="double-well")
     g.add_argument("--n-traj", type=int, default=6)
     g.add_argument("--n-obs", type=int, default=250)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_nonnegative_int, default=0)
     g.add_argument("--gen-dt", type=float, help="default depends on --system")
     g.add_argument("--subsample-every", type=int, help="default depends on --system")
     g.add_argument("--noise-std", type=float, help="default depends on --system")
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = command("fit", cmd_fit, "fit an inducing model to trajectory CSVs")
     f.add_argument("--data-dir")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_nonnegative_int, default=0)
     f.add_argument("--max-iters", type=int, default=200)
     f.add_argument("--grad-tol", type=float, default=1e-4)
     f.add_argument("--n-samples", type=int, default=50)
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, default=10.0)
     s.add_argument("--dt", type=float, default=0.01)
     s.add_argument("--n-paths", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--density-grid", default="",
                    help="'lo:hi:n[,lo:hi:n]' evaluation grid for a state KDE")
     s.add_argument("--density-time", type=float, default=-1.0)
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--x0", default="")
     e.add_argument("--horizon", type=float, default=5.0)
     e.add_argument("--n-paths", type=int, default=500)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_nonnegative_int, default=0)
     e.add_argument("--mu", type=float, default=1.0)
     return p
 

@@ -11,7 +11,7 @@ prior).  A :class:`FieldCache` holds the model it was built from together
 with each kernel's prior factors and the interpolation weights shared by
 every evaluation, so the model's values have one owner.  Build one with
 :func:`build_cache`; :func:`update_values` is the one way to replace the
-inducing values or noise, and it returns a new model with a new cache.
+inducing values or noise; its new model and cache keep Z and the prior.
 
 Z is always a Cartesian grid of per-axis coordinates a_d (every 1-d Z is
 the one-axis grid of its own points), as ``gpsde fit`` places it, so a
@@ -40,6 +40,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import InitVar, dataclass, replace
@@ -105,15 +106,20 @@ class InducingModel:
                              "Cartesian grid in grid_points order (last axis fastest)")
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "axes", axes)
-        U_f = np.asarray(self.U_f, dtype=float)
+        self._set_values(self.U_f, self.u_sigma, self.noise_vars)
+
+    def _set_values(self, U_f, u_sigma, noise_vars):
+        """Check and store the values; update_values calls it on a copy."""
+        M, D = self.Z.shape
+        U_f = np.asarray(U_f, dtype=float)
         if U_f.shape != (M, D):
             raise InputError(f"U_f must be {(M, D)}, got {U_f.shape}")
-        u_sigma = np.asarray(self.u_sigma, dtype=float).ravel()
+        u_sigma = np.asarray(u_sigma, dtype=float).ravel()
         if u_sigma.shape != (M,):
             raise InputError(f"u_sigma must have length {M}")
         if not (np.all(np.isfinite(U_f)) and np.all(np.isfinite(u_sigma))):
             raise InputError("U_f and u_sigma must be finite")
-        noise_vars = np.asarray(self.noise_vars, dtype=float).ravel()
+        noise_vars = np.asarray(noise_vars, dtype=float).ravel()
         if noise_vars.shape != (D,) or np.any(noise_vars <= 0) or not np.all(np.isfinite(noise_vars)):
             raise InputError("noise_vars must be D positive finite reals")
         for name, val in (("U_f", U_f), ("u_sigma", u_sigma), ("noise_vars", noise_vars)):
@@ -135,8 +141,8 @@ class InducingModel:
 
 @dataclass(frozen=True, eq=False)
 class FieldCache:
-    """Prior factors and interpolation weights of the model they were
-    built from.
+    """Prior factors and interpolation weights (derived, not init fields)
+    of the model they were built from.
 
     model is that InducingModel, the one owner of Z, the kernel parameters
     and the inducing values; a cache pairs only with it.  prior_f and
@@ -160,10 +166,16 @@ class FieldCache:
     model: InducingModel
     prior_f: tuple
     prior_s: tuple
-    alpha_f: np.ndarray
-    alpha_s: np.ndarray
-    weights: np.ndarray
     row_maps: tuple
+
+    def __post_init__(self):
+        (M, D), Z = self.model.Z.shape, self.model.Z
+        af = _prior_matmul(self.prior_f, self.model.U_f, -1.0)
+        a_s = _prior_matmul(self.prior_s, self.model.u_sigma, -1.0)
+        weights = np.concatenate([(af[:, :, None] * Z[:, None, :]).reshape(M, D * D).T,
+                                  af.T, a_s[None], (a_s[:, None] * Z).T])
+        for name, val in (("alpha_f", af), ("alpha_s", a_s), ("weights", weights)):
+            object.__setattr__(self, name, val)
 
 
 def _checked(m: InducingModel, c: FieldCache):
@@ -178,18 +190,9 @@ def build_cache(m: InducingModel) -> FieldCache:
     same = same_params(m.drift_params, m.diff_params)
     # equal kernels share one factorization
     prior_s = prior_f if same else _grid_prior(m.axes, m.diff_params)
-    alpha_f = _prior_matmul(prior_f, m.U_f, -1.0)
-    alpha_s = _prior_matmul(prior_s, m.u_sigma, -1.0)
-    return FieldCache(
-        model=m,
-        prior_f=prior_f,
-        prior_s=prior_s,
-        alpha_f=alpha_f,
-        alpha_s=alpha_s,
-        weights=_grid_weights(m.Z, alpha_f, alpha_s),
-        row_maps=tuple(_row_map(m.axes, p) for p in (
-            (m.drift_params,) if same else (m.drift_params, m.diff_params))),
-    )
+    kernels = (m.drift_params,) if same else (m.drift_params, m.diff_params)
+    return FieldCache(model=m, prior_f=prior_f, prior_s=prior_s,
+                      row_maps=tuple(_row_map(m.axes, p) for p in kernels))
 
 
 def _grid_prior(axes: tuple, p: KernelParams) -> tuple:
@@ -213,13 +216,15 @@ def _grid_prior(axes: tuple, p: KernelParams) -> tuple:
 
 def _kron_matmul(Qs, B: np.ndarray) -> np.ndarray:
     """Q B for Q the Kronecker product of the per-axis square matrices Qs
-    and B of shape (M, C) or (M,) in grid_points order.  Each axis takes
-    one matrix product with its factor and a transpose, which brings the
-    next axis to the front."""
-    X = B
+    and B of shape (M, C) or (M,) in grid_points order: one stacked product
+    per axis d over B viewed as (n_<d, n_d, rest), no transposed copy; a
+    rest of 1 takes (n_<d, n_d) @ Q_d^T, a matrix product as the others."""
+    X, lead = B, 1
     for Q in Qs:
-        X = (Q @ X.reshape(Q.shape[0], -1)).T
-    return X.reshape(-1, B.shape[0]).T.reshape(B.shape)
+        X = X.reshape(lead, Q.shape[0], -1)
+        X = X[:, :, 0] @ Q.T if X.shape[2] == 1 else np.matmul(Q, X)
+        lead *= Q.shape[0]
+    return X.reshape(B.shape)
 
 
 def _prior_matmul(prior: tuple, B: np.ndarray, power: float) -> np.ndarray:
@@ -258,21 +263,15 @@ def grid_points(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _grid_weights(Z, alpha_f, alpha_s) -> np.ndarray:
-    """The rows of FieldCache.weights."""
-    M, D = Z.shape
-    return np.concatenate([(alpha_f[:, :, None] * Z[:, None, :]).reshape(M, D * D).T,
-                           alpha_f.T, alpha_s[None], (alpha_s[:, None] * Z).T])
-
-
 def update_values(c: FieldCache, m: InducingModel, U_f=None, u_sigma=None,
                   noise_vars=None) -> tuple[InducingModel, FieldCache]:
-    """New (model, cache) pair with replaced inducing values or noise: m
-    with the given values, checked as at construction, and its cache."""
+    """New (model, cache) pair with replaced inducing values or noise: a copy
+    of m with the given values checked, and c with its prior and new weights."""
     _checked(m, c)
-    m2 = replace(m, **{k: v for k, v in (("U_f", U_f), ("u_sigma", u_sigma),
-                                         ("noise_vars", noise_vars)) if v is not None})
-    return m2, build_cache(m2)
+    m2 = copy.copy(m)
+    m2._set_values(m.U_f if U_f is None else U_f, m.u_sigma if u_sigma is None else u_sigma,
+                   m.noise_vars if noise_vars is None else noise_vars)
+    return m2, replace(c, model=m2)
 
 
 # -- field evaluation ---------------------------------------------------------

@@ -1,9 +1,10 @@
 """MAP fitting of the inducing SDE model.
 
 The protocol: place inducing locations on a fixed dense grid, initialise
-the inducing vectors by gradient matching (GP regression of empirical
-difference quotients), then run one limited-memory BFGS minimisation on
-the frozen-noise log-posterior over (u_f, u_sigma, log noise_vars).
+the inducing vectors by gradient matching (regression of all N empirical
+difference quotients onto the M-point inducing basis, O(N M^2 + M^3)),
+then run one limited-memory BFGS minimisation on the frozen-noise
+log-posterior over (u_f, u_sigma, log noise_vars).
 Kernel lengthscales are not part of the gradient ascent; candidates come
 from a small grid, each one lengthscale shared by the drift and diffusion
 kernels, and the candidate with the best final log-posterior wins.
@@ -21,20 +22,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .errors import FitError, InputError, InternalError, NumericalError, SimulationError
-from .field import InducingModel, build_cache, gram_root, grid_points, update_values
+from .field import FieldCache, InducingModel, build_cache, gram_root, grid_points, update_values
 from .kernels import KernelParams, rbf_matrix
 from .objective import draw_increments, evaluate_with_increments, make_grids
 from .sim import child_seed
 
 # box bounds for the log noise variances keep exp() finite during line search
 _NOISE_LOG_BOUNDS = (-23.0, 14.0)
-
-# difference quotients gradient matching regresses on, at most
-_INIT_MAX_POINTS = 600
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ class FitConfig:
     resolution_factor  -- equal grid steps per observation interval, so the
                           step follows the local sampling gap
     n_samples          -- Monte Carlo path count
-    seed               -- master RNG seed
+    seed               -- master RNG seed, >= 0
     """
 
     lengthscale_grid: tuple
@@ -74,8 +71,9 @@ class FitConfig:
             raise InputError("resolution_factor must be >= 1")
         if self.n_samples < 1:
             raise InputError("n_samples must be >= 1")
-        if self.max_iters < 0:
-            raise InputError("max_iters must be >= 0")
+        for name in ("max_iters", "seed"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0")
         if not self.grad_tol > 0:
             raise InputError("grad_tol must be positive")
         if self.fix_noise_vars is not None:
@@ -146,41 +144,37 @@ def _pooled_difference_quotients(data):
     return X[order], G[order], DT[order]
 
 
-def gradient_match_init(data, Z, drift_params: KernelParams, *, noise_vars=None):
-    """Initial inducing values from empirical difference quotients.
+def gradient_match_init(data, cache: FieldCache, *, noise_vars=None):
+    """Initial inducing values on the Z and drift kernel of the cache's
+    model (not its values) from empirical difference quotients.
 
-    Drift: GP regression of (y_{i+1} - y_i)/dt_i onto the inducing grid,
-    with a ridge of half the mean variance of the quotients; a trajectory
-    has at least two observations, so each contributes its N - 1 quotients.
+    Drift: regression of all N quotients G = (y_{i+1} - y_i)/dt_i onto the
+    inducing basis (subset of regressors), with a ridge r of half their
+    mean variance: with B = K_XZ K^{-1/2}, K the jittered Gram matrix,
+    U_f = K^{1/2} (B^T B + r I)^{-1} B^T G = K (K_ZX K_XZ + r K)^{-1} K_ZX G,
+    at O(N M^2 + M^3) cost; every trajectory has at least one quotient.
     Diffusion: one scalar, the per-component standard deviation of the
     increment residuals after removing the fitted drift, replicated at
     every inducing location.  When the observation noise variances are
     known they are subtracted from the residual variance, since densely
     sampled increments are dominated by the differenced noise.
     """
-    Z = np.asarray(Z, dtype=float)
+    m = cache.model
     X, G, DT = _pooled_difference_quotients(data)
-    if X.shape[0] > _INIT_MAX_POINTS:
-        keep = np.linspace(0, X.shape[0] - 1, _INIT_MAX_POINTS).round().astype(int)
-        X, G, DT = X[keep], G[keep], DT[keep]
     ridge = max(1e-8, 0.5 * float(np.mean(G.var(axis=0))))
-    Kxx = rbf_matrix(X, X, drift_params)
-    system = Kxx.copy()
-    system[np.diag_indices(X.shape[0])] += ridge
-    try:
-        cho = scipy.linalg.cho_factor(system, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("gradient-matching regression system is singular") from exc
-    W = scipy.linalg.cho_solve(cho, G)
-    U_f = rbf_matrix(Z, X, drift_params) @ W
+    Bt = gram_root(cache, rbf_matrix(m.Z, X, m.drift_params), inverse=True)     # B^T, (M, N)
+    system = Bt @ Bt.T
+    system[np.diag_indices(m.M)] += ridge
+    beta = np.linalg.solve(system, Bt @ G)
+    U_f = gram_root(cache, beta)
 
-    fitted = Kxx @ W
+    fitted = Bt.T @ beta
     resid = (G - fitted) * DT[:, None]            # increment-scale residuals
     resid2 = resid**2
     if noise_vars is not None:
         resid2 = np.maximum(resid2 - 2.0 * np.asarray(noise_vars, float), 0.1 * resid2)
     sig2 = float(np.mean(resid2 / DT[:, None]))
-    u_sigma = np.full(Z.shape[0], np.sqrt(max(sig2, 1e-12)))
+    u_sigma = np.full(m.M, np.sqrt(max(sig2, 1e-12)))
     return U_f, u_sigma
 
 
@@ -196,18 +190,16 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
     returns an "error" summary that keeps the rejected-trial count."""
     rejected = 0
     try:
-        D = data[0].dim
-        U0, us0 = gradient_match_init(data, Z, params, noise_vars=cfg.fix_noise_vars)
+        (M, D), MD = Z.shape, Z.size
         noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
                   else init_noise_vars(data))
         if noise0.size == 1 and D > 1:
             noise0 = np.full(D, float(noise0[0]))
-        model = InducingModel(
-            Z=Z, U_f=U0, u_sigma=us0, drift_params=params,
-            diff_params=params, noise_vars=noise0,
-        )
+        model = InducingModel(Z=Z, U_f=np.zeros((M, D)), u_sigma=np.zeros(M),
+                              drift_params=params, diff_params=params, noise_vars=noise0)
         cache = build_cache(model)
-        M, MD = model.M, model.M * model.D
+        U0, us0 = gradient_match_init(data, cache, noise_vars=cfg.fix_noise_vars)
+        model, cache = update_values(cache, model, U_f=U0, u_sigma=us0)
 
         # optimize whitened coordinates v = K^{-1/2} u (K the jittered prior
         # Gram matrix both kernels share, applied to each drift column, and

@@ -72,6 +72,8 @@ class GenSpec:
             raise InputError("gen_dt must be positive")
         if self.noise_std < 0:
             raise InputError("noise_std must be non-negative")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         box = np.ascontiguousarray(box)
         box.setflags(write=False)
         object.__setattr__(self, "x0_box", box)

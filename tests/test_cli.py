@@ -10,7 +10,9 @@ import pytest
 
 from gpsde import dataio
 from gpsde.cli import build_parser, main
+from gpsde.errors import InputError
 from gpsde.fit import FitConfig
+from gpsde.systems import GenSpec
 
 
 def run_cli(args):
@@ -403,6 +405,24 @@ def test_missing_model_is_usage_error(cmd, extra, tmp_path, capsys):
     assert run_cli([cmd, *extra, "--out-dir", out]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_seed_is_usage_error_before_any_output(tiny_dataset, tiny_model, tmp_path,
+                                                       capsys):
+    for argv in (["generate"], ["fit", "--data-dir", tiny_dataset],
+                 ["simulate", "--model", tiny_model, "--x0", "0"],
+                 ["evaluate", "--model", tiny_model]):
+        out = tmp_path / argv[0]
+        with pytest.raises(SystemExit) as err:
+            run_cli([*argv, "--seed", "-3", "--out-dir", out])
+        assert err.value.code == 2
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(InputError, match="seed"):
+        FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 3),), seed=-1)
+    with pytest.raises(InputError, match="seed"):
+        GenSpec(n_traj=1, n_obs_per_traj=2, gen_dt=0.1, subsample_every=1, noise_std=0.1,
+                x0_box=[[0.0, 1.0]], seed=-1)
 
 
 def test_fit_flag_defaults_are_fit_config_defaults():

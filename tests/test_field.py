@@ -143,6 +143,23 @@ def test_update_values_shares_z_and_checks_only_the_values(model_and_cache):
         update_values(c, m, u_sigma=np.full(m.M, np.nan))
 
 
+@pytest.mark.parametrize("equal", [True, False], ids=["equal-kernels", "unequal-kernels"])
+def test_update_values_keeps_the_prior(equal):
+    m = make_model()
+    kw = dict(Z=m.Z, drift_params=m.drift_params,
+              diff_params=m.drift_params if equal else m.diff_params)
+    m = InducingModel(U_f=m.U_f, u_sigma=m.u_sigma, noise_vars=m.noise_vars, **kw)
+    c = build_cache(m)
+    m2, c2 = update_values(c, m, U_f=2.0 * m.U_f, u_sigma=m.u_sigma + 1.0,
+                           noise_vars=3.0 * m.noise_vars)
+    assert c2.prior_f is c.prior_f and c2.prior_s is c.prior_s and c2.row_maps is c.row_maps
+    assert m2.Z is m.Z and m2.axes is m.axes
+    fresh = build_cache(InducingModel(U_f=m2.U_f, u_sigma=m2.u_sigma,
+                                      noise_vars=m2.noise_vars, **kw))
+    for name in ("alpha_f", "alpha_s", "weights"):
+        assert np.array_equal(getattr(c2, name), getattr(fresh, name))
+
+
 def test_dependency_matrix_must_be_identity():
     p = KernelParams(1.0, [1.0, 1.0])
     kw = dict(Z=[[0.0, 0.0], [0.0, 0.5]], U_f=np.zeros((2, 2)), u_sigma=np.zeros(2),

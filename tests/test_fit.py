@@ -13,8 +13,8 @@ from gpsde.fit import (
     gradient_match_init,
     init_noise_vars,
 )
-from gpsde.field import build_cache, drift_batch
-from gpsde.kernels import KernelParams
+from gpsde.field import InducingModel, build_cache, drift_batch, grid_points
+from gpsde.kernels import JITTER_SCALE, KernelParams, gram, rbf_matrix
 from gpsde.objective import Trajectory
 from gpsde.systems import GenSpec, double_well, generate
 
@@ -62,20 +62,27 @@ class TestInducingGrid:
             build_inducing_grid(((None, None, 4),), [tr])
 
 
+def init_on(data, Z, p, **kw):
+    """gradient_match_init on the grid Z with drift kernel p."""
+    m = InducingModel(Z=Z, U_f=np.zeros(Z.shape), u_sigma=np.zeros(len(Z)), drift_params=p,
+                      diff_params=p, noise_vars=np.ones(Z.shape[1]))
+    return gradient_match_init(data, build_cache(m), **kw)
+
+
 class TestGradientMatchInit:
     def test_noiseless_linear_path_recovers_velocity(self):
         v = 1.3
         times = np.linspace(0, 2, 30)
         tr = Trajectory(times=times, obs=(v * times)[:, None])
         Z = np.linspace(0.2, 2.2, 6)[:, None]
-        U, us = gradient_match_init([tr], Z, KernelParams(1.0, [1.0]))
+        U, us = init_on([tr], Z, KernelParams(1.0, [1.0]))
         np.testing.assert_allclose(U[:, 0], v, atol=0.05)
         assert us[0] < 0.2  # near-zero increment residual
 
     def test_two_point_trajectory_well_posed(self):
         tr = Trajectory(times=[0.0, 0.5], obs=[[0.0], [1.0]])
         Z = np.array([[0.0], [1.0]])
-        U, us = gradient_match_init([tr], Z, KernelParams(1.0, [1.0]))
+        U, us = init_on([tr], Z, KernelParams(1.0, [1.0]))
         assert np.all(np.isfinite(U)) and np.all(np.isfinite(us))
 
     def test_one_observation_trajectory_rejected(self):
@@ -86,20 +93,48 @@ class TestGradientMatchInit:
     def test_order_independence(self, small_dataset):
         Z = np.linspace(-2, 2, 7)[:, None]
         p = KernelParams(1.0, [0.8])
-        a = gradient_match_init(small_dataset, Z, p)
-        b = gradient_match_init(small_dataset[::-1], Z, p)
+        a = init_on(small_dataset, Z, p)
+        b = init_on(small_dataset[::-1], Z, p)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("axes, ls, n_traj, n_obs", [
+        ([np.linspace(-2, 2, 9)], [0.7], 1, 5),
+        ([np.linspace(-2, 2, 9)], [0.7], 3, 40),
+        ([np.linspace(-2, 2, 5), np.linspace(-1.5, 1.5, 4)], [0.6, 1.1], 2, 6),
+        ([np.linspace(-2, 2, 5), np.linspace(-1.5, 1.5, 4)], [0.6, 1.1], 4, 30),
+    ], ids=["1d-fewer-quotients", "1d-more-quotients", "2d-fewer-quotients",
+            "2d-more-quotients"])
+    def test_matches_dense_subset_of_regressors_oracle(self, axes, ls, n_traj, n_obs):
+        # U_f = K (K_ZX K_XZ + r K)^{-1} K_ZX G with K the jittered Gram matrix,
+        # and the diffusion from the fitted quotients K_XZ (...)^{-1} K_ZX G
+        rng = np.random.default_rng(n_traj * n_obs)
+        Z, p = grid_points(axes), KernelParams(1.3, ls)
+        data = [Trajectory(times=np.cumsum(rng.uniform(0.05, 0.15, n_obs)),
+                           obs=rng.uniform(-2, 2, size=(n_obs, len(axes))))
+                for _ in range(n_traj)]
+        assert (n_traj * (n_obs - 1) < len(Z)) == (n_obs < 10)
+        X = np.concatenate([tr.obs[:-1] for tr in data])
+        DT = np.concatenate([np.diff(tr.times) for tr in data])[:, None]
+        G = np.concatenate([np.diff(tr.obs, axis=0) for tr in data]) / DT
+        r = 0.5 * np.mean(G.var(axis=0))
+        K = gram(Z, Z, p) + JITTER_SCALE * p.variance * np.eye(len(Z))
+        Kxz = rbf_matrix(X, Z, p)
+        alpha = np.linalg.solve(Kxz.T @ Kxz + r * K, Kxz.T @ G)
+        resid2 = ((G - Kxz @ alpha) * DT) ** 2
+        noise = 0.01
+        sig = np.sqrt(np.mean(np.maximum(resid2 - 2 * noise, 0.1 * resid2) / DT))
+        U, us = init_on(data, Z, p, noise_vars=[noise] * len(axes))
+        np.testing.assert_allclose(U, K @ alpha, rtol=0, atol=1e-12 * np.abs(K @ alpha).max())
+        np.testing.assert_allclose(us, sig, rtol=1e-12)
 
     def test_double_well_init_correlates_with_truth(self):
         spec = GenSpec(n_traj=6, n_obs_per_traj=250, gen_dt=0.005, subsample_every=2,
                        noise_std=0.1, x0_box=np.array([[-2.0, 2.0]]), seed=1)
         data = generate(double_well(), spec)
         Z = np.linspace(-5, 5, 15)[:, None]
-        U, us = gradient_match_init(data, Z, KernelParams(1.0, [0.8]))
+        U, us = init_on(data, Z, KernelParams(1.0, [0.8]))
         xs = np.linspace(-2, 2, 41)[:, None]
-        from gpsde.field import InducingModel
-
         m = InducingModel(Z=Z, U_f=U, u_sigma=us, drift_params=KernelParams(1.0, [0.8]),
                           diff_params=KernelParams(1.0, [0.8]),
                           noise_vars=[0.01])
@@ -115,7 +150,7 @@ class TestFitMap:
         rep = fit_map(small_dataset, cfg)
         Z = build_inducing_grid(cfg.inducing_grid_spec, small_dataset)
         p = KernelParams(1.0, np.array([0.8]))
-        U0, us0 = gradient_match_init(small_dataset, Z, p)
+        U0, us0 = init_on(small_dataset, Z, p)
         np.testing.assert_array_equal(rep.final_model.U_f, U0)
         np.testing.assert_array_equal(rep.final_model.u_sigma, us0)
         np.testing.assert_array_equal(rep.final_model.noise_vars,
