@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: generate | fit | simulate | evaluate.  Each setting is one flag,
-declared once with its type, default and choices.  Each entry ``key = value``
-in the command's section of a ``--config`` INI file is parsed as the flag
-``--key=value``, with the same type, choices and errors (a bad entry exits
-2), ahead of the given flags, which therefore win.  Every run writes its
-settings to a ``manifest.ini``; passing it back as ``--config`` reproduces
-the run.
+declared once with its type, default, choices and value rule.  A value its
+rule rejects is an argparse usage error (exit 2), a flag that disagrees with
+the system, the model or the data a data error (exit 3); both name the flag
+and come before any output.  Each entry ``key = value`` in the command's
+section of a ``--config`` INI file is parsed as the flag ``--key=value``,
+with the same type, choices and errors, ahead of the given flags, which
+therefore win.  Every run writes its settings to a ``manifest.ini``;
+passing it back as ``--config`` reproduces the run.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Set GPSDE_NUM_THREADS to pin the BLAS thread count (see ``gpsde``).
@@ -23,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .errors import (
-    DataError,
-    FitError,
-    InputError,
-    NumericalError,
-    SimulationError,
-)
+from .errors import DataError, FitError, InputError, SimulationError
 from .field import build_cache, grid_points
 from .fit import FitConfig, default_lengthscale_grid, fit_map
 from .sim import build_grid, sample_paths, state_density
@@ -42,95 +38,96 @@ from .systems import (
     generate,
 )
 
-# generate's knobs that default per --system; their flags default to None
-_GEN_DEFAULTS = {
-    "double-well": {"gen_dt": 0.01, "subsample_every": 10, "noise_std": 0.1,
-                    "x0_box": "-2:2"},
-    "oscillator": {"gen_dt": 0.005, "subsample_every": 100, "noise_std": 0.1,
-                   "x0_box": "-2:2,-2:2"},
-    "van-der-pol": {"gen_dt": 0.005, "subsample_every": 100, "noise_std": 0.1,
-                    "x0_box": "-2:2,-2:2"},
-}
+# generate's (gen_dt, subsample_every) per --system; their flags default to None
+_GEN_DEFAULTS = {"double-well": (0.01, 10), "oscillator": (0.005, 100),
+                 "van-der-pol": (0.005, 100)}
 
 # parsed values that are not settings of the run
 _NOT_SETTINGS = ("command", "func", "config", "out_dir")
 
 
-def _parse_box(text: str, flag: str) -> np.ndarray:
-    try:
-        rows = [[float(v) for v in part.split(":")] for part in text.split(",")]
-        box = np.array(rows, dtype=float)
-        if box.shape[1] != 2 or not np.all(np.isfinite(box)):
-            raise ValueError
-    except ValueError:
-        raise InputError(f"{flag} expects 'lo:hi[,lo:hi...]', got {text!r}") from None
+def _parse_floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _parse_box(text: str) -> np.ndarray:
+    """Axes 'lo:hi[,...]' as a (D, 2) array."""
+    box = np.array([[float(v) for v in part.split(":")] for part in text.split(",")])
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError(text)
     return box
 
 
-def _parse_grid_spec(text: str, flag: str, least: int, auto: bool = False):
-    """Axes 'lo:hi:count[,...]' of a grid flag, each with a count of at least
-    least; with auto, 'auto:count' leaves an axis's bounds to the data."""
-    syntax = "'lo:hi:count' or 'auto:count'" if auto else "'lo:hi:count'"
+def _parse_grid_spec(text: str) -> tuple:
+    """Axes 'lo:hi:count[,...]' as (lo, hi, count) triples; 'auto:count'
+    gives an axis whose bounds (None) the data decide."""
     spec = []
     for part in text.split(","):
-        bits = part.split(":")
-        try:
-            if auto and len(bits) == 2 and bits[0] == "auto":
-                lo = hi = None
-            elif len(bits) == 3:
-                lo, hi = float(bits[0]), float(bits[1])
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ValueError
-            else:
-                raise ValueError
-            count = int(bits[-1])
-        except ValueError:
-            raise InputError(f"{flag} expects {syntax} per axis, got {part!r}") from None
-        if count < least:
-            raise InputError(f"{flag} needs a count of at least {least} per axis, got {part!r}")
-        spec.append((lo, hi, count))
+        *bounds, count = part.split(":")
+        if bounds == ["auto"]:
+            lo = hi = None
+        elif len(bounds) == 2:
+            lo, hi = float(bounds[0]), float(bounds[1])
+        else:
+            raise ValueError(part)
+        spec.append((lo, hi, int(count)))
     return tuple(spec)
+
+
+def _rule(parse, ok, what):
+    """An argparse type: parse(text), if it parses and ok accepts it;
+    otherwise argparse's usage error, which names the flag."""
+    def check(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return check
+
+
+def _int(least: int):
+    return _rule(int, lambda v: v >= least,
+                 "a non-negative integer" if least == 0 else f"an integer of at least {least}")
+
+
+def _real(ok, what: str):
+    return _rule(float, lambda v: math.isfinite(v) and ok(v), what)
+
+
+def _text(parse, ok, what: str, optional: bool = False):
+    """The type of a list, box or grid flag: the text itself, so the
+    manifest records it as given; with optional, an empty text (the flag's
+    unset default) passes."""
+    return _rule(str, lambda text: (optional and not text) or ok(parse(text)), what)
+
+
+_POSITIVE = _real(lambda v: v > 0, "a positive finite real")
+_NON_NEGATIVE = _real(lambda v: v >= 0, "a non-negative finite real")
+_FINITE = _real(lambda v: True, "a finite real")
+_POSITIVE_LIST = _text(_parse_floats, lambda vs: all(math.isfinite(v) and v > 0 for v in vs),
+                       "comma-separated positive finite reals", optional=True)
+_FINITE_LIST = _text(_parse_floats, lambda vs: all(map(math.isfinite, vs)),
+                     "comma-separated finite reals", optional=True)
+_BOX = _text(_parse_box, lambda b: np.isfinite(b).all(),
+             "'lo:hi[,lo:hi...]' with finite bounds")
+_X0_BOX = _text(_parse_box, lambda b: np.isfinite(b).all() and (b[:, 0] <= b[:, 1]).all(),
+                "'lo:hi[,lo:hi...]' with finite lo <= hi")
+_INDUCING = _text(_parse_grid_spec, lambda spec: all(
+    n >= 2 and (lo is None or -math.inf < lo < hi < math.inf) for lo, hi, n in spec),
+    "'lo:hi:count' with finite lo < hi, or 'auto:count', per axis, each count at least 2")
+_DENSITY_GRID = _text(_parse_grid_spec, lambda spec: all(
+    n >= 1 and lo is not None and math.isfinite(lo) and math.isfinite(hi)
+    for lo, hi, n in spec),
+    "'lo:hi:count' with finite lo and hi per axis, each count at least 1", optional=True)
 
 
 def _require(ok: bool, flag: str, what: str, value):
     """An InputError that names the flag, unless ok."""
     if not ok:
         raise InputError(f"{flag} {what}, got {value!r}")
-
-
-def _positive(flag: str, value):
-    _require(math.isfinite(value) and value > 0, flag, "must be positive and finite", value)
-
-
-def _at_least(least: int, *flag_values):
-    """An InputError that names the first (flag, count) pair below least."""
-    for flag, value in flag_values:
-        _require(value >= least, flag, f"must be at least {least}", value)
-
-
-def _nonnegative_int(text: str) -> int:
-    """--seed's type: a negative seed is a usage error, raised before any output."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _parse_floats(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",")]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError
-    except ValueError:
-        raise InputError(f"{flag} expects comma-separated finite reals, got {text!r}") from None
-    return values
-
-
-def _positive_floats(text: str, flag: str) -> list[float]:
-    """Comma-separated positive finite reals; an empty text gives none."""
-    values = _parse_floats(text, flag) if text else []
-    for v in values:
-        _positive(flag, v)
-    return values
 
 
 def _settings(args) -> dict:
@@ -176,26 +173,20 @@ class UsageError(Exception):
 
 
 def _system(args):
-    _require(math.isfinite(args.mu) and args.mu >= 0, "--mu",
-             "must be non-negative and finite", args.mu)
     factory = SYSTEMS[args.system]
     return factory(mu=args.mu) if args.system == "van-der-pol" else factory()
 
 
 def cmd_generate(args) -> int:
-    for key, val in _GEN_DEFAULTS[args.system].items():
-        if getattr(args, key) is None:
-            setattr(args, key, val)
     system = _system(args)
-    box = _parse_box(args.x0_box, "--x0-box")
-    _require(box.shape[0] == system.dim and np.all(box[:, 0] <= box[:, 1]), "--x0-box",
-             f"needs one 'lo:hi' axis with lo <= hi per dimension of the {args.system} "
-             f"system ({system.dim})", args.x0_box)
-    _at_least(1, ("--n-traj", args.n_traj), ("--subsample-every", args.subsample_every))
-    _at_least(2, ("--n-obs", args.n_obs))
-    _positive("--gen-dt", args.gen_dt)
-    _require(math.isfinite(args.noise_std) and args.noise_std >= 0, "--noise-std",
-             "must be non-negative and finite", args.noise_std)
+    dt, every = _GEN_DEFAULTS[args.system]
+    args.gen_dt = dt if args.gen_dt is None else args.gen_dt
+    args.subsample_every = every if args.subsample_every is None else args.subsample_every
+    args.x0_box = args.x0_box or ",".join(["-2:2"] * system.dim)
+    box = _parse_box(args.x0_box)
+    _require(box.shape[0] == system.dim, "--x0-box",
+             f"needs one 'lo:hi' axis per dimension of the {args.system} system "
+             f"({system.dim})", args.x0_box)
     spec = GenSpec(
         n_traj=args.n_traj, n_obs_per_traj=args.n_obs, gen_dt=args.gen_dt,
         subsample_every=args.subsample_every, noise_std=args.noise_std, x0_box=box,
@@ -212,26 +203,16 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     if not args.data_dir:
         raise UsageError("fit requires --data-dir")
-    # every flag is checked before any output is written
-    _at_least(1, ("--n-samples", args.n_samples),
-              ("--resolution-factor", args.resolution_factor))
-    _at_least(0, ("--max-iters", args.max_iters))
-    _positive("--grad-tol", args.grad_tol)
-    _positive("--kernel-variance", args.kernel_variance)
-    noise_vars = _positive_floats(args.noise_vars, "--noise-vars")
-    lengthscales = _positive_floats(args.lengthscales, "--lengthscales")
-    spec = _parse_grid_spec(args.inducing, "--inducing", 2, auto=True)
-    _require(all(lo is None or lo < hi for lo, hi, _ in spec), "--inducing",
-             "needs lo < hi on every axis", args.inducing)
+    noise_vars = _parse_floats(args.noise_vars) if args.noise_vars else []
+    spec = _parse_grid_spec(args.inducing)
     data = dataio.read_dataset(args.data_dir)
     D = data[0].dim
     _require(len(noise_vars) in (0, 1, D), "--noise-vars",
              f"needs one value, or one per data dimension ({D})", args.noise_vars)
     _require(len(spec) in (1, D), "--inducing",
              f"needs one axis, or one per data dimension ({D})", args.inducing)
-    if len(spec) == 1 and D > 1:
-        spec = spec * D
-    grid = tuple(lengthscales) or default_lengthscale_grid(data)
+    grid = (tuple(_parse_floats(args.lengthscales)) if args.lengthscales
+            else default_lengthscale_grid(data))
     fit_cfg = FitConfig(
         lengthscale_grid=grid, inducing_grid_spec=spec,
         resolution_factor=args.resolution_factor, n_samples=args.n_samples,
@@ -253,21 +234,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.model or args.x0 is None:
+    if not args.model or not args.x0:
         raise UsageError("simulate requires --model and --x0")
-    # every flag is checked before any output is written
-    for flag, value in (("--horizon", args.horizon), ("--dt", args.dt),
-                        ("--n-paths", args.n_paths), ("--bandwidth", args.bandwidth)):
-        _positive(flag, value)
-    _require(math.isfinite(args.density_time), "--density-time",
-             "must be finite (negative for the last step)", args.density_time)
-    axes = None
-    if args.density_grid:
-        axes = [np.linspace(lo, hi, n)
-                for lo, hi, n in _parse_grid_spec(args.density_grid, "--density-grid", 1)]
-    x0 = np.array(_parse_floats(args.x0, "--x0"))
+    spec = _parse_grid_spec(args.density_grid) if args.density_grid else None
+    x0 = np.array(_parse_floats(args.x0))
     model = dataio.load_model(args.model)
-    _require(axes is None or len(axes) == model.D, "--density-grid",
+    _require(spec is None or len(spec) == model.D, "--density-grid",
              f"needs one axis per model dimension ({model.D})", args.density_grid)
     _require(x0.size == model.D, "--x0", f"needs one value per model dimension ({model.D})",
              args.x0)
@@ -278,7 +250,8 @@ def cmd_simulate(args) -> int:
     paths = sample_paths(cache, x0, grid, args.n_paths, args.seed)
     dataio.write_paths_csv(out / "paths.csv", paths, grid.times)
     outputs = ["paths.csv"]
-    if axes is not None:
+    if spec is not None:
+        axes = [np.linspace(lo, hi, n) for lo, hi, n in spec]
         t_at = args.density_time
         idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
         dens = state_density(paths, idx, axes, args.bandwidth)
@@ -293,13 +266,10 @@ def cmd_evaluate(args) -> int:
     if not args.model:
         raise UsageError("evaluate requires --model")
     system = _system(args)
-    box = _parse_box(args.box, "--box")
+    box = _parse_box(args.box)
     dims = f"dimension of the {args.system} system ({system.dim})"
     _require(box.shape[0] == system.dim, "--box", f"needs one axis per {dims}", args.box)
-    _positive("--n-grid", args.n_grid)
-    _positive("--horizon", args.horizon)
-    _at_least(2, ("--n-paths", args.n_paths))
-    x0 = np.array(_parse_floats(args.x0, "--x0")) if args.x0 else box.mean(axis=1)
+    x0 = np.array(_parse_floats(args.x0)) if args.x0 else box.mean(axis=1)
     _require(x0.size == system.dim, "--x0", f"needs one value per {dims}", args.x0)
     model = dataio.load_model(args.model)
     _require(model.D == system.dim, "--model", f"needs the {dims}", args.model)
@@ -346,56 +316,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = command("generate", cmd_generate, "simulate a benchmark system into trajectory CSVs")
     g.add_argument("--system", choices=sorted(SYSTEMS), default="double-well")
-    g.add_argument("--n-traj", type=int, default=6)
-    g.add_argument("--n-obs", type=int, default=250)
-    g.add_argument("--seed", type=_nonnegative_int, default=0)
-    g.add_argument("--gen-dt", type=float, help="default depends on --system")
-    g.add_argument("--subsample-every", type=int, help="default depends on --system")
-    g.add_argument("--noise-std", type=float, help="default depends on --system")
-    g.add_argument("--x0-box", help="'lo:hi[,lo:hi]'; default depends on --system")
-    g.add_argument("--mu", type=float, default=1.0)
+    g.add_argument("--n-traj", type=_int(1), default=6)
+    g.add_argument("--n-obs", type=_int(2), default=250)
+    g.add_argument("--seed", type=_int(0), default=0)
+    g.add_argument("--gen-dt", type=_POSITIVE, help="default depends on --system")
+    g.add_argument("--subsample-every", type=_int(1), help="default depends on --system")
+    g.add_argument("--noise-std", type=_NON_NEGATIVE, default=0.1)
+    g.add_argument("--x0-box", type=_X0_BOX,
+                   help="'lo:hi[,lo:hi]'; default -2:2 on every axis of --system")
+    g.add_argument("--mu", type=_NON_NEGATIVE, default=1.0)
 
     f = command("fit", cmd_fit, "fit an inducing model to trajectory CSVs")
     f.add_argument("--data-dir")
-    f.add_argument("--seed", type=_nonnegative_int, default=0)
-    f.add_argument("--max-iters", type=int, default=200)
-    f.add_argument("--grad-tol", type=float, default=1e-4)
-    f.add_argument("--n-samples", type=int, default=50)
-    f.add_argument("--resolution-factor", type=int, default=2)
-    f.add_argument("--inducing", default="auto:15",
+    f.add_argument("--seed", type=_int(0), default=FitConfig.seed)
+    f.add_argument("--max-iters", type=_int(0), default=FitConfig.max_iters)
+    f.add_argument("--grad-tol", type=_POSITIVE, default=FitConfig.grad_tol)
+    f.add_argument("--n-samples", type=_int(1), default=FitConfig.n_samples)
+    f.add_argument("--resolution-factor", type=_int(1), default=FitConfig.resolution_factor)
+    f.add_argument("--inducing", type=_INDUCING, default="auto:15",
                    help="'lo:hi:count[,...]' or 'auto:count'")
-    f.add_argument("--lengthscales", default="",
+    f.add_argument("--lengthscales", type=_POSITIVE_LIST, default="",
                    help="comma list of isotropic candidates, each one lengthscale "
                         "for both the drift and the diffusion kernel")
-    f.add_argument("--kernel-variance", type=float, default=1.0)
-    f.add_argument("--noise-vars", default="",
+    f.add_argument("--kernel-variance", type=_POSITIVE, default=FitConfig.kernel_variance)
+    f.add_argument("--noise-vars", type=_POSITIVE_LIST, default="",
                    help="fix the observation noise variances (comma list) "
                         "instead of estimating them")
 
     s = command("simulate", cmd_simulate, "sample paths from a fitted model")
     s.add_argument("--model")
-    s.add_argument("--x0")
-    s.add_argument("--horizon", type=float, default=10.0)
-    s.add_argument("--dt", type=float, default=0.01)
-    s.add_argument("--n-paths", type=int, default=50)
-    s.add_argument("--seed", type=_nonnegative_int, default=0)
-    s.add_argument("--density-grid", default="",
+    s.add_argument("--x0", type=_FINITE_LIST)
+    s.add_argument("--horizon", type=_POSITIVE, default=10.0)
+    s.add_argument("--dt", type=_POSITIVE, default=0.01)
+    s.add_argument("--n-paths", type=_int(1), default=50)
+    s.add_argument("--seed", type=_int(0), default=0)
+    s.add_argument("--density-grid", type=_DENSITY_GRID, default="",
                    help="'lo:hi:n[,lo:hi:n]' evaluation grid for a state KDE")
-    s.add_argument("--density-time", type=float, default=-1.0)
-    s.add_argument("--bandwidth", type=float, default=0.2)
+    s.add_argument("--density-time", type=_FINITE, default=-1.0,
+                   help="negative for the last step")
+    s.add_argument("--bandwidth", type=_POSITIVE, default=0.2)
 
     e = command("evaluate", cmd_evaluate, "score a fitted model against a benchmark system")
     e.add_argument("--model")
     e.add_argument("--system", choices=sorted(SYSTEMS), default="double-well")
-    e.add_argument("--box", default="-2:2")
-    e.add_argument("--n-grid", type=int, default=41)
+    e.add_argument("--box", type=_BOX, default="-2:2")
+    e.add_argument("--n-grid", type=_int(1), default=41)
     e.add_argument("--data-dir", default="",
                    help="restrict field errors to the data-visited region")
-    e.add_argument("--x0", default="")
-    e.add_argument("--horizon", type=float, default=5.0)
-    e.add_argument("--n-paths", type=int, default=500)
-    e.add_argument("--seed", type=_nonnegative_int, default=0)
-    e.add_argument("--mu", type=float, default=1.0)
+    e.add_argument("--x0", type=_FINITE_LIST, default="")
+    e.add_argument("--horizon", type=_POSITIVE, default=5.0)
+    e.add_argument("--n-paths", type=_int(2), default=500)
+    e.add_argument("--seed", type=_int(0), default=0)
+    e.add_argument("--mu", type=_NON_NEGATIVE, default=1.0)
     return p
 
 
@@ -415,7 +387,7 @@ def main(argv=None) -> int:
     except (DataError, InputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, SimulationError, FitError) as exc:
+    except (SimulationError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

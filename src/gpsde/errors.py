@@ -24,11 +24,6 @@ class DataError(GpsdeError, ValueError):
         self.line = line
 
 
-class NumericalError(GpsdeError, RuntimeError):
-    """A linear-algebra step failed: the gradient-matching regression
-    system is not positive definite."""
-
-
 class SimulationError(GpsdeError, RuntimeError):
     """A simulated path left the representable range.
 

@@ -19,12 +19,12 @@ starting point fails the candidate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
-from .errors import FitError, InputError, InternalError, NumericalError, SimulationError
+from .errors import FitError, InputError, InternalError, SimulationError
 from .field import FieldCache, InducingModel, build_cache, gram_root, grid_points, update_values
 from .kernels import KernelParams, rbf_matrix
 from .objective import draw_increments, evaluate_with_increments, make_grids
@@ -41,12 +41,15 @@ class FitConfig:
     lengthscale_grid   -- candidate lengthscales, each shared by the drift
                           and diffusion kernels; an entry is a scalar
                           (isotropic) or a D-vector
-    inducing_grid_spec -- per-dimension (min, max, count); min/max of None
-                          derive the range from the data box +-10%
+    inducing_grid_spec -- (min, max, count) per dimension, or one for all;
+                          min/max of None derive the range from the data
+                          box +-10%
     resolution_factor  -- equal grid steps per observation interval, so the
                           step follows the local sampling gap
     n_samples          -- Monte Carlo path count
     seed               -- master RNG seed, >= 0
+    fix_noise_vars     -- noise variances held fixed, per dimension or one
+                          for all; None fits them
     """
 
     lengthscale_grid: tuple
@@ -193,8 +196,6 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
         (M, D), MD = Z.shape, Z.size
         noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
                   else init_noise_vars(data))
-        if noise0.size == 1 and D > 1:
-            noise0 = np.full(D, float(noise0[0]))
         model = InducingModel(Z=Z, U_f=np.zeros((M, D)), u_sigma=np.zeros(M),
                               drift_params=params, diff_params=params, noise_vars=noise0)
         cache = build_cache(model)
@@ -273,7 +274,7 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
             if len(trace) > 1:
                 model, cache = unpack(res.x)
                 final_log_posterior = score(model, cache)[0]
-    except (NumericalError, SimulationError) as exc:
+    except SimulationError as exc:
         return {"lengthscales": params.lengthscales, "termination": "error",
                 "error": f"{type(exc).__name__}: {exc}", "rejected_trials": rejected}
     return {
@@ -286,6 +287,14 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
         "iterations": len(trace) - 1,
         "rejected_trials": rejected,
     }
+
+
+def _per_dimension(entries, D: int, name: str) -> tuple:
+    """D entries, one entry repeated; an InputError naming the setting
+    unless there are one or D entries."""
+    if len(entries) not in (1, D):
+        raise InputError(f"{name} needs one entry, or one per data dimension ({D})")
+    return tuple(entries) * (D // len(entries))
 
 
 def fit_map(data, cfg: FitConfig) -> FitReport:
@@ -305,6 +314,10 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
             raise InputError(f"lengthscale candidate {ell!r} needs one value, or one "
                              f"per data dimension ({D})")
         kernels.append(KernelParams(cfg.kernel_variance, np.broadcast_to(ls, (D,))))
+    cfg = replace(
+        cfg, inducing_grid_spec=_per_dimension(cfg.inducing_grid_spec, D, "inducing_grid_spec"),
+        fix_noise_vars=None if cfg.fix_noise_vars is None
+        else _per_dimension(cfg.fix_noise_vars, D, "fix_noise_vars"))
     grids = make_grids(data, cfg.resolution_factor)
     Z = build_inducing_grid(cfg.inducing_grid_spec, data)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -287,68 +288,83 @@ class TestEvaluate:
         assert metrics["drift_rms_error"] < 0.05
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["simulate", "--x0", "0.5", "--density-grid=-5:5:x"], "--density-grid"),
-    (["simulate", "--x0", "0.5", "--density-grid=-5:5:0"], "--density-grid"),
-    (["simulate", "--x0", "0.5", "--density-grid=-5:5:9,-5:5:3"], "--density-grid"),
-    (["simulate", "--x0", "0.5", "--dt", "0"], "--dt"),
-    (["simulate", "--x0", "0.5", "--horizon", "0"], "--horizon"),
-    (["simulate", "--x0", "0.5", "--horizon", "-1"], "--horizon"),
-    (["evaluate", "--n-grid", "0"], "--n-grid"),
-    (["evaluate", "--system", "van-der-pol", "--box=-3:3"], "--box"),
-    (["fit", "--inducing=-2:2:x"], "--inducing"),
-    (["simulate", "--x0", "0.1,0.2"], "--x0"),
-    (["evaluate", "--x0", "0.1,0.2"], "--x0"),
-    (["generate", "--system", "oscillator", "--x0-box=-2:2"], "--x0-box"),
-    (["generate", "--x0-box=2:-2"], "--x0-box"),
-    (["generate", "--n-obs", "1"], "--n-obs"),
-    (["evaluate", "--n-paths", "1"], "--n-paths"),
-    (["evaluate", "--system", "oscillator", "--box=-2:2,-2:2"], "--model"),
-    (["generate", "--n-traj", "0"], "--n-traj"),
-    (["generate", "--gen-dt", "-1"], "--gen-dt"),
-    (["generate", "--gen-dt", "nan"], "--gen-dt"),
-    (["generate", "--noise-std", "-0.1"], "--noise-std"),
-    (["generate", "--subsample-every", "0"], "--subsample-every"),
-    (["fit", "--n-samples", "0"], "--n-samples"),
-    (["fit", "--resolution-factor", "0"], "--resolution-factor"),
-    (["fit", "--lengthscales", "0.5,abc"], "--lengthscales"),
-    (["fit", "--max-iters", "-1"], "--max-iters"),
-    (["fit", "--grad-tol", "0"], "--grad-tol"),
-    (["fit", "--noise-vars", "0.1,0"], "--noise-vars"),
-    (["fit", "--noise-vars", "0.1,0.1,0.1"], "--noise-vars"),
-    (["fit", "--kernel-variance", "-1"], "--kernel-variance"),
-    (["fit", "--lengthscales", "0.5,-1"], "--lengthscales"),
-    (["fit", "--inducing=-2:2:1"], "--inducing"),
-    (["evaluate", "--box=1:2:3"], "--box"),
-    (["generate", "--x0-box=abc"], "--x0-box"),
-    (["fit", "--inducing=-inf:2:5"], "--inducing"),
-    (["simulate", "--x0", "0.5", "--density-grid=-3:3"], "--density-grid"),
-    (["simulate", "--x0", "a,b"], "--x0"),
-    (["fit", "--inducing=2:2:5"], "--inducing"),
-    (["fit", "--inducing=-2:2:3,-2:2:3"], "--inducing"),
-    (["evaluate", "--data-dir", "OSC_DATASET"], "--data-dir"),
-    (["simulate", "--x0", "nan"], "--x0"),
-    (["evaluate", "--x0", "inf"], "--x0"),
-    (["evaluate", "--box=-2:nan"], "--box"),
-    (["generate", "--system", "van-der-pol", "--mu", "nan"], "--mu"),
-    (["generate", "--system", "van-der-pol", "--mu", "inf"], "--mu"),
-    (["evaluate", "--system", "van-der-pol", "--mu", "nan"], "--mu"),
-    (["evaluate", "--system", "van-der-pol", "--mu=-inf"], "--mu"),
+# (argv, flag, exit code) of a bad flag: 2 for a value its flag's type rejects
+# (argparse's usage error), 3 for a flag that disagrees with the system, the
+# model or the data (a data error)
+BAD_FLAGS = [
+    (["simulate", "--x0", "0.5", "--density-grid=-5:5:x"], "--density-grid", 2),
+    (["simulate", "--x0", "0.5", "--density-grid=-5:5:0"], "--density-grid", 2),
+    (["simulate", "--x0", "0.5", "--density-grid=-5:5:9,-5:5:3"], "--density-grid", 3),
+    (["simulate", "--x0", "0.5", "--dt", "0"], "--dt", 2),
+    (["simulate", "--x0", "0.5", "--horizon", "0"], "--horizon", 2),
+    (["simulate", "--x0", "0.5", "--horizon", "-1"], "--horizon", 2),
+    (["evaluate", "--n-grid", "0"], "--n-grid", 2),
+    (["evaluate", "--system", "van-der-pol", "--box=-3:3"], "--box", 3),
+    (["fit", "--inducing=-2:2:x"], "--inducing", 2),
+    (["simulate", "--x0", "0.1,0.2"], "--x0", 3),
+    (["evaluate", "--x0", "0.1,0.2"], "--x0", 3),
+    (["generate", "--system", "oscillator", "--x0-box=-2:2"], "--x0-box", 3),
+    (["generate", "--x0-box=2:-2"], "--x0-box", 2),
+    (["generate", "--n-obs", "1"], "--n-obs", 2),
+    (["evaluate", "--n-paths", "1"], "--n-paths", 2),
+    (["evaluate", "--system", "oscillator", "--box=-2:2,-2:2"], "--model", 3),
+    (["generate", "--n-traj", "0"], "--n-traj", 2),
+    (["generate", "--gen-dt", "-1"], "--gen-dt", 2),
+    (["generate", "--gen-dt", "nan"], "--gen-dt", 2),
+    (["generate", "--noise-std", "-0.1"], "--noise-std", 2),
+    (["generate", "--subsample-every", "0"], "--subsample-every", 2),
+    (["fit", "--n-samples", "0"], "--n-samples", 2),
+    (["fit", "--resolution-factor", "0"], "--resolution-factor", 2),
+    (["fit", "--lengthscales", "0.5,abc"], "--lengthscales", 2),
+    (["fit", "--max-iters", "-1"], "--max-iters", 2),
+    (["fit", "--grad-tol", "0"], "--grad-tol", 2),
+    (["fit", "--noise-vars", "0.1,0"], "--noise-vars", 2),
+    (["fit", "--noise-vars", "0.1,0.1,0.1"], "--noise-vars", 3),
+    (["fit", "--kernel-variance", "-1"], "--kernel-variance", 2),
+    (["fit", "--lengthscales", "0.5,-1"], "--lengthscales", 2),
+    (["fit", "--inducing=-2:2:1"], "--inducing", 2),
+    (["evaluate", "--box=1:2:3"], "--box", 2),
+    (["generate", "--x0-box=abc"], "--x0-box", 2),
+    (["fit", "--inducing=-inf:2:5"], "--inducing", 2),
+    (["simulate", "--x0", "0.5", "--density-grid=-3:3"], "--density-grid", 2),
+    (["simulate", "--x0", "a,b"], "--x0", 2),
+    (["fit", "--inducing=2:2:5"], "--inducing", 2),
+    (["fit", "--inducing=-2:2:3,-2:2:3"], "--inducing", 3),
+    (["evaluate", "--data-dir", "OSC_DATASET"], "--data-dir", 3),
+    (["simulate", "--x0", "nan"], "--x0", 2),
+    (["evaluate", "--x0", "inf"], "--x0", 2),
+    (["evaluate", "--box=-2:nan"], "--box", 2),
+    (["generate", "--system", "van-der-pol", "--mu", "nan"], "--mu", 2),
+    (["generate", "--system", "van-der-pol", "--mu", "inf"], "--mu", 2),
+    (["evaluate", "--system", "van-der-pol", "--mu", "nan"], "--mu", 2),
+    (["evaluate", "--system", "van-der-pol", "--mu=-inf"], "--mu", 2),
     (["simulate", "--x0", "0.5", "--density-grid=-3:3:5", "--density-time", "inf"],
-     "--density-time"),
+      "--density-time", 2),
     (["simulate", "--x0", "0.5", "--density-grid=-3:3:5", "--density-time", "nan"],
-     "--density-time"),
-])
-def test_bad_flag_is_data_error_that_names_it(argv, flag, tiny_dataset, tiny_model,
+      "--density-time", 2),
+]
+
+
+@pytest.mark.parametrize("argv, flag, code", BAD_FLAGS,
+                         ids=[f"argv{i}-{flag}" for i, (_, flag, _) in enumerate(BAD_FLAGS)])
+def test_bad_flag_is_data_error_that_names_it(argv, flag, code, tiny_dataset, tiny_model,
                                                osc_dataset, tmp_path, capsys):
+    """Every bad flag is named and rejected before any output.  The cases
+    keep the name and ids they had when all of them were data errors."""
     cmd, rest = argv[0], [osc_dataset if a == "OSC_DATASET" else a for a in argv[1:]]
     source = {"fit": ["--data-dir", tiny_dataset], "generate": []}.get(
         cmd, ["--model", tiny_model])
     out = tmp_path / "out"
-    rc = run_cli([cmd, *source, *rest, "--out-dir", out])
-    assert rc == 3
-    assert flag in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    if code == 2:
+        with pytest.raises(SystemExit) as err:
+            run_cli([cmd, *source, *rest, "--out-dir", out])
+        assert err.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert run_cli([cmd, *source, *rest, "--out-dir", out]) == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("cmd", ["fit", "evaluate"])
@@ -433,6 +449,22 @@ def test_fit_flag_defaults_are_fit_config_defaults():
         assert parsed[f.name] == f.default, f.name
 
 
+def test_every_value_flag_has_a_type():
+    """A flag's value rule lives in its type, so a value flag without one
+    would take any text unchecked; flags with choices and the path flags
+    are the exceptions."""
+    paths = {"--config", "--out-dir", "--data-dir", "--model"}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == ["evaluate", "fit", "generate", "simulate"]
+    for name, parser in commands.items():
+        for action in parser._actions:
+            flag = action.option_strings[0]
+            if action.nargs == 0 or action.choices or flag in paths:
+                continue
+            assert action.type is not None, f"{name} {flag}"
+
+
 def test_removed_resample_period_flag_is_usage_error(tiny_dataset, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
@@ -515,6 +547,9 @@ def test_manifest_as_config_reproduces_the_run(argv, tiny_dataset, tiny_model, t
     ("simulate", "n_paths = 2.5", "--n-paths"),
     ("fit", "max_iters = 0.5", "--max-iters"),
     ("generate", "system = nosuch", "--system"),
+    ("generate", "n_obs = 1", "--n-obs"),
+    ("fit", "n_samples = 0", "--n-samples"),
+    ("simulate", "horizon = -1", "--horizon"),
 ])
 def test_bad_config_entry_fails_like_its_flag(cmd, entry, flag, tmp_path, capsys):
     cfg = tmp_path / "run.ini"

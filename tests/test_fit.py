@@ -16,7 +16,7 @@ from gpsde.fit import (
 from gpsde.field import InducingModel, build_cache, drift_batch, grid_points
 from gpsde.kernels import JITTER_SCALE, KernelParams, gram, rbf_matrix
 from gpsde.objective import Trajectory
-from gpsde.systems import GenSpec, double_well, generate
+from gpsde.systems import GenSpec, double_well, generate, oscillator_hotspot
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +208,22 @@ class TestFitMap:
         cfg = replace(quick_config(), lengthscale_grid=grid)
         with pytest.raises(InputError, match=r"lengthscale candidate .*0\.8.* \(1\)"):
             fit_map(small_dataset, cfg)
+
+    def test_one_entry_settings_broadcast_and_mis_sized_ones_are_named(self):
+        spec = GenSpec(n_traj=2, n_obs_per_traj=8, gen_dt=0.01, subsample_every=5,
+                       noise_std=0.05, x0_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), seed=4)
+        data = generate(oscillator_hotspot(), spec)
+        cfg = FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-2, 2, 4),),
+                        resolution_factor=1, n_samples=4, max_iters=0, fix_noise_vars=(0.1,))
+        one = fit_map(data, cfg).final_model
+        each = fit_map(data, replace(cfg, inducing_grid_spec=((-2, 2, 4),) * 2,
+                                     fix_noise_vars=(0.1, 0.1))).final_model
+        for name in ("Z", "U_f", "u_sigma", "noise_vars"):
+            assert np.array_equal(getattr(one, name), getattr(each, name)), name
+        with pytest.raises(InputError, match="inducing_grid_spec needs one entry"):
+            fit_map(data, replace(cfg, inducing_grid_spec=((-2, 2, 4),) * 3))
+        with pytest.raises(InputError, match="fix_noise_vars needs one entry"):
+            fit_map(data, replace(cfg, fix_noise_vars=(0.1,) * 3))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
