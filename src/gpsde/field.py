@@ -356,17 +356,18 @@ def rows_t_matmul(k, V: np.ndarray) -> np.ndarray:
     return (A @ R.T).reshape(len(VT), -1).T.reshape(-1, *V.shape[1:])
 
 
-def rows_buffer(c: FieldCache, n: int, N: int):
+def rows_buffer(c: FieldCache, n: int, N: int, empty=np.empty):
     """Room for the kernel rows at n sets of N states, shape
     (n, kernels, sum n_d, N): one slice per set for :func:`step_terms_batch`
     to fill and :func:`rows_t_products` to read, with one kernel's factors
     when the kernels are equal, else the drift's then the diffusion's.
-    None for a 1-d Z, whose rows are M dense floats per state: they are
-    formed again rather than kept."""
+    empty makes the array from its shape, so a caller may hand out a kept
+    one.  None for a 1-d Z, whose rows are M dense floats per state: they
+    are formed again rather than kept."""
     axes = c.model.axes
     if len(axes) < 2:
         return None
-    return np.empty((n, len(c.row_maps), sum(a.size for a in axes), N))
+    return empty((n, len(c.row_maps), sum(a.size for a in axes), N))
 
 
 def _kernel_rows(X: np.ndarray, c: FieldCache, out=None) -> list:

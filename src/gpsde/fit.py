@@ -27,7 +27,7 @@ import scipy.optimize
 from .errors import FitError, InputError, InternalError, SimulationError
 from .field import FieldCache, InducingModel, build_cache, gram_root, grid_points, update_values
 from .kernels import KernelParams, rbf_matrix
-from .objective import draw_increments, evaluate_with_increments, make_grids
+from .objective import Workspace, draw_increments, evaluate_with_increments, make_grids
 from .sim import child_seed
 
 # box bounds for the log noise variances keep exp() finite during line search
@@ -68,6 +68,9 @@ class FitConfig:
         for spec in self.inducing_grid_spec:
             if len(spec) != 3:
                 raise InputError("inducing_grid_spec entries must be (min, max, count)")
+            if not float(spec[2]).is_integer():
+                raise InputError(f"inducing_grid_spec entry {tuple(spec)!r}: the point "
+                                 "count must be an integer")
             if int(spec[2]) < 2:
                 raise InputError("inducing grid needs at least 2 points per dimension")
         if self.resolution_factor < 1:
@@ -224,10 +227,11 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
                                  noise_vars=np.exp(xv[MD + M:]))
 
         incs = draw_increments(data, grids, model, cfg.n_samples, child_seed(cfg.seed, 0))
+        workspace = Workspace(data, grids, incs)
 
         def score(m, c):
             """Log-posterior, free gradient's inf-norm and whitened gradient."""
-            val = evaluate_with_increments(data, m, c, grids, incs)
+            val = evaluate_with_increments(data, m, c, grids, incs, workspace=workspace)
             G = gram_root(cache, np.column_stack([val.grad_u_f.reshape(M, D), val.grad_u_s]))
             g = np.concatenate([G[:, :D].ravel(), G[:, D], val.grad_log_noise])
             return val.log_posterior, float(np.max(np.abs(g[free]))), g

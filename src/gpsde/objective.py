@@ -11,7 +11,9 @@ w.r.t. the simulated states is the likelihood-weighted (softmax) residual,
 which one adjoint sweep of the simulated paths pulls back to the inducing
 values.  The noise variances are optimised on a log scale; their gradient is the
 standard Gaussian derivative.  Adding the Gaussian log-prior of the
-inducing values gives the MAP objective.
+inducing values gives the MAP objective.  A :class:`Workspace` builds the
+stacked segment batches of a fit's frozen draw once and keeps the arrays
+every evaluation works in.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .field import FieldCache, InducingModel, _checked, log_prior, log_prior_grad
 # not used here: bench/tracer.py wraps gpsde.objective.build_cache by name
 from .field import build_cache  # noqa: F401
 from .sensitivity import simulate_bundle_with_sensitivities
-from .sim import TimeGrid, build_grid, child_seed, sample_increments
+from .sim import Buffers, TimeGrid, build_grid, child_seed, sample_increments
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,25 +78,33 @@ class ObjectiveValue:
         return np.concatenate([self.grad_u_f, self.grad_u_s, self.grad_log_noise])
 
 
-def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
+def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray,
+                 out=(None, None, None)):
     """Mixture log-likelihoods and softmax weights of observations.
 
     y (..., N, D); states (..., S, N, D), with any leading (segment) axes
-    shared.  Returns (per_obs (..., N), weights (..., S, N)) with weights
-    the softmax over samples.
+    shared.  Returns (per_obs (..., N), weights (..., S, N), residuals
+    y - x (..., S, N, D)) with weights the softmax over samples.  out holds
+    up to three arrays that receive the residuals, a scratch array of their
+    shape and the weights; any left None is allocated.
     """
-    res = y[..., None, :, :] - states
-    logp = -0.5 * np.sum(
-        np.log(2.0 * np.pi * noise_vars) + res**2 / noise_vars, axis=-1
-    )
+    res = np.subtract(y[..., None, :, :], states, out=out[0])
+    q = np.square(res, out=out[1])
+    q /= noise_vars
+    q += np.log(2.0 * np.pi * noise_vars)
+    logp = np.sum(q, axis=-1, out=out[2])
+    logp *= -0.5
     top = logp.max(axis=-2)
-    e = np.exp(logp - top[..., None, :])
+    logp -= top[..., None, :]
+    e = np.exp(logp, out=logp)
     total = e.sum(axis=-2)
     per_obs = top + np.log(total) - np.log(states.shape[-3])
-    return per_obs, e / total[..., None, :]
+    e /= total[..., None, :]
+    return per_obs, e, res
 
 
-def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
+def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray, *,
+                   out=(None, None, None)):
     """Monte Carlo likelihood of a batch of K segments, per observation.
 
     y (K, N, D) are the segments' observations and states (K, S, N, D) the
@@ -102,11 +112,13 @@ def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray):
     (K, N); the state seeds w (y - x) / Omega (K, S, N, D), the likelihood's
     gradient w.r.t. the simulated states, which an adjoint sweep pulls back
     to the inducing values; and the log-noise gradients
-    0.5 (sum_s w (y - x)^2 / Omega - 1) (K, N, D).
+    0.5 (sum_s w (y - x)^2 / Omega - 1) (K, N, D).  out, as for
+    :func:`_obs_logliks`, holds the three (K, S, N, D), (K, S, N, D) and
+    (K, S, N) arrays the reduction works in; the seeds are the second.
     """
-    per_obs, w = _obs_logliks(y, states, noise_vars)
-    res = y[:, None] - states
-    seeds = w[..., None] * (res / noise_vars)
+    per_obs, w, res = _obs_logliks(y, states, noise_vars, out)
+    seeds = np.divide(res, noise_vars, out=out[1])
+    seeds *= w[..., None]
     grad_log_noise = 0.5 * (np.einsum("ksnd,ksnd->knd", seeds, res) - 1.0)
     return per_obs, seeds, grad_log_noise
 
@@ -150,8 +162,66 @@ def _segment_groups(grids):
     return groups
 
 
+class Workspace:
+    """The segment batches of one set of trajectories, grids and frozen
+    increments, and the buffers of the evaluations that use them.
+
+    The batches are built once.  Each stacks the K segments of one shape
+    for one simulation of S samples per segment, as the tuple (y (K, N, D)
+    observations, x0 (K*S, D) start states, grid with (K*S, n_steps)
+    steps, (K*S, n_steps, D) increments, the (K, N) mask of the terms it
+    scores, their positions in ``per_obs_loglik``), rows segment-major.
+    An evaluation's batch-sized arrays (the paths, J_f, grad sigma and
+    kept kernel rows, the states at the nodes and the likelihood
+    reduction's three arrays) are views of one :class:`~gpsde.sim.Buffers`,
+    sized by the largest batch and shared by the batches, which run one
+    after another; after the first evaluation, one allocates nothing of
+    batch size.  A workspace serves only the trajectories, grids and
+    increments it was built from, checked by identity.
+    """
+
+    def __init__(self, trajs, grids, increments):
+        if not len(trajs) == len(grids) == len(increments):
+            raise InputError(
+                f"need one grid and one increment array per trajectory, got {len(trajs)} "
+                f"trajectories, {len(grids)} grids and {len(increments)} increment arrays")
+        for tr, g in zip(trajs, grids):
+            if g.n_obs != tr.n_obs:
+                raise InputError("grid does not cover the trajectory's observations")
+        self._inputs = (tuple(trajs), tuple(grids), tuple(increments))
+        starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
+        self.n_obs = int(starts[-1])
+        self.batches = []
+        for offsets, members in _segment_groups(grids).items():
+            N, n_steps = len(offsets), offsets[-1]
+            js, firsts, _ = (np.array(v) for v in zip(*members))
+            nodes = [grids[j].obs_indices[a] for j, a in zip(js, firsts)]
+            y = np.stack([trajs[j].obs[a:b + 1] for j, a, b in members])
+            S = increments[js[0]].shape[0]
+            dt = np.stack([grids[j].dt[n:n + n_steps] for j, n in zip(js, nodes)])
+            # a later segment's start is scored by the segment before it
+            scored = np.ones(y.shape[:2], dtype=bool)
+            scored[firsts > 0, 0] = False
+            slots = (starts[js] + firsts)[:, None] + np.arange(N)
+            self.batches.append((
+                y, np.repeat(y[:, 0], S, axis=0),
+                TimeGrid(t0=0.0, dt=np.repeat(dt, S, axis=0), obs_indices=offsets),
+                np.concatenate([increments[j][:, n:n + n_steps] for j, n in zip(js, nodes)],
+                               axis=0),
+                scored, slots[scored]))
+        self.buffers = Buffers()
+
+    def check(self, trajs, grids, increments):
+        """InternalError unless these are the inputs the workspace was built from."""
+        for kept, given in zip(self._inputs, (trajs, grids, increments)):
+            if len(kept) != len(given) or any(a is not b for a, b in zip(kept, given)):
+                raise InternalError("workspace was built for other trajectories, grids "
+                                    "or increments; build one for these")
+
+
 def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
-                             increments) -> ObjectiveValue:
+                             increments, *, workspace: Workspace | None = None
+                             ) -> ObjectiveValue:
     """Frozen-noise objective: simulate with the given increments and score.
 
     Each trajectory is cut into segments of ``SEGMENT_INTERVALS``
@@ -166,44 +236,45 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     observation, which is scored against the start state.
     ``per_obs_loglik`` keeps trajectory and observation order.
 
+    workspace, a :class:`Workspace` built from these trajectories, grids
+    and increments, holds the batches and the buffers the evaluation works
+    in; a fit passes one to each of its evaluations, and without one the
+    call builds its own.  The returned arrays are new, never the
+    workspace's.
+
     This deterministic map of the model parameters is what the optimizer
     sees for a whole fit, and what finite-difference checks differentiate.
     """
     _checked(m, cache)
-    if not len(trajs) == len(grids) == len(increments):
-        raise InputError(
-            f"need one grid and one increment array per trajectory, got {len(trajs)} "
-            f"trajectories, {len(grids)} grids and {len(increments)} increment arrays")
-    for tr, g in zip(trajs, grids):
-        if tr.dim != m.D:
-            raise InputError("trajectory dimension does not match the model")
-        if g.n_obs != tr.n_obs:
-            raise InputError("grid does not cover the trajectory's observations")
-    starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
-    per_obs = np.empty(starts[-1])
-    grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(m.D)
-    for offsets, members in _segment_groups(grids).items():
-        K, N, n_steps = len(members), len(offsets), offsets[-1]
-        js, firsts, _ = (np.array(v) for v in zip(*members))
-        nodes = [grids[j].obs_indices[a] for j, a in zip(js, firsts)]
-        y = np.stack([trajs[j].obs[a:b + 1] for j, a, b in members])     # (K, N, D)
-        S = increments[js[0]].shape[0]
-        dt = np.stack([grids[j].dt[n:n + n_steps] for j, n in zip(js, nodes)])
-        g = TimeGrid(t0=0.0, dt=np.repeat(dt, S, axis=0), obs_indices=offsets)
-        inc = np.concatenate([increments[j][:, n:n + n_steps]
-                              for j, n in zip(js, nodes)], axis=0)
+    if any(tr.dim != m.D for tr in trajs):
+        raise InputError("trajectory dimension does not match the model")
+    ws = Workspace(trajs, grids, increments) if workspace is None else workspace
+    ws.check(trajs, grids, increments)
+    take, D = ws.buffers.take, m.D
+    per_obs = np.empty(ws.n_obs)
+    grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(D)
+    for y, x0, grid, inc, scored, slots in ws.batches:
+        K, N, _ = y.shape
+        S = len(x0) // K
         paths, pullback = simulate_bundle_with_sensitivities(
-            m, cache, np.repeat(y[:, 0], S, axis=0), g, inc)
-        states = paths[:, g.obs_indices].reshape(K, S, N, m.D)
-        loglik, seeds, g_noise = mc_loglik_grad(y, states, m.noise_vars)
-        # a later segment's start is scored by the segment before it
-        scored = np.ones((K, N), dtype=bool)
-        scored[firsts > 0, 0] = False
-        gf, gs = pullback(seeds.reshape(K * S, N, m.D))
+            m, cache, x0, grid, inc, buffers=ws.buffers)
+        states = take("states", (K * S, N, D))
+        # the indices are in range; clip mode writes straight into the buffer
+        np.take(paths, grid.obs_indices, axis=1, out=states, mode="clip")
+        # the residuals and weights lie observation-major within a segment,
+        # as numpy lays out y[:, None] - paths[:, obs_indices], so the sums
+        # over samples add in the same order and the values keep every bit
+        work = (take("res", (K, N, S, D)).transpose(0, 2, 1, 3),
+                take("scratch", (K, N, S, D)).transpose(0, 2, 1, 3),
+                take("weights", (K, N, S)).transpose(0, 2, 1))
+        loglik, seeds, g_noise = mc_loglik_grad(
+            y, states.reshape(K, S, N, D), m.noise_vars, out=work)
+        # the scored states' buffer takes the seeds in the adjoint's row order
+        states.reshape(K, S, N, D)[...] = seeds
+        gf, gs = pullback(states)
         grad_f, grad_s = grad_f + gf, grad_s + gs
         grad_noise += g_noise[scored].sum(axis=0)
-        rows = (starts[js] + firsts)[:, None] + np.arange(N)
-        per_obs[rows[scored]] = loglik[scored]
+        per_obs[slots] = loglik[scored]
 
     pg_f, pg_s = log_prior_grad(cache)
     return ObjectiveValue(

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InputError, SimulationError
 from .field import (FieldCache, InducingModel, _checked, gram_solve, rows_buffer,
                     rows_t_products, step_terms_batch)
-from .sim import TimeGrid, checked_increments, simulate_callable_batch
+from .sim import Buffers, TimeGrid, checked_increments, simulate_callable_batch
 
 
 def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid, increments: np.ndarray,
@@ -72,20 +72,25 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid, increments:
 
 
 def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
-                                       grid: TimeGrid, increments: np.ndarray):
+                                       grid: TimeGrid, increments: np.ndarray, *,
+                                       buffers: Buffers | None = None):
     """Simulate paths and return them with their pullback.
 
     increments has shape (S, n_steps, D) and x0 is one shared state or one
     state per sample.  Returns the (S, n_steps+1, D) paths and a function
     that maps seeds of shape (S, n_obs, D) to the gradients (u_f, u_sigma)
     of sum(seeds * x) at the observation nodes; see :func:`_adjoint_sweep`.
+    With buffers, the paths, J_f, grad sigma and any kept rows are views of
+    their "paths", "jac", "dg" and "rows" arrays, valid until the next call
+    with them; without, they are new arrays.
     """
     _checked(m, c)
     increments = checked_increments(increments, grid, m.D)
     S, n_steps, D = increments.shape
-    rows = rows_buffer(c, n_steps, S)
-    jac = np.empty((n_steps, D, D, S))
-    dg = np.empty((n_steps, D, S))
+    take = (Buffers() if buffers is None else buffers).take
+    rows = rows_buffer(c, n_steps, S, lambda shape: take("rows", shape))
+    jac = take("jac", (n_steps, D, D, S))
+    dg = take("dg", (n_steps, D, S))
     steps = iter(range(n_steps))
 
     def fields(X):
@@ -93,7 +98,8 @@ def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
         F, sig, _, _, jac[i], dg[i] = step_terms_batch(X, c, None if rows is None else rows[i])
         return F, sig
 
-    paths = simulate_callable_batch(fields, x0, grid.dt, increments)
+    paths = simulate_callable_batch(fields, x0, grid.dt, increments,
+                                    out=take("paths", (S, n_steps + 1, D)))
 
     def pullback(seeds):
         return _adjoint_sweep(c, paths, grid, increments, rows, jac, dg, seeds)

@@ -64,6 +64,23 @@ class TimeGrid:
         return self.obs_indices.size
 
 
+class Buffers:
+    """Float arrays kept by name across calls, so that repeated calls of
+    one size allocate them once.  :meth:`take` gives a C-ordered view over
+    the start of the named buffer, which grows to the largest request; a
+    view's contents hold until the next take of its name."""
+
+    def __init__(self):
+        self._kept = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._kept.get(name)
+        if buf is None or buf.size < n:
+            buf = self._kept[name] = np.empty(n)
+        return buf[:n].reshape(shape)
+
+
 def child_seed(seed, *key) -> np.random.SeedSequence:
     """Counter-keyed child of a seed; stable under how many siblings exist."""
     if isinstance(seed, np.random.SeedSequence):
@@ -156,17 +173,18 @@ def checked_increments(increments, grid: TimeGrid, D: int) -> np.ndarray:
     return increments
 
 
-def simulate_callable_batch(fields, x0, dt, increments: np.ndarray) -> np.ndarray:
+def simulate_callable_batch(fields, x0, dt, increments: np.ndarray, *, out=None) -> np.ndarray:
     """The Euler-Maruyama stepping loop; paths shape (S, n_steps+1, D).
 
     fields maps stacked states (N, D) to the drift (N, D) and the signed
     diffusion (N,); increments has shape (S, n_steps, D).  dt broadcasts to
     (S, n_steps): one step size, one per step, or one per sample and step.
+    out, an (S, n_steps+1, D) array, receives the paths.
     """
     increments = np.asarray(increments, dtype=float)
     n, n_steps, D = increments.shape
     dt = np.broadcast_to(np.asarray(dt, dtype=float), (n, n_steps))
-    paths = np.empty((n, n_steps + 1, D))
+    paths = np.empty((n, n_steps + 1, D)) if out is None else out
     X = _initial_states(x0, n, D)
     paths[:, 0] = X
     for i in range(n_steps):

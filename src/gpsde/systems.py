@@ -64,14 +64,16 @@ class GenSpec:
         box = np.asarray(self.x0_box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] > box[:, 1]):
             raise InputError("x0_box must be (D, 2) with low <= high")
+        if not np.all(np.isfinite(box)):
+            raise InputError("x0_box must be finite")
         if self.n_traj < 1 or self.n_obs_per_traj < 2:
             raise InputError("need n_traj >= 1 and n_obs_per_traj >= 2")
         if self.subsample_every < 1:
             raise InputError("subsample_every must be >= 1")
-        if not self.gen_dt > 0:
-            raise InputError("gen_dt must be positive")
-        if self.noise_std < 0:
-            raise InputError("noise_std must be non-negative")
+        if not 0 < self.gen_dt < math.inf:
+            raise InputError("gen_dt must be positive and finite")
+        if not 0 <= self.noise_std < math.inf:
+            raise InputError("noise_std must be non-negative and finite")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
         box = np.ascontiguousarray(box)

@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Minor page faults and wall time of one objective evaluation.
+
+    PYTHONPATH=src python3 studies/eval_faults.py [--repeats 20] [--no-workspace]
+
+At the sizes of the benchmark's two fit workloads (``dw1d_fit``: double
+well, 6 x 250 observations, M=15, S=50, one step per interval;
+``osc2d_m225_fit``: oscillator, 10 x 25 observations, a 15 x 15 grid, S=20,
+two steps per interval) it generates one dataset, builds the fit's starting
+model and evaluates the frozen-noise objective there, in this process and
+on one BLAS thread, the way a fit does: each evaluation on a new
+(model, cache) pair from ``update_values``, all with one ``Workspace``, or
+with ``--no-workspace`` each building its own.  After three warm-up
+evaluations it prints one JSON line per size with the median, minimum and
+maximum of the minor page faults (``getrusage``) and of the wall time per
+evaluation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import time
+
+os.environ.setdefault("GPSDE_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from gpsde import objective, systems  # noqa: E402
+from gpsde.field import InducingModel, build_cache, update_values  # noqa: E402
+from gpsde.fit import build_inducing_grid, gradient_match_init  # noqa: E402
+from gpsde.kernels import KernelParams  # noqa: E402
+from gpsde.sim import child_seed  # noqa: E402
+
+SIZES = {
+    "dw1d_fit": dict(
+        system="double-well", n_traj=6, n_obs=250, subsample=10, box=[[-2.0, 2.0]],
+        inducing=[(-5.0, 5.0, 15)], lengthscale=1.0, variance=100.0, S=50, factor=1),
+    "osc2d_m225_fit": dict(
+        system="oscillator", n_traj=10, n_obs=25, subsample=50, box=[[-2.0, 2.0]] * 2,
+        inducing=[(-1.8, 1.8, 15)] * 2, lengthscale=0.5, variance=1.0, S=20, factor=2),
+}
+WARMUP = 3
+
+
+def problem(size: dict, seed: int):
+    """Data, grids, increments and the fit's starting (model, cache)."""
+    spec = systems.GenSpec(n_traj=size["n_traj"], n_obs_per_traj=size["n_obs"],
+                           gen_dt=0.01, subsample_every=size["subsample"], noise_std=0.1,
+                           x0_box=np.array(size["box"]), seed=seed)
+    data = systems.generate(systems.SYSTEMS[size["system"]](), spec)
+    D = data[0].dim
+    Z = build_inducing_grid(size["inducing"], data)
+    p = KernelParams(size["variance"], np.full(D, size["lengthscale"]))
+    noise = np.full(D, 0.01)
+    m = InducingModel(Z=Z, U_f=np.zeros((len(Z), D)), u_sigma=np.zeros(len(Z)),
+                      drift_params=p, diff_params=p, noise_vars=noise)
+    c = build_cache(m)
+    U_f, u_sigma = gradient_match_init(data, c, noise_vars=noise)
+    m, c = update_values(c, m, U_f=U_f, u_sigma=u_sigma)
+    grids = objective.make_grids(data, size["factor"])
+    incs = objective.draw_increments(data, grids, m, size["S"], child_seed(seed, 0))
+    return data, grids, incs, m, c
+
+
+def probe(size: dict, repeats: int, seed: int, use_workspace: bool) -> dict:
+    data, grids, incs, m, c = problem(size, seed)
+    kw = {"workspace": objective.Workspace(data, grids, incs)} if use_workspace else {}
+    faults, walls = [], []
+    for k in range(WARMUP + repeats):
+        m, c = update_values(c, m, U_f=m.U_f)
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        objective.evaluate_with_increments(data, m, c, grids, incs, **kw)
+        wall = time.perf_counter() - t0
+        f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        if k >= WARMUP:
+            faults.append(f1 - f0)
+            walls.append(wall)
+    return {
+        "minor_faults": {"median": statistics.median(faults), "min": min(faults),
+                         "max": max(faults)},
+        "wall_ms": {"median": round(1e3 * statistics.median(walls), 3),
+                    "min": round(1e3 * min(walls), 3), "max": round(1e3 * max(walls), 3)},
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeats", type=int, default=20, help="evaluations measured per size")
+    ap.add_argument("--seed", type=int, default=1, help="data and increment seed")
+    ap.add_argument("--no-workspace", action="store_true",
+                    help="let every evaluation build its own workspace")
+    args = ap.parse_args()
+    for name, size in SIZES.items():
+        out = probe(size, args.repeats, args.seed, not args.no_workspace)
+        print(json.dumps({"size": name, "workspace": not args.no_workspace,
+                          "repeats": args.repeats, **out}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

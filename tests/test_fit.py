@@ -237,12 +237,12 @@ def blow_up_where(monkeypatch, blows_up):
     calls = [0]
     evaluate = fit_module.evaluate_with_increments
 
-    def flaky(trajs, m, cache, grids, increments):
+    def flaky(trajs, m, cache, grids, increments, **kwargs):
         calls[0] += 1
         if blows_up(calls[0], m, increments):
             raise SimulationError("state exceeded 1e+06 at step 1 (sample 0)",
                                   step=1, sample=0)
-        return evaluate(trajs, m, cache, grids, increments)
+        return evaluate(trajs, m, cache, grids, increments, **kwargs)
 
     monkeypatch.setattr(fit_module, "evaluate_with_increments", flaky)
 
@@ -328,6 +328,14 @@ def test_config_validation():
     with pytest.raises(InputError):
         FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),),
                   grad_tol=0.0)
+
+
+@pytest.mark.parametrize("count", [4.7, 2.5, float("nan")])
+def test_fractional_inducing_count_rejected(count):
+    # not truncated to a grid of int(count) points
+    with pytest.raises(InputError, match=r"inducing_grid_spec entry \(-2, 2, "):
+        FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4), (-2, 2, count)))
+    FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-2, 2, 4.0),))
 
 
 def test_fit_config_simulation_settings_validation():

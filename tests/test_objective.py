@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gpsde.errors import InputError
+from gpsde.errors import InputError, InternalError, SimulationError
 from gpsde.field import InducingModel, build_cache, grid_points, log_prior, update_values
 from gpsde.kernels import JITTER_SCALE, KernelParams, gram
 from gpsde.objective import (
     SEGMENT_INTERVALS,
     ObjectiveValue,
     Trajectory,
+    Workspace,
     draw_increments,
     evaluate_with_increments,
     make_grids,
@@ -81,7 +82,7 @@ def node_states(m, c, tr, grid, inc):
 
 def mc_loglik(tr, m, states):
     """Monte Carlo log-likelihood of one trajectory's (S, n_obs, D) states."""
-    per_obs, _ = _obs_logliks(tr.obs, states, m.noise_vars)
+    per_obs = _obs_logliks(tr.obs, states, m.noise_vars)[0]
     return float(per_obs.sum())
 
 
@@ -168,7 +169,7 @@ class TestSoftmaxWeights:
     def test_weights_sum_to_one(self):
         m, c, tr, grids, incs = make_problem(seed=5, n_samples=4)
         states = node_states(m, c, tr, grids[0], incs[0])
-        _, w = _obs_logliks(tr.obs, states, m.noise_vars)
+        w = _obs_logliks(tr.obs, states, m.noise_vars)[1]
         np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
 
     def test_degenerate_weights_for_identical_samples(self):
@@ -180,7 +181,7 @@ class TestSoftmaxWeights:
         grid = make_grids([tr], 5)[0]
         inc = np.zeros((3, grid.n_steps, 1))
         states = node_states(m0, c0, tr, grid, inc)
-        _, w = _obs_logliks(tr.obs, states, m0.noise_vars)
+        w = _obs_logliks(tr.obs, states, m0.noise_vars)[1]
         np.testing.assert_allclose(w, 1.0 / 3.0, rtol=1e-12)
         # the mixture gradient reduces to the plain single-path chain rule
         val = evaluate_with_increments([tr], m0, c0, [grid], [inc])
@@ -235,12 +236,95 @@ class TestGradients:
         for _ in range(200):
             m2, c2 = update_values(c, m, noise_vars=nv)
             states = node_states(m2, c2, tr, grids[0], incs[0])
-            _, w = _obs_logliks(tr.obs, states, nv)
+            w = _obs_logliks(tr.obs, states, nv)[1]
             res2 = (tr.obs[None] - states) ** 2
             nv = np.einsum("sn,snd->d", w, res2) / tr.n_obs
         m2, c2 = update_values(c, m, noise_vars=nv)
         val = evaluate_with_increments([tr], m2, c2, grids, incs)
         assert np.max(np.abs(val.grad_log_noise)) < 1e-6
+
+
+def value_arrays(val):
+    return (np.array([val.log_posterior]), val.grad_u_f, val.grad_u_s,
+            val.grad_log_noise, val.per_obs_loglik)
+
+
+def assert_same_bits(a, b):
+    for x, y in zip(value_arrays(a), value_arrays(b)):
+        assert x.tobytes() == y.tobytes()
+
+
+class TestWorkspace:
+    # a long trajectory and a short one: segments of 25 and of 9 intervals
+    # (the long one's last), and of 3 (the short one), in three batches
+    TIMES = [np.linspace(0.0, 2.0, LONG_N_OBS), np.linspace(0.0, 0.3, 4)]
+
+    def problem(self, D, grid=False):
+        m, c, trs, grids, incs = make_batch_problem(20 + D, D, self.TIMES, n_samples=4,
+                                                    factor=2, grid=grid)
+        points = [update_values(c, m, U_f=(1.0 + 0.3 * k) * m.U_f,
+                                u_sigma=(1.0 - 0.1 * k) * m.u_sigma)
+                  for k in range(4)]
+        return trs, grids, incs, points
+
+    @pytest.mark.parametrize("D,grid", [(1, False), (2, False), (2, True)])
+    def test_kept_workspace_matches_a_fresh_one_bit_for_bit(self, D, grid):
+        trs, grids, incs, points = self.problem(D, grid)
+        ws = Workspace(trs, grids, incs)
+        assert len(ws.batches) == 3
+        # smaller and larger batches in turn, and points revisited
+        for m, c in points + points[::-1]:
+            assert_same_bits(evaluate_with_increments(trs, m, c, grids, incs, workspace=ws),
+                             evaluate_with_increments(trs, m, c, grids, incs))
+
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_workspace_survives_a_blown_up_trial_point(self, D):
+        trs, grids, incs, points = self.problem(D)
+        ws = Workspace(trs, grids, incs)
+        m, c = points[0]
+        evaluate_with_increments(trs, m, c, grids, incs, workspace=ws)
+        m_bad, c_bad = update_values(c, m, U_f=1e9 * m.U_f)
+        with pytest.raises(SimulationError):
+            evaluate_with_increments(trs, m_bad, c_bad, grids, incs, workspace=ws)
+        for m, c in points:
+            assert_same_bits(evaluate_with_increments(trs, m, c, grids, incs, workspace=ws),
+                             evaluate_with_increments(trs, m, c, grids, incs))
+
+    def test_returned_values_survive_the_next_evaluation(self):
+        trs, grids, incs, points = self.problem(2, grid=True)
+        ws = Workspace(trs, grids, incs)
+        (m0, c0), (m1, c1) = points[:2]
+        val = evaluate_with_increments(trs, m0, c0, grids, incs, workspace=ws)
+        before = [a.copy() for a in value_arrays(val)]
+        evaluate_with_increments(trs, m1, c1, grids, incs, workspace=ws)
+        for a, b in zip(value_arrays(val), before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_workspace_of_other_inputs_is_refused(self):
+        trs, grids, incs, points = self.problem(1)
+        m, c = points[0]
+        other = draw_increments(trs, grids, m, 4, 99)
+        with pytest.raises(InternalError):
+            evaluate_with_increments(trs, m, c, grids, incs,
+                                     workspace=Workspace(trs, grids, other))
+        with pytest.raises(InternalError):
+            evaluate_with_increments(trs[:1], m, c, grids[:1], incs[:1],
+                                     workspace=Workspace(trs, grids, incs))
+        # the same arrays in new lists are the same inputs
+        evaluate_with_increments(list(trs), m, c, list(grids), list(incs),
+                                 workspace=Workspace(trs, grids, incs))
+
+    @pytest.mark.parametrize("D,grid", [(1, False), (2, True)])
+    def test_kept_workspace_allocates_less_than_one_batch(self, traced_peak, D, grid):
+        # after the first evaluation every batch-sized array is kept: the
+        # second one peaks below one (K, S, N, D) array of the largest batch
+        m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
+                                                    n_samples=100, factor=2, grid=grid)
+        ws = Workspace(trs, grids, incs)
+        largest = max(x0.size * y.shape[1] for y, x0, *_ in ws.batches) * 8
+        peak = traced_peak(
+            lambda: evaluate_with_increments(trs, m, c, grids, incs, workspace=ws))
+        assert peak < largest, f"peak {peak} B, largest batch's states {largest} B"
 
 
 def log_posterior(trajs, m, resolution_factor, n_samples, seed):
@@ -318,7 +402,7 @@ class TestLogPosterior:
         def mixture_means(n_samples, seed):
             paths = sample_paths(c, tr.obs[0], grid, n_samples, seed)
             states = paths[:, grid.obs_indices, :]
-            per_obs, _ = _obs_logliks(tr.obs, states, m.noise_vars)
+            per_obs = _obs_logliks(tr.obs, states, m.noise_vars)[0]
             return np.exp(per_obs)
 
         small = np.array([mixture_means(8, 1000 + s) for s in range(200)])

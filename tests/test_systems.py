@@ -253,6 +253,16 @@ class TestGenerate:
         with pytest.raises(InputError):
             self.spec(x0_box=np.array([-1.5, 1.5]))       # 1-d box: (D, 2) is required
 
+    @pytest.mark.parametrize("field,value", [
+        ("gen_dt", np.inf), ("gen_dt", np.nan), ("noise_std", np.nan),
+        ("noise_std", np.inf), ("x0_box", np.array([[np.nan, 1.5]])),
+        ("x0_box", np.array([[-np.inf, 1.5]])),
+    ])
+    def test_non_finite_spec_names_the_field(self, field, value):
+        # rejected at the setting, not later as a blow-up or a bad trajectory
+        with pytest.raises(InputError, match=field):
+            self.spec(**{field: value})
+
 
 def dense_fit_of(sys_, lo, hi, n=25, ell=0.4, sigma_const=None):
     """Oracle injection: an inducing model whose values are the true fields."""
