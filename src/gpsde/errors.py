@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and config fields' integer rule."""
 
 
 class GpsdeError(Exception):
@@ -46,3 +46,13 @@ class FitError(GpsdeError, RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = list(diagnostics or [])
+
+
+def integer(value, name: str, least: int) -> int:
+    """int(value); an InputError naming the setting unless it is whole and >= least."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} must be an integer >= {least}, got {value!r}")

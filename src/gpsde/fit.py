@@ -9,11 +9,12 @@ Kernel lengthscales are not part of the gradient ascent; candidates come
 from a small grid, each one lengthscale shared by the drift and diffusion
 kernels, and the candidate with the best final log-posterior wins.
 
-Each candidate draws its Brownian increments once, so the objective is a
-deterministic function for the whole run and accepted steps never
-decrease it.  A line-search trial point whose simulated paths blow up is
-rejected (the line search backtracks) and counted; a blow-up at the
-starting point fails the candidate.
+A fit draws its Brownian increments once and every candidate uses that
+one frozen draw, so the objective is a deterministic function for the
+whole fit and accepted steps never decrease it.  A line-search trial
+point whose simulated paths blow up is rejected (the line search
+backtracks) and counted; a blow-up at the starting point fails the
+candidate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .errors import FitError, InputError, InternalError, SimulationError
+from .errors import FitError, InputError, InternalError, SimulationError, integer
 from .field import FieldCache, InducingModel, build_cache, gram_root, grid_points, update_values
 from .kernels import KernelParams, rbf_matrix
 from .objective import Workspace, draw_increments, evaluate_with_increments, make_grids
@@ -68,24 +69,16 @@ class FitConfig:
         for spec in self.inducing_grid_spec:
             if len(spec) != 3:
                 raise InputError("inducing_grid_spec entries must be (min, max, count)")
-            if not float(spec[2]).is_integer():
-                raise InputError(f"inducing_grid_spec entry {tuple(spec)!r}: the point "
-                                 "count must be an integer")
-            if int(spec[2]) < 2:
-                raise InputError("inducing grid needs at least 2 points per dimension")
-        if self.resolution_factor < 1:
-            raise InputError("resolution_factor must be >= 1")
-        if self.n_samples < 1:
-            raise InputError("n_samples must be >= 1")
-        for name in ("max_iters", "seed"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0")
+            integer(spec[2], f"inducing_grid_spec entry {tuple(spec)!r}: the point count", 2)
+        for name, least in (("resolution_factor", 1), ("n_samples", 1), ("max_iters", 0),
+                            ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
         if not self.grad_tol > 0:
             raise InputError("grad_tol must be positive")
         if self.fix_noise_vars is not None:
             nv = tuple(float(v) for v in np.atleast_1d(self.fix_noise_vars))
-            if any(v <= 0 for v in nv):
-                raise InputError("fix_noise_vars entries must be positive")
+            if not all(0 < v < np.inf for v in nv):
+                raise InputError("fix_noise_vars entries must be positive and finite")
             object.__setattr__(self, "fix_noise_vars", nv)
 
 
@@ -190,17 +183,13 @@ def init_noise_vars(data) -> np.ndarray:
     return np.maximum(1e-6, 0.1 * deltas.var(axis=0))
 
 
-def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict:
-    """Fit one lengthscale candidate, whose kernel serves both the drift and
-    the diffusion; a numerical failure L-BFGS-B cannot back away from
-    returns an "error" summary that keeps the rejected-trial count."""
+def _fit_candidate(data, grids, draw: Workspace, model: InducingModel, cfg: FitConfig) -> dict:
+    """Fit one candidate from its zero-valued model, whose kernel serves the
+    drift and the diffusion, on the fit's draw; a numerical failure L-BFGS-B
+    cannot back away from returns an "error" summary with its rejected trials."""
     rejected = 0
     try:
-        (M, D), MD = Z.shape, Z.size
-        noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
-                  else init_noise_vars(data))
-        model = InducingModel(Z=Z, U_f=np.zeros((M, D)), u_sigma=np.zeros(M),
-                              drift_params=params, diff_params=params, noise_vars=noise0)
+        (M, D), MD = model.Z.shape, model.Z.size
         cache = build_cache(model)
         U0, us0 = gradient_match_init(data, cache, noise_vars=cfg.fix_noise_vars)
         model, cache = update_values(cache, model, U_f=U0, u_sigma=us0)
@@ -226,12 +215,9 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
             return update_values(cache, model, U_f=U[:, :D], u_sigma=U[:, D],
                                  noise_vars=np.exp(xv[MD + M:]))
 
-        incs = draw_increments(data, grids, model, cfg.n_samples, child_seed(cfg.seed, 0))
-        workspace = Workspace(data, grids, incs)
-
         def score(m, c):
             """Log-posterior, free gradient's inf-norm and whitened gradient."""
-            val = evaluate_with_increments(data, m, c, grids, incs, workspace=workspace)
+            val = evaluate_with_increments(data, m, c, grids, draw)
             G = gram_root(cache, np.column_stack([val.grad_u_f.reshape(M, D), val.grad_u_s]))
             g = np.concatenate([G[:, :D].ravel(), G[:, D], val.grad_log_noise])
             return val.log_posterior, float(np.max(np.abs(g[free]))), g
@@ -279,10 +265,10 @@ def _fit_candidate(data, grids, Z, params: KernelParams, cfg: FitConfig) -> dict
                 model, cache = unpack(res.x)
                 final_log_posterior = score(model, cache)[0]
     except SimulationError as exc:
-        return {"lengthscales": params.lengthscales, "termination": "error",
+        return {"lengthscales": model.drift_params.lengthscales, "termination": "error",
                 "error": f"{type(exc).__name__}: {exc}", "rejected_trials": rejected}
     return {
-        "lengthscales": params.lengthscales,
+        "lengthscales": model.drift_params.lengthscales,
         "model": model,
         "trace": tuple(trace),
         "termination": termination,
@@ -305,7 +291,8 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
     """Fit each lengthscale candidate and keep the best final log-posterior.
 
     All candidates share the inducing grid, the initialisation procedure
-    and the noise seed, so their final values are comparable.
+    and one frozen draw of the Brownian increments, so their final values
+    are comparable.
     """
     if not data:
         raise InputError("no trajectories to fit")
@@ -324,8 +311,14 @@ def fit_map(data, cfg: FitConfig) -> FitReport:
         else _per_dimension(cfg.fix_noise_vars, D, "fix_noise_vars"))
     grids = make_grids(data, cfg.resolution_factor)
     Z = build_inducing_grid(cfg.inducing_grid_spec, data)
+    noise0 = (np.asarray(cfg.fix_noise_vars, float) if cfg.fix_noise_vars is not None
+              else init_noise_vars(data))
+    starts = [InducingModel(Z=Z, U_f=np.zeros(Z.shape), u_sigma=np.zeros(len(Z)),
+                            drift_params=p, diff_params=p, noise_vars=noise0)
+              for p in kernels]
+    draw = draw_increments(data, grids, starts[0], cfg.n_samples, child_seed(cfg.seed, 0))
 
-    candidates = [_fit_candidate(data, grids, Z, params, cfg) for params in kernels]
+    candidates = [_fit_candidate(data, grids, draw, m, cfg) for m in starts]
     ok = [c for c in candidates if c["termination"] != "error"]
     if not ok:
         raise FitError("all lengthscale candidates failed", diagnostics=candidates)

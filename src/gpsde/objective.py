@@ -11,9 +11,9 @@ w.r.t. the simulated states is the likelihood-weighted (softmax) residual,
 which one adjoint sweep of the simulated paths pulls back to the inducing
 values.  The noise variances are optimised on a log scale; their gradient is the
 standard Gaussian derivative.  Adding the Gaussian log-prior of the
-inducing values gives the MAP objective.  A :class:`Workspace` builds the
-stacked segment batches of a fit's frozen draw once and keeps the arrays
-every evaluation works in.
+inducing values gives the MAP objective.  A fit's frozen draw is one
+:class:`Workspace`: the stacked segment batches of its increments, built
+once, and the arrays every evaluation works in.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray,
     return per_obs, e, res
 
 
-def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray, *,
-                   out=(None, None, None)):
+def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray, out):
     """Monte Carlo likelihood of a batch of K segments, per observation.
 
     y (K, N, D) are the segments' observations and states (K, S, N, D) the
@@ -113,7 +112,7 @@ def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray, *,
     gradient w.r.t. the simulated states, which an adjoint sweep pulls back
     to the inducing values; and the log-noise gradients
     0.5 (sum_s w (y - x)^2 / Omega - 1) (K, N, D).  out, as for
-    :func:`_obs_logliks`, holds the three (K, S, N, D), (K, S, N, D) and
+    :func:`_obs_logliks`, is the three (K, S, N, D), (K, S, N, D) and
     (K, S, N) arrays the reduction works in; the seeds are the second.
     """
     per_obs, w, res = _obs_logliks(y, states, noise_vars, out)
@@ -127,12 +126,12 @@ def make_grids(trajs, resolution_factor: int) -> list[TimeGrid]:
     return [build_grid(tr.times, resolution_factor) for tr in trajs]
 
 
-def draw_increments(trajs, grids, m: InducingModel, n_samples: int, seed) -> list[np.ndarray]:
-    """Per-trajectory Brownian increments from trajectory-keyed substreams."""
-    return [
+def draw_increments(trajs, grids, m: InducingModel, n_samples: int, seed) -> Workspace:
+    """A fit's frozen draw; trajectory j's increments from ``child_seed(seed, j)``."""
+    return Workspace(trajs, grids, [
         sample_increments(g, n_samples, m.D, child_seed(seed, j))
         for j, g in enumerate(grids)
-    ]
+    ])
 
 
 # Observation intervals per simulated segment.  Samples restart from the
@@ -163,8 +162,9 @@ def _segment_groups(grids):
 
 
 class Workspace:
-    """The segment batches of one set of trajectories, grids and frozen
-    increments, and the buffers of the evaluations that use them.
+    """A frozen draw: the segment batches of some trajectories, their grids
+    and their Brownian increments, one (S, n_steps, D) array per trajectory
+    (one S >= 1 for all), and the buffers of the evaluations on it.
 
     The batches are built once.  Each stacks the K segments of one shape
     for one simulation of S samples per segment, as the tuple (y (K, N, D)
@@ -176,8 +176,9 @@ class Workspace:
     reduction's three arrays) are views of one :class:`~gpsde.sim.Buffers`,
     sized by the largest batch and shared by the batches, which run one
     after another; after the first evaluation, one allocates nothing of
-    batch size.  A workspace serves only the trajectories, grids and
-    increments it was built from, checked by identity.
+    batch size, so two evaluations on one draw must not overlap (none in
+    gpsde do).  A draw serves only the trajectories and grids it was built
+    from, checked by identity.
     """
 
     def __init__(self, trajs, grids, increments):
@@ -185,10 +186,14 @@ class Workspace:
             raise InputError(
                 f"need one grid and one increment array per trajectory, got {len(trajs)} "
                 f"trajectories, {len(grids)} grids and {len(increments)} increment arrays")
-        for tr, g in zip(trajs, grids):
+        S = np.shape(increments[0])[:1] if increments else ()     # (S,) of the first array
+        for j, (tr, g, inc) in enumerate(zip(trajs, grids, increments)):
             if g.n_obs != tr.n_obs:
-                raise InputError("grid does not cover the trajectory's observations")
-        self._inputs = (tuple(trajs), tuple(grids), tuple(increments))
+                raise InputError(f"trajectory {j}: grid does not cover its observations")
+            if np.shape(inc) != (*S, g.n_steps, tr.dim) or S[0] < 1:
+                raise InputError(f"trajectory {j}: increments must be (S, {g.n_steps}, "
+                                 f"{tr.dim}), one S >= 1 for all; got {np.shape(inc)}")
+        self._inputs = (tuple(trajs), tuple(grids))
         starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
         self.n_obs = int(starts[-1])
         self.batches = []
@@ -197,32 +202,30 @@ class Workspace:
             js, firsts, _ = (np.array(v) for v in zip(*members))
             nodes = [grids[j].obs_indices[a] for j, a in zip(js, firsts)]
             y = np.stack([trajs[j].obs[a:b + 1] for j, a, b in members])
-            S = increments[js[0]].shape[0]
             dt = np.stack([grids[j].dt[n:n + n_steps] for j, n in zip(js, nodes)])
             # a later segment's start is scored by the segment before it
             scored = np.ones(y.shape[:2], dtype=bool)
             scored[firsts > 0, 0] = False
             slots = (starts[js] + firsts)[:, None] + np.arange(N)
             self.batches.append((
-                y, np.repeat(y[:, 0], S, axis=0),
-                TimeGrid(t0=0.0, dt=np.repeat(dt, S, axis=0), obs_indices=offsets),
+                y, np.repeat(y[:, 0], S[0], axis=0),
+                TimeGrid(t0=0.0, dt=np.repeat(dt, S[0], axis=0), obs_indices=offsets),
                 np.concatenate([increments[j][:, n:n + n_steps] for j, n in zip(js, nodes)],
                                axis=0),
                 scored, slots[scored]))
         self.buffers = Buffers()
 
-    def check(self, trajs, grids, increments):
-        """InternalError unless these are the inputs the workspace was built from."""
-        for kept, given in zip(self._inputs, (trajs, grids, increments)):
+    def check(self, trajs, grids):
+        """InternalError unless these are the inputs the draw was built from."""
+        for kept, given in zip(self._inputs, (trajs, grids)):
             if len(kept) != len(given) or any(a is not b for a, b in zip(kept, given)):
-                raise InternalError("workspace was built for other trajectories, grids "
-                                    "or increments; build one for these")
+                raise InternalError("the draw was built for other trajectories or grids; "
+                                    "draw one for these")
 
 
 def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
-                             increments, *, workspace: Workspace | None = None
-                             ) -> ObjectiveValue:
-    """Frozen-noise objective: simulate with the given increments and score.
+                             draw: Workspace) -> ObjectiveValue:
+    """Frozen-noise objective: simulate with the draw's increments and score.
 
     Each trajectory is cut into segments of ``SEGMENT_INTERVALS``
     observation intervals.  A segment's samples start from the raw
@@ -236,11 +239,9 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     observation, which is scored against the start state.
     ``per_obs_loglik`` keeps trajectory and observation order.
 
-    workspace, a :class:`Workspace` built from these trajectories, grids
-    and increments, holds the batches and the buffers the evaluation works
-    in; a fit passes one to each of its evaluations, and without one the
-    call builds its own.  The returned arrays are new, never the
-    workspace's.
+    draw, the :class:`Workspace` of these trajectories and grids (from
+    :func:`draw_increments`), holds the batches, and the evaluation works
+    in its buffers.  The returned arrays are new, never the draw's.
 
     This deterministic map of the model parameters is what the optimizer
     sees for a whole fit, and what finite-difference checks differentiate.
@@ -248,16 +249,15 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     _checked(m, cache)
     if any(tr.dim != m.D for tr in trajs):
         raise InputError("trajectory dimension does not match the model")
-    ws = Workspace(trajs, grids, increments) if workspace is None else workspace
-    ws.check(trajs, grids, increments)
-    take, D = ws.buffers.take, m.D
-    per_obs = np.empty(ws.n_obs)
+    draw.check(trajs, grids)
+    take, D = draw.buffers.take, m.D
+    per_obs = np.empty(draw.n_obs)
     grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(D)
-    for y, x0, grid, inc, scored, slots in ws.batches:
+    for y, x0, grid, inc, scored, slots in draw.batches:
         K, N, _ = y.shape
         S = len(x0) // K
         paths, pullback = simulate_bundle_with_sensitivities(
-            m, cache, x0, grid, inc, buffers=ws.buffers)
+            m, cache, x0, grid, inc, buffers=draw.buffers)
         states = take("states", (K * S, N, D))
         # the indices are in range; clip mode writes straight into the buffer
         np.take(paths, grid.obs_indices, axis=1, out=states, mode="clip")
@@ -268,7 +268,7 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
                 take("scratch", (K, N, S, D)).transpose(0, 2, 1, 3),
                 take("weights", (K, N, S)).transpose(0, 2, 1))
         loglik, seeds, g_noise = mc_loglik_grad(
-            y, states.reshape(K, S, N, D), m.noise_vars, out=work)
+            y, states.reshape(K, S, N, D), m.noise_vars, work)
         # the scored states' buffer takes the seeds in the adjoint's row order
         states.reshape(K, S, N, D)[...] = seeds
         gf, gs = pullback(states)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InputError, SimulationError
+from .errors import InputError, SimulationError, integer
 from .field import (
     FieldCache,
     InducingModel,
@@ -66,16 +66,13 @@ class GenSpec:
             raise InputError("x0_box must be (D, 2) with low <= high")
         if not np.all(np.isfinite(box)):
             raise InputError("x0_box must be finite")
-        if self.n_traj < 1 or self.n_obs_per_traj < 2:
-            raise InputError("need n_traj >= 1 and n_obs_per_traj >= 2")
-        if self.subsample_every < 1:
-            raise InputError("subsample_every must be >= 1")
+        for name, least in (("n_traj", 1), ("n_obs_per_traj", 2), ("subsample_every", 1),
+                            ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
         if not 0 < self.gen_dt < math.inf:
             raise InputError("gen_dt must be positive and finite")
         if not 0 <= self.noise_std < math.inf:
             raise InputError("noise_std must be non-negative and finite")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
         box = np.ascontiguousarray(box)
         box.setflags(write=False)
         object.__setattr__(self, "x0_box", box)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Minor page faults and wall time of one objective evaluation.
 
-    PYTHONPATH=src python3 studies/eval_faults.py [--repeats 20] [--no-workspace]
+    PYTHONPATH=src python3 studies/eval_faults.py [--repeats 20] [--fresh-draw]
 
 At the sizes of the benchmark's two fit workloads (``dw1d_fit``: double
 well, 6 x 250 observations, M=15, S=50, one step per interval;
@@ -9,8 +9,9 @@ well, 6 x 250 observations, M=15, S=50, one step per interval;
 two steps per interval) it generates one dataset, builds the fit's starting
 model and evaluates the frozen-noise objective there, in this process and
 on one BLAS thread, the way a fit does: each evaluation on a new
-(model, cache) pair from ``update_values``, all with one ``Workspace``, or
-with ``--no-workspace`` each building its own.  After three warm-up
+(model, cache) pair from ``update_values``, all on one frozen draw from
+``objective.draw_increments``, or with ``--fresh-draw`` each on a new draw
+of the same seed, made outside the timed call.  After three warm-up
 evaluations it prints one JSON line per size with the median, minimum and
 maximum of the minor page faults (``getrusage``) and of the wall time per
 evaluation.
@@ -47,7 +48,7 @@ WARMUP = 3
 
 
 def problem(size: dict, seed: int):
-    """Data, grids, increments and the fit's starting (model, cache)."""
+    """Data, grids, the draw's arguments and the fit's starting (model, cache)."""
     spec = systems.GenSpec(n_traj=size["n_traj"], n_obs_per_traj=size["n_obs"],
                            gen_dt=0.01, subsample_every=size["subsample"], noise_std=0.1,
                            x0_box=np.array(size["box"]), seed=seed)
@@ -62,19 +63,20 @@ def problem(size: dict, seed: int):
     U_f, u_sigma = gradient_match_init(data, c, noise_vars=noise)
     m, c = update_values(c, m, U_f=U_f, u_sigma=u_sigma)
     grids = objective.make_grids(data, size["factor"])
-    incs = objective.draw_increments(data, grids, m, size["S"], child_seed(seed, 0))
-    return data, grids, incs, m, c
+    return data, grids, (data, grids, m, size["S"], child_seed(seed, 0)), m, c
 
 
-def probe(size: dict, repeats: int, seed: int, use_workspace: bool) -> dict:
-    data, grids, incs, m, c = problem(size, seed)
-    kw = {"workspace": objective.Workspace(data, grids, incs)} if use_workspace else {}
+def probe(size: dict, repeats: int, seed: int, fresh_draw: bool) -> dict:
+    data, grids, draw_args, m, c = problem(size, seed)
+    draw = objective.draw_increments(*draw_args)
     faults, walls = [], []
     for k in range(WARMUP + repeats):
         m, c = update_values(c, m, U_f=m.U_f)
+        if fresh_draw:
+            draw = objective.draw_increments(*draw_args)
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        objective.evaluate_with_increments(data, m, c, grids, incs, **kw)
+        objective.evaluate_with_increments(data, m, c, grids, draw)
         wall = time.perf_counter() - t0
         f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         if k >= WARMUP:
@@ -92,12 +94,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=20, help="evaluations measured per size")
     ap.add_argument("--seed", type=int, default=1, help="data and increment seed")
-    ap.add_argument("--no-workspace", action="store_true",
-                    help="let every evaluation build its own workspace")
+    ap.add_argument("--fresh-draw", action="store_true",
+                    help="evaluate each time on a new draw of the same seed")
     args = ap.parse_args()
     for name, size in SIZES.items():
-        out = probe(size, args.repeats, args.seed, not args.no_workspace)
-        print(json.dumps({"size": name, "workspace": not args.no_workspace,
+        out = probe(size, args.repeats, args.seed, args.fresh_draw)
+        print(json.dumps({"size": name, "workspace": not args.fresh_draw,
                           "repeats": args.repeats, **out}), flush=True)
     return 0
 

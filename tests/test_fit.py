@@ -232,17 +232,17 @@ class TestFitMap:
 
 def blow_up_where(monkeypatch, blows_up):
     """Make each objective evaluation of the fit for which
-    ``blows_up(call, model, increments)`` holds raise a blow-up, where
+    ``blows_up(call, model, draw)`` holds raise a blow-up, where
     ``call`` counts the evaluations from 1."""
     calls = [0]
     evaluate = fit_module.evaluate_with_increments
 
-    def flaky(trajs, m, cache, grids, increments, **kwargs):
+    def flaky(trajs, m, cache, grids, draw):
         calls[0] += 1
-        if blows_up(calls[0], m, increments):
+        if blows_up(calls[0], m, draw):
             raise SimulationError("state exceeded 1e+06 at step 1 (sample 0)",
                                   step=1, sample=0)
-        return evaluate(trajs, m, cache, grids, increments, **kwargs)
+        return evaluate(trajs, m, cache, grids, draw)
 
     monkeypatch.setattr(fit_module, "evaluate_with_increments", flaky)
 
@@ -320,6 +320,22 @@ class TestRejectedTrials:
         assert rep.trace[-1][2] >= cfg.grad_tol
 
 
+def test_candidates_share_one_draw(small_dataset, monkeypatch):
+    # one draw for the fit, and each candidate ends where it ends alone
+    draws = []
+    draw = fit_module.draw_increments
+    monkeypatch.setattr(fit_module, "draw_increments",
+                        lambda *args: draws.append(draw(*args)) or draws[-1])
+    cfg = replace(quick_config(max_iters=4), lengthscale_grid=(0.8, 1.6))
+    rep = fit_map(small_dataset, cfg)
+    assert len(draws) == 1
+    for ell, cand in zip(cfg.lengthscale_grid, rep.candidates):
+        alone = fit_map(small_dataset, replace(cfg, lengthscale_grid=(ell,)))
+        assert cand["final_log_posterior"] == alone.final_log_posterior
+        assert cand["iterations"] == len(alone.trace) - 1
+    assert len(draws) == 3
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         FitConfig(lengthscale_grid=(), inducing_grid_spec=((-1, 1, 4),))
@@ -336,6 +352,21 @@ def test_fractional_inducing_count_rejected(count):
     with pytest.raises(InputError, match=r"inducing_grid_spec entry \(-2, 2, "):
         FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4), (-2, 2, count)))
     FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-2, 2, 4.0),))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_samples", 2.5), ("max_iters", 2.5), ("seed", 1.5), ("resolution_factor", 1.5),
+    ("n_samples", float("nan")), ("seed", "3"), ("fix_noise_vars", (float("nan"),)),
+    ("fix_noise_vars", (0.1, float("inf"))),
+])
+def test_fit_config_rejects_non_integral_counts_and_bad_noise(field, value):
+    # an InputError naming the field, not a TypeError deep in the fit
+    with pytest.raises(InputError, match=field):
+        FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),), **{field: value})
+    # whole numbers of any numeric type are taken as ints
+    cfg = FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),),
+                    n_samples=np.int64(5), seed=2.0)
+    assert (cfg.n_samples, cfg.seed) == (5, 2) and type(cfg.seed) is int
 
 
 def test_fit_config_simulation_settings_validation():

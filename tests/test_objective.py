@@ -15,7 +15,7 @@ from gpsde.objective import (
     _obs_logliks,
     _segment_groups,
 )
-from gpsde.sim import sample_paths, simulate_batch
+from gpsde.sim import child_seed, sample_increments, sample_paths, simulate_batch
 
 
 # more than two segments, the last one shorter than the others
@@ -61,13 +61,15 @@ def make_problem(seed=0, D=1, n_obs=5, n_samples=3, factor=6):
 
 
 def make_batch_problem(seed, D, times, n_samples=3, factor=6, grid=False):
-    """A model and one trajectory per entry of ``times``; with grid, the
-    2-d grid model."""
+    """A model, one trajectory per entry of ``times``, their grids and the
+    increment arrays of draw_increments' seed + 7; with grid, the 2-d grid
+    model."""
     m, c = grid_model(seed=seed) if grid else small_model(seed=seed, D=D)
     rng = np.random.default_rng(seed + 100)
     trs = [Trajectory(times=t, obs=0.4 * rng.normal(size=(len(t), D))) for t in times]
     grids = make_grids(trs, factor)
-    incs = draw_increments(trs, grids, m, n_samples, seed + 7)
+    incs = [sample_increments(g, n_samples, D, child_seed(seed + 7, j))
+            for j, g in enumerate(grids)]
     return m, c, trs, grids, incs
 
 
@@ -118,7 +120,7 @@ class TestMcLoglik:
 
     def test_additivity_over_observations(self):
         m, c, tr, grids, incs = make_problem(seed=4)
-        val = evaluate_with_increments([tr], m, c, grids, incs)
+        val = evaluate_with_increments([tr], m, c, grids, Workspace([tr], grids, incs))
         assert val.per_obs_loglik.shape == (tr.n_obs,)
         lp_sum = val.per_obs_loglik.sum() + log_prior(c)
         assert val.log_posterior == pytest.approx(lp_sum, rel=1e-12)
@@ -132,7 +134,7 @@ class TestMcLoglik:
         # trajectory of its own observations and slice of the increments,
         # except that its first observation is scored by the segment before
         m, c, tr, grids, incs = make_problem(seed=4, n_obs=LONG_N_OBS)
-        val = evaluate_with_increments([tr], m, c, grids, incs)
+        val = evaluate_with_increments([tr], m, c, grids, Workspace([tr], grids, incs))
         assert val.per_obs_loglik.shape == (tr.n_obs,)
         lp_sum = val.per_obs_loglik.sum() + log_prior(c)
         assert val.log_posterior == pytest.approx(lp_sum, rel=1e-12)
@@ -142,7 +144,7 @@ class TestMcLoglik:
             g = make_grids([part], 6)[0]
             node = grids[0].obs_indices[a]
             part_val = evaluate_with_increments(
-                [part], m, c, [g], [incs[0][:, node:node + g.n_steps]])
+                [part], m, c, [g], Workspace([part], [g], [incs[0][:, node:node + g.n_steps]]))
             first = 0 if a == 0 else 1
             np.testing.assert_allclose(val.per_obs_loglik[a + first:b + 1],
                                        part_val.per_obs_loglik[first:], rtol=1e-9)
@@ -159,10 +161,28 @@ class TestMcLoglik:
     def test_shape_mismatch_rejected(self):
         m, c, tr, grids, incs = make_problem()
         with pytest.raises(InputError):
-            evaluate_with_increments([tr, tr], m, c, grids, incs)
+            Workspace([tr, tr], grids, incs)
+        # a draw of 2-d trajectories against a 1-d model
         tr2 = Trajectory(times=tr.times, obs=np.zeros((tr.n_obs, 2)))
         with pytest.raises(InputError):
-            evaluate_with_increments([tr2], m, c, grids, incs)
+            evaluate_with_increments([tr2], m, c, grids,
+                                     Workspace([tr2], grids, [np.concatenate([incs[0]] * 2, 2)]))
+
+    @pytest.mark.parametrize("change", ["more steps", "fewer steps", "other sample count",
+                                        "other dimension", "2-d", "no samples"])
+    def test_increments_of_another_shape_rejected(self, change):
+        # two trajectories of 6 observations, factor 2 (10 steps), S=4; the
+        # named trajectory's increments take another shape
+        m, c, trs, grids, (a, b) = make_batch_problem(
+            31, 1, [np.linspace(0.0, 1.0, 6)] * 2, n_samples=4, factor=2)
+        j, incs = {"more steps": (1, [a, np.concatenate([b, b[:, :7]], axis=1)]),
+                   "fewer steps": (1, [a, b[:, :-1]]),
+                   "other sample count": (1, [a, b[:3]]),
+                   "other dimension": (1, [a, np.concatenate([b, b], axis=2)]),
+                   "2-d": (1, [a, b[0]]),
+                   "no samples": (0, [a[:0], b[:0]])}[change]
+        with pytest.raises(InputError, match=rf"trajectory {j}: increments must be \(S, 10, 1\)"):
+            Workspace(trs, grids, incs)
 
 
 class TestSoftmaxWeights:
@@ -184,13 +204,13 @@ class TestSoftmaxWeights:
         w = _obs_logliks(tr.obs, states, m0.noise_vars)[1]
         np.testing.assert_allclose(w, 1.0 / 3.0, rtol=1e-12)
         # the mixture gradient reduces to the plain single-path chain rule
-        val = evaluate_with_increments([tr], m0, c0, [grid], [inc])
-        val1 = evaluate_with_increments([tr], m0, c0, [grid], [inc[:1]])
+        val = evaluate_with_increments([tr], m0, c0, [grid], Workspace([tr], [grid], [inc]))
+        val1 = evaluate_with_increments([tr], m0, c0, [grid], Workspace([tr], [grid], [inc[:1]]))
         np.testing.assert_allclose(val.grad_u_f, val1.grad_u_f, rtol=1e-10)
 
 
 class TestGradients:
-    def frozen_fd(self, trajs, m, cache, grids, incs, h=1e-5):
+    def frozen_fd(self, trajs, m, cache, grids, draw, h=1e-5):
         M, D = m.M, m.D
         MD = M * D
 
@@ -198,7 +218,7 @@ class TestGradients:
             m2, c2 = update_values(
                 cache, m, U_f=x[:MD].reshape(M, D), u_sigma=x[MD:MD + M],
                 noise_vars=np.exp(x[MD + M:]))
-            return evaluate_with_increments(trajs, m2, c2, grids, incs).log_posterior
+            return evaluate_with_increments(trajs, m2, c2, grids, draw).log_posterior
 
         x0 = np.concatenate([m.u_f, m.u_sigma, np.log(m.noise_vars)])
         g = np.zeros_like(x0)
@@ -222,8 +242,9 @@ class TestGradients:
     ])
     def test_full_gradient_matches_frozen_noise_fd(self, seed, D, times, grid):
         m, c, trs, grids, incs = make_batch_problem(seed, D, times, grid=grid)
-        val = evaluate_with_increments(trs, m, c, grids, incs)
-        fd = self.frozen_fd(trs, m, c, grids, incs)
+        draw = Workspace(trs, grids, incs)
+        val = evaluate_with_increments(trs, m, c, grids, draw)
+        fd = self.frozen_fd(trs, m, c, grids, draw)
         an = val.packed_grad()
         rel = np.abs(an - fd) / np.maximum(1e-8, np.abs(fd))
         assert rel.max() <= 1e-4
@@ -240,7 +261,7 @@ class TestGradients:
             res2 = (tr.obs[None] - states) ** 2
             nv = np.einsum("sn,snd->d", w, res2) / tr.n_obs
         m2, c2 = update_values(c, m, noise_vars=nv)
-        val = evaluate_with_increments([tr], m2, c2, grids, incs)
+        val = evaluate_with_increments([tr], m2, c2, grids, Workspace([tr], grids, incs))
         assert np.max(np.abs(val.grad_log_noise)) < 1e-6
 
 
@@ -260,59 +281,61 @@ class TestWorkspace:
     TIMES = [np.linspace(0.0, 2.0, LONG_N_OBS), np.linspace(0.0, 0.3, 4)]
 
     def problem(self, D, grid=False):
-        m, c, trs, grids, incs = make_batch_problem(20 + D, D, self.TIMES, n_samples=4,
-                                                    factor=2, grid=grid)
+        """Trajectories, grids, four (model, cache) points and a function
+        that draws the increments of one seed afresh."""
+        m, c, trs, grids, _ = make_batch_problem(20 + D, D, self.TIMES, n_samples=4,
+                                                 factor=2, grid=grid)
         points = [update_values(c, m, U_f=(1.0 + 0.3 * k) * m.U_f,
                                 u_sigma=(1.0 - 0.1 * k) * m.u_sigma)
                   for k in range(4)]
-        return trs, grids, incs, points
+        return trs, grids, points, lambda: draw_increments(trs, grids, m, 4, 27 + D)
 
     @pytest.mark.parametrize("D,grid", [(1, False), (2, False), (2, True)])
     def test_kept_workspace_matches_a_fresh_one_bit_for_bit(self, D, grid):
-        trs, grids, incs, points = self.problem(D, grid)
-        ws = Workspace(trs, grids, incs)
-        assert len(ws.batches) == 3
+        # repeated evaluations on one draw equal those on a fresh draw of its seed
+        trs, grids, points, fresh = self.problem(D, grid)
+        draw = fresh()
+        assert len(draw.batches) == 3
         # smaller and larger batches in turn, and points revisited
         for m, c in points + points[::-1]:
-            assert_same_bits(evaluate_with_increments(trs, m, c, grids, incs, workspace=ws),
-                             evaluate_with_increments(trs, m, c, grids, incs))
+            assert_same_bits(evaluate_with_increments(trs, m, c, grids, draw),
+                             evaluate_with_increments(trs, m, c, grids, fresh()))
 
     @pytest.mark.parametrize("D", [1, 2])
     def test_workspace_survives_a_blown_up_trial_point(self, D):
-        trs, grids, incs, points = self.problem(D)
-        ws = Workspace(trs, grids, incs)
+        trs, grids, points, fresh = self.problem(D)
+        draw = fresh()
         m, c = points[0]
-        evaluate_with_increments(trs, m, c, grids, incs, workspace=ws)
+        evaluate_with_increments(trs, m, c, grids, draw)
         m_bad, c_bad = update_values(c, m, U_f=1e9 * m.U_f)
         with pytest.raises(SimulationError):
-            evaluate_with_increments(trs, m_bad, c_bad, grids, incs, workspace=ws)
+            evaluate_with_increments(trs, m_bad, c_bad, grids, draw)
         for m, c in points:
-            assert_same_bits(evaluate_with_increments(trs, m, c, grids, incs, workspace=ws),
-                             evaluate_with_increments(trs, m, c, grids, incs))
+            assert_same_bits(evaluate_with_increments(trs, m, c, grids, draw),
+                             evaluate_with_increments(trs, m, c, grids, fresh()))
 
     def test_returned_values_survive_the_next_evaluation(self):
-        trs, grids, incs, points = self.problem(2, grid=True)
-        ws = Workspace(trs, grids, incs)
+        trs, grids, points, fresh = self.problem(2, grid=True)
+        draw = fresh()
         (m0, c0), (m1, c1) = points[:2]
-        val = evaluate_with_increments(trs, m0, c0, grids, incs, workspace=ws)
+        val = evaluate_with_increments(trs, m0, c0, grids, draw)
         before = [a.copy() for a in value_arrays(val)]
-        evaluate_with_increments(trs, m1, c1, grids, incs, workspace=ws)
+        evaluate_with_increments(trs, m1, c1, grids, draw)
         for a, b in zip(value_arrays(val), before):
             assert a.tobytes() == b.tobytes()
 
     def test_workspace_of_other_inputs_is_refused(self):
-        trs, grids, incs, points = self.problem(1)
+        trs, grids, points, fresh = self.problem(1)
         m, c = points[0]
-        other = draw_increments(trs, grids, m, 4, 99)
         with pytest.raises(InternalError):
-            evaluate_with_increments(trs, m, c, grids, incs,
-                                     workspace=Workspace(trs, grids, other))
+            evaluate_with_increments([Trajectory(tr.times, tr.obs) for tr in trs], m, c,
+                                     grids, fresh())
         with pytest.raises(InternalError):
-            evaluate_with_increments(trs[:1], m, c, grids[:1], incs[:1],
-                                     workspace=Workspace(trs, grids, incs))
-        # the same arrays in new lists are the same inputs
-        evaluate_with_increments(list(trs), m, c, list(grids), list(incs),
-                                 workspace=Workspace(trs, grids, incs))
+            evaluate_with_increments(trs, m, c, make_grids(trs, 2), fresh())
+        with pytest.raises(InternalError):
+            evaluate_with_increments(trs[:1], m, c, grids[:1], fresh())
+        # the same trajectories and grids in new lists are the same inputs
+        evaluate_with_increments(list(trs), m, c, list(grids), fresh())
 
     @pytest.mark.parametrize("D,grid", [(1, False), (2, True)])
     def test_kept_workspace_allocates_less_than_one_batch(self, traced_peak, D, grid):
@@ -320,10 +343,9 @@ class TestWorkspace:
         # second one peaks below one (K, S, N, D) array of the largest batch
         m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
                                                     n_samples=100, factor=2, grid=grid)
-        ws = Workspace(trs, grids, incs)
-        largest = max(x0.size * y.shape[1] for y, x0, *_ in ws.batches) * 8
-        peak = traced_peak(
-            lambda: evaluate_with_increments(trs, m, c, grids, incs, workspace=ws))
+        draw = Workspace(trs, grids, incs)
+        largest = max(x0.size * y.shape[1] for y, x0, *_ in draw.batches) * 8
+        peak = traced_peak(lambda: evaluate_with_increments(trs, m, c, grids, draw))
         assert peak < largest, f"peak {peak} B, largest batch's states {largest} B"
 
 
@@ -377,17 +399,19 @@ class TestLogPosterior:
         trs = [Trajectory(times=np.linspace(0, 1, 4), obs=0.3 * rng.normal(size=(4, 1)))
                for _ in range(3)]
         grids = make_grids(trs, 4)
-        incs = draw_increments(trs, grids, m, 3, 9)
-        val = evaluate_with_increments(trs, m, c, grids, incs)
+        incs = [sample_increments(g, 3, 1, child_seed(9, j)) for j, g in enumerate(grids)]
+        val = evaluate_with_increments(trs, m, c, grids, draw_increments(trs, grids, m, 3, 9))
         perm = [2, 0, 1]
-        val_p = evaluate_with_increments([trs[j] for j in perm], m, c,
-                                         [grids[j] for j in perm],
-                                         [incs[j] for j in perm])
+        p_trs, p_grids = [trs[j] for j in perm], [grids[j] for j in perm]
+        val_p = evaluate_with_increments(p_trs, m, c, p_grids,
+                                         Workspace(p_trs, p_grids, [incs[j] for j in perm]))
         assert val_p.log_posterior == pytest.approx(val.log_posterior, abs=1e-12)
         np.testing.assert_allclose(val_p.grad_u_f, val.grad_u_f, atol=1e-12)
         # reordering samples within a trajectory's increments
-        v1 = evaluate_with_increments(trs[:1], m, c, grids[:1], incs[:1])
-        v2 = evaluate_with_increments(trs[:1], m, c, grids[:1], [incs[0][[2, 1, 0]]])
+        v1 = evaluate_with_increments(trs[:1], m, c, grids[:1],
+                                      Workspace(trs[:1], grids[:1], incs[:1]))
+        v2 = evaluate_with_increments(trs[:1], m, c, grids[:1],
+                                      Workspace(trs[:1], grids[:1], [incs[0][[2, 1, 0]]]))
         assert v2.log_posterior == pytest.approx(v1.log_posterior, abs=1e-12)
         np.testing.assert_allclose(v2.grad_u_f, v1.grad_u_f, rtol=1e-10)
 

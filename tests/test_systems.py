@@ -263,6 +263,16 @@ class TestGenerate:
         with pytest.raises(InputError, match=field):
             self.spec(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_traj", 2.5), ("n_obs_per_traj", 3.5), ("subsample_every", 2.5), ("seed", 1.5),
+        ("n_traj", float("nan")), ("seed", "7"),
+    ])
+    def test_non_integral_spec_names_the_field(self, field, value):
+        # an InputError naming the field, not numpy's or SeedSequence's TypeError
+        with pytest.raises(InputError, match=field):
+            self.spec(**{field: value})
+        assert self.spec(n_traj=np.int64(2), seed=7.0).seed == 7
+
 
 def dense_fit_of(sys_, lo, hi, n=25, ell=0.4, sigma_const=None):
     """Oracle injection: an inducing model whose values are the true fields."""
