@@ -75,10 +75,22 @@ class FitConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name, least))
         if not self.grad_tol > 0:
             raise InputError("grad_tol must be positive")
+        try:
+            positive = 0 < self.kernel_variance < np.inf
+        except TypeError:
+            positive = False
+        if not positive:
+            raise InputError(f"kernel_variance must be positive and finite, "
+                             f"got {self.kernel_variance!r}")
         if self.fix_noise_vars is not None:
-            nv = tuple(float(v) for v in np.atleast_1d(self.fix_noise_vars))
-            if not all(0 < v < np.inf for v in nv):
-                raise InputError("fix_noise_vars entries must be positive and finite")
+            try:
+                nv = tuple(float(v) for v in np.atleast_1d(self.fix_noise_vars))
+                positive = all(0 < v < np.inf for v in nv)
+            except (TypeError, ValueError):
+                positive = False
+            if not positive:
+                raise InputError(f"fix_noise_vars entries must be positive and finite, "
+                                 f"got {self.fix_noise_vars!r}")
             object.__setattr__(self, "fix_noise_vars", nv)
 
 

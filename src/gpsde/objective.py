@@ -4,16 +4,17 @@ The likelihood of an observation y_i is a mixture over simulated samples,
 (1/S) sum_s N(y_i | x_i^(s), Omega), evaluated in log space with
 log-sum-exp.  Samples are simulated from the first observation of each
 trajectory segment of ``SEGMENT_INTERVALS`` observation intervals, not
-from the trajectory's first observation alone.  Segments of one shape are
-scored as stacked arrays: observations (K, N, D) against samples
-(K, S, N, D), one (segment, observation) pair per term.  The gradient
-w.r.t. the simulated states is the likelihood-weighted (softmax) residual,
-which one adjoint sweep of the simulated paths pulls back to the inducing
-values.  The noise variances are optimised on a log scale; their gradient is the
-standard Gaussian derivative.  Adding the Gaussian log-prior of the
-inducing values gives the MAP objective.  A fit's frozen draw is one
-:class:`Workspace`: the stacked segment batches of its increments, built
-once, and the arrays every evaluation works in.
+from the trajectory's first observation alone.  Every segment simulates
+in one ragged batch, and segments of one shape are scored as stacked
+arrays: observations (K, N, D) against samples (K, S, N, D), one
+(segment, observation) pair per term.  The gradient w.r.t. the simulated
+states is the likelihood-weighted (softmax) residual, which one adjoint
+sweep of the batch pulls back to the inducing values.  The noise
+variances are optimised on a log scale; their gradient is the standard
+Gaussian derivative.  Adding the Gaussian log-prior of the inducing
+values gives the MAP objective.  A fit's frozen draw is one
+:class:`Workspace`: the ragged batch of its increments, built once, and
+the arrays every evaluation works in.
 """
 
 from __future__ import annotations
@@ -161,24 +162,44 @@ def _segment_groups(grids):
     return groups
 
 
+def _ragged_batches(grids):
+    """The segment groups, longest first, in batches whose groups' offsets
+    all begin the first group's: one batch when the grids share one
+    resolution factor."""
+    batches = []
+    for offsets, members in sorted(_segment_groups(grids).items(), key=lambda g: -g[0][-1]):
+        for longest, groups in batches:
+            if longest[:len(offsets)] == offsets:
+                groups.append((offsets, members))
+                break
+        else:
+            batches.append((offsets, [(offsets, members)]))
+    return [groups for _, groups in batches]
+
+
 class Workspace:
     """A frozen draw: the segment batches of some trajectories, their grids
     and their Brownian increments, one (S, n_steps, D) array per trajectory
     (one S >= 1 for all), and the buffers of the evaluations on it.
 
-    The batches are built once.  Each stacks the K segments of one shape
-    for one simulation of S samples per segment, as the tuple (y (K, N, D)
-    observations, x0 (K*S, D) start states, grid with (K*S, n_steps)
-    steps, (K*S, n_steps, D) increments, the (K, N) mask of the terms it
-    scores, their positions in ``per_obs_loglik``), rows segment-major.
-    An evaluation's batch-sized arrays (the paths, J_f, grad sigma and
-    kept kernel rows, the states at the nodes and the likelihood
-    reduction's three arrays) are views of one :class:`~gpsde.sim.Buffers`,
-    sized by the largest batch and shared by the batches, which run one
-    after another; after the first evaluation, one allocates nothing of
-    batch size, so two evaluations on one draw must not overlap (none in
-    gpsde do).  A draw serves only the trajectories and grids it was built
-    from, checked by identity.
+    The batches are built once, in place; there is one unless the grids'
+    resolution factors differ.  A batch simulates the S samples of all its
+    K segments as one ragged batch, rows segment-major and sorted by
+    segment length, longest first, so that a step advances the leading
+    rows whose segments take it.  It is the tuple (grid with one row of
+    steps per segment and their step counts (see
+    :class:`~gpsde.sim.TimeGrid`), x0 (K*S, D) start states, (K*S,
+    n_steps, D) increments, groups); each group is one run of segments of
+    one shape, the tuple (y (K_g, N_g, D) observations, its first
+    segment, the (K_g, N_g) mask of the terms it scores, their positions
+    in ``per_obs_loglik``).  An evaluation's batch-sized arrays
+    (the paths, J_f, grad sigma and kept kernel rows, the seeds of the
+    adjoint sweep, and per group the states at the nodes and the
+    likelihood reduction's other two arrays) are views of one
+    :class:`~gpsde.sim.Buffers`; after the first evaluation, one allocates
+    nothing of batch size, so two evaluations on one draw must not overlap
+    (none in gpsde do).  A draw serves only the trajectories and grids it
+    was built from, checked by identity.
     """
 
     def __init__(self, trajs, grids, increments):
@@ -196,24 +217,40 @@ class Workspace:
         self._inputs = (tuple(trajs), tuple(grids))
         starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
         self.n_obs = int(starts[-1])
-        self.batches = []
-        for offsets, members in _segment_groups(grids).items():
-            N, n_steps = len(offsets), offsets[-1]
+        self.batches = [self._batch(trajs, grids, increments, groups, starts)
+                        for groups in _ragged_batches(grids)]
+        self.buffers = Buffers()
+
+    @staticmethod
+    def _batch(trajs, grids, increments, groups, starts):
+        """One ragged batch of the segment groups, longest first."""
+        S, D = increments[0].shape[0], trajs[0].dim
+        n_segments = sum(len(members) for _, members in groups)
+        n_steps = groups[0][0][-1]
+        dt = np.zeros((n_segments, n_steps))
+        steps = np.empty(n_segments, dtype=int)
+        x0 = np.empty((n_segments, S, D))
+        inc = np.zeros((n_segments, S, n_steps, D))
+        batch_groups, k = [], 0
+        for offsets, members in groups:
+            N, L = len(offsets), offsets[-1]
+            y = np.empty((len(members), N, D))
+            for q, (j, a, b) in enumerate(members):
+                node = grids[j].obs_indices[a]
+                y[q] = trajs[j].obs[a:b + 1]
+                x0[k + q] = y[q, 0]
+                dt[k + q, :L] = grids[j].dt[node:node + L]
+                inc[k + q, :, :L] = increments[j][:, node:node + L]
+            steps[k:k + len(members)] = L
             js, firsts, _ = (np.array(v) for v in zip(*members))
-            nodes = [grids[j].obs_indices[a] for j, a in zip(js, firsts)]
-            y = np.stack([trajs[j].obs[a:b + 1] for j, a, b in members])
-            dt = np.stack([grids[j].dt[n:n + n_steps] for j, n in zip(js, nodes)])
             # a later segment's start is scored by the segment before it
-            scored = np.ones(y.shape[:2], dtype=bool)
+            scored = np.ones((len(members), N), dtype=bool)
             scored[firsts > 0, 0] = False
             slots = (starts[js] + firsts)[:, None] + np.arange(N)
-            self.batches.append((
-                y, np.repeat(y[:, 0], S[0], axis=0),
-                TimeGrid(t0=0.0, dt=np.repeat(dt, S[0], axis=0), obs_indices=offsets),
-                np.concatenate([increments[j][:, n:n + n_steps] for j, n in zip(js, nodes)],
-                               axis=0),
-                scored, slots[scored]))
-        self.buffers = Buffers()
+            batch_groups.append((y, k, scored, slots[scored]))
+            k += len(members)
+        grid = TimeGrid(t0=0.0, dt=dt, obs_indices=groups[0][0], steps=steps)
+        return (grid, x0.reshape(-1, D), inc.reshape(-1, n_steps, D), batch_groups)
 
     def check(self, trajs, grids):
         """InternalError unless these are the inputs the draw was built from."""
@@ -230,10 +267,11 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     Each trajectory is cut into segments of ``SEGMENT_INTERVALS``
     observation intervals.  A segment's samples start from the raw
     observation at its first node and use that trajectory's steps and
-    increments between its first and last node.  Segments of one shape
-    (observation offsets), whatever their step sizes, simulate in one
-    batch, are scored by one :func:`mc_loglik_grad` call, and one adjoint
-    sweep per batch, seeded at each segment's nodes, gives the gradient.
+    increments between its first and last node.  All segments simulate in
+    one ragged batch, one step call per step of the longest; segments of
+    one shape (observation offsets), whatever their step sizes, are scored
+    by one :func:`mc_loglik_grad` call, and one adjoint sweep of the
+    batch, seeded at each segment's nodes, gives the gradient.
     Every observation is scored once: a segment's first observation belongs
     to the segment before it, except for the trajectory's first
     observation, which is scored against the start state.
@@ -253,28 +291,31 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     take, D = draw.buffers.take, m.D
     per_obs = np.empty(draw.n_obs)
     grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(D)
-    for y, x0, grid, inc, scored, slots in draw.batches:
-        K, N, _ = y.shape
-        S = len(x0) // K
+    for grid, x0, inc, groups in draw.batches:
+        B, N = grid.n_blocks, grid.n_obs
+        S = len(x0) // B
         paths, pullback = simulate_bundle_with_sensitivities(
             m, cache, x0, grid, inc, buffers=draw.buffers)
-        states = take("states", (K * S, N, D))
-        # the indices are in range; clip mode writes straight into the buffer
-        np.take(paths, grid.obs_indices, axis=1, out=states, mode="clip")
-        # the residuals and weights lie observation-major within a segment,
-        # as numpy lays out y[:, None] - paths[:, obs_indices], so the sums
-        # over samples add in the same order and the values keep every bit
-        work = (take("res", (K, N, S, D)).transpose(0, 2, 1, 3),
-                take("scratch", (K, N, S, D)).transpose(0, 2, 1, 3),
-                take("weights", (K, N, S)).transpose(0, 2, 1))
-        loglik, seeds, g_noise = mc_loglik_grad(
-            y, states.reshape(K, S, N, D), m.noise_vars, work)
-        # the scored states' buffer takes the seeds in the adjoint's row order
-        states.reshape(K, S, N, D)[...] = seeds
-        gf, gs = pullback(states)
+        # the adjoint reads the seeds where mc_loglik_grad writes them
+        seeds = take("seeds", (B, N, S, D))
+        for y, k, scored, slots in groups:
+            K, Ng, _ = y.shape
+            states = take("states", (K * S, Ng, D))
+            # the indices are in range; clip mode writes straight into the buffer
+            np.take(paths[k * S:(k + K) * S], grid.obs_indices[:Ng], axis=1, out=states,
+                    mode="clip")
+            # the residuals and weights lie observation-major within a segment,
+            # as numpy lays out y[:, None] - paths[:, obs_indices], so the sums
+            # over samples add in the same order and the values keep every bit
+            work = (take("res", (K, Ng, S, D)).transpose(0, 2, 1, 3),
+                    seeds[k:k + K, :Ng].transpose(0, 2, 1, 3),
+                    take("weights", (K, Ng, S)).transpose(0, 2, 1))
+            loglik, _, g_noise = mc_loglik_grad(
+                y, states.reshape(K, S, Ng, D), m.noise_vars, work)
+            grad_noise += g_noise[scored].sum(axis=0)
+            per_obs[slots] = loglik[scored]
+        gf, gs = pullback(seeds.transpose(0, 2, 1, 3))
         grad_f, grad_s = grad_f + gf, grad_s + gs
-        grad_noise += g_noise[scored].sum(axis=0)
-        per_obs[slots] = loglik[scored]
 
     pg_f, pg_s = log_prior_grad(cache)
     return ObjectiveValue(

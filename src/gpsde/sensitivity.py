@@ -23,7 +23,9 @@ whatever the number of inducing values.
 
 The forward sweep forms every step's field terms once, with one
 :func:`step_terms_batch` call, keeping J_f, grad sigma and whatever rows
-:func:`rows_buffer` makes room for.  This module is the lambda recursion:
+:func:`rows_buffer` makes room for.  On a ragged batch, whose rows stop at
+different steps, a step's terms cover the rows that take it, and a row's
+lambda starts at its last step.  This module is the lambda recursion:
 the field forms the products with the rows (:func:`rows_t_products`) and
 applies K^{-1} to their sum (:func:`gram_solve`).
 """
@@ -44,30 +46,52 @@ def _adjoint_sweep(c: FieldCache, paths: np.ndarray, grid: TimeGrid, increments:
     observation nodes of frozen-noise paths.
 
     paths (S, n_steps+1, D) and increments (S, n_steps, D) come from one
-    simulation with ``c.model`` on ``grid``, whose dt is one row of
-    steps or one row per sample; rows (what :func:`rows_buffer` gave),
+    simulation with ``c.model`` on ``grid``, whose dt has B rows, each for
+    S / B consecutive rows of paths; rows (what :func:`rows_buffer` gave),
     jac (n_steps, D, D, S) and dg (n_steps, D, S) are its steps' field
-    terms.  seeds has shape (S, n_obs, D), in the grid's observation order.
+    terms.  seeds has shape (S, n_obs, D), or (B, S / B, n_obs, D) in any
+    memory layout, in the grid's observation order.  On a ragged grid a
+    block joins the sweep at its last step, and its seeds past it are not
+    read.
     """
     S, _, D = paths.shape
+    B = grid.n_blocks
+    r = S // B
     seeds = np.asarray(seeds, dtype=float)
-    if seeds.shape != (S, grid.n_obs, D):
-        raise InputError(f"seeds must be {(S, grid.n_obs, D)}, got {seeds.shape}")
+    if seeds.shape == (S, grid.n_obs, D):
+        seeds = seeds.reshape(B, r, grid.n_obs, D)
+    if seeds.shape != (B, r, grid.n_obs, D):
+        raise InputError(f"seeds must be {(S, grid.n_obs, D)} or {(B, r, grid.n_obs, D)}, "
+                         f"got {seeds.shape}")
     slot = {int(g): p for p, g in enumerate(grid.obs_indices)}
-    lam = np.zeros((D, S))
+    lam = np.zeros((D, S))          # rows that have not joined stay zero
     G = np.zeros((c.model.M, D + 1))
-    dt = np.broadcast_to(grid.dt, (S, grid.n_steps))
+    dt = np.broadcast_to(grid.dt, (B, grid.n_steps))
     V = np.empty((D + 1, S))        # dt_i lambda and dW_i . lambda, one column per sample
+    active, b = grid.active or (B,) * grid.n_steps, 0
     for i in range(grid.n_steps - 1, -1, -1):
+        if active[i] != b:
+            # rows join at their last step: views of the rows that take step i,
+            # flat and (.., b, r) by block
+            b = active[i]
+            a = b * r
+            lam_a, V_a = lam[:, :a], V[:, :a]
+            lam_b, V_b = lam_a.reshape(D, b, r), V_a.reshape(D + 1, b, r)
+            inc_a, paths_a, jac_a, dg_a = increments[:a], paths[:a], jac[..., :a], dg[..., :a]
+            rows_a = None if rows is None else rows[..., :a]
         p = slot.get(i + 1)
         if p is not None:
-            lam = lam + seeds[:, p].T
-        if not np.isfinite(lam).all():
+            lam_b += seeds[:b, :, p].transpose(2, 0, 1)
+        if not np.isfinite(lam_a).all():
             raise SimulationError(f"non-finite adjoint state at step {i + 1}", step=i + 1)
-        np.multiply(dt[:, i], lam, out=V[:D])
-        np.einsum("sd,ds->s", increments[:, i], lam, out=V[D])
-        G += rows_t_products(paths[:, i], c, V, None if rows is None else rows[i])
-        lam = lam + dt[:, i] * np.einsum("ds,des->es", lam, jac[i]) + dg[i] * V[D]
+        np.multiply(dt[:b, i, None], lam_b, out=V_b[:D])
+        np.einsum("sd,ds->s", inc_a[:, i], lam_a, out=V_a[D])
+        G += rows_t_products(paths_a[:, i], c, V_a, None if rows_a is None else rows_a[i])
+        step = np.einsum("ds,des->es", lam_a, jac_a[i])
+        step_b = step.reshape(D, b, r)
+        step_b *= dt[:b, i, None]
+        lam_a += step
+        lam_a += dg_a[i] * V_a[D]
     return gram_solve(c, G)
 
 
@@ -78,11 +102,12 @@ def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
 
     increments has shape (S, n_steps, D) and x0 is one shared state or one
     state per sample.  Returns the (S, n_steps+1, D) paths and a function
-    that maps seeds of shape (S, n_obs, D) to the gradients (u_f, u_sigma)
-    of sum(seeds * x) at the observation nodes; see :func:`_adjoint_sweep`.
-    With buffers, the paths, J_f, grad sigma and any kept rows are views of
-    their "paths", "jac", "dg" and "rows" arrays, valid until the next call
-    with them; without, they are new arrays.
+    that maps seeds at the observation nodes to the gradients (u_f,
+    u_sigma) of sum(seeds * x); see :func:`_adjoint_sweep`.  On a ragged
+    grid (see :class:`~gpsde.sim.TimeGrid`) every step advances only the
+    blocks that take it.  With buffers, the paths, J_f, grad sigma and any
+    kept rows are views of their "paths", "jac", "dg" and "rows" arrays,
+    valid until the next call with them; without, they are new arrays.
     """
     _checked(m, c)
     increments = checked_increments(increments, grid, m.D)
@@ -94,11 +119,12 @@ def simulate_bundle_with_sensitivities(m: InducingModel, c: FieldCache, x0,
     steps = iter(range(n_steps))
 
     def fields(X):
-        i = next(steps)
-        F, sig, _, _, jac[i], dg[i] = step_terms_batch(X, c, None if rows is None else rows[i])
+        i, a = next(steps), len(X)
+        F, sig, _, _, jac[i, ..., :a], dg[i, :, :a] = step_terms_batch(
+            X, c, None if rows is None else rows[i, ..., :a])
         return F, sig
 
-    paths = simulate_callable_batch(fields, x0, grid.dt, increments,
+    paths = simulate_callable_batch(fields, x0, grid.dt, increments, active=grid.active,
                                     out=take("paths", (S, n_steps + 1, D)))
 
     def pullback(seeds):

@@ -34,13 +34,20 @@ class TimeGrid:
     """Euler-Maruyama steps from t0 and the nodes that carry observations.
 
     dt holds the step sizes, shape (n_steps,) for one trajectory or
-    (rows, n_steps) for a batch whose rows step differently; obs_indices
-    are the observation nodes in time order.
+    (B, n_steps) for a batch of B blocks of equally many consecutive rows
+    that step differently (a block may be one row); obs_indices are the
+    observation nodes in time order.  A ragged batch also gives steps, the
+    number of leading steps each block takes, longest first, so the first
+    block takes all n_steps; a block stops at its last step, its dt past
+    it is never read, and its observation nodes are those up to its last
+    step.  ``active`` (derived) holds per step the number of leading
+    blocks that take it, None when every block takes every step.
     """
 
     t0: float
     dt: np.ndarray
     obs_indices: np.ndarray
+    steps: np.ndarray | None = None
 
     def __post_init__(self):
         dt = np.array(self.dt, dtype=float)
@@ -49,10 +56,26 @@ class TimeGrid:
         idx = np.array(self.obs_indices, dtype=int).ravel()
         idx.setflags(write=False)
         object.__setattr__(self, "obs_indices", idx)
+        active = None
+        if self.steps is not None:
+            steps = np.array(self.steps, dtype=int).ravel()
+            if (dt.ndim != 2 or steps.size != dt.shape[0] or steps.size == 0
+                    or steps[0] != self.n_steps or np.any(np.diff(steps) > 0) or steps[-1] < 0):
+                raise InputError("steps must hold one count per row of a 2-d dt, "
+                                 "non-increasing from n_steps")
+            active = tuple(np.count_nonzero(steps > i) for i in range(self.n_steps))
+            steps.setflags(write=False)
+            object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "active", active)
 
     @property
     def n_steps(self) -> int:
         return self.dt.shape[-1]
+
+    @property
+    def n_blocks(self) -> int:
+        """Rows of dt: 1 for a 1-d dt."""
+        return self.dt.shape[0] if self.dt.ndim == 2 else 1
 
     @property
     def times(self) -> np.ndarray:
@@ -160,7 +183,7 @@ def simulate_batch(c: FieldCache, x0, grid: TimeGrid, increments: np.ndarray) ->
     """
     increments = checked_increments(increments, grid, c.model.D)
     return simulate_callable_batch(lambda X: drift_diffusion_batch(X, c),
-                                   x0, grid.dt, increments)
+                                   x0, grid.dt, increments, active=grid.active)
 
 
 def checked_increments(increments, grid: TimeGrid, D: int) -> np.ndarray:
@@ -173,25 +196,47 @@ def checked_increments(increments, grid: TimeGrid, D: int) -> np.ndarray:
     return increments
 
 
-def simulate_callable_batch(fields, x0, dt, increments: np.ndarray, *, out=None) -> np.ndarray:
+def simulate_callable_batch(fields, x0, dt, increments: np.ndarray, *, out=None,
+                            active=None) -> np.ndarray:
     """The Euler-Maruyama stepping loop; paths shape (S, n_steps+1, D).
 
     fields maps stacked states (N, D) to the drift (N, D) and the signed
-    diffusion (N,); increments has shape (S, n_steps, D).  dt broadcasts to
-    (S, n_steps): one step size, one per step, or one per sample and step.
-    out, an (S, n_steps+1, D) array, receives the paths.
+    diffusion (N,); increments has shape (S, n_steps, D).  dt is one step
+    size, one per step, or one row of steps per block of S / B consecutive
+    rows, shape (B, n_steps) (B = S: one per sample).  active, a
+    :class:`TimeGrid`'s, gives per step the number of leading blocks that
+    take it, so a step advances only those rows and ``fields`` sees only
+    their states; a row's path past its last step is left unwritten.  out,
+    an (S, n_steps+1, D) array, receives the paths.
     """
     increments = np.asarray(increments, dtype=float)
     n, n_steps, D = increments.shape
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n, n_steps))
+    dt = np.asarray(dt, dtype=float)
+    per_block = dt.ndim == 2 and dt.shape[0] != n
+    if per_block:
+        if n % dt.shape[0] or dt.shape[1] != n_steps:
+            raise InputError(f"dt of shape {dt.shape} does not divide {n} rows of "
+                             f"{n_steps} steps into blocks")
+        r = n // dt.shape[0]
+    else:
+        dt, r = np.broadcast_to(dt, (n, n_steps)), 1
     paths = np.empty((n, n_steps + 1, D)) if out is None else out
     X = _initial_states(x0, n, D)
     paths[:, 0] = X
+    kept = paths
     for i in range(n_steps):
+        if active is not None and active[i] * r < len(X):
+            # the rows that take no more steps drop out of the views
+            a = active[i] * r
+            X, dt, increments, kept = X[:a], dt[:active[i]], increments[:a], kept[:a]
         F, sig = fields(X)
-        X = X + F * dt[:, i, None] + sig[:, None] * increments[:, i]
+        if per_block:
+            F = (F.reshape(-1, r, D) * dt[:, i, None, None]).reshape(-1, D)
+        else:
+            F = F * dt[:, i, None]
+        X = X + F + sig[:, None] * increments[:, i]
         _blowup_check(X, i + 1)
-        paths[:, i + 1] = X
+        kept[:, i + 1] = X
     return paths
 
 

@@ -6,15 +6,17 @@
 At the sizes of the benchmark's two fit workloads (``dw1d_fit``: double
 well, 6 x 250 observations, M=15, S=50, one step per interval;
 ``osc2d_m225_fit``: oscillator, 10 x 25 observations, a 15 x 15 grid, S=20,
-two steps per interval) it generates one dataset, builds the fit's starting
-model and evaluates the frozen-noise objective there, in this process and
-on one BLAS thread, the way a fit does: each evaluation on a new
-(model, cache) pair from ``update_values``, all on one frozen draw from
-``objective.draw_increments``, or with ``--fresh-draw`` each on a new draw
-of the same seed, made outside the timed call.  After three warm-up
-evaluations it prints one JSON line per size with the median, minimum and
-maximum of the minor page faults (``getrusage``) and of the wall time per
-evaluation.
+two steps per interval) and at ``mixed_lengths`` (``dw1d_fit``'s settings
+on 12 double-well trajectories cut to 117, 129, ..., 250 observations,
+evenly spaced lengths whose segments take 10 shapes) it generates one
+dataset, builds the fit's starting model and evaluates the frozen-noise
+objective there, in this process and on one BLAS thread, the way a fit
+does: each evaluation on a new (model, cache) pair from ``update_values``,
+all on one frozen draw from ``objective.draw_increments``, or with
+``--fresh-draw`` each on a new draw of the same seed, made outside the
+timed call.  After three warm-up evaluations it prints one JSON line per
+size with the median, minimum and maximum of the minor page faults
+(``getrusage``) and of the wall time per evaluation.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ SIZES = {
     "osc2d_m225_fit": dict(
         system="oscillator", n_traj=10, n_obs=25, subsample=50, box=[[-2.0, 2.0]] * 2,
         inducing=[(-1.8, 1.8, 15)] * 2, lengthscale=0.5, variance=1.0, S=20, factor=2),
+    "mixed_lengths": dict(
+        system="double-well", n_traj=12, n_obs=250, subsample=10, box=[[-2.0, 2.0]],
+        inducing=[(-5.0, 5.0, 15)], lengthscale=1.0, variance=100.0, S=50, factor=1,
+        lengths=np.linspace(117, 250, 12).round().astype(int).tolist()),
 }
 WARMUP = 3
 
@@ -53,6 +59,9 @@ def problem(size: dict, seed: int):
                            gen_dt=0.01, subsample_every=size["subsample"], noise_std=0.1,
                            x0_box=np.array(size["box"]), seed=seed)
     data = systems.generate(systems.SYSTEMS[size["system"]](), spec)
+    if "lengths" in size:
+        data = [objective.Trajectory(tr.times[:n], tr.obs[:n])
+                for tr, n in zip(data, size["lengths"])]
     D = data[0].dim
     Z = build_inducing_grid(size["inducing"], data)
     p = KernelParams(size["variance"], np.full(D, size["lengthscale"]))

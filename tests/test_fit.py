@@ -357,7 +357,8 @@ def test_fractional_inducing_count_rejected(count):
 @pytest.mark.parametrize("field,value", [
     ("n_samples", 2.5), ("max_iters", 2.5), ("seed", 1.5), ("resolution_factor", 1.5),
     ("n_samples", float("nan")), ("seed", "3"), ("fix_noise_vars", (float("nan"),)),
-    ("fix_noise_vars", (0.1, float("inf"))),
+    ("fix_noise_vars", (0.1, float("inf"))), ("fix_noise_vars", ("a",)),
+    ("fix_noise_vars", (0.1, None)),
 ])
 def test_fit_config_rejects_non_integral_counts_and_bad_noise(field, value):
     # an InputError naming the field, not a TypeError deep in the fit
@@ -367,6 +368,16 @@ def test_fit_config_rejects_non_integral_counts_and_bad_noise(field, value):
     cfg = FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),),
                     n_samples=np.int64(5), seed=2.0)
     assert (cfg.n_samples, cfg.seed) == (5, 2) and type(cfg.seed) is int
+
+
+@pytest.mark.parametrize("variance", [-1.0, 0.0, float("nan"), float("inf"), "1.0", None])
+def test_fit_config_rejects_bad_kernel_variance(variance):
+    # named at construction, not by KernelParams' message inside the fit
+    with pytest.raises(InputError, match="kernel_variance"):
+        FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),),
+                  kernel_variance=variance)
+    FitConfig(lengthscale_grid=(1.0,), inducing_grid_spec=((-1, 1, 4),),
+              kernel_variance=np.float64(2.5))
 
 
 def test_fit_config_simulation_settings_validation():

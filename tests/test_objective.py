@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gpsde import sensitivity
 from gpsde.errors import InputError, InternalError, SimulationError
-from gpsde.field import InducingModel, build_cache, grid_points, log_prior, update_values
+from gpsde.field import (InducingModel, build_cache, grid_points, log_prior, step_terms_batch,
+                         update_values)
 from gpsde.kernels import JITTER_SCALE, KernelParams, gram
 from gpsde.objective import (
     SEGMENT_INTERVALS,
@@ -277,7 +279,8 @@ def assert_same_bits(a, b):
 
 class TestWorkspace:
     # a long trajectory and a short one: segments of 25 and of 9 intervals
-    # (the long one's last), and of 3 (the short one), in three batches
+    # (the long one's last), and of 3 (the short one), in three groups of
+    # one ragged batch
     TIMES = [np.linspace(0.0, 2.0, LONG_N_OBS), np.linspace(0.0, 0.3, 4)]
 
     def problem(self, D, grid=False):
@@ -295,8 +298,8 @@ class TestWorkspace:
         # repeated evaluations on one draw equal those on a fresh draw of its seed
         trs, grids, points, fresh = self.problem(D, grid)
         draw = fresh()
-        assert len(draw.batches) == 3
-        # smaller and larger batches in turn, and points revisited
+        assert [len(groups) for *_, groups in draw.batches] == [3]
+        # smaller and larger groups in turn, and points revisited
         for m, c in points + points[::-1]:
             assert_same_bits(evaluate_with_increments(trs, m, c, grids, draw),
                              evaluate_with_increments(trs, m, c, grids, fresh()))
@@ -340,13 +343,104 @@ class TestWorkspace:
     @pytest.mark.parametrize("D,grid", [(1, False), (2, True)])
     def test_kept_workspace_allocates_less_than_one_batch(self, traced_peak, D, grid):
         # after the first evaluation every batch-sized array is kept: the
-        # second one peaks below one (K, S, N, D) array of the largest batch
+        # second one peaks below one (K, S, N, D) array of the batch, its
+        # K*S rows of x0 at each of its grid's N nodes
         m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
                                                     n_samples=100, factor=2, grid=grid)
         draw = Workspace(trs, grids, incs)
-        largest = max(x0.size * y.shape[1] for y, x0, *_ in draw.batches) * 8
+        (batch_grid, x0, *_), = draw.batches
+        largest = x0.size * batch_grid.n_obs * 8
         peak = traced_peak(lambda: evaluate_with_increments(trs, m, c, grids, draw))
-        assert peak < largest, f"peak {peak} B, largest batch's states {largest} B"
+        assert peak < largest, f"peak {peak} B, the batch's states {largest} B"
+
+
+# last segments of 1, 3, 9 and 25 intervals, and a trajectory shorter than one
+# segment: five segment shapes in one ragged batch
+RAGGED_TIMES = [np.linspace(0.0, 1.0, SEGMENT_INTERVALS + 2),
+                np.linspace(0.0, 1.2, SEGMENT_INTERVALS + 4),
+                np.linspace(0.0, 1.5, SEGMENT_INTERVALS + 10),
+                np.linspace(0.0, 2.0, 2 * SEGMENT_INTERVALS + 1),
+                np.linspace(0.0, 0.2, 5)]
+RAGGED_CASES = [pytest.param(f, D, grid, id=f"factor{f}-{'grid' if grid else D}")
+                for f in (1, 2) for D, grid in ((1, False), (2, True))]
+
+
+class TestRaggedBatch:
+    def problem(self, factor, D, grid):
+        return make_batch_problem(40 + factor, D, RAGGED_TIMES, n_samples=3, factor=factor,
+                                  grid=grid)
+
+    @pytest.mark.parametrize("factor,D,grid", RAGGED_CASES)
+    def test_every_segment_scores_as_if_alone(self, factor, D, grid):
+        # each segment scores like a trajectory of its own observations and
+        # slice of the increments; a segment's first observation is scored
+        # by the segment before it
+        m, c, trs, grids, incs = self.problem(factor, D, grid)
+        draw = Workspace(trs, grids, incs)
+        (*_, groups), = draw.batches
+        assert [y.shape[1] - 1 for y, *_ in groups] == [25, 9, 4, 3, 1]
+        val = evaluate_with_increments(trs, m, c, grids, draw)
+        start = 0
+        for tr, g, inc in zip(trs, grids, incs):
+            got = val.per_obs_loglik[start:start + tr.n_obs]
+            start += tr.n_obs
+            for a in range(0, tr.n_obs - 1, SEGMENT_INTERVALS):
+                b = min(a + SEGMENT_INTERVALS, tr.n_obs - 1)
+                part = Trajectory(times=tr.times[a:b + 1], obs=tr.obs[a:b + 1])
+                pg = make_grids([part], factor)[0]
+                node = g.obs_indices[a]
+                alone = evaluate_with_increments(
+                    [part], m, c, [pg],
+                    Workspace([part], [pg], [inc[:, node:node + pg.n_steps]]))
+                first = 0 if a == 0 else 1
+                np.testing.assert_allclose(got[a + first:b + 1], alone.per_obs_loglik[first:],
+                                           rtol=1e-9)
+
+    @pytest.mark.parametrize("factor,D,grid", RAGGED_CASES)
+    def test_gradient_matches_frozen_noise_fd(self, factor, D, grid):
+        m, c, trs, grids, incs = self.problem(factor, D, grid)
+        draw = Workspace(trs, grids, incs)
+        an = evaluate_with_increments(trs, m, c, grids, draw).packed_grad()
+        fd = TestGradients().frozen_fd(trs, m, c, grids, draw)
+        rel = np.abs(an - fd) / np.maximum(1e-8, np.abs(fd))
+        assert rel.max() <= 1e-4
+
+    @pytest.mark.parametrize("factor,D,grid", RAGGED_CASES)
+    def test_one_step_call_per_step_of_the_longest_segment(self, monkeypatch, factor, D, grid):
+        # every segment steps in one batch: one evaluation makes as many
+        # step_terms_batch calls as its longest segment has steps, and
+        # forms the field at each row's steps alone
+        m, c, trs, grids, incs = self.problem(factor, D, grid)
+        draw = Workspace(trs, grids, incs)
+        calls = []
+
+        def counted(X, *args):
+            calls.append(len(X))
+            return step_terms_batch(X, *args)
+
+        monkeypatch.setattr(sensitivity, "step_terms_batch", counted)
+        evaluate_with_increments(trs, m, c, grids, draw)
+        assert len(calls) == SEGMENT_INTERVALS * factor
+        assert sum(calls) == 3 * sum(g.n_steps for g in grids)
+
+
+    def test_grids_of_other_factors_step_in_their_own_batches(self):
+        # offsets of factor 1 and 2 do not begin one another: two batches,
+        # each trajectory scoring as it does in a draw of its own
+        m, c, trs, _, _ = self.problem(1, 1, False)
+        grids = [make_grids([tr], 1 + j % 2)[0] for j, tr in enumerate(trs)]
+        incs = [sample_increments(g, 3, 1, child_seed(5, j)) for j, g in enumerate(grids)]
+        draw = Workspace(trs, grids, incs)
+        assert len(draw.batches) == 2
+        val = evaluate_with_increments(trs, m, c, grids, draw)
+        alone = [evaluate_with_increments([tr], m, c, [g], Workspace([tr], [g], [inc]))
+                 for tr, g, inc in zip(trs, grids, incs)]
+        np.testing.assert_allclose(val.per_obs_loglik,
+                                   np.concatenate([v.per_obs_loglik for v in alone]), rtol=1e-9)
+        # each draw of its own adds the prior's gradient once
+        np.testing.assert_allclose(
+            val.grad_u_f, sum(v.grad_u_f for v in alone) + (len(trs) - 1) * c.alpha_f.ravel(),
+            rtol=1e-9)
 
 
 def log_posterior(trajs, m, resolution_factor, n_samples, seed):

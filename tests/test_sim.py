@@ -6,6 +6,7 @@ from gpsde.field import InducingModel, build_cache, drift_batch, grid_points, up
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
     BLOCK_FLOATS,
+    TimeGrid,
     build_grid,
     gaussian_kde,
     sample_increments,
@@ -179,6 +180,43 @@ class TestEulerMaruyama:
         with pytest.raises(SimulationError) as err:
             simulate_callable_batch(fields, np.zeros(2), 0.1, np.zeros((4, 6, 2)))
         assert err.value.step == 3 and err.value.sample == 2
+
+
+class TestRaggedGrid:
+    # three blocks of two rows taking 6, 4 and 2 of 6 steps, each its own step sizes
+    DT = np.array([[0.1] * 6, [0.05, 0.2, 0.1, 0.3, 0.0, 0.0], [0.4, 0.1, 0.0, 0.0, 0.0, 0.0]])
+    STEPS = [6, 4, 2]
+
+    def test_each_block_steps_as_if_alone(self):
+        m, c = ou_model()
+        grid = TimeGrid(t0=0.0, dt=self.DT, obs_indices=[0, 2, 4, 6], steps=self.STEPS)
+        assert grid.active == (3, 3, 2, 2, 1, 1) and grid.n_blocks == 3
+        x0 = np.array([[0.5], [-0.5], [1.0], [0.2], [-1.0], [0.0]])
+        inc = sample_increments(build_grid([0.0, 0.6], 6), 6, 1, 3)
+        paths = simulate_batch(c, x0, grid, inc)
+        for k, n in enumerate(self.STEPS):
+            rows = slice(2 * k, 2 * k + 2)
+            alone = simulate_batch(c, x0[rows], TimeGrid(0.0, self.DT[k, :n], [0, n]),
+                                   inc[rows, :n])
+            # the field's matrix products may round by the number of rows
+            np.testing.assert_allclose(paths[rows, :n + 1], alone, rtol=1e-12)
+
+    def test_a_step_sees_only_the_rows_that_take_it(self):
+        seen = []
+
+        def fields(X):
+            seen.append(len(X))
+            return np.zeros_like(X), np.ones(len(X))
+
+        grid = TimeGrid(t0=0.0, dt=self.DT, obs_indices=[0, 6], steps=self.STEPS)
+        simulate_callable_batch(fields, np.zeros(1), grid.dt, np.ones((6, 6, 1)),
+                                active=grid.active)
+        assert seen == [6, 6, 4, 4, 2, 2]
+
+    @pytest.mark.parametrize("steps", [[6, 4], [4, 4, 2], [6, 2, 4], [6, 4, -1], [7, 4, 2]])
+    def test_step_counts_must_fall_from_the_grid_length(self, steps):
+        with pytest.raises(InputError, match="steps"):
+            TimeGrid(t0=0.0, dt=self.DT, obs_indices=[0, 6], steps=steps)
 
 
 class TestSamplePaths:
