@@ -26,9 +26,9 @@ import numpy as np
 
 from . import dataio
 from .errors import DataError, FitError, InputError, SimulationError
-from .field import build_cache, grid_points
+from .field import build_cache
 from .fit import FitConfig, default_lengthscale_grid, fit_map
-from .sim import build_grid, sample_paths, state_density
+from .sim import build_grid, sample_blocks, sample_paths, state_density
 from .systems import (
     SYSTEMS,
     GenSpec,
@@ -247,15 +247,23 @@ def cmd_simulate(args) -> int:
     cache = build_cache(model)
     n_steps = max(1, int(round(args.horizon / args.dt)))
     grid = build_grid([0.0, args.horizon], n_steps)
-    paths = sample_paths(cache, x0, grid, args.n_paths, args.seed)
-    dataio.write_paths_csv(out / "paths.csv", paths, grid.times)
+    t_at = args.density_time
+    idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
+    states = np.empty((args.n_paths, model.D))      # each path's state at node idx
+
+    def blocks():
+        for rows in sample_blocks(args.n_paths, n_steps, model.D):
+            paths = sample_paths(cache, x0, grid, rows, args.seed)
+            states[rows] = paths[:, idx]
+            yield paths
+            del paths       # drop the written block before the next is drawn
+
+    dataio.write_paths_csv(out / "paths.csv", blocks(), grid.times)
     outputs = ["paths.csv"]
     if spec is not None:
         axes = [np.linspace(lo, hi, n) for lo, hi, n in spec]
-        t_at = args.density_time
-        idx = grid.n_steps if t_at < 0 else int(np.argmin(np.abs(grid.times - t_at)))
-        dens = state_density(paths, idx, axes, args.bandwidth)
-        dataio.write_density_csv(out / "density.csv", grid_points(axes), dens)
+        dens = state_density(states, axes, args.bandwidth)
+        dataio.write_density_csv(out / "density.csv", axes, dens)
         outputs.append("density.csv")
     dataio.write_manifest(out / "manifest.ini", {args.command: _settings(args)})
     print(f"wrote {', '.join(outputs)} to {out}")

@@ -9,7 +9,9 @@ which round-trip 64-bit floats exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import os
 import tempfile
 from configparser import ConfigParser
@@ -208,27 +210,48 @@ def load_model(path) -> InducingModel:
 
 # -- simulation outputs -------------------------------------------------------
 
-def write_paths_csv(path, paths: np.ndarray, times):
-    """Write paths (S, n_steps+1, D) at node times (n_steps+1,) one sample's
-    rows at a time, so only the paths array and one sample's text are held;
-    a sample's rows are one % operation on a template built once from the
-    per-step pieces."""
-    D = paths.shape[2]
-    reals = _reals_format(D)
-    pieces = [f",{i},{_fmt(t)},{reals}\n" for i, t in enumerate(times)]
+def write_paths_csv(path, blocks, times):
+    """Write paths at node times (n_steps+1,) from blocks, (S_b, n_steps+1, D)
+    arrays of consecutive samples numbered from 0.  Each block is written
+    as it comes and dropped before the next is drawn, so only one block and
+    one sample's text are held; a sample's rows are one % operation on a
+    template built once from the per-step pieces."""
 
     def chunks():
-        yield ",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)]) + "\n"
-        for s, path_s in enumerate(paths):
-            tag = str(s)
-            yield (tag + tag.join(pieces)) % tuple(path_s.ravel().tolist())
+        s = 0
+        for block in blocks:
+            if s == 0:
+                D = block.shape[2]
+                reals = _reals_format(D)
+                pieces = [f",{i},{_fmt(t)},{reals}\n" for i, t in enumerate(times)]
+                yield ",".join(["sample", "step", "time"] + [f"x_{d + 1}" for d in range(D)]) + "\n"
+            for path_s in block:
+                tag = str(s)
+                yield (tag + tag.join(pieces)) % tuple(path_s.ravel().tolist())
+                s += 1
+            block = path_s = None       # path_s is a view that keeps the block
 
     atomic_write_text(path, chunks())
 
 
-def write_density_csv(path, points: np.ndarray, values: np.ndarray):
-    _write_csv(path, [f"x_{d + 1}" for d in range(points.shape[1])] + ["density"],
-               np.column_stack([points, np.ravel(values)]))
+def write_density_csv(path, axes, values: np.ndarray):
+    """Write density values on the Cartesian grid of the 1-d axes, in
+    :func:`gpsde.field.grid_points` order.  Each axis value is formatted
+    once: the rows of one value of the leading axes, in blocks of about
+    BLOCK_FLOATS values, are one % operation on a template of the last
+    axis's pieces, which formats only the density."""
+    *lead, last = [[_fmt(v) for v in np.ravel(a)] for a in axes]
+    pieces = [f"{x},%.17g\n" for x in last]
+    values = np.reshape(values, (math.prod(map(len, lead)), len(last)))
+
+    def chunks():
+        yield ",".join([f"x_{d + 1}" for d in range(len(lead) + 1)] + ["density"]) + "\n"
+        for row, prefix in zip(values, itertools.product(*lead)):
+            tag = "".join(x + "," for x in prefix)
+            for cols in row_blocks(len(last), len(lead) + 2):
+                yield (tag + tag.join(pieces[cols])) % tuple(row[cols].tolist())
+
+    atomic_write_text(path, chunks())
 
 
 # -- fit outputs --------------------------------------------------------------

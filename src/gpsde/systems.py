@@ -29,7 +29,14 @@ from .field import (
 )
 from .kernels import as_points
 from .objective import Trajectory
-from .sim import child_seed, gaussian_kde, row_blocks, simulate_callable_batch
+from .sim import (
+    blowup_error,
+    child_seed,
+    gaussian_kde,
+    row_blocks,
+    sample_blocks,
+    simulate_callable_batch,
+)
 
 _GEN_MAX_RETRIES = 5
 
@@ -291,7 +298,9 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
     """Discrepancies between true and fitted path ensembles, each summed over
     10 equispaced checkpoints (every step of a shorter simulation).
 
-    Both systems are simulated once, from the same x0 with matched settings;
+    Both systems are simulated once, from the same x0 with matched settings,
+    in the sample blocks of :func:`gpsde.sim.sample_blocks`, keeping only
+    the checkpoint states;
     by default they share the Brownian increments (fitted_seed=None), so a
     fitted system identical to the truth scores exactly zero.  Both
     per-checkpoint distances are scored on the same paths: "energy" (energy
@@ -303,16 +312,25 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
     x0 = np.asarray(x0, dtype=float).ravel()
     n_steps = max(1, int(round(horizon / dt)))
     D = true_sys.dim
-
-    def draw(s):
-        rng = np.random.Generator(np.random.PCG64(child_seed(s, 0)))
-        return rng.normal(0.0, math.sqrt(dt), size=(n_paths, n_steps, D))
-
-    incs_true = draw(seed)
-    incs_fit = incs_true if fitted_seed is None else draw(fitted_seed)
-    paths_true = simulate_callable_batch(_fields(true_sys)[2], x0, dt, incs_true)
-    paths_fit = simulate_callable_batch(_fields(fitted)[2], x0, dt, incs_fit)
-
     checks = np.unique(np.linspace(1, n_steps, min(10, n_steps)).round().astype(int))
-    return {name: float(sum(dist(paths_true[:, i], paths_fit[:, i]) for i in checks))
+
+    def stream(s):
+        return np.random.Generator(np.random.PCG64(child_seed(s, 0)))
+
+    # each system's one generator fills its draw sample-major, so drawing
+    # it block by block gives the numbers of drawing it at once
+    rng_true = stream(seed)
+    rng_fit = None if fitted_seed is None else stream(fitted_seed)
+    fields = (_fields(true_sys)[2], _fields(fitted)[2])
+    kept = np.empty((2, n_paths, checks.size, D))    # each ensemble's checkpoint states
+    for rows in sample_blocks(n_paths, n_steps, D):
+        shape = (rows.stop - rows.start, n_steps, D)
+        inc_true = rng_true.normal(0.0, math.sqrt(dt), size=shape)
+        inc_fit = inc_true if rng_fit is None else rng_fit.normal(0.0, math.sqrt(dt), size=shape)
+        for k, inc in enumerate((inc_true, inc_fit)):
+            try:
+                kept[k, rows] = simulate_callable_batch(fields[k], x0, dt, inc)[:, checks]
+            except SimulationError as err:
+                raise blowup_error(err.step, rows.start + err.sample) from None
+    return {name: float(sum(dist(kept[0, :, j], kept[1, :, j]) for j in range(checks.size)))
             for name, dist in (("energy", energy_distance), ("kde_l2", kde_l2_distance))}

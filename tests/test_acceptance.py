@@ -291,14 +291,14 @@ def test_criterion_6_density_convergence():
     xs = np.linspace(-3.5, 3.5, 201)[:, None]
     dx = xs[1, 0] - xs[0, 0]
     h = 0.25
-    ref = state_density(sample_paths(c, [0.0], grid, 5000, 999),
-                        grid.n_steps, [xs[:, 0]], h)
+    ref = state_density(sample_paths(c, [0.0], grid, 5000, 999)[:, grid.n_steps],
+                        [xs[:, 0]], h)
     medians = []
     for ns in (10, 50, 250):
         dists = []
         for seed in range(5):
-            dens = state_density(sample_paths(c, [0.0], grid, ns, seed),
-                                 grid.n_steps, [xs[:, 0]], h)
+            dens = state_density(sample_paths(c, [0.0], grid, ns, seed)[:, grid.n_steps],
+                                 [xs[:, 0]], h)
             dists.append(float(np.sqrt(np.sum((dens - ref) ** 2) * dx)))
         medians.append(float(np.median(dists)))
     ok = medians[0] > medians[1] > medians[2]

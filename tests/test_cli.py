@@ -288,6 +288,76 @@ class TestEvaluate:
         assert metrics["drift_rms_error"] < 0.05
 
 
+class TestSampleBlocks:
+    """768 paths of 300 steps of a 1-d model: simulate and evaluate step
+    them in three blocks of 256 samples."""
+
+    STEPS = ["--horizon", "3", "--dt", "0.01"]
+
+    def simulate(self, model, out, n_paths=768, seed=5):
+        return run_cli(["simulate", "--model", model, "--x0", "0.5", *self.STEPS,
+                        "--n-paths", n_paths, "--seed", seed, "--density-grid=-3:3:31",
+                        "--out-dir", out])
+
+    def test_outputs_equal_one_batch(self, tiny_model, tmp_path, monkeypatch):
+        from gpsde import cli, systems
+
+        def outputs(out):
+            assert self.simulate(tiny_model, out / "sim") == 0
+            assert run_cli(["evaluate", "--model", tiny_model, "--system", "double-well",
+                            "--box=-1.5:1.5", "--n-grid", 11, "--x0", "0.5",
+                            "--horizon", "3", "--n-paths", 768, "--seed", 5,
+                            "--out-dir", out / "eval"]) == 0
+            return {f"{d}/{name}": text for d in ("sim", "eval")
+                    for name, text in dir_bytes(out / d).items()}
+
+        assert len(list(cli.sample_blocks(768, 300, 1))) == 3
+        blocked = outputs(tmp_path / "blocked")
+        for module in (cli, systems):
+            monkeypatch.setattr(module, "sample_blocks", lambda n, *_: [slice(0, n)])
+        one = outputs(tmp_path / "one")
+        assert sorted(blocked) == ["eval/manifest.ini", "eval/metrics.json",
+                                   "sim/density.csv", "sim/manifest.ini", "sim/paths.csv"]
+        assert blocked == one
+
+    def test_paths_do_not_depend_on_n_paths(self, tiny_model, tmp_path):
+        # samples 256..511 are the second block of both runs, which differ
+        # in their third
+        few, many = tmp_path / "few", tmp_path / "many"
+        assert self.simulate(tiny_model, few, n_paths=512) == 0
+        assert self.simulate(tiny_model, many) == 0
+        assert (many / "paths.csv").read_text().startswith((few / "paths.csv").read_text())
+
+    def test_memory_stays_within_a_block(self, tiny_model, tmp_path, traced_peak):
+        # one batch of all 768 paths holds 1.8 MB of paths and as much of
+        # increments; a block of 256 holds a third of each
+        def run():
+            assert self.simulate(tiny_model, tmp_path / "sim") == 0
+
+        peak = traced_peak(run)
+        assert peak < 2.5e6, f"peak {peak} B"
+
+    def test_blowup_in_a_later_block_leaves_no_output(self, tmp_path, capsys):
+        # sigma 3e6 at x0 = 0 moves each sample to 3e5 z on its first step,
+        # z its first standard-normal draw, where the field vanishes; with
+        # seed 18 only sample 574, in the third block, has |z| > 10/3 and
+        # leaves the 1e6 limit
+        from gpsde.field import InducingModel
+        from gpsde.kernels import KernelParams
+        p = KernelParams(1.0, [1.0])
+        m = InducingModel(Z=np.array([[-1.0], [0.0], [1.0]]), U_f=np.zeros((3, 1)),
+                          u_sigma=np.full(3, 3e6), drift_params=p, diff_params=p,
+                          noise_vars=[0.01])
+        mp = tmp_path / "m.json"
+        dataio.save_model(mp, m)
+        out = tmp_path / "sim"
+        rc = run_cli(["simulate", "--model", mp, "--x0", "0", *self.STEPS, "--n-paths", 768,
+                      "--seed", 18, "--density-grid=-3:3:7", "--out-dir", out])
+        assert rc == 4
+        assert "at step 1 (sample 574)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 # (argv, flag, exit code) of a bad flag: 2 for a value its flag's type rejects
 # (argparse's usage error), 3 for a flag that disagrees with the system, the
 # model or the data (a data error)

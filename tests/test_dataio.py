@@ -178,7 +178,7 @@ def test_paths_csv_shape(tmp_path):
     grid = build_grid([0.0, 1.0], 4)
     paths = np.arange(2 * 5 * 1, dtype=float).reshape(2, 5, 1)
     p = tmp_path / "paths.csv"
-    dataio.write_paths_csv(p, paths, grid.times)
+    dataio.write_paths_csv(p, [paths], grid.times)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "sample,step,time,x_1"
     assert len(lines) == 1 + 2 * 5
@@ -190,7 +190,7 @@ def test_paths_csv_streams_one_sample_at_a_time(tmp_path, traced_peak):
     paths = rng.normal(size=(500, 101, 2))
     times = build_grid([0.0, 1.0], 100).times
     p = tmp_path / "paths.csv"
-    peak = traced_peak(lambda: dataio.write_paths_csv(p, paths, times))
+    peak = traced_peak(lambda: dataio.write_paths_csv(p, [paths], times))
     assert peak < 1e6, f"peak {peak} B"
     assert len(p.read_text().splitlines()) == 1 + 500 * 101
 
@@ -224,15 +224,18 @@ def test_csv_writers_match_per_value_format(tmp_path):
     paths = awkward_reals(rng, (40, 11, 2))
     grid = build_grid([0.0, 1e-3], 10)
     p = tmp_path / "paths.csv"
-    dataio.write_paths_csv(p, paths, grid.times)
+    dataio.write_paths_csv(p, [paths], grid.times)
     want = ["sample,step,time,x_1,x_2"] + [
         ref_row(str(s), str(i), grid.times[i], *paths[s, i])
         for s in range(40) for i in range(11)]
     assert p.read_text() == "\n".join(want) + "\n"
+    dataio.write_paths_csv(p, [paths[:15], paths[15:]], grid.times)    # numbered across blocks
+    assert p.read_text() == "\n".join(want) + "\n"
 
-    points, dens = awkward_reals(rng, (60, 3)), awkward_reals(rng, (60,))
+    axes = np.split(awkward_reals(rng, (12,)), [3, 7])
+    points, dens = grid_points(axes), awkward_reals(rng, (60,))
     p = tmp_path / "density.csv"
-    dataio.write_density_csv(p, points, dens)
+    dataio.write_density_csv(p, axes, dens)
     want = ["x_1,x_2,x_3,density"] + [ref_row(*points[k], dens[k]) for k in range(60)]
     assert p.read_text() == "\n".join(want) + "\n"
 

@@ -6,10 +6,12 @@ from gpsde.field import InducingModel, build_cache, drift_batch, grid_points, up
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
     BLOCK_FLOATS,
+    SAMPLE_BLOCK_ROWS,
     TimeGrid,
     build_grid,
     gaussian_kde,
     sample_increments,
+    sample_blocks,
     sample_paths,
     simulate_batch,
     simulate_callable_batch,
@@ -95,6 +97,7 @@ class TestIncrements:
         few = sample_increments(g, 2, 1, 5)
         many = sample_increments(g, 6, 1, 5)
         assert np.array_equal(few, many[:2])
+        assert np.array_equal(sample_increments(g, slice(2, 5), 1, 5), many[2:5])
 
     def test_variance_matches_dt(self):
         g = build_grid([0.0, 10.0], 1000)  # dt = 0.01
@@ -237,6 +240,24 @@ class TestSamplePaths:
         assert np.array_equal(b1, b2)
         assert not np.array_equal(b1, b3)
 
+    def test_blocks_equal_one_batch(self):
+        # blocks of 1, 2 and 4 samples draw each sample's own substream; the
+        # kernel products may change in the last bit with the row count
+        m, c = ou_model()
+        g = build_grid([0.0, 1.0], 20)
+        whole = sample_paths(c, [0.5], g, 7, 3)
+        for rows in (slice(0, 1), slice(1, 3), slice(3, 7)):
+            np.testing.assert_allclose(sample_paths(c, [0.5], g, rows, 3), whole[rows],
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_blowup_names_the_sample_in_the_run(self):
+        # every sample leaves the limit on its first step, so a block of
+        # samples 5..8 fails at its first row: sample 5 of the run
+        m, c = ou_model(sigma=1e9)
+        with pytest.raises(SimulationError, match=r"at step 1 \(sample 5\)") as err:
+            sample_paths(c, [0.0], build_grid([0.0, 0.1], 1), slice(5, 9), 0)
+        assert (err.value.step, err.value.sample) == (1, 5)
+
     def test_initial_state_recorded(self):
         m, c = ou_model()
         g = build_grid([0.0, 0.5], 10)
@@ -290,7 +311,7 @@ class TestStateDensity:
         paths = sample_paths(c, [0.4], g, 1, 3)
         x_end = paths[0, -1]
         h = 0.3
-        val = state_density(paths, g.n_steps, [[x_end[0]]], h)
+        val = state_density(paths[:, -1], [[x_end[0]]], h)
         assert val[0] == pytest.approx((2 * np.pi * h**2) ** -0.5, rel=1e-12)
 
     def test_nonnegative_and_integrates_to_one(self):
@@ -298,7 +319,7 @@ class TestStateDensity:
         g = build_grid([0.0, 1.0], 50)
         paths = sample_paths(c, [0.0], g, 40, 21)
         xs = np.linspace(-6, 6, 601)[:, None]
-        dens = state_density(paths, g.n_steps, [xs[:, 0]], 0.25)
+        dens = state_density(paths[:, -1], [xs[:, 0]], 0.25)
         assert np.all(dens >= 0)
         riemann = dens.sum() * (xs[1, 0] - xs[0, 0])
         assert 0.98 <= riemann <= 1.02
@@ -308,9 +329,9 @@ class TestStateDensity:
         g = build_grid([0.0, 1.0], 10)
         paths = sample_paths(c, [0.0], g, 2, 0)
         with pytest.raises(InputError):
-            state_density(paths, 0, [[0.0]], -1.0)
+            state_density(paths[:, 0], [[0.0]], -1.0)
         with pytest.raises(InputError):
-            state_density(paths, 0, [[0.0], [0.0]], 0.2)     # one axis per dimension
+            state_density(paths[:, 0], [[0.0], [0.0]], 0.2)     # one axis per dimension
         with pytest.raises(InputError):
             gaussian_kde([[0.0]], np.zeros(3), 0.2)         # 1-d samples: (S, D) is required
 
@@ -337,8 +358,20 @@ class TestStateDensity:
         # a 81 x 81 grid and 500 paths: the dense (points, samples) kernel
         # matrix alone would take 26 MB
         rng = np.random.default_rng(6)
-        paths = rng.normal(size=(500, 2, 2))
+        states = rng.normal(size=(500, 2))
         axes = [np.linspace(-5, 5, 81), np.linspace(-6, 6, 81)]
-        peak = traced_peak(lambda: state_density(paths, 1, axes, 0.2))
+        peak = traced_peak(lambda: state_density(states, axes, 0.2))
         assert peak < 4e6, f"peak {peak} B"
 
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("n, n_steps, D", [(1, 5, 1), (768, 300, 1), (500, 100, 2),
+                                               (2000, 1000, 2), (10_000, 10, 3)])
+    def test_blocks_cover_the_samples_in_order(self, n, n_steps, D):
+        # about BLOCK_FLOATS path floats per block, but never fewer than
+        # SAMPLE_BLOCK_ROWS samples (short of the last block)
+        size = max(SAMPLE_BLOCK_ROWS, BLOCK_FLOATS // ((n_steps + 1) * D))
+        starts = list(range(0, n, size))
+        assert list(sample_blocks(n, n_steps, D)) == [
+            slice(a, min(a + size, n)) for a in starts]
