@@ -80,20 +80,34 @@ class ObjectiveValue:
 
 
 def _obs_logliks(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray,
-                 out=(None, None, None)):
+                 out=(None, None)):
     """Mixture log-likelihoods and softmax weights of observations.
 
     y (..., N, D); states (..., S, N, D), with any leading (segment) axes
     shared.  Returns (per_obs (..., N), weights (..., S, N), residuals
     y - x (..., S, N, D)) with weights the softmax over samples.  out holds
-    up to three arrays that receive the residuals, a scratch array of their
-    shape and the weights; any left None is allocated.
+    up to two arrays that receive the residuals and the weights; any left
+    None is allocated.  The density's D quadratic terms add into the
+    weights one dimension at a time, in the order a sum over the last axis
+    adds them; the dimensions after the first share one scratch array of
+    the weights' shape.
     """
-    res = np.subtract(y[..., None, :, :], states, out=out[0])
-    q = np.square(res, out=out[1])
-    q /= noise_vars
-    q += np.log(2.0 * np.pi * noise_vars)
-    logp = np.sum(q, axis=-1, out=out[2])
+    res = np.empty(states.shape) if out[0] is None else out[0]
+    # the states are copied in first: a ufunc from the paths' strided view
+    # into the observation-major residuals takes iterator buffers for each
+    # operand, and the copy takes none
+    np.copyto(res, states)
+    np.subtract(y[..., None, :, :], res, out=res)
+    log_norm = np.log(2.0 * np.pi * noise_vars)
+    logp = np.square(res[..., 0], out=out[1])
+    logp /= noise_vars[0]
+    logp += log_norm[0]
+    q = None
+    for d in range(1, res.shape[-1]):
+        q = np.square(res[..., d], out=q)
+        q /= noise_vars[d]
+        q += log_norm[d]
+        logp += q
     logp *= -0.5
     top = logp.max(axis=-2)
     logp -= top[..., None, :]
@@ -113,13 +127,19 @@ def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray, ou
     gradient w.r.t. the simulated states, which an adjoint sweep pulls back
     to the inducing values; and the log-noise gradients
     0.5 (sum_s w (y - x)^2 / Omega - 1) (K, N, D).  out, as for
-    :func:`_obs_logliks`, is the three (K, S, N, D), (K, S, N, D) and
-    (K, S, N) arrays the reduction works in; the seeds are the second.
+    :func:`_obs_logliks`, is the (K, S, N, D) and (K, S, N) arrays the
+    reduction works in: the residuals turn into the seeds in the first, in
+    place, after the log-noise gradients have read them.  Those gradients
+    divide by Omega after the sum over samples, not before, so they agree
+    with the seeds' own products to rounding, not bit for bit.
     """
     per_obs, w, res = _obs_logliks(y, states, noise_vars, out)
-    seeds = np.divide(res, noise_vars, out=out[1])
+    grad_log_noise = np.einsum("ksn,ksnd,ksnd->knd", w, res, res)
+    grad_log_noise /= noise_vars
+    grad_log_noise -= 1.0
+    grad_log_noise *= 0.5
+    seeds = np.divide(res, noise_vars, out=res)
     seeds *= w[..., None]
-    grad_log_noise = 0.5 * (np.einsum("ksnd,ksnd->knd", seeds, res) - 1.0)
     return per_obs, seeds, grad_log_noise
 
 
@@ -192,14 +212,17 @@ class Workspace:
     n_steps, D) increments, groups); each group is one run of segments of
     one shape, the tuple (y (K_g, N_g, D) observations, its first
     segment, the (K_g, N_g) mask of the terms it scores, their positions
-    in ``per_obs_loglik``).  An evaluation's batch-sized arrays
-    (the paths, J_f, grad sigma and kept kernel rows, the seeds of the
-    adjoint sweep, and per group the states at the nodes and the
-    likelihood reduction's other two arrays) are views of one
-    :class:`~gpsde.sim.Buffers`; after the first evaluation, one allocates
-    nothing of batch size, so two evaluations on one draw must not overlap
-    (none in gpsde do).  A draw serves only the trajectories and grids it
-    was built from, checked by identity.
+    in ``per_obs_loglik``).  A batch's observation nodes are every f-th
+    node of its grid, as :func:`~gpsde.sim.build_grid` places them
+    (``InputError`` otherwise), so an evaluation reads a group's node
+    states as a strided view of the paths.  An evaluation's batch-sized
+    arrays are views of one :class:`~gpsde.sim.Buffers` and hold only what
+    the adjoint sweep reads (the paths, J_f, grad sigma, kept kernel rows
+    and the seeds, which each group's residuals turn into in place) and
+    the likelihood weights of one group at a time; after the first
+    evaluation, one allocates nothing of batch size, so two evaluations on
+    one draw must not overlap (none in gpsde do).  A draw serves only the
+    trajectories and grids it was built from, checked by identity.
     """
 
     def __init__(self, trajs, grids, increments):
@@ -227,6 +250,10 @@ class Workspace:
         S, D = increments[0].shape[0], trajs[0].dim
         n_segments = sum(len(members) for _, members in groups)
         n_steps = groups[0][0][-1]
+        # an evaluation reads observation p of a segment at its node f p
+        if groups[0][0] != tuple(range(0, n_steps + 1, groups[0][0][1])):
+            raise InputError("a segment's observation nodes must be evenly spaced, "
+                             "as build_grid places them")
         dt = np.zeros((n_segments, n_steps))
         steps = np.empty(n_segments, dtype=int)
         x0 = np.empty((n_segments, S, D))
@@ -298,20 +325,17 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
             m, cache, x0, grid, inc, buffers=draw.buffers)
         # the adjoint reads the seeds where mc_loglik_grad writes them
         seeds = take("seeds", (B, N, S, D))
+        f = grid.obs_indices[1]       # observation p of a segment is its node f p
         for y, k, scored, slots in groups:
             K, Ng, _ = y.shape
-            states = take("states", (K * S, Ng, D))
-            # the indices are in range; clip mode writes straight into the buffer
-            np.take(paths[k * S:(k + K) * S], grid.obs_indices[:Ng], axis=1, out=states,
-                    mode="clip")
-            # the residuals and weights lie observation-major within a segment,
-            # as numpy lays out y[:, None] - paths[:, obs_indices], so the sums
-            # over samples add in the same order and the values keep every bit
-            work = (take("res", (K, Ng, S, D)).transpose(0, 2, 1, 3),
-                    seeds[k:k + K, :Ng].transpose(0, 2, 1, 3),
+            states = paths[k * S:(k + K) * S, :(Ng - 1) * f + 1:f].reshape(K, S, Ng, D)
+            # the residuals (then seeds) and weights lie observation-major within
+            # a segment, as numpy lays out y[:, None] - paths[:, obs_indices], so
+            # the sums over samples add in the same order and the values keep
+            # every bit
+            work = (seeds[k:k + K, :Ng].transpose(0, 2, 1, 3),
                     take("weights", (K, Ng, S)).transpose(0, 2, 1))
-            loglik, _, g_noise = mc_loglik_grad(
-                y, states.reshape(K, S, Ng, D), m.noise_vars, work)
+            loglik, _, g_noise = mc_loglik_grad(y, states, m.noise_vars, work)
             grad_noise += g_noise[scored].sum(axis=0)
             per_obs[slots] = loglik[scored]
         gf, gs = pullback(seeds.transpose(0, 2, 1, 3))

@@ -109,6 +109,11 @@ class Buffers:
             buf = self._kept[name] = np.empty(n)
         return buf[:n].reshape(shape)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by all the kept buffers."""
+        return sum(buf.nbytes for buf in self._kept.values())
+
 
 def child_seed(seed, *key) -> np.random.SeedSequence:
     """Counter-keyed child of a seed; stable under how many siblings exist."""
@@ -251,7 +256,10 @@ def simulate_callable_batch(fields, x0, dt, increments: np.ndarray, *, out=None,
         else:
             F = F * dt[:, i, None]
         X = X + F + sig[:, None] * increments[:, i]
-        _blowup_check(X, i + 1)
+        x = X.ravel()
+        # the sum of squares bounds every |x|; NaN, inf and overflow fail it
+        if not x @ x <= BLOWUP_LIMIT**2:
+            _blowup_check(X, i + 1)
         kept[:, i + 1] = X
     return paths
 

@@ -108,10 +108,11 @@ def oscillator_hotspot() -> ParametricSystem:
     (-1, -1): sigma(x) = 2 N(x | (-1,-1), 0.5 I) + 0.3."""
 
     def drift(X):
-        r2 = X[:, 0] ** 2 + X[:, 1] ** 2
-        return np.stack(
-            [X[:, 0] * (1.0 - r2) - X[:, 1], X[:, 1] * (1.0 - r2) + X[:, 0]], axis=-1
-        )
+        shrink = 1.0 - (X[:, 0] ** 2 + X[:, 1] ** 2)
+        F = np.empty((len(X), 2))
+        F[:, 0] = X[:, 0] * shrink - X[:, 1]
+        F[:, 1] = X[:, 1] * shrink + X[:, 0]
+        return F
 
     center = np.array([-1.0, -1.0])
 
@@ -129,9 +130,10 @@ def van_der_pol(mu: float = 1.0) -> ParametricSystem:
     center = np.array([2.0, 0.0])
 
     def drift(X):
-        return np.stack(
-            [X[:, 1], mu * (1.0 - X[:, 0] ** 2) * X[:, 1] - X[:, 0]], axis=-1
-        )
+        F = np.empty((len(X), 2))
+        F[:, 0] = X[:, 1]
+        F[:, 1] = mu * (1.0 - X[:, 0] ** 2) * X[:, 1] - X[:, 0]
+        return F
 
     def diffusion(X):
         return 1.5 * _iso_gauss_pdf(X, center, 0.25) + 0.3

@@ -16,7 +16,12 @@ all on one frozen draw from ``objective.draw_increments``, or with
 ``--fresh-draw`` each on a new draw of the same seed, made outside the
 timed call.  After three warm-up evaluations it prints one JSON line per
 size with the median, minimum and maximum of the minor page faults
-(``getrusage``) and of the wall time per evaluation.
+(``getrusage``) and of the wall time per evaluation.  The line also gives
+the footprint of a first evaluation: after the timed ones, a new draw of
+the same seed is evaluated once under ``tracemalloc``, and ``first_eval``
+holds that call's traced peak and the bytes of the buffers the draw then
+keeps (``traced_peak_b``, ``kept_b``), so that the peak less the kept
+bytes is what the evaluation allocated besides them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 import resource
 import statistics
 import time
+import tracemalloc
 
 os.environ.setdefault("GPSDE_NUM_THREADS", "1")
 
@@ -91,11 +97,19 @@ def probe(size: dict, repeats: int, seed: int, fresh_draw: bool) -> dict:
         if k >= WARMUP:
             faults.append(f1 - f0)
             walls.append(wall)
+    draw = objective.draw_increments(*draw_args)
+    tracemalloc.start()
+    try:
+        objective.evaluate_with_increments(data, m, c, grids, draw)
+        first_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "minor_faults": {"median": statistics.median(faults), "min": min(faults),
                          "max": max(faults)},
         "wall_ms": {"median": round(1e3 * statistics.median(walls), 3),
                     "min": round(1e3 * min(walls), 3), "max": round(1e3 * max(walls), 3)},
+        "first_eval": {"traced_peak_b": first_peak, "kept_b": draw.buffers.nbytes},
     }
 
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from gpsde import sensitivity
 from gpsde.errors import InputError, InternalError, SimulationError
-from gpsde.field import (InducingModel, build_cache, grid_points, log_prior, step_terms_batch,
-                         update_values)
+from gpsde.field import (InducingModel, build_cache, grid_points, log_prior, rows_buffer,
+                         step_terms_batch, update_values)
 from gpsde.kernels import JITTER_SCALE, KernelParams, gram
 from gpsde.objective import (
     SEGMENT_INTERVALS,
@@ -14,10 +16,11 @@ from gpsde.objective import (
     draw_increments,
     evaluate_with_increments,
     make_grids,
+    mc_loglik_grad,
     _obs_logliks,
     _segment_groups,
 )
-from gpsde.sim import child_seed, sample_increments, sample_paths, simulate_batch
+from gpsde.sim import TimeGrid, child_seed, sample_increments, sample_paths, simulate_batch
 
 
 # more than two segments, the last one shorter than the others
@@ -108,17 +111,34 @@ class TestMcLoglik:
         assert mc_loglik(tr, m, doubled) == pytest.approx(mc_loglik(tr, m, states), rel=1e-12)
 
     def test_matches_naive_mixture_oracle(self):
-        m, c, tr, grids, incs = make_problem(seed=3)
-        states = node_states(m, c, tr, grids[0], incs[0])
-        total = 0.0
-        for i in range(tr.n_obs):
-            dens = 0.0
-            for s in range(states.shape[0]):
-                r = tr.obs[i] - states[s, i]
-                dens += np.prod(np.exp(-0.5 * r**2 / m.noise_vars)
-                                / np.sqrt(2 * np.pi * m.noise_vars))
-            total += np.log(dens / states.shape[0])
-        assert mc_loglik(tr, m, states) == pytest.approx(total, abs=1e-10)
+        # K = 2 segments of N = 4 observations against S = 5 samples, with
+        # unequal noise variances, scored in observation-major arrays as an
+        # evaluation lays them out; D = 3 adds a quadratic term to a sum of two
+        K, S, N = 2, 5, 4
+        for D in (1, 2, 3):
+            rng = np.random.default_rng(3 + D)
+            nv = np.array([0.04, 0.09, 0.02])[:D]
+            y = 0.4 * rng.normal(size=(K, N, D))
+            states = y[:, None] + 0.3 * rng.normal(size=(K, S, N, D))
+            out = (np.empty((K, N, S, D)).transpose(0, 2, 1, 3),
+                   np.empty((K, N, S)).transpose(0, 2, 1))
+            per_obs, seeds, grad_log_noise = mc_loglik_grad(y, states, nv, out)
+            assert seeds is out[0]
+            for k in range(K):
+                for i in range(N):
+                    r = y[k, i] - states[k, :, i]       # (S, D)
+                    dens = np.array([np.prod(np.exp(-0.5 * r[s] ** 2 / nv)
+                                             / np.sqrt(2 * np.pi * nv)) for s in range(S)])
+                    w = dens / dens.sum()
+                    assert per_obs[k, i] == pytest.approx(np.log(dens.mean()), abs=1e-12)
+                    np.testing.assert_allclose(seeds[k, :, i], w[:, None] * r / nv,
+                                               rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(
+                        grad_log_noise[k, i],
+                        0.5 * ((w[:, None] * r ** 2 / nv).sum(axis=0) - 1.0),
+                        rtol=1e-12, atol=1e-12)
+            # the three-argument call allocates its own arrays, and scores alike
+            assert _obs_logliks(y, states, nv)[0].tobytes() == per_obs.tobytes()
 
     def test_additivity_over_observations(self):
         m, c, tr, grids, incs = make_problem(seed=4)
@@ -340,6 +360,13 @@ class TestWorkspace:
         # the same trajectories and grids in new lists are the same inputs
         evaluate_with_increments(list(trs), m, c, list(grids), fresh())
 
+    def test_unevenly_spaced_observation_nodes_are_refused(self):
+        # an evaluation reads every f-th node of the paths, as build_grid spaces them
+        tr = Trajectory(times=[0.0, 0.1, 0.3], obs=np.zeros((3, 1)))
+        grid = TimeGrid(t0=0.0, dt=[0.1, 0.1, 0.1], obs_indices=[0, 1, 3])
+        with pytest.raises(InputError, match="evenly spaced"):
+            Workspace([tr], [grid], [np.zeros((2, 3, 1))])
+
     @pytest.mark.parametrize("D,grid", [(1, False), (2, True)])
     def test_kept_workspace_allocates_less_than_one_batch(self, traced_peak, D, grid):
         # after the first evaluation every batch-sized array is kept: the
@@ -352,6 +379,28 @@ class TestWorkspace:
         largest = x0.size * batch_grid.n_obs * 8
         peak = traced_peak(lambda: evaluate_with_increments(trs, m, c, grids, draw))
         assert peak < largest, f"peak {peak} B, the batch's states {largest} B"
+
+    @pytest.mark.parametrize("D,grid", [(1, False), (2, True)])
+    def test_first_evaluation_allocates_only_what_the_draw_keeps(self, traced_peak, D, grid):
+        # a fresh draw's first evaluation makes the buffers the draw keeps (the
+        # paths, J_f, grad sigma, kept rows and seeds of the batch, and the
+        # weights of its largest group), sized here by their shapes; beyond
+        # them it peaks below one (K_g, S, N_g, D) array of node states of
+        # its largest group, so it copies no node states or residuals
+        m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
+                                                    n_samples=100, factor=2, grid=grid)
+        draws = iter([Workspace(trs, grids, incs), Workspace(trs, grids, incs)])
+        (batch_grid, _, inc, groups), = Workspace(trs, grids, incs).batches
+        R, n_steps, _ = inc.shape
+        S = R // batch_grid.n_blocks
+        rows = rows_buffer(c, n_steps, R, lambda shape: 8 * math.prod(shape)) or 0
+        node_states = max(y.shape[0] * S * y.shape[1] * D for y, *_ in groups)
+        kept = rows + 8 * (R * (n_steps + 1) * D + n_steps * D * D * R + n_steps * D * R
+                           + R * batch_grid.n_obs * D + node_states // D)
+        # the warm-up call evaluates on the first draw, the traced one on the second
+        peak = traced_peak(lambda: evaluate_with_increments(trs, m, c, grids, next(draws)))
+        assert peak - kept < 8 * node_states, \
+            f"peak {peak} B less kept {kept} B, the group's node states {8 * node_states} B"
 
 
 # last segments of 1, 3, 9 and 25 intervals, and a trajectory shorter than one
