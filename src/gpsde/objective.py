@@ -5,7 +5,7 @@ The likelihood of an observation y_i is a mixture over simulated samples,
 log-sum-exp.  Samples are simulated from the first observation of each
 trajectory segment of ``SEGMENT_INTERVALS`` observation intervals, not
 from the trajectory's first observation alone.  Every segment simulates
-in one ragged batch, and segments of one shape are scored as stacked
+in one ragged batch, and segments of one length are scored as stacked
 arrays: observations (K, N, D) against samples (K, S, N, D), one
 (segment, observation) pair per term.  The gradient w.r.t. the simulated
 states is the likelihood-weighted (softmax) residual, which one adjoint
@@ -19,6 +19,7 @@ the arrays every evaluation works in.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,63 +164,30 @@ def draw_increments(trajs, grids, m: InducingModel, n_samples: int, seed) -> Wor
 SEGMENT_INTERVALS = 25
 
 
-def _segments(grid: TimeGrid):
-    """(first, last) observation positions of each segment of a grid."""
-    n = grid.n_obs - 1
-    return [(a, min(a + SEGMENT_INTERVALS, n)) for a in range(0, n, SEGMENT_INTERVALS)]
-
-
-def _segment_groups(grids):
-    """Segments keyed by their observation offsets from the segment's
-    start node, so that segments of one shape propagate through the field
-    in one batch wherever they start and whatever their step sizes."""
-    groups = {}
-    for j, g in enumerate(grids):
-        idx = g.obs_indices
-        for a, b in _segments(g):
-            offsets = tuple((idx[a:b + 1] - idx[a]).tolist())
-            groups.setdefault(offsets, []).append((j, a, b))
-    return groups
-
-
-def _ragged_batches(grids):
-    """The segment groups, longest first, in batches whose groups' offsets
-    all begin the first group's: one batch when the grids share one
-    resolution factor."""
-    batches = []
-    for offsets, members in sorted(_segment_groups(grids).items(), key=lambda g: -g[0][-1]):
-        for longest, groups in batches:
-            if longest[:len(offsets)] == offsets:
-                groups.append((offsets, members))
-                break
-        else:
-            batches.append((offsets, [(offsets, members)]))
-    return [groups for _, groups in batches]
-
-
 class Workspace:
-    """A frozen draw: the segment batches of some trajectories, their grids
-    and their Brownian increments, one (S, n_steps, D) array per trajectory
-    (one S >= 1 for all), and the buffers of the evaluations on it.
+    """A frozen draw: the ragged batch of some trajectories' segments, their
+    grids and their Brownian increments, one (S, n_steps, D) array per
+    trajectory (one S >= 1 and one D for all), and the buffers of the
+    evaluations on it.
 
-    The batches are built once, in place; there is one unless the grids'
-    resolution factors differ.  A batch simulates the S samples of all its
-    K segments as one ragged batch, rows segment-major and sorted by
-    segment length, longest first, so that a step advances the leading
-    rows whose segments take it.  It is the tuple (grid with one row of
-    steps per segment and their step counts (see
-    :class:`~gpsde.sim.TimeGrid`), x0 (K*S, D) start states, (K*S,
-    n_steps, D) increments, groups); each group is one run of segments of
-    one shape, the tuple (y (K_g, N_g, D) observations, its first
+    Every grid puts observation i at node f i, with one f for all grids,
+    as :func:`~gpsde.sim.build_grid` places them for resolution factor f
+    (``InputError`` otherwise), so a segment of n intervals takes n f
+    steps and an evaluation reads its node states as a strided view of the
+    paths.  The batch is built once, in place.  It simulates the S samples
+    of all K segments together, rows segment-major and sorted by interval
+    count, longest first and in trajectory order among equal counts, so
+    that a step advances the leading rows whose segments take it.  It is
+    the tuple (grid with one row of steps per segment and their step counts
+    (see :class:`~gpsde.sim.TimeGrid`), x0 (K*S, D) start states, (K*S,
+    n_steps, D) increments, groups); each group is the run of segments of
+    one interval count, the tuple (y (K_g, N_g, D) observations, its first
     segment, the (K_g, N_g) mask of the terms it scores, their positions
-    in ``per_obs_loglik``).  A batch's observation nodes are every f-th
-    node of its grid, as :func:`~gpsde.sim.build_grid` places them
-    (``InputError`` otherwise), so an evaluation reads a group's node
-    states as a strided view of the paths.  An evaluation's batch-sized
-    arrays are views of one :class:`~gpsde.sim.Buffers` and hold only what
-    the adjoint sweep reads (the paths, J_f, grad sigma, kept kernel rows
-    and the seeds, which each group's residuals turn into in place) and
-    the likelihood weights of one group at a time; after the first
+    in ``per_obs_loglik``).  An evaluation's batch-sized arrays are views
+    of one :class:`~gpsde.sim.Buffers` and hold only what the adjoint
+    sweep reads (the paths, J_f, grad sigma, kept kernel rows and the
+    seeds, which each group's residuals turn into in place) and the
+    likelihood weights of one group at a time; after the first
     evaluation, one allocates nothing of batch size, so two evaluations on
     one draw must not overlap (none in gpsde do).  A draw serves only the
     trajectories and grids it was built from, checked by identity.
@@ -230,40 +198,54 @@ class Workspace:
             raise InputError(
                 f"need one grid and one increment array per trajectory, got {len(trajs)} "
                 f"trajectories, {len(grids)} grids and {len(increments)} increment arrays")
-        S = np.shape(increments[0])[:1] if increments else ()     # (S,) of the first array
+        if not trajs:
+            raise InputError("a draw needs at least one trajectory")
+        S, D = np.shape(increments[0])[:1], trajs[0].dim     # (S,) of the first array
         for j, (tr, g, inc) in enumerate(zip(trajs, grids, increments)):
-            if g.n_obs != tr.n_obs:
+            if tr.dim != D:
+                raise InputError(f"trajectory {j} has dimension {tr.dim}, trajectory 0 has {D}")
+            if g.n_obs != tr.n_obs or g.obs_indices[-1] > g.n_steps:
                 raise InputError(f"trajectory {j}: grid does not cover its observations")
-            if np.shape(inc) != (*S, g.n_steps, tr.dim) or S[0] < 1:
+            if np.shape(inc) != (*S, g.n_steps, D) or S[0] < 1:
                 raise InputError(f"trajectory {j}: increments must be (S, {g.n_steps}, "
-                                 f"{tr.dim}), one S >= 1 for all; got {np.shape(inc)}")
+                                 f"{D}), one S >= 1 for all; got {np.shape(inc)}")
+        # an evaluation reads observation p of a segment at its node f p
+        f = int(grids[0].obs_indices[1])
+        if f < 1 or any(not np.array_equal(g.obs_indices, f * np.arange(g.n_obs))
+                        for g in grids):
+            raise InputError("every grid's observation nodes must be evenly spaced, "
+                             "observation i at node f i with one f >= 1 for all grids, "
+                             "as build_grid places them")
         self._inputs = (tuple(trajs), tuple(grids))
         starts = np.cumsum([0] + [tr.n_obs for tr in trajs])
         self.n_obs = int(starts[-1])
-        self.batches = [self._batch(trajs, grids, increments, groups, starts)
-                        for groups in _ragged_batches(grids)]
+        self.batch = self._batch(trajs, grids, increments, f, starts)
         self.buffers = Buffers()
 
     @staticmethod
-    def _batch(trajs, grids, increments, groups, starts):
-        """One ragged batch of the segment groups, longest first."""
+    def _batch(trajs, grids, increments, f, starts):
+        """The ragged batch of every (trajectory, first, last) segment."""
         S, D = increments[0].shape[0], trajs[0].dim
-        n_segments = sum(len(members) for _, members in groups)
-        n_steps = groups[0][0][-1]
-        # an evaluation reads observation p of a segment at its node f p
-        if groups[0][0] != tuple(range(0, n_steps + 1, groups[0][0][1])):
-            raise InputError("a segment's observation nodes must be evenly spaced, "
-                             "as build_grid places them")
-        dt = np.zeros((n_segments, n_steps))
-        steps = np.empty(n_segments, dtype=int)
-        x0 = np.empty((n_segments, S, D))
-        inc = np.zeros((n_segments, S, n_steps, D))
-        batch_groups, k = [], 0
-        for offsets, members in groups:
-            N, L = len(offsets), offsets[-1]
-            y = np.empty((len(members), N, D))
+
+        def intervals(segment):
+            return segment[2] - segment[1]
+
+        segments = [(j, a, min(a + SEGMENT_INTERVALS, tr.n_obs - 1))
+                    for j, tr in enumerate(trajs)
+                    for a in range(0, tr.n_obs - 1, SEGMENT_INTERVALS)]
+        segments.sort(key=intervals, reverse=True)      # stable: trajectory order kept
+        n_steps = intervals(segments[0]) * f
+        dt = np.zeros((len(segments), n_steps))
+        steps = np.empty(len(segments), dtype=int)
+        x0 = np.empty((len(segments), S, D))
+        inc = np.zeros((len(segments), S, n_steps, D))
+        groups, k = [], 0
+        for n, members in itertools.groupby(segments, key=intervals):
+            members = list(members)
+            L = n * f
+            y = np.empty((len(members), n + 1, D))
             for q, (j, a, b) in enumerate(members):
-                node = grids[j].obs_indices[a]
+                node = a * f
                 y[q] = trajs[j].obs[a:b + 1]
                 x0[k + q] = y[q, 0]
                 dt[k + q, :L] = grids[j].dt[node:node + L]
@@ -271,13 +253,13 @@ class Workspace:
             steps[k:k + len(members)] = L
             js, firsts, _ = (np.array(v) for v in zip(*members))
             # a later segment's start is scored by the segment before it
-            scored = np.ones((len(members), N), dtype=bool)
+            scored = np.ones((len(members), n + 1), dtype=bool)
             scored[firsts > 0, 0] = False
-            slots = (starts[js] + firsts)[:, None] + np.arange(N)
-            batch_groups.append((y, k, scored, slots[scored]))
+            slots = (starts[js] + firsts)[:, None] + np.arange(n + 1)
+            groups.append((y, k, scored, slots[scored]))
             k += len(members)
-        grid = TimeGrid(t0=0.0, dt=dt, obs_indices=groups[0][0], steps=steps)
-        return (grid, x0.reshape(-1, D), inc.reshape(-1, n_steps, D), batch_groups)
+        grid = TimeGrid(t0=0.0, dt=dt, obs_indices=np.arange(0, n_steps + 1, f), steps=steps)
+        return (grid, x0.reshape(-1, D), inc.reshape(-1, n_steps, D), groups)
 
     def check(self, trajs, grids):
         """InternalError unless these are the inputs the draw was built from."""
@@ -296,16 +278,16 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     observation at its first node and use that trajectory's steps and
     increments between its first and last node.  All segments simulate in
     one ragged batch, one step call per step of the longest; segments of
-    one shape (observation offsets), whatever their step sizes, are scored
-    by one :func:`mc_loglik_grad` call, and one adjoint sweep of the
-    batch, seeded at each segment's nodes, gives the gradient.
+    one interval count, whatever their step sizes, are scored by one
+    :func:`mc_loglik_grad` call, and one adjoint sweep of the batch,
+    seeded at each segment's nodes, gives the gradient.
     Every observation is scored once: a segment's first observation belongs
     to the segment before it, except for the trajectory's first
     observation, which is scored against the start state.
     ``per_obs_loglik`` keeps trajectory and observation order.
 
     draw, the :class:`Workspace` of these trajectories and grids (from
-    :func:`draw_increments`), holds the batches, and the evaluation works
+    :func:`draw_increments`), holds the batch, and the evaluation works
     in its buffers.  The returned arrays are new, never the draw's.
 
     This deterministic map of the model parameters is what the optimizer
@@ -316,30 +298,28 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
         raise InputError("trajectory dimension does not match the model")
     draw.check(trajs, grids)
     take, D = draw.buffers.take, m.D
-    per_obs = np.empty(draw.n_obs)
-    grad_f, grad_s, grad_noise = 0.0, 0.0, np.zeros(D)
-    for grid, x0, inc, groups in draw.batches:
-        B, N = grid.n_blocks, grid.n_obs
-        S = len(x0) // B
-        paths, pullback = simulate_bundle_with_sensitivities(
-            m, cache, x0, grid, inc, buffers=draw.buffers)
-        # the adjoint reads the seeds where mc_loglik_grad writes them
-        seeds = take("seeds", (B, N, S, D))
-        f = grid.obs_indices[1]       # observation p of a segment is its node f p
-        for y, k, scored, slots in groups:
-            K, Ng, _ = y.shape
-            states = paths[k * S:(k + K) * S, :(Ng - 1) * f + 1:f].reshape(K, S, Ng, D)
-            # the residuals (then seeds) and weights lie observation-major within
-            # a segment, as numpy lays out y[:, None] - paths[:, obs_indices], so
-            # the sums over samples add in the same order and the values keep
-            # every bit
-            work = (seeds[k:k + K, :Ng].transpose(0, 2, 1, 3),
-                    take("weights", (K, Ng, S)).transpose(0, 2, 1))
-            loglik, _, g_noise = mc_loglik_grad(y, states, m.noise_vars, work)
-            grad_noise += g_noise[scored].sum(axis=0)
-            per_obs[slots] = loglik[scored]
-        gf, gs = pullback(seeds.transpose(0, 2, 1, 3))
-        grad_f, grad_s = grad_f + gf, grad_s + gs
+    grid, x0, inc, groups = draw.batch
+    B, N = grid.n_blocks, grid.n_obs
+    S = len(x0) // B
+    paths, pullback = simulate_bundle_with_sensitivities(
+        m, cache, x0, grid, inc, buffers=draw.buffers)
+    # the adjoint reads the seeds where mc_loglik_grad writes them
+    seeds = take("seeds", (B, N, S, D))
+    f = grid.obs_indices[1]       # observation p of a segment is its node f p
+    per_obs, grad_noise = np.empty(draw.n_obs), np.zeros(D)
+    for y, k, scored, slots in groups:
+        K, Ng, _ = y.shape
+        states = paths[k * S:(k + K) * S, :(Ng - 1) * f + 1:f].reshape(K, S, Ng, D)
+        # the residuals (then seeds) and weights lie observation-major within
+        # a segment, as numpy lays out y[:, None] - paths[:, obs_indices], so
+        # the sums over samples add in the same order and the values keep
+        # every bit
+        work = (seeds[k:k + K, :Ng].transpose(0, 2, 1, 3),
+                take("weights", (K, Ng, S)).transpose(0, 2, 1))
+        loglik, _, g_noise = mc_loglik_grad(y, states, m.noise_vars, work)
+        grad_noise += g_noise[scored].sum(axis=0)
+        per_obs[slots] = loglik[scored]
+    grad_f, grad_s = pullback(seeds.transpose(0, 2, 1, 3))
 
     pg_f, pg_s = log_prior_grad(cache)
     return ObjectiveValue(

@@ -145,9 +145,14 @@ def build_grid(obs_times, resolution_factor: int) -> TimeGrid:
 
 
 def _sample_range(samples) -> range:
-    """Sample indices 0..samples-1 of an int, or those of a slice."""
+    """Sample indices 0..samples-1 of an int, or those of a slice with a
+    start of at least 0, an explicit stop and a step of 1."""
     if isinstance(samples, slice):
-        return range(samples.start or 0, samples.stop)
+        start = samples.start or 0
+        if start < 0 or samples.stop is None or samples.step not in (None, 1):
+            raise InputError("a slice of samples needs a start >= 0, a stop and a step of 1, "
+                             f"got {samples}")
+        return range(start, samples.stop)
     return range(samples)
 
 
@@ -222,9 +227,10 @@ def simulate_callable_batch(fields, x0, dt, increments: np.ndarray, *, out=None,
     """The Euler-Maruyama stepping loop; paths shape (S, n_steps+1, D).
 
     fields maps stacked states (N, D) to the drift (N, D) and the signed
-    diffusion (N,); increments has shape (S, n_steps, D).  dt is one step
-    size, one per step, or one row of steps per block of S / B consecutive
-    rows, shape (B, n_steps) (B = S: one per sample).  active, a
+    diffusion (N,); increments has shape (S, n_steps, D).  dt holds one
+    row of steps per block of S / B consecutive rows, shape (B, n_steps)
+    (B = S: one per sample); one step size or one per step, (n_steps,),
+    is one block of all S rows.  active, a
     :class:`TimeGrid`'s, gives per step the number of leading blocks that
     take it, so a step advances only those rows and ``fields`` sees only
     their states; a row's path past its last step is left unwritten.  out,
@@ -232,33 +238,37 @@ def simulate_callable_batch(fields, x0, dt, increments: np.ndarray, *, out=None,
     """
     increments = np.asarray(increments, dtype=float)
     n, n_steps, D = increments.shape
-    dt = np.asarray(dt, dtype=float)
-    per_block = dt.ndim == 2 and dt.shape[0] != n
-    if per_block:
-        if n % dt.shape[0] or dt.shape[1] != n_steps:
-            raise InputError(f"dt of shape {dt.shape} does not divide {n} rows of "
-                             f"{n_steps} steps into blocks")
-        r = n // dt.shape[0]
-    else:
-        dt, r = np.broadcast_to(dt, (n, n_steps)), 1
+    given = np.asarray(dt, dtype=float)
+    # one block of rows unless dt is 2-d
+    dt = np.broadcast_to(given, (1, n_steps)) if given.ndim == 0 else np.atleast_2d(given)
+    if dt.ndim != 2 or dt.shape[1] != n_steps or len(dt) < 1 or n % len(dt):
+        raise InputError(f"dt of shape {given.shape} does not divide {n} rows of "
+                         f"{n_steps} steps into blocks")
+    B = len(dt)
+    r = n // B
+    # a step of a few rows is mostly per-call overhead, so the loop indexes
+    # step-major views by one int and scales the drifts, seen as (B, r, D),
+    # by step i's (B, 1, 1) sizes into one kept array
+    dt, dW = dt.T[:, :, None, None], increments.transpose(1, 0, 2)
+    limit = BLOWUP_LIMIT**2
     paths = np.empty((n, n_steps + 1, D)) if out is None else out
     X = _initial_states(x0, n, D)
     paths[:, 0] = X
-    kept = paths
+    kept, Fdt = paths, np.empty((n, D))
+    Fdt3 = Fdt.reshape(B, r, D)
     for i in range(n_steps):
         if active is not None and active[i] * r < len(X):
             # the rows that take no more steps drop out of the views
             a = active[i] * r
-            X, dt, increments, kept = X[:a], dt[:active[i]], increments[:a], kept[:a]
+            X, dt, dW, kept = X[:a], dt[:, :active[i]], dW[:, :a], kept[:a]
+            Fdt, Fdt3 = Fdt[:a], Fdt3[:active[i]]
         F, sig = fields(X)
-        if per_block:
-            F = (F.reshape(-1, r, D) * dt[:, i, None, None]).reshape(-1, D)
-        else:
-            F = F * dt[:, i, None]
-        X = X + F + sig[:, None] * increments[:, i]
+        np.multiply(F.reshape(Fdt3.shape), dt[i], out=Fdt3)
+        X = X + Fdt      # a new array, so fields never sees its input change
+        X += sig[:, None] * dW[i]
         x = X.ravel()
         # the sum of squares bounds every |x|; NaN, inf and overflow fail it
-        if not x @ x <= BLOWUP_LIMIT**2:
+        if not x.dot(x) <= limit:
             _blowup_check(X, i + 1)
         kept[:, i + 1] = X
     return paths

@@ -18,7 +18,6 @@ from gpsde.objective import (
     make_grids,
     mc_loglik_grad,
     _obs_logliks,
-    _segment_groups,
 )
 from gpsde.sim import TimeGrid, child_seed, sample_increments, sample_paths, simulate_batch
 
@@ -177,8 +176,13 @@ class TestMcLoglik:
     def test_segments_with_equal_interval_counts_share_one_batch(self):
         # different gaps, same number of intervals: one group, one batch
         trs = [Trajectory(times=t, obs=np.zeros((4, 1))) for t in IRREGULAR_TIMES]
-        groups = _segment_groups(make_grids(trs, 3))
-        assert list(groups.values()) == [[(0, 0, 3), (1, 0, 3)]]
+        grids = make_grids(trs, 3)
+        batch_grid, _, _, groups = Workspace(trs, grids, [np.zeros((2, 9, 1))] * 2).batch
+        (y, k, scored, slots), = groups
+        # trajectory 0's segment of observations 0..3, then trajectory 1's
+        assert y.shape == (2, 4, 1) and k == 0 and scored.all()
+        assert slots.tolist() == list(range(8))
+        np.testing.assert_array_equal(batch_grid.dt, [g.dt for g in grids])
 
     def test_shape_mismatch_rejected(self):
         m, c, tr, grids, incs = make_problem()
@@ -189,6 +193,22 @@ class TestMcLoglik:
         with pytest.raises(InputError):
             evaluate_with_increments([tr2], m, c, grids,
                                      Workspace([tr2], grids, [np.concatenate([incs[0]] * 2, 2)]))
+        # a grid whose last observation node lies past its last step
+        short = TimeGrid(t0=0.0, dt=grids[0].dt[:-1], obs_indices=grids[0].obs_indices)
+        with pytest.raises(InputError, match="grid does not cover"):
+            Workspace([tr], [short], [incs[0][:, :-1]])
+
+    def test_draw_without_trajectories_is_refused(self):
+        with pytest.raises(InputError, match="at least one trajectory"):
+            Workspace([], [], [])
+
+    def test_trajectories_of_other_dimensions_are_refused(self):
+        # a 1-d trajectory beside a 2-d one: the 2-d one is named
+        m, c, trs, grids, incs = make_batch_problem(
+            32, 1, [np.linspace(0.0, 1.0, 6)] * 2, n_samples=4, factor=2)
+        tr2 = Trajectory(times=trs[1].times, obs=np.zeros((trs[1].n_obs, 2)))
+        with pytest.raises(InputError, match="trajectory 1 has dimension 2"):
+            Workspace([trs[0], tr2], grids, [incs[0], np.concatenate([incs[1]] * 2, 2)])
 
     @pytest.mark.parametrize("change", ["more steps", "fewer steps", "other sample count",
                                         "other dimension", "2-d", "no samples"])
@@ -318,7 +338,7 @@ class TestWorkspace:
         # repeated evaluations on one draw equal those on a fresh draw of its seed
         trs, grids, points, fresh = self.problem(D, grid)
         draw = fresh()
-        assert [len(groups) for *_, groups in draw.batches] == [3]
+        assert len(draw.batch[-1]) == 3
         # smaller and larger groups in turn, and points revisited
         for m, c in points + points[::-1]:
             assert_same_bits(evaluate_with_increments(trs, m, c, grids, draw),
@@ -375,7 +395,7 @@ class TestWorkspace:
         m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
                                                     n_samples=100, factor=2, grid=grid)
         draw = Workspace(trs, grids, incs)
-        (batch_grid, x0, *_), = draw.batches
+        batch_grid, x0, *_ = draw.batch
         largest = x0.size * batch_grid.n_obs * 8
         peak = traced_peak(lambda: evaluate_with_increments(trs, m, c, grids, draw))
         assert peak < largest, f"peak {peak} B, the batch's states {largest} B"
@@ -390,7 +410,7 @@ class TestWorkspace:
         m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
                                                     n_samples=100, factor=2, grid=grid)
         draws = iter([Workspace(trs, grids, incs), Workspace(trs, grids, incs)])
-        (batch_grid, _, inc, groups), = Workspace(trs, grids, incs).batches
+        batch_grid, _, inc, groups = Workspace(trs, grids, incs).batch
         R, n_steps, _ = inc.shape
         S = R // batch_grid.n_blocks
         rows = rows_buffer(c, n_steps, R, lambda shape: 8 * math.prod(shape)) or 0
@@ -426,7 +446,7 @@ class TestRaggedBatch:
         # by the segment before it
         m, c, trs, grids, incs = self.problem(factor, D, grid)
         draw = Workspace(trs, grids, incs)
-        (*_, groups), = draw.batches
+        *_, groups = draw.batch
         assert [y.shape[1] - 1 for y, *_ in groups] == [25, 9, 4, 3, 1]
         val = evaluate_with_increments(trs, m, c, grids, draw)
         start = 0
@@ -473,23 +493,14 @@ class TestRaggedBatch:
         assert sum(calls) == 3 * sum(g.n_steps for g in grids)
 
 
-    def test_grids_of_other_factors_step_in_their_own_batches(self):
-        # offsets of factor 1 and 2 do not begin one another: two batches,
-        # each trajectory scoring as it does in a draw of its own
-        m, c, trs, _, _ = self.problem(1, 1, False)
+    def test_grids_of_other_factors_are_refused(self):
+        # a draw steps every grid at one resolution factor; factors 1 and 2
+        # put observation 1 at nodes 1 and 2
+        trs = self.problem(1, 1, False)[2]
         grids = [make_grids([tr], 1 + j % 2)[0] for j, tr in enumerate(trs)]
         incs = [sample_increments(g, 3, 1, child_seed(5, j)) for j, g in enumerate(grids)]
-        draw = Workspace(trs, grids, incs)
-        assert len(draw.batches) == 2
-        val = evaluate_with_increments(trs, m, c, grids, draw)
-        alone = [evaluate_with_increments([tr], m, c, [g], Workspace([tr], [g], [inc]))
-                 for tr, g, inc in zip(trs, grids, incs)]
-        np.testing.assert_allclose(val.per_obs_loglik,
-                                   np.concatenate([v.per_obs_loglik for v in alone]), rtol=1e-9)
-        # each draw of its own adds the prior's gradient once
-        np.testing.assert_allclose(
-            val.grad_u_f, sum(v.grad_u_f for v in alone) + (len(trs) - 1) * c.alpha_f.ravel(),
-            rtol=1e-9)
+        with pytest.raises(InputError, match="evenly spaced"):
+            Workspace(trs, grids, incs)
 
 
 def log_posterior(trajs, m, resolution_factor, n_samples, seed):

@@ -98,6 +98,17 @@ class TestIncrements:
         many = sample_increments(g, 6, 1, 5)
         assert np.array_equal(few, many[:2])
         assert np.array_equal(sample_increments(g, slice(2, 5), 1, 5), many[2:5])
+        assert np.array_equal(sample_increments(g, slice(2, 5, 1), 1, 5), many[2:5])
+
+    @pytest.mark.parametrize("samples", [slice(0, 6, 2), slice(5, 0, -1), slice(2, None),
+                                         slice(-2, 3)])
+    def test_slices_need_a_start_a_stop_and_a_unit_step(self, samples):
+        g = build_grid([0.0, 1.0], 10)
+        with pytest.raises(InputError, match="slice"):
+            sample_increments(g, samples, 1, 5)
+        m, c = ou_model()
+        with pytest.raises(InputError, match="slice"):
+            sample_paths(c, [0.5], g, samples, 5)
 
     def test_variance_matches_dt(self):
         g = build_grid([0.0, 10.0], 1000)  # dt = 0.01
@@ -183,6 +194,30 @@ class TestEulerMaruyama:
         with pytest.raises(SimulationError) as err:
             simulate_callable_batch(fields, np.zeros(2), 0.1, np.zeros((4, 6, 2)))
         assert err.value.step == 3 and err.value.sample == 2
+
+    @pytest.mark.parametrize("dt", [np.full(5, 0.1), np.full(7, 0.1), np.full(1, 0.1),
+                                    np.full((3, 6), 0.1), np.full((2, 5), 0.1),
+                                    np.full((2, 2, 6), 0.1)])
+    def test_dt_of_another_length_or_block_count_is_refused(self, dt):
+        # 4 rows of 6 steps: dt is one step size, (6,) or (B, 6) with B dividing 4
+        def fields(X):
+            return np.zeros_like(X), np.zeros(len(X))
+
+        with pytest.raises(InputError, match="dt of shape"):
+            simulate_callable_batch(fields, np.zeros(1), dt, np.zeros((4, 6, 1)))
+
+    @pytest.mark.parametrize("dt", [0.1, np.full(6, 0.1), np.full((1, 6), 0.1),
+                                    np.full((2, 6), 0.1), np.full((4, 6), 0.1)])
+    def test_every_dt_layout_steps_alike(self, dt):
+        # one step size, one per step, one row per block or per sample; the
+        # drift comes back transposed in memory, as a 2-d model's does
+        def fields(X):
+            return np.ascontiguousarray(np.cos(X).T).T, np.ones(len(X))
+
+        inc = sample_increments(build_grid([0.0, 0.6], 6), 4, 2, 8)
+        expected = simulate_callable_batch(fields, np.zeros(2), 0.1, inc)
+        assert simulate_callable_batch(fields, np.zeros(2), dt, inc).tobytes() == \
+            expected.tobytes()
 
 
 class TestRaggedGrid:
