@@ -5,9 +5,10 @@ The likelihood of an observation y_i is a mixture over simulated samples,
 log-sum-exp.  Samples are simulated from the first observation of each
 trajectory segment of ``SEGMENT_INTERVALS`` observation intervals, not
 from the trajectory's first observation alone.  Every segment simulates
-in one ragged batch, and segments of one length are scored as stacked
-arrays: observations (K, N, D) against samples (K, S, N, D), one
-(segment, observation) pair per term.  The gradient w.r.t. the simulated
+in one ragged batch and is scored in one padded reduction: observations
+(K, N, D) against samples (K, S, N, D), one (segment, node) pair per term,
+N the longest segment's node count.  A slot map keeps the terms that are
+scored and where they go.  The gradient w.r.t. the simulated
 states is the likelihood-weighted (softmax) residual, which one adjoint
 sweep of the batch pulls back to the inducing values.  The noise
 variances are optimised on a log scale; their gradient is the standard
@@ -19,7 +20,6 @@ the arrays every evaluation works in.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +123,11 @@ def mc_loglik_grad(y: np.ndarray, states: np.ndarray, noise_vars: np.ndarray, ou
     """Monte Carlo likelihood of a batch of K segments, per observation.
 
     y (K, N, D) are the segments' observations and states (K, S, N, D) the
-    simulated samples at their nodes.  Returns the mixture log-likelihoods
-    (K, N); the state seeds w (y - x) / Omega (K, S, N, D), the likelihood's
-    gradient w.r.t. the simulated states, which an adjoint sweep pulls back
-    to the inducing values; and the log-noise gradients
+    simulated samples at their nodes; every (segment, node) pair is scored,
+    and the caller keeps the terms it needs.  Returns the mixture
+    log-likelihoods (K, N); the state seeds w (y - x) / Omega (K, S, N, D),
+    the likelihood's gradient w.r.t. the simulated states, which an adjoint
+    sweep pulls back to the inducing values; and the log-noise gradients
     0.5 (sum_s w (y - x)^2 / Omega - 1) (K, N, D).  out, as for
     :func:`_obs_logliks`, is the (K, S, N, D) and (K, S, N) arrays the
     reduction works in: the residuals turn into the seeds in the first, in
@@ -180,17 +181,19 @@ class Workspace:
     that a step advances the leading rows whose segments take it.  It is
     the tuple (grid with one row of steps per segment and their step counts
     (see :class:`~gpsde.sim.TimeGrid`), x0 (K*S, D) start states, (K*S,
-    n_steps, D) increments, groups); each group is the run of segments of
-    one interval count, the tuple (y (K_g, N_g, D) observations, its first
-    segment, the (K_g, N_g) mask of the terms it scores, their positions
-    in ``per_obs_loglik``).  An evaluation's batch-sized arrays are views
-    of one :class:`~gpsde.sim.Buffers` and hold only what the adjoint
-    sweep reads (the paths, J_f, grad sigma, kept kernel rows and the
-    seeds, which each group's residuals turn into in place) and the
-    likelihood weights of one group at a time; after the first
-    evaluation, one allocates nothing of batch size, so two evaluations on
-    one draw must not overlap (none in gpsde do).  A draw serves only the
-    trajectories and grids it was built from, checked by identity.
+    n_steps, D) increments, y, slots), padded to the longest segment's N
+    nodes: y (K, N, D) the observations, zero past a segment's last node,
+    and slots (K, N) each term's position in ``per_obs_loglik``, or -1 for
+    a term that is not scored (a later segment's node 0, which the segment
+    before it scores, and the nodes past a segment's last).  An
+    evaluation's batch-sized arrays are views of one
+    :class:`~gpsde.sim.Buffers` and hold only what the adjoint sweep reads
+    (the paths, J_f, grad sigma, kept kernel rows and the seeds, which the
+    residuals turn into in place) and the likelihood weights; after the
+    first evaluation, one allocates nothing of batch size, so two
+    evaluations on one draw must not overlap (none in gpsde do).  A draw
+    serves only the trajectories and grids it was built from, checked by
+    identity.
     """
 
     def __init__(self, trajs, grids, increments):
@@ -226,40 +229,28 @@ class Workspace:
     def _batch(trajs, grids, increments, f, starts):
         """The ragged batch of every (trajectory, first, last) segment."""
         S, D = increments[0].shape[0], trajs[0].dim
-
-        def intervals(segment):
-            return segment[2] - segment[1]
-
         segments = [(j, a, min(a + SEGMENT_INTERVALS, tr.n_obs - 1))
                     for j, tr in enumerate(trajs)
                     for a in range(0, tr.n_obs - 1, SEGMENT_INTERVALS)]
-        segments.sort(key=intervals, reverse=True)      # stable: trajectory order kept
-        n_steps = intervals(segments[0]) * f
-        dt = np.zeros((len(segments), n_steps))
-        steps = np.empty(len(segments), dtype=int)
-        x0 = np.empty((len(segments), S, D))
-        inc = np.zeros((len(segments), S, n_steps, D))
-        groups, k = [], 0
-        for n, members in itertools.groupby(segments, key=intervals):
-            members = list(members)
-            L = n * f
-            y = np.empty((len(members), n + 1, D))
-            for q, (j, a, b) in enumerate(members):
-                node = a * f
-                y[q] = trajs[j].obs[a:b + 1]
-                x0[k + q] = y[q, 0]
-                dt[k + q, :L] = grids[j].dt[node:node + L]
-                inc[k + q, :, :L] = increments[j][:, node:node + L]
-            steps[k:k + len(members)] = L
-            js, firsts, _ = (np.array(v) for v in zip(*members))
+        segments.sort(key=lambda s: s[2] - s[1], reverse=True)   # stable: trajectory order kept
+        K, N = len(segments), segments[0][2] - segments[0][1] + 1
+        n_steps = (N - 1) * f
+        dt = np.zeros((K, n_steps))
+        steps = np.empty(K, dtype=int)
+        y = np.zeros((K, N, D))
+        slots = np.full((K, N), -1)
+        inc = np.zeros((K, S, n_steps, D))
+        for k, (j, a, b) in enumerate(segments):
+            node, L = a * f, (b - a) * f
+            y[k, :b - a + 1] = trajs[j].obs[a:b + 1]
             # a later segment's start is scored by the segment before it
-            scored = np.ones((len(members), n + 1), dtype=bool)
-            scored[firsts > 0, 0] = False
-            slots = (starts[js] + firsts)[:, None] + np.arange(n + 1)
-            groups.append((y, k, scored, slots[scored]))
-            k += len(members)
+            first = int(a > 0)
+            slots[k, first:b - a + 1] = starts[j] + np.arange(a + first, b + 1)
+            steps[k] = L
+            dt[k, :L] = grids[j].dt[node:node + L]
+            inc[k, :, :L] = increments[j][:, node:node + L]
         grid = TimeGrid(t0=0.0, dt=dt, obs_indices=np.arange(0, n_steps + 1, f), steps=steps)
-        return (grid, x0.reshape(-1, D), inc.reshape(-1, n_steps, D), groups)
+        return (grid, np.repeat(y[:, 0], S, axis=0), inc.reshape(-1, n_steps, D), y, slots)
 
     def check(self, trajs, grids):
         """InternalError unless these are the inputs the draw was built from."""
@@ -277,10 +268,13 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
     observation intervals.  A segment's samples start from the raw
     observation at its first node and use that trajectory's steps and
     increments between its first and last node.  All segments simulate in
-    one ragged batch, one step call per step of the longest; segments of
-    one interval count, whatever their step sizes, are scored by one
-    :func:`mc_loglik_grad` call, and one adjoint sweep of the batch,
-    seeded at each segment's nodes, gives the gradient.
+    one ragged batch, one step call per step of the longest; one
+    :func:`mc_loglik_grad` call scores every segment, padded to the
+    longest, and one adjoint sweep of the batch, seeded at each segment's
+    nodes, gives the gradient.  Padded terms read path rows past their
+    segment's last step, which the stepping loop never writes and the
+    draw's buffers hold at zero, so they stay finite; they are dropped
+    from the sums, and the adjoint sweep does not read their seeds.
     Every observation is scored once: a segment's first observation belongs
     to the segment before it, except for the trajectory's first
     observation, which is scored against the start state.
@@ -298,27 +292,23 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
         raise InputError("trajectory dimension does not match the model")
     draw.check(trajs, grids)
     take, D = draw.buffers.take, m.D
-    grid, x0, inc, groups = draw.batch
-    B, N = grid.n_blocks, grid.n_obs
-    S = len(x0) // B
+    grid, x0, inc, y, slots = draw.batch
+    K, N = slots.shape
+    S = len(x0) // K
     paths, pullback = simulate_bundle_with_sensitivities(
         m, cache, x0, grid, inc, buffers=draw.buffers)
-    # the adjoint reads the seeds where mc_loglik_grad writes them
-    seeds = take("seeds", (B, N, S, D))
     f = grid.obs_indices[1]       # observation p of a segment is its node f p
-    per_obs, grad_noise = np.empty(draw.n_obs), np.zeros(D)
-    for y, k, scored, slots in groups:
-        K, Ng, _ = y.shape
-        states = paths[k * S:(k + K) * S, :(Ng - 1) * f + 1:f].reshape(K, S, Ng, D)
-        # the residuals (then seeds) and weights lie observation-major within
-        # a segment, as numpy lays out y[:, None] - paths[:, obs_indices], so
-        # the sums over samples add in the same order and the values keep
-        # every bit
-        work = (seeds[k:k + K, :Ng].transpose(0, 2, 1, 3),
-                take("weights", (K, Ng, S)).transpose(0, 2, 1))
-        loglik, _, g_noise = mc_loglik_grad(y, states, m.noise_vars, work)
-        grad_noise += g_noise[scored].sum(axis=0)
-        per_obs[slots] = loglik[scored]
+    # the residuals (then the seeds, where the adjoint reads them) and the
+    # weights lie observation-major within a segment, as numpy lays out
+    # y[:, None] - paths[:, obs_indices], so the sums over samples add in
+    # the same order and the values keep every bit
+    seeds = take("seeds", (K, N, S, D))
+    work = (seeds.transpose(0, 2, 1, 3), take("weights", (K, N, S)).transpose(0, 2, 1))
+    loglik, _, g_noise = mc_loglik_grad(
+        y, paths[:, ::f].reshape(K, S, N, D), m.noise_vars, work)
+    scored = slots >= 0
+    per_obs = np.empty(draw.n_obs)
+    per_obs[slots[scored]] = loglik[scored]
     grad_f, grad_s = pullback(seeds.transpose(0, 2, 1, 3))
 
     pg_f, pg_s = log_prior_grad(cache)
@@ -326,6 +316,6 @@ def evaluate_with_increments(trajs, m: InducingModel, cache: FieldCache, grids,
         log_posterior=float(per_obs.sum()) + log_prior(cache),
         grad_u_f=grad_f + pg_f,
         grad_u_s=grad_s + pg_s,
-        grad_log_noise=grad_noise,
+        grad_log_noise=g_noise[scored].sum(axis=0),
         per_obs_loglik=per_obs,
     )

@@ -97,7 +97,10 @@ class Buffers:
     """Float arrays kept by name across calls, so that repeated calls of
     one size allocate them once.  :meth:`take` gives a C-ordered view over
     the start of the named buffer, which grows to the largest request; a
-    view's contents hold until the next take of its name."""
+    view's contents hold until the next take of its name.  A new buffer is
+    zeros, not whatever the heap held: a ragged batch never writes the
+    path rows past a block's last step, and a padded score reads them, so
+    they must be finite."""
 
     def __init__(self):
         self._kept = {}
@@ -106,7 +109,7 @@ class Buffers:
         n = math.prod(shape)
         buf = self._kept.get(name)
         if buf is None or buf.size < n:
-            buf = self._kept[name] = np.empty(n)
+            buf = self._kept[name] = np.zeros(n)
         return buf[:n].reshape(shape)
 
     @property

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpsde import sensitivity
+from gpsde import objective, sensitivity
 from gpsde.errors import InputError, InternalError, SimulationError
 from gpsde.field import (InducingModel, build_cache, grid_points, log_prior, rows_buffer,
                          step_terms_batch, update_values)
@@ -174,14 +174,14 @@ class TestMcLoglik:
             -0.5 * np.sum(np.log(2 * np.pi * m.noise_vars)), rel=1e-12)
 
     def test_segments_with_equal_interval_counts_share_one_batch(self):
-        # different gaps, same number of intervals: one group, one batch
+        # different gaps, same number of intervals: one batch, no padding
         trs = [Trajectory(times=t, obs=np.zeros((4, 1))) for t in IRREGULAR_TIMES]
         grids = make_grids(trs, 3)
-        batch_grid, _, _, groups = Workspace(trs, grids, [np.zeros((2, 9, 1))] * 2).batch
-        (y, k, scored, slots), = groups
-        # trajectory 0's segment of observations 0..3, then trajectory 1's
-        assert y.shape == (2, 4, 1) and k == 0 and scored.all()
-        assert slots.tolist() == list(range(8))
+        batch_grid, _, _, y, slots = Workspace(trs, grids, [np.zeros((2, 9, 1))] * 2).batch
+        # trajectory 0's segment of observations 0..3, then trajectory 1's,
+        # every term scored
+        assert y.shape == (2, 4, 1) and (batch_grid.steps // 3).tolist() == [3, 3]
+        assert slots.ravel().tolist() == list(range(8))
         np.testing.assert_array_equal(batch_grid.dt, [g.dt for g in grids])
 
     def test_shape_mismatch_rejected(self):
@@ -319,8 +319,7 @@ def assert_same_bits(a, b):
 
 class TestWorkspace:
     # a long trajectory and a short one: segments of 25 and of 9 intervals
-    # (the long one's last), and of 3 (the short one), in three groups of
-    # one ragged batch
+    # (the long one's last), and of 3 (the short one), in one ragged batch
     TIMES = [np.linspace(0.0, 2.0, LONG_N_OBS), np.linspace(0.0, 0.3, 4)]
 
     def problem(self, D, grid=False):
@@ -338,8 +337,8 @@ class TestWorkspace:
         # repeated evaluations on one draw equal those on a fresh draw of its seed
         trs, grids, points, fresh = self.problem(D, grid)
         draw = fresh()
-        assert len(draw.batch[-1]) == 3
-        # smaller and larger groups in turn, and points revisited
+        assert (draw.batch[0].steps // 2).tolist() == [25, 25, 9, 3]
+        # points in turn, and revisited
         for m, c in points + points[::-1]:
             assert_same_bits(evaluate_with_increments(trs, m, c, grids, draw),
                              evaluate_with_increments(trs, m, c, grids, fresh()))
@@ -403,24 +402,24 @@ class TestWorkspace:
     @pytest.mark.parametrize("D,grid", [(1, False), (2, True)])
     def test_first_evaluation_allocates_only_what_the_draw_keeps(self, traced_peak, D, grid):
         # a fresh draw's first evaluation makes the buffers the draw keeps (the
-        # paths, J_f, grad sigma, kept rows and seeds of the batch, and the
-        # weights of its largest group), sized here by their shapes; beyond
-        # them it peaks below one (K_g, S, N_g, D) array of node states of
-        # its largest group, so it copies no node states or residuals
+        # paths, J_f, grad sigma, kept rows, seeds and (K, N, S) weights of
+        # the batch), sized here by their shapes; beyond them it peaks below
+        # one (K, S, N, D) array of node states, so it copies no node states
+        # or residuals
         m, c, trs, grids, incs = make_batch_problem(30, D, [np.linspace(0.0, 2.0, 51)] * 4,
                                                     n_samples=100, factor=2, grid=grid)
         draws = iter([Workspace(trs, grids, incs), Workspace(trs, grids, incs)])
-        batch_grid, _, inc, groups = Workspace(trs, grids, incs).batch
+        batch_grid, _, inc, y, _ = Workspace(trs, grids, incs).batch
         R, n_steps, _ = inc.shape
-        S = R // batch_grid.n_blocks
+        (K, N, _), S = y.shape, R // batch_grid.n_blocks
         rows = rows_buffer(c, n_steps, R, lambda shape: 8 * math.prod(shape)) or 0
-        node_states = max(y.shape[0] * S * y.shape[1] * D for y, *_ in groups)
+        node_states = K * S * N * D
         kept = rows + 8 * (R * (n_steps + 1) * D + n_steps * D * D * R + n_steps * D * R
                            + R * batch_grid.n_obs * D + node_states // D)
         # the warm-up call evaluates on the first draw, the traced one on the second
         peak = traced_peak(lambda: evaluate_with_increments(trs, m, c, grids, next(draws)))
         assert peak - kept < 8 * node_states, \
-            f"peak {peak} B less kept {kept} B, the group's node states {8 * node_states} B"
+            f"peak {peak} B less kept {kept} B, the node states {8 * node_states} B"
 
 
 # last segments of 1, 3, 9 and 25 intervals, and a trajectory shorter than one
@@ -446,8 +445,9 @@ class TestRaggedBatch:
         # by the segment before it
         m, c, trs, grids, incs = self.problem(factor, D, grid)
         draw = Workspace(trs, grids, incs)
-        *_, groups = draw.batch
-        assert [y.shape[1] - 1 for y, *_ in groups] == [25, 9, 4, 3, 1]
+        counts = (draw.batch[0].steps // factor).tolist()
+        assert counts == sorted(counts, reverse=True)
+        assert sorted(set(counts), reverse=True) == [25, 9, 4, 3, 1]
         val = evaluate_with_increments(trs, m, c, grids, draw)
         start = 0
         for tr, g, inc in zip(trs, grids, incs):
@@ -464,6 +464,50 @@ class TestRaggedBatch:
                 first = 0 if a == 0 else 1
                 np.testing.assert_allclose(got[a + first:b + 1], alone.per_obs_loglik[first:],
                                            rtol=1e-9)
+
+    @pytest.mark.parametrize("factor,D,grid", RAGGED_CASES)
+    def test_slot_map_scores_each_observation_once(self, factor, D, grid):
+        # the scored terms are every observation once; -1 marks a later
+        # segment's node 0 and the padding past each segment's last node,
+        # where the observations are zero
+        m, c, trs, grids, incs = self.problem(factor, D, grid)
+        batch_grid, x0, _, y, slots = Workspace(trs, grids, incs).batch
+        (K, N), n = slots.shape, batch_grid.steps // factor
+        scored = slots >= 0
+        obs = np.concatenate([tr.obs for tr in trs])
+        assert sorted(slots[scored].tolist()) == list(range(len(obs)))
+        np.testing.assert_array_equal(scored[:, 1:], np.arange(1, N) <= n[:, None])
+        starts = np.cumsum([0] + [tr.n_obs for tr in trs])[:-1]
+        assert sorted(slots[scored[:, 0], 0].tolist()) == starts.tolist()
+        # a later segment starts at the last node of the one before it
+        later = ~scored[:, 0]
+        assert set((slots[later, 1] - 1).tolist()) <= set(slots[np.arange(K), n].tolist())
+        assert np.all(y[scored] == obs[slots[scored]])
+        assert np.all(y[:, 1:][~scored[:, 1:]] == 0.0)
+        np.testing.assert_array_equal(x0, np.repeat(y[:, 0], 3, axis=0))
+
+    def test_first_evaluation_raises_no_floating_point_error(self):
+        # the padded terms read path rows that no step writes, which a new
+        # draw's buffers hold at zero
+        m, c, trs, grids, incs = self.problem(2, 2, True)
+        with np.errstate(all="raise"):
+            val = evaluate_with_increments(trs, m, c, grids, Workspace(trs, grids, incs))
+        assert np.all(np.isfinite(val.packed_grad()))
+
+    def test_one_score_call_per_evaluation(self, monkeypatch):
+        # every segment, of whatever length, is scored by one reduction
+        m, c, trs, grids, incs = self.problem(2, 2, True)
+        draw = Workspace(trs, grids, incs)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return mc_loglik_grad(*args)
+
+        monkeypatch.setattr(objective, "mc_loglik_grad", counted)
+        for _ in range(2):
+            evaluate_with_increments(trs, m, c, grids, draw)
+        assert calls == [draw.batch[3].shape] * 2
 
     @pytest.mark.parametrize("factor,D,grid", RAGGED_CASES)
     def test_gradient_matches_frozen_noise_fd(self, factor, D, grid):

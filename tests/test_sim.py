@@ -6,6 +6,7 @@ from gpsde.field import InducingModel, build_cache, drift_batch, grid_points, up
 from gpsde.kernels import KernelParams
 from gpsde.sim import (
     BLOCK_FLOATS,
+    Buffers,
     SAMPLE_BLOCK_ROWS,
     TimeGrid,
     build_grid,
@@ -410,3 +411,17 @@ class TestSampleBlocks:
         starts = list(range(0, n, size))
         assert list(sample_blocks(n, n_steps, D)) == [
             slice(a, min(a + size, n)) for a in starts]
+
+
+def test_new_buffers_are_zeros_and_kept_ones_keep_their_contents():
+    buffers = Buffers()
+    a = buffers.take("x", (3, 4))
+    assert a.shape == (3, 4) and np.all(a == 0.0)
+    a[:] = 7.0
+    # a request that fits takes the start of the kept buffer, as written
+    b = buffers.take("x", (2, 5))
+    assert np.shares_memory(a, b) and np.all(b == 7.0)
+    # a larger one replaces it with new zeros; another name is its own buffer
+    assert np.all(buffers.take("x", (4, 4)) == 0.0)
+    assert np.all(buffers.take("y", (2,)) == 0.0)
+    assert buffers.nbytes == 8 * (16 + 2)
