@@ -188,9 +188,9 @@ class Workspace:
     before it scores, and the nodes past a segment's last).  An
     evaluation's batch-sized arrays are views of one
     :class:`~gpsde.sim.Buffers` and hold only what the adjoint sweep reads
-    (the paths, J_f, grad sigma, kept kernel rows and the seeds, which the
-    residuals turn into in place) and the likelihood weights; after the
-    first evaluation, one allocates nothing of batch size, so two
+    (the paths, each step's state Jacobian, kept kernel rows and the seeds,
+    which the residuals turn into in place) and the likelihood weights;
+    after the first evaluation, one allocates nothing of batch size, so two
     evaluations on one draw must not overlap (none in gpsde do).  A draw
     serves only the trajectories and grids it was built from, checked by
     identity.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Minor page faults and wall time of one objective evaluation.
 
-    PYTHONPATH=src python3 studies/eval_faults.py [--repeats 20] [--fresh-draw]
+    PYTHONPATH=src python3 studies/eval_faults.py [--repeats 20] [--fresh-draw] [--fork]
 
 At the sizes of the benchmark's two fit workloads (``dw1d_fit``: double
 well, 6 x 250 observations, M=15, S=50, one step per interval;
@@ -21,7 +21,10 @@ the footprint of a first evaluation: after the timed ones, a new draw of
 the same seed is evaluated once under ``tracemalloc``, and ``first_eval``
 holds that call's traced peak and the bytes of the buffers the draw then
 keeps (``traced_peak_b``, ``kept_b``), so that the peak less the kept
-bytes is what the evaluation allocated besides them.
+bytes is what the evaluation allocated besides them.  With ``--fork`` each
+size runs in a child forked from this process after gpsde is imported, as
+``bench/worker.py`` runs each benchmark command, so that its evaluations
+start from the heap of a fresh command rather than from the sizes before it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ import json
 import os
 import resource
 import statistics
+import sys
 import time
 import tracemalloc
+import traceback
 
 os.environ.setdefault("GPSDE_NUM_THREADS", "1")
 
@@ -119,11 +124,33 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1, help="data and increment seed")
     ap.add_argument("--fresh-draw", action="store_true",
                     help="evaluate each time on a new draw of the same seed")
+    ap.add_argument("--fork", action="store_true",
+                    help="run each size in a child forked from this process")
     args = ap.parse_args()
-    for name, size in SIZES.items():
+
+    def report(name, size):
         out = probe(size, args.repeats, args.seed, args.fresh_draw)
         print(json.dumps({"size": name, "workspace": not args.fresh_draw,
-                          "repeats": args.repeats, **out}), flush=True)
+                          "forked": args.fork, "repeats": args.repeats, **out}), flush=True)
+
+    for name, size in SIZES.items():
+        if not args.fork:
+            report(name, size)
+            continue
+        pid = os.fork()
+        if pid == 0:
+            # the child must never return into this loop, whatever happens
+            code = 0
+            try:
+                report(name, size)
+            except BaseException:
+                traceback.print_exc()
+                code = 1
+            finally:
+                sys.stderr.flush()
+                os._exit(code)
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+            return 1
     return 0
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from gpsde import objective, sensitivity
 from gpsde.errors import InputError, InternalError, SimulationError
-from gpsde.field import (InducingModel, build_cache, grid_points, log_prior, rows_buffer,
-                         step_terms_batch, update_values)
+from gpsde.field import (InducingModel, build_cache, drift_diffusion_batch, grid_points,
+                         log_prior, rows_buffer, step_terms_batch, update_values)
 from gpsde.kernels import JITTER_SCALE, KernelParams, gram
 from gpsde.objective import (
     SEGMENT_INTERVALS,
@@ -19,7 +19,8 @@ from gpsde.objective import (
     mc_loglik_grad,
     _obs_logliks,
 )
-from gpsde.sim import TimeGrid, child_seed, sample_increments, sample_paths, simulate_batch
+from gpsde.sim import (Buffers, TimeGrid, child_seed, sample_increments, sample_paths,
+                       simulate_batch)
 
 
 # more than two segments, the last one shorter than the others
@@ -517,6 +518,35 @@ class TestRaggedBatch:
         fd = TestGradients().frozen_fd(trs, m, c, grids, draw)
         rel = np.abs(an - fd) / np.maximum(1e-8, np.abs(fd))
         assert rel.max() <= 1e-4
+
+    @pytest.mark.parametrize("D,grid", [(1, False), (2, True)], ids=["1", "grid"])
+    def test_kept_step_jacobian_matches_euler_step_fd(self, D, grid):
+        # each step's kept A_i is the Jacobian of the Euler step
+        # x + f(x) dt + sigma(x) dW at the rows that take it, against
+        # central differences of that step
+        m, c, trs, grids, incs = self.problem(2, D, grid)
+        g, x0, inc, _, _ = Workspace(trs, grids, incs).batch
+        buffers = Buffers()
+        paths, _ = sensitivity.simulate_bundle_with_sensitivities(m, c, x0, g, inc,
+                                                                   buffers=buffers)
+        R, n, _ = inc.shape
+        jac = buffers.take("jac", (n, D, D, R))
+        r = R // g.n_blocks
+        dt = np.repeat(np.broadcast_to(g.dt, (g.n_blocks, n)), r, axis=0)
+        h = 1e-6
+        for i, b in enumerate(g.active):
+            a = b * r
+
+            def step(X):
+                F, sig = drift_diffusion_batch(X, c)
+                return X + F * dt[:a, i, None] + sig[:, None] * inc[:a, i]
+
+            fd = np.empty((D, D, a))
+            for e in range(D):
+                dx = np.zeros(D)
+                dx[e] = h
+                fd[:, e] = ((step(paths[:a, i] + dx) - step(paths[:a, i] - dx)) / (2 * h)).T
+            np.testing.assert_allclose(jac[i, ..., :a], fd, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("factor,D,grid", RAGGED_CASES)
     def test_one_step_call_per_step_of_the_longest_segment(self, monkeypatch, factor, D, grid):

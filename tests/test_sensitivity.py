@@ -293,14 +293,29 @@ def memory_problem(D, n, S=100):
 
 
 def test_two_d_evaluation_keeps_only_the_step_terms(traced_peak):
-    # a 2-d evaluation keeps each step's per-axis factors, J_f and grad sigma:
-    # n_steps * S * (sum n_d + D^2 + D) floats; half as much again covers the
+    # a 2-d evaluation keeps each step's per-axis factors and state Jacobian:
+    # n_steps * S * (sum n_d + D^2) floats; half as much again covers the
     # paths, the increments and one step's temporaries
     D, n, S = 2, 12, 100
     m, c, trajs, grids, incs = memory_problem(D, n, S)
-    kept = grids[0].n_steps * S * (D * n + D * D + D) * 8
+    kept = grids[0].n_steps * S * (D * n + D * D) * 8
     peak = traced_peak(lambda: evaluate_with_increments(trajs, m, c, grids, incs))
     assert peak <= 1.5 * kept, f"peak {peak} B, kept {kept} B"
+
+
+@pytest.mark.parametrize("D,n", [(1, 9), (2, 5)])
+def test_draw_keeps_exactly_the_sweep_arrays(D, n):
+    # after one evaluation a draw holds the paths, one (D, D) Jacobian per
+    # step and row, the kernel factors on a grid of two or more axes, the
+    # seeds and the weights, and nothing else
+    m, c, trajs, grids, draw = memory_problem(D, n, S=7)
+    evaluate_with_increments(trajs, m, c, grids, draw)
+    grid, x0, _, _, slots = draw.batch
+    R, steps, (K, N) = len(x0), grid.n_steps, slots.shape
+    S = R // K
+    rows = steps * D * n * R if D > 1 else 0    # one kernel: the parameters are equal
+    floats = R * (steps + 1) * D + steps * D * D * R + rows + K * N * S * D + K * N * S
+    assert draw.buffers.nbytes == 8 * floats
 
 
 def test_one_d_evaluation_keeps_no_rows(traced_peak):
