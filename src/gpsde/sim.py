@@ -2,9 +2,9 @@
 
 A :class:`TimeGrid` splits every observation interval into
 ``resolution_factor`` equal steps, so each observation time is a grid node
-however irregular the sampling.  Brownian increments come from per-sample
-counter-keyed substreams so that sample s is reproducible regardless of
-how many samples are drawn.
+however irregular the sampling.  Brownian increments are drawn by position
+from one stream per seed, so that sample s is reproducible regardless of
+how many samples, or which ones, are drawn.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import InputError, SimulationError
 from .field import FieldCache, drift_diffusion_batch
@@ -163,18 +164,30 @@ def sample_increments(grid: TimeGrid, samples, D: int, seed) -> np.ndarray:
     """Brownian increments, shape (n_samples, n_steps, D), step i N(0, dt_i),
     of samples 0..n_samples-1 (samples an int) or of a slice of them.
 
-    Deterministic given the seed; sample s draws from its own substream
-    keyed by s, so results do not depend on which other samples are drawn.
+    Deterministic given the seed: the seed's one PCG64 stream is addressed
+    by position, sample s owning its raw words [s w, (s+1) w), w = n_steps D,
+    so a slice is one jump ahead and one read, and sample s does not depend
+    on which other samples are drawn.
     """
     rows = _sample_range(samples)
     if len(rows) < 1 or D < 1:
         raise InputError("n_samples and D must be positive")
-    out = np.empty((len(rows), grid.n_steps, D))
-    for k, s in enumerate(rows):
-        rng = np.random.Generator(np.random.PCG64(child_seed(seed, s)))
-        out[k] = rng.standard_normal((grid.n_steps, D))
+    words = grid.n_steps * D
+    stream = np.random.PCG64(seed)
+    stream.advance(rows.start * words)
+    out = raw_normals(stream.random_raw(len(rows) * words)).reshape(len(rows), grid.n_steps, D)
     out *= np.sqrt(grid.dt)[:, None]
     return out
+
+
+def raw_normals(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from uint64 raw words, in place: the top 52 bits k of
+    a word give the uniform (2k+1) 2**-53, never 0 or 1, and its quantile."""
+    np.right_shift(raw, 12, out=raw)
+    np.bitwise_or(raw, np.uint64(0x3FF0000000000000), out=raw)    # the float 1 + k 2**-52
+    u = raw.view(np.float64)
+    u -= 1.0 - 2.0**-53     # (2k+1) 2**-53, exactly
+    return ndtri(u, out=u)
 
 
 def _blowup_check(X: np.ndarray, step: int):

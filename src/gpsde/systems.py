@@ -30,11 +30,13 @@ from .field import (
 from .kernels import as_points
 from .objective import Trajectory
 from .sim import (
+    TimeGrid,
     blowup_error,
     child_seed,
     gaussian_kde,
     row_blocks,
     sample_blocks,
+    sample_increments,
     simulate_callable_batch,
 )
 
@@ -302,12 +304,11 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
 
     Both systems are simulated once, from the same x0 with matched settings,
     in the sample blocks of :func:`gpsde.sim.sample_blocks`, keeping only
-    the checkpoint states;
-    by default they share the Brownian increments (fitted_seed=None), so a
-    fitted system identical to the truth scores exactly zero.  Both
-    per-checkpoint distances are scored on the same paths: "energy" (energy
-    distance) and "kde_l2" (L2 between kernel density estimates on a shared
-    grid).
+    the checkpoint states, with increments from :func:`gpsde.sim.sample_increments`;
+    by default they share them (fitted_seed=None), so a fitted system
+    identical to the truth scores exactly zero.  Both per-checkpoint
+    distances are scored on the same paths: "energy" (energy distance) and
+    "kde_l2" (L2 between kernel density estimates on a shared grid).
     """
     if not horizon > 0 or n_paths < 2:
         raise InputError("need horizon > 0 and n_paths >= 2")
@@ -315,20 +316,12 @@ def distribution_discrepancy(true_sys: ParametricSystem, fitted, x0,
     n_steps = max(1, int(round(horizon / dt)))
     D = true_sys.dim
     checks = np.unique(np.linspace(1, n_steps, min(10, n_steps)).round().astype(int))
-
-    def stream(s):
-        return np.random.Generator(np.random.PCG64(child_seed(s, 0)))
-
-    # each system's one generator fills its draw sample-major, so drawing
-    # it block by block gives the numbers of drawing it at once
-    rng_true = stream(seed)
-    rng_fit = None if fitted_seed is None else stream(fitted_seed)
+    grid = TimeGrid(0.0, np.full(n_steps, dt), [0, n_steps])
     fields = (_fields(true_sys)[2], _fields(fitted)[2])
     kept = np.empty((2, n_paths, checks.size, D))    # each ensemble's checkpoint states
     for rows in sample_blocks(n_paths, n_steps, D):
-        shape = (rows.stop - rows.start, n_steps, D)
-        inc_true = rng_true.normal(0.0, math.sqrt(dt), size=shape)
-        inc_fit = inc_true if rng_fit is None else rng_fit.normal(0.0, math.sqrt(dt), size=shape)
+        inc_true = sample_increments(grid, rows, D, seed)
+        inc_fit = inc_true if fitted_seed is None else sample_increments(grid, rows, D, fitted_seed)
         for k, inc in enumerate((inc_true, inc_fit)):
             try:
                 kept[k, rows] = simulate_callable_batch(fields[k], x0, dt, inc)[:, checks]

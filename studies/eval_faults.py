@@ -16,10 +16,13 @@ all on one frozen draw from ``objective.draw_increments``, or with
 ``--fresh-draw`` each on a new draw of the same seed, made outside the
 timed call.  After three warm-up evaluations it prints one JSON line per
 size with the median, minimum and maximum of the minor page faults
-(``getrusage``) and of the wall time per evaluation.  The line also gives
-the footprint of a first evaluation: after the timed ones, a new draw of
-the same seed is evaluated once under ``tracemalloc``, and ``first_eval``
-holds that call's traced peak and the bytes of the buffers the draw then
+(``getrusage``) and of the wall time per evaluation.  After the timed
+evaluations it makes three warm-up draws and as many timed draws as
+evaluations, new draws of the same seed, each ``objective.draw_increments``
+call timed on its own; ``draw_ms`` holds their median, minimum and maximum
+wall time.  The line also gives the footprint of a first evaluation: the
+last draw is evaluated once under ``tracemalloc``, and ``first_eval`` holds
+that call's traced peak and the bytes of the buffers the draw then
 keeps (``traced_peak_b``, ``kept_b``), so that the peak less the kept
 bytes is what the evaluation allocated besides them.  With ``--fork`` each
 size runs in a child forked from this process after gpsde is imported, as
@@ -86,6 +89,12 @@ def problem(size: dict, seed: int):
     return data, grids, (data, grids, m, size["S"], child_seed(seed, 0)), m, c
 
 
+def milliseconds(seconds: list) -> dict:
+    """Median, minimum and maximum of wall times, in milliseconds."""
+    return {"median": round(1e3 * statistics.median(seconds), 3),
+            "min": round(1e3 * min(seconds), 3), "max": round(1e3 * max(seconds), 3)}
+
+
 def probe(size: dict, repeats: int, seed: int, fresh_draw: bool) -> dict:
     data, grids, draw_args, m, c = problem(size, seed)
     draw = objective.draw_increments(*draw_args)
@@ -102,7 +111,12 @@ def probe(size: dict, repeats: int, seed: int, fresh_draw: bool) -> dict:
         if k >= WARMUP:
             faults.append(f1 - f0)
             walls.append(wall)
-    draw = objective.draw_increments(*draw_args)
+    draws = []
+    for k in range(WARMUP + repeats):
+        t0 = time.perf_counter()
+        draw = objective.draw_increments(*draw_args)
+        if k >= WARMUP:
+            draws.append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
         objective.evaluate_with_increments(data, m, c, grids, draw)
@@ -112,8 +126,8 @@ def probe(size: dict, repeats: int, seed: int, fresh_draw: bool) -> dict:
     return {
         "minor_faults": {"median": statistics.median(faults), "min": min(faults),
                          "max": max(faults)},
-        "wall_ms": {"median": round(1e3 * statistics.median(walls), 3),
-                    "min": round(1e3 * min(walls), 3), "max": round(1e3 * max(walls), 3)},
+        "wall_ms": milliseconds(walls),
+        "draw_ms": milliseconds(draws),
         "first_eval": {"traced_peak_b": first_peak, "kept_b": draw.buffers.nbytes},
     }
 

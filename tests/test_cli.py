@@ -234,10 +234,8 @@ class TestEvaluate:
         # both metrics come from one simulation per ensemble; they must equal,
         # bit for bit, one simulation per metric stepping the fitted drift and
         # diffusion through separate calls
-        import math
-
         from gpsde.field import build_cache, diffusion_batch, drift_batch
-        from gpsde.sim import child_seed, simulate_callable_batch
+        from gpsde.sim import TimeGrid, sample_increments, simulate_callable_batch
         from gpsde.systems import double_well, energy_distance, kde_l2_distance
 
         out = tmp_path / "eval"
@@ -252,8 +250,7 @@ class TestEvaluate:
         dt, n_steps = 0.01, 50
 
         def draw(s):
-            rng = np.random.Generator(np.random.PCG64(child_seed(s, 0)))
-            return rng.normal(0.0, math.sqrt(dt), size=(40, n_steps, 1))
+            return sample_increments(TimeGrid(0.0, np.full(n_steps, dt), [0, n_steps]), 40, 1, s)
 
         def separate(dist):
             true = simulate_callable_batch(
@@ -339,11 +336,17 @@ class TestSampleBlocks:
 
     def test_blowup_in_a_later_block_leaves_no_output(self, tmp_path, capsys):
         # sigma 3e6 at x0 = 0 moves each sample to 3e5 z on its first step,
-        # z its first standard-normal draw, where the field vanishes; with
-        # seed 18 only sample 574, in the third block, has |z| > 10/3 and
-        # leaves the 1e6 limit
+        # z its first standard-normal draw, where the field vanishes; the
+        # first sample with |z| > 10/3 leaves the 1e6 limit, and with seed
+        # 18 it lies past the first block
         from gpsde.field import InducingModel
         from gpsde.kernels import KernelParams
+        from gpsde.sim import build_grid, sample_blocks, sample_increments
+
+        grid = build_grid([0.0, 3.0], 300)
+        z = sample_increments(grid, 768, 1, 18)[:, 0, 0] / np.sqrt(grid.dt[0])
+        first = int(np.nonzero(np.abs(z) > 10 / 3)[0][0])
+        assert first >= next(sample_blocks(768, 300, 1)).stop
         p = KernelParams(1.0, [1.0])
         m = InducingModel(Z=np.array([[-1.0], [0.0], [1.0]]), U_f=np.zeros((3, 1)),
                           u_sigma=np.full(3, 3e6), drift_params=p, diff_params=p,
@@ -354,7 +357,7 @@ class TestSampleBlocks:
         rc = run_cli(["simulate", "--model", mp, "--x0", "0", *self.STEPS, "--n-paths", 768,
                       "--seed", 18, "--density-grid=-3:3:7", "--out-dir", out])
         assert rc == 4
-        assert "at step 1 (sample 574)" in capsys.readouterr().err
+        assert f"at step 1 (sample {first})" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 

@@ -11,6 +11,7 @@ from gpsde.sim import (
     TimeGrid,
     build_grid,
     gaussian_kde,
+    raw_normals,
     sample_increments,
     sample_blocks,
     sample_paths,
@@ -110,6 +111,34 @@ class TestIncrements:
         m, c = ou_model()
         with pytest.raises(InputError, match="slice"):
             sample_paths(c, [0.5], g, samples, 5)
+
+    def test_slices_equal_the_rows_of_a_full_draw(self):
+        # slices across sample boundaries read the words of each sample in
+        # the stream, bit for bit
+        g = build_grid([0.0, 0.7, 1.0], 4)
+        full = sample_increments(g, 12, 3, 41)
+        for a, b in [(0, 1), (1, 4), (3, 12), (5, 6), (2, 9), (11, 12)]:
+            part = sample_increments(g, slice(a, b), 3, 41)
+            assert part.tobytes() == full[a:b].tobytes()
+
+    def test_a_sample_does_not_depend_on_the_count(self):
+        g = build_grid([0.0, 1.0], 10)
+        one, seven, many = (sample_increments(g, S, 2, 7) for S in (1, 7, 300))
+        assert one.tobytes() == seven[:1].tobytes() == many[:1].tobytes()
+        assert seven.tobytes() == many[:7].tobytes()
+
+    def test_extreme_raw_words_give_finite_opposite_normals(self):
+        z = raw_normals(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert np.all(np.isfinite(z))
+        assert z[0] < 0 < z[1] and z[0] == -z[1]
+
+    def test_moments_within_four_standard_errors(self):
+        g = build_grid([0.0, 10.0], 1000)  # dt = 0.01
+        inc = sample_increments(g, 100, 1, 3).ravel()
+        n, dt = inc.size, 0.01
+        assert n == 10**5
+        assert abs(inc.mean()) <= 4 * np.sqrt(dt / n)
+        assert abs(inc.var() - dt) <= 4 * dt * np.sqrt(2 / (n - 1))
 
     def test_variance_matches_dt(self):
         g = build_grid([0.0, 10.0], 1000)  # dt = 0.01
@@ -238,7 +267,7 @@ class TestRaggedGrid:
             alone = simulate_batch(c, x0[rows], TimeGrid(0.0, self.DT[k, :n], [0, n]),
                                    inc[rows, :n])
             # the field's matrix products may round by the number of rows
-            np.testing.assert_allclose(paths[rows, :n + 1], alone, rtol=1e-12)
+            np.testing.assert_allclose(paths[rows, :n + 1], alone, rtol=1e-12, atol=1e-14)
 
     def test_a_step_sees_only_the_rows_that_take_it(self):
         seen = []
@@ -277,7 +306,7 @@ class TestSamplePaths:
         assert not np.array_equal(b1, b3)
 
     def test_blocks_equal_one_batch(self):
-        # blocks of 1, 2 and 4 samples draw each sample's own substream; the
+        # blocks of 1, 2 and 4 samples draw each sample's own stream words; the
         # kernel products may change in the last bit with the row count
         m, c = ou_model()
         g = build_grid([0.0, 1.0], 20)
